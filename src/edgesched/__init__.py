@@ -5,7 +5,18 @@ resource allocator), a learning stack (manual-backprop networks, the channel
 autoencoder, prioritized replay, the scheduling agent) and an evaluation
 layer (adaptive annealing search, baselines, swarm oracle, experiment
 drivers).
+
+Importing the package caps OpenBLAS and OpenMP at one thread each, unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set: the arrays
+here are small, and an idle BLAS worker otherwise spins on a second CPU for
+the whole training loop.  The cap only takes effect when numpy has not been
+imported before this package.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .agent import (AgentConfig, EpochLog, RunResult, SeedBundle, decide,
                     policy_loss, policy_loss_grads, run, train_step)

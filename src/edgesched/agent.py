@@ -234,6 +234,7 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
     sae_rng = sae_rng or np.random.default_rng(seeds.sae)
     budget = BudgetState(asa_cfg.t_sa_init)
     prev_loss: float | None = None
+    theta_sq_now = policy.l2_norm_sq()  # parameters change only in train_step
     active = scenario
     logs: list[EpochLog] = []
     ckpt_dir = None
@@ -273,7 +274,6 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
                                     rng_asa, evaluator=ev)
         asa_ms = (time.perf_counter() - tic) * 1e3
 
-        theta_sq_now = policy.l2_norm_sq()
         buffer.append(Transition(raw=channel.gains.ravel().copy(),
                                  state=np.asarray(state.vector, dtype=float),
                                  best_action=result.decision.assign.copy(),
@@ -284,10 +284,9 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
 
         loss = delta_loss = None
         if t % cfg.train_interval == 0 and len(buffer) > 0:
-            loss, delta_loss, _ = train_step(policy, adam, buffer, cfg.batch,
-                                             cfg.lambda_reg, rng_replay,
-                                             encoder=compressor,
-                                             prev_loss=prev_loss)
+            loss, delta_loss, theta_sq_now = train_step(
+                policy, adam, buffer, cfg.batch, cfg.lambda_reg, rng_replay,
+                encoder=compressor, prev_loss=prev_loss)
             prev_loss = loss
             budget = adapt_budget(budget, delta_loss, asa_cfg)
 

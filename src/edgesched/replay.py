@@ -60,6 +60,8 @@ class ReplayBuffer:
         self.cfg = cfg
         self.preserve = preserve
         self._store: list[Transition] = []
+        # theta_norm_sq of each stored transition, in store order
+        self._norms = np.empty(cfg.capacity)
         self.evictions = 0
         self.preserve_hits = 0
         self.last_policy_norm: float | None = None
@@ -67,9 +69,9 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self._store)
 
-    def reusable(self, rho: float) -> bool:
-        """Strict band test: 1/rho_max < rho < rho_max."""
-        return 1.0 / self.cfg.rho_max < rho < self.cfg.rho_max
+    def reusable(self, rho):
+        """Strict band test: 1/rho_max < rho < rho_max, elementwise on arrays."""
+        return (1.0 / self.cfg.rho_max < rho) & (rho < self.cfg.rho_max)
 
     def append(self, transition: Transition, theta_norm_now: float) -> None:
         """Insert a transition, evicting per the preserve policy when full.
@@ -77,25 +79,38 @@ class ReplayBuffer:
         The new sample enters at the maximum current priority so it is seen
         at least as eagerly as anything already stored.
         """
-        if self._store:
-            transition.priority = max(t.priority for t in self._store)
+        size = len(self._store)
+        if size:
+            transition.priority = max([t.priority for t in self._store])
         else:
             transition.priority = 1.0
-        if len(self._store) >= self.cfg.capacity:
-            victim = 0
-            if self.preserve:
-                for idx, old in enumerate(self._store):
-                    rho = dissimilarity(theta_norm_now, old.theta_norm_sq)
-                    if not self.reusable(rho):
-                        victim = idx
-                        break
-                else:
-                    victim = 0  # everything still fresh: plain FIFO
+        if size >= self.cfg.capacity:
+            victim = self._victim(theta_norm_now) if self.preserve else 0
             if victim != 0:
                 self.preserve_hits += 1
             self._store.pop(victim)
+            self._norms[victim:size - 1] = self._norms[victim + 1:size]
             self.evictions += 1
+            size -= 1
         self._store.append(transition)
+        self._norms[size] = transition.theta_norm_sq
+
+    def _victim(self, theta_norm_now: float) -> int:
+        """Oldest sample outside the reuse band, else 0 (plain FIFO).
+
+        Equivalent to scanning the store in order with ``dissimilarity`` and
+        ``reusable``, including the ValueError for a non-positive norm met
+        before the victim.
+        """
+        norms = self._norms[:len(self._store)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = theta_norm_now / norms
+        drifted = (norms <= 0) | (theta_norm_now <= 0) | ~self.reusable(rho)
+        if not drifted.any():
+            return 0
+        victim = int(np.argmax(drifted))
+        dissimilarity(theta_norm_now, float(norms[victim]))  # raises if <= 0
+        return victim
 
     def sample_probs(self) -> np.ndarray:
         pri = np.array([t.priority for t in self._store])

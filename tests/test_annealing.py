@@ -1,18 +1,49 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edgesched import agent
 from edgesched.allocator import Evaluator
-from edgesched.annealing import (AnnealConfig, BudgetState, accept,
-                                 adapt_budget, mutate, mutation_probs,
-                                 random_search, search)
+from edgesched.annealing import (AnnealConfig, BudgetState, SearchResult,
+                                 accept, adapt_budget, keep_table, mutate,
+                                 mutation_probs, random_search, search)
 from edgesched.bench import exhaustive_best
 from edgesched.mec import (ChannelState, OffloadDecision, random_scenario,
                            sample_channel_state)
+from edgesched.replay import ReplayConfig
+
+from test_agent import identity_compressor
 
 
 def toy(n=4, m=2, seed=0):
     scen = random_scenario(n, m, rng_seed=seed, weights=(0.5, 2.0))
     return scen, sample_channel_state(scen, 1)
+
+
+def reference_search(initial, scenario, channel, cfg, state, rng,
+                     evaluator=None):
+    """The annealing chain step by step: mutate, latency_of, accept."""
+    ev = evaluator if evaluator is not None else Evaluator(scenario, channel)
+    current = initial.assign.copy()
+    f_cur = ev.latency_of(current)
+    best, f_best = current.copy(), f_cur
+    temperature = cfg.t0
+    trace = [f_best]
+    for _ in range(state.budget):
+        cand = mutate(current, channel.gains, rng)
+        f_cand = ev.latency_of(cand)
+        if f_cand < f_best:
+            best, f_best = cand.copy(), f_cand
+        if accept(f_cur, f_cand, temperature, rng):
+            current, f_cur = cand, f_cand
+        temperature *= cfg.phi_cool
+        trace.append(f_best)
+    return SearchResult(decision=OffloadDecision(assign=best, n_mecs=ev.m),
+                        objective=f_best, trace=tuple(trace))
 
 
 class TestMutation:
@@ -173,3 +204,76 @@ class TestSearch:
             AnnealConfig(phi_cool=1.5)
         with pytest.raises(ValueError):
             AnnealConfig(t_sa_init=0)
+
+
+class TestSearchMatchesReference:
+    """``search`` is the reference chain, draw for draw and bit for bit."""
+
+    @staticmethod
+    def check(n, m, budget, seed, cfg, clones):
+        meta = np.random.default_rng(seed)
+        scen = random_scenario(n, m, rng_seed=seed % 1000,
+                               weights=(0.5, 2.0))
+        ch = sample_channel_state(scen, int(meta.integers(1, 100)))
+        if clones:
+            # identical UEs on identical channels: many placements tie
+            # exactly, so moves sit right at the acceptance threshold
+            scen = dataclasses.replace(scen, ues=(scen.ues[0],) * n)
+            ch = ChannelState(gains=np.tile(ch.gains[0], (n, 1)), epoch=1)
+        ev = Evaluator(scen, ch)
+        initial = OffloadDecision(assign=meta.integers(0, m + 1, size=n),
+                                  n_mecs=m)
+        rng_ref = np.random.default_rng(seed)
+        rng_new = np.random.default_rng(seed)
+        ref = reference_search(initial, scen, ch, cfg, BudgetState(budget),
+                               rng_ref, evaluator=ev)
+        got = search(initial, scen, ch, cfg, BudgetState(budget), rng_new,
+                     evaluator=ev)
+        np.testing.assert_array_equal(got.decision.assign,
+                                      ref.decision.assign)
+        assert got.decision.assign.dtype == ref.decision.assign.dtype
+        assert got.objective == ref.objective
+        assert got.trace == ref.trace
+        assert rng_new.random() == rng_ref.random()
+
+    @given(n=st.integers(1, 30), m=st.integers(1, 5),
+           budget=st.integers(1, 120), seed=st.integers(0, 2**32 - 1),
+           t0=st.sampled_from([1e-3, 1.0, 100.0]),
+           phi=st.sampled_from([0.8, 0.95, 1.0]), clones=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_same_result_and_stream(self, n, m, budget, seed, t0, phi,
+                                    clones):
+        self.check(n, m, budget, seed, AnnealConfig(t0=t0, phi_cool=phi),
+                   clones)
+
+    def test_exact_ties(self):
+        for seed in range(60):
+            self.check(4 + seed % 7, 2 + seed % 2, 120, seed, AnnealConfig(),
+                       clones=True)
+
+    @given(n=st.integers(1, 4), m=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_keep_table_is_mutation_probs(self, n, m, seed):
+        gains = np.random.default_rng(seed).lognormal(sigma=3.0, size=(n, m))
+        table = keep_table(gains)
+        for placement in itertools.product(range(m + 1), repeat=n):
+            assign = np.array(placement)
+            np.testing.assert_array_equal(table[np.arange(n), assign],
+                                          mutation_probs(assign, gains))
+
+    def test_agent_run_epochs_csv_unchanged(self, monkeypatch, tmp_path):
+        def desk_run(path):
+            n, m = 10, 2
+            scen = random_scenario(n, m, rng_seed=3, weights=(0.5, 2.0))
+            cfg = agent.AgentConfig(hidden_dims=[32], t_drl=300,
+                                    train_interval=10, batch=16)
+            res = agent.run(scen, identity_compressor(n, m), cfg,
+                            AnnealConfig(), ReplayConfig(capacity=128),
+                            agent.SeedBundle.from_master(1))
+            agent.write_epoch_csv(res.logs, path)
+            return path.read_bytes()
+
+        fast = desk_run(tmp_path / "search.csv")
+        monkeypatch.setattr(agent, "_anneal_search", reference_search)
+        assert desk_run(tmp_path / "reference.csv") == fast

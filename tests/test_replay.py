@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from edgesched.replay import (ReplayBuffer, ReplayConfig, Transition,
@@ -91,6 +93,40 @@ class TestAppendEvict:
         buf.append(make_transition(2, theta=1.0), 1.0)
         buf.append(make_transition(3, theta=1.0), theta_norm_now=1.0)
         assert [t.collect_epoch for t in buf._store] == [1, 2, 3]
+
+
+def scan_victim(buf, theta_now):
+    """Eviction victim by an in-order scan of the store."""
+    for idx, old in enumerate(buf._store):
+        if not buf.reusable(dissimilarity(theta_now, old.theta_norm_sq)):
+            return idx
+    return 0
+
+
+class TestVictimMatchesScan:
+    @given(norms=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 0.85, 1.0, 1.1,
+                                            1.2, 2.0]), min_size=1,
+                          max_size=8),
+           now=st.sampled_from([-1.0, 0.0, 0.9, 1.0, 1.2, float("nan")]),
+           rounds=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_same_victim_or_error(self, norms, now, rounds):
+        buf = ReplayBuffer(ReplayConfig(capacity=len(norms), rho_max=1.2))
+        for e, theta in enumerate(norms):
+            buf.append(make_transition(e, theta=theta), 1.0)
+        for r in range(rounds):
+            kept = [t.collect_epoch for t in buf._store]
+            try:
+                victim = scan_victim(buf, now)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    buf.append(make_transition(100 + r, theta=1.0), now)
+                return
+            hits = buf.preserve_hits
+            buf.append(make_transition(100 + r, theta=1.0), now)
+            del kept[victim]
+            assert [t.collect_epoch for t in buf._store] == kept + [100 + r]
+            assert buf.preserve_hits == hits + (victim != 0)
 
 
 class TestSampling:
