@@ -63,8 +63,6 @@ class AgentConfig:
     lr: float = 1e-3
     hidden_activation: str = "relu"
     weight_shift_epoch: int | None = None
-    shift_weight_low: float = 0.5
-    shift_weight_high: float = 2.0
     search: str = "asa"               # "asa" | "random" (ablation)
     replay_mode: str = "prioritized"  # "prioritized" | "uniform" (ablation)
     epsilon_greedy: float = 0.0
@@ -179,13 +177,14 @@ def train_step(policy: Network, adam: Adam, buffer: ReplayBuffer, batch: int,
     Returns (loss, delta_loss, theta_norm_sq): the batch loss before the
     update, its improvement over the previous training event (0 at the first
     event), and the post-update squared parameter norm.  Priorities of the
-    sampled transitions are refreshed from the improvement.
+    sampled transitions are refreshed from the improvement.  ``encoder``, when
+    given, re-encodes replayed states that predate its last sync.
     """
     picked, idx = buffer.sample(batch, rng, encoder=encoder)
     states = np.stack([t.state for t in picked])
-    n_mecs = encoder.n_mecs if encoder is not None else None
-    targets = np.stack([one_hot_target(t.best_action,
-                                       _infer_m(t, n_mecs)) for t in picked])
+    # the policy head holds M+1 scores per UE
+    n_mecs = policy.out_dim // picked[0].best_action.size - 1
+    targets = np.stack([one_hot_target(t.best_action, n_mecs) for t in picked])
     loss, grads = policy_loss_grads(policy, states, targets, lam)
     if not np.isfinite(loss):
         raise RuntimeError("policy loss diverged to a non-finite value")
@@ -194,13 +193,6 @@ def train_step(policy: Network, adam: Adam, buffer: ReplayBuffer, batch: int,
     theta_sq = policy.l2_norm_sq()
     buffer.update_stats(idx, delta_loss, theta_sq)
     return loss, delta_loss, theta_sq
-
-
-def _infer_m(transition: Transition, n_mecs: int | None) -> int:
-    if n_mecs is not None:
-        return n_mecs
-    # raw holds N*M entries and best_action N entries
-    return transition.raw.size // transition.best_action.size
 
 
 def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
@@ -244,8 +236,7 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
 
     for t in range(1, cfg.t_drl + 1):
         if cfg.weight_shift_epoch is not None and t == cfg.weight_shift_epoch:
-            active = reweighted(scenario, rng_shift, cfg.shift_weight_low,
-                                cfg.shift_weight_high)
+            active = reweighted(scenario, rng_shift)
         channel = sample_channel_state(active, t, seeds.channel)
         compressor.observe_and_admit(channel)
         if not compressor.primed:

@@ -220,8 +220,6 @@ class Evaluator:
     """
 
     def __init__(self, scenario: Scenario, channel: ChannelState):
-        self.scenario = scenario
-        self.channel = channel
         radio = scenario.radio
         ues = scenario.ues
         self.n = scenario.n_ues
@@ -262,10 +260,3 @@ class Evaluator:
         loads = (onehot * self.s[None, :, None]).sum(axis=1)
         total += (loads * loads / self.f_mec[None, :]).sum(axis=1)
         return total
-
-    def evaluate(self, assign: np.ndarray) -> Allocation:
-        """Full allocation (frequencies, powers, latency, reward) for one vector."""
-        decision = OffloadDecision(assign=assign, n_mecs=self.m)
-        freqs = allocate_frequencies(decision, self.scenario)
-        powers = max_power_assignment(self.scenario, decision)
-        return Allocation.from_latency(freqs, powers, self.latency_of(decision.assign))

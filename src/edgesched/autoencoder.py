@@ -10,7 +10,10 @@ an L2 weight penalty.
 
 A bounded FIFO memory admits only samples the current autoencoder fails to
 reconstruct well, and the scheduler encodes against a periodically synced
-snapshot so online encodings stay stable between refreshes.
+snapshot so online encodings stay stable between refreshes.  The snapshot is
+the encoder half of the autoencoder copied into a network of its own, so
+encoding is a plain ``Network.forward``.  Compressor checkpoints embed the
+autoencoder in the network checkpoint layout of ``neural``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .mec import ChannelState
-from .neural import Adam, Gradients, LayerSpec, Network, _apply, checkpoint_dict, mlp_specs
+from .neural import (Adam, Gradients, Network, checkpoint_dict, mlp_specs,
+                     network_from_dict, write_json)
 
 SAE_FORMAT = "edgesched-sae-v1"
 
@@ -307,7 +311,6 @@ class ChannelCompressor:
         if cfg.identity:
             self.net = None
             self.adam = None
-            self.n_encoder_layers = 0
         else:
             full_dims = cfg.dims + cfg.dims[-2::-1]
             specs = mlp_specs(full_dims, hidden=cfg.activation, output="sigmoid")
@@ -315,8 +318,7 @@ class ChannelCompressor:
                 raise ValueError("need an rng to initialise the autoencoder")
             self.net = Network(specs, rng=rng)
             self.adam = Adam(self.net, lr=cfg.lr)
-            self.n_encoder_layers = len(cfg.dims) - 1
-        self._online_net: Network | None = None
+        self._encoder: Network | None = None
         self._online_raster = Rasterizer()
         self.version = 0
         self.sync()
@@ -388,8 +390,12 @@ class ChannelCompressor:
         return self._online_raster.lo is not None
 
     def sync(self) -> None:
-        """Publish the training-side parameters and bounds to the encoder."""
-        self._online_net = None if self.net is None else self.net.clone()
+        """Publish the training-side encoder half and bounds to the encoder."""
+        k = len(self.cfg.dims) - 1
+        # Network copies the parameter arrays it is given
+        self._encoder = None if self.net is None else Network(
+            self.net.specs[:k], weights=self.net.weights[:k],
+            biases=self.net.biases[:k])
         self._online_raster = self.raster.copy()
         self.version += 1
 
@@ -409,14 +415,7 @@ class ChannelCompressor:
         return EncodedState(vector=vec, epoch=channel.epoch)
 
     def _encode_normalised(self, x: np.ndarray) -> np.ndarray:
-        if self._online_net is None:
-            return x
-        a = np.atleast_2d(x)
-        for idx in range(self.n_encoder_layers):
-            spec = self._online_net.specs[idx]
-            a = _apply(spec.activation,
-                       a @ self._online_net.weights[idx].T + self._online_net.biases[idx])
-        return a[0] if x.ndim == 1 else a
+        return x if self._encoder is None else self._encoder.forward(x)
 
     # --- persistence ----------------------------------------------------
 
@@ -432,7 +431,7 @@ class ChannelCompressor:
             "net": None if self.net is None
             else checkpoint_dict(self.net, seed, epoch),
         }
-        Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        write_json(path, doc)
 
     @classmethod
     def load(cls, path: str | Path, cfg: AutoencoderConfig | None = None) -> "ChannelCompressor":
@@ -446,13 +445,7 @@ class ChannelCompressor:
         comp = cls(cfg, doc["n_ues"], doc["n_mecs"], rng=rng)
         comp.raster = Rasterizer(doc["lo"], doc["hi"])
         if doc["net"] is not None:
-            net_doc = doc["net"]
-            specs = [LayerSpec(d["in"], d["out"], d["activation"])
-                     for d in net_doc["layers"]]
-            weights = [np.array(flat, dtype=float).reshape(s.out_dim, s.in_dim)
-                       for flat, s in zip(net_doc["weights"], specs)]
-            biases = [np.array(b, dtype=float) for b in net_doc["biases"]]
-            comp.net = Network(specs, weights=weights, biases=biases)
+            comp.net = network_from_dict(doc["net"])
             comp.adam = Adam(comp.net, lr=cfg.lr)
         comp.version = 0
         comp.sync()

@@ -22,10 +22,9 @@ import numpy as np
 
 from . import experiment
 from .agent import SeedBundle
-from .autoencoder import ChannelCompressor
 from .bench import format_report
 from .config import build_scenario, dump_scenario, load_config, override
-from .neural import load_checkpoint
+from .neural import Network, network_from_dict
 
 logger = logging.getLogger("edgesched")
 
@@ -127,6 +126,10 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
     return 0
 
 
+def _dims(net: Network) -> list[int]:
+    return [net.in_dim] + [s.out_dim for s in net.specs]
+
+
 def cmd_inspect(args: argparse.Namespace) -> int:
     doc = json.loads(Path(args.path).read_text())
     fmt = doc.get("format", "?")
@@ -135,17 +138,12 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         identity = doc["net"] is None
         print(f"dims: {doc['dims']}  identity: {identity}")
         if not identity:
-            net_doc = doc["net"]
-            dims = [d["in"] for d in net_doc["layers"]]
-            dims.append(net_doc["layers"][-1]["out"])
-            print(f"network dims: {dims}")
+            print(f"network dims: {_dims(network_from_dict(doc['net']))}")
         print(f"raster bounds: [{doc['lo']}, {doc['hi']}]")
     elif fmt == "edgesched-net-v1":
-        net, _ = load_checkpoint(args.path)
-        dims = [net.in_dim] + [s.out_dim for s in net.specs]
-        acts = [s.activation for s in net.specs]
-        print(f"dims: {dims}")
-        print(f"activations: {acts}")
+        net = network_from_dict(doc)
+        print(f"dims: {_dims(net)}")
+        print(f"activations: {[s.activation for s in net.specs]}")
         print(f"parameters: {net.n_params()}")
     else:
         print("unrecognised format")

@@ -2,14 +2,19 @@
 
 A config file holds one mapping with optional sections ``scenario``, ``sae``,
 ``drl``, ``asa``, ``replay``, ``bench`` and ``dynamic`` plus top-level
-``seed`` and ``out``.  Unknown keys raise immediately: a typo in a knob name
-should never silently fall back to a default.  Scenario files written by
-``gen-scenario`` pin every UE explicitly and load back bit-identically.
+``seed`` and ``out``.  Every key of a section is a field of the dataclass it
+loads into, and one loader (``_load``) reads them all; the only aliases are
+``drl.lambda`` for ``lambda_reg`` and ``asa.t_sa`` for ``t_sa_init``, each
+valid in its own section only.  ``scenario`` also accepts ``task``, ``radio``
+and ``mecs`` sub-mappings that flatten into its fields.  Unknown keys raise
+immediately: a typo in a knob name should never silently fall back to a
+default.  Scenario files written by ``gen-scenario`` pin every UE explicitly
+and load back bit-identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -19,13 +24,40 @@ from .annealing import AnnealConfig
 from .bench import PsoConfig
 from .mec import (MecSpec, RadioParams, Scenario, Task, UeSpec,
                   default_mec_positions, random_scenario)
+from .neural import write_atomic
 from .replay import ReplayConfig
+
+# config key -> field name, per section
+_ALIASES = {"drl": {"lambda": "lambda_reg"}, "asa": {"t_sa": "t_sa_init"}}
 
 
 def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+
+
+def _names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def _load(cls, section: str, data: dict):
+    """Build dataclass ``cls`` from one config section.
+
+    The allowed keys are the fields of ``cls`` plus the section's aliases.  A
+    field whose default is itself a dataclass loads recursively as
+    ``section.key``.
+    """
+    data = dict(data)
+    for alias, name in _ALIASES.get(section, {}).items():
+        if alias in data:
+            data[name] = data.pop(alias)
+    _check_keys(section, data, _names(cls))
+    for f in fields(cls):
+        if f.name in data and is_dataclass(f.default_factory):
+            data[f.name] = _load(f.default_factory, f"{section}.{f.name}",
+                                 data[f.name])
+    return cls(**data)
 
 
 @dataclass
@@ -62,29 +94,34 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        """Load the ``scenario`` section, flattening ``task``/``radio``/``mecs``.
+
+        Task sizes are set only under ``task``.  ``mecs`` lists positions
+        with one shared ``f_max``; per-MEC budgets need a ``scenario.file``.
+        """
         data = dict(data)
-        _check_keys("scenario", data, {
-            "n_ues", "n_mecs", "area_m", "mec_positions", "bandwidth_hz",
-            "noise_w", "beta0", "p_ue_max_w", "min_distance_m", "fading",
-            "task", "weights", "f_local_max", "f_mec_max", "kappa", "v",
-            "rng_seed", "ues", "file", "radio", "mecs",
-        })
+        _check_keys("scenario", data,
+                    _names(cls) - _names(Task) | {"task", "radio", "mecs"})
         task = data.pop("task", None)
         if task is not None:
-            _check_keys("scenario.task", task, {"data_bits", "cycles"})
-            if "data_bits" in task:
-                data["data_bits"] = task["data_bits"]
-            if "cycles" in task:
-                data["cycles"] = task["cycles"]
+            _check_keys("scenario.task", task, _names(Task))
+            data.update(task)
         radio = data.pop("radio", None)
         if radio is not None:
-            _check_keys("scenario.radio", radio, {
-                "bandwidth_hz", "noise_w", "beta0", "min_distance_m", "fading"})
+            _check_keys("scenario.radio", radio, _names(RadioParams))
             data.update(radio)
         mecs = data.pop("mecs", None)
         if mecs is not None:
+            for m in mecs:
+                _check_keys("scenario.mecs", m, _names(MecSpec))
+            budgets = [m.get("f_max", data.get("f_mec_max", cls.f_mec_max))
+                       for m in mecs]
+            if len(set(budgets)) > 1:
+                raise ValueError(
+                    f"scenario.mecs f_max values differ ({budgets}); per-MEC "
+                    "budgets need a scenario.file")
             data["mec_positions"] = [list(m["position"]) for m in mecs]
-            data["f_mec_max"] = mecs[0].get("f_max", cls.f_mec_max)
+            data["f_mec_max"] = budgets[0]
             data["n_mecs"] = len(mecs)
         return cls(**data)
 
@@ -125,6 +162,7 @@ def build_scenario(cfg: ScenarioConfig, fallback_seed: int = 0) -> Scenario:
 
 
 def _ue_from_dict(u: dict, cfg: ScenarioConfig) -> UeSpec:
+    _check_keys("scenario.ues", u, _names(UeSpec) - {"task"} | _names(Task))
     cycles = u.get("cycles", cfg.cycles)
     if isinstance(cycles, dict):
         raise ValueError("explicit UEs must pin cycles when the scenario "
@@ -167,8 +205,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def dump_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(scenario_to_dict(scenario),
-                                         sort_keys=True))
+    write_atomic(path, yaml.safe_dump(scenario_to_dict(scenario),
+                                      sort_keys=True))
 
 
 def load_scenario(source: str | Path | dict) -> Scenario:
@@ -207,12 +245,6 @@ class SaeSection:
     refresh_iters: int = 20
     pretrain_samples: int = 2000
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SaeSection":
-        _check_keys("sae", data, {f.name for f in
-                                  cls.__dataclass_fields__.values()})  # type: ignore[attr-defined]
-        return cls(**data)
-
 
 @dataclass
 class DrlSection:
@@ -229,29 +261,6 @@ class DrlSection:
     epsilon_greedy: float = 0.0
     checkpoint_interval: int = 0
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DrlSection":
-        data = dict(data)
-        if "lambda" in data:
-            data["lambda_reg"] = data.pop("lambda")
-        _check_keys("drl", data, {f.name for f in
-                                  cls.__dataclass_fields__.values()})  # type: ignore[attr-defined]
-        return cls(**data)
-
-
-def anneal_from_dict(data: dict) -> AnnealConfig:
-    data = dict(data)
-    if "t_sa" in data:
-        data["t_sa_init"] = data.pop("t_sa")
-    _check_keys("asa", data, {"t0", "phi_cool", "t_sa_init", "epsilon",
-                              "t_sa_max"})
-    return AnnealConfig(**data)
-
-
-def replay_from_dict(data: dict) -> ReplayConfig:
-    _check_keys("replay", data, {"capacity", "rho_max", "tau", "eps"})
-    return ReplayConfig(**data)
-
 
 @dataclass
 class BenchSection:
@@ -259,19 +268,6 @@ class BenchSection:
     asa_budget: int = 200
     with_oracle: bool = False
     pso: PsoConfig = field(default_factory=PsoConfig)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchSection":
-        data = dict(data)
-        _check_keys("bench", data, {"n_channels", "asa_budget", "with_oracle",
-                                    "pso"})
-        pso = data.pop("pso", None)
-        out = cls(**data)
-        if pso is not None:
-            _check_keys("bench.pso", pso, {"particles", "iters", "inertia",
-                                           "cognitive", "social"})
-            out.pso = PsoConfig(**pso)
-        return out
 
 
 @dataclass
@@ -281,12 +277,6 @@ class DynamicSection:
     workers: int = 1
     out_dim: int | None = None
     accuracy_samples: int = 200
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DynamicSection":
-        _check_keys("dynamic", data, {f.name for f in
-                                      cls.__dataclass_fields__.values()})  # type: ignore[attr-defined]
-        return cls(**data)
 
 
 @dataclass
@@ -303,19 +293,15 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    _check_keys("config", data, {"seed", "out", "scenario", "sae", "drl",
-                                 "asa", "replay", "bench", "dynamic"})
+    _check_keys("config", data, _names(ExperimentConfig))
+    sections = {f.name: _load(f.default_factory, f.name, data[f.name])
+                for f in fields(ExperimentConfig)
+                if f.name in data and f.name not in ("seed", "out", "scenario")}
     return ExperimentConfig(
         seed=int(data.get("seed", 1)),
         out=data.get("out"),
         scenario=ScenarioConfig.from_dict(data.get("scenario", {})),
-        sae=SaeSection.from_dict(data.get("sae", {})),
-        drl=DrlSection.from_dict(data.get("drl", {})),
-        asa=anneal_from_dict(data.get("asa", {})),
-        replay=replay_from_dict(data.get("replay", {})),
-        bench=BenchSection.from_dict(data.get("bench", {})),
-        dynamic=DynamicSection.from_dict(data.get("dynamic", {})),
-    )
+        **sections)
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:

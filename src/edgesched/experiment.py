@@ -14,19 +14,19 @@ from __future__ import annotations
 import csv
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .agent import (AgentConfig, RunResult, SeedBundle, build_policy, run,
-                    write_epoch_csv, write_timings_csv)
+from .agent import (AgentConfig, RunResult, SeedBundle, run, write_epoch_csv,
+                    write_timings_csv)
 from .autoencoder import AutoencoderConfig, ChannelCompressor, default_dims
 from .bench import BenchReport, PsoConfig, nrr, pso_oracle, run_benchmark, write_bench_csv
-from .config import (DrlSection, ExperimentConfig, SaeSection, build_scenario,
+from .config import (DrlSection, ExperimentConfig, build_scenario,
                      dump_scenario, load_scenario)
 from .mec import Scenario, sample_channel_state
-from .neural import Network, load_checkpoint, save_checkpoint
+from .neural import load_checkpoint, save_checkpoint
 
 logger = logging.getLogger(__name__)
 
@@ -52,14 +52,9 @@ def autoencoder_config(cfg: ExperimentConfig, n_ues: int,
     dims = sae.dims or default_dims(n_ues, n_mecs, sae.out_dim)
     if dims[0] != n_ues * n_mecs:
         raise ValueError(f"sae dims {dims} do not start at N*M = {n_ues * n_mecs}")
-    return AutoencoderConfig(dims=list(dims), gamma1=sae.gamma1,
-                             gamma2=sae.gamma2, t_sae=sae.t_sae,
-                             memory=sae.memory, threshold=sae.threshold,
-                             batch=sae.batch, lr=sae.lr,
-                             activation=sae.activation,
-                             sync_period=sae.sync_period,
-                             refresh_iters=sae.refresh_iters,
-                             pretrain_samples=sae.pretrain_samples)
+    knobs = {f.name: getattr(sae, f.name) for f in fields(AutoencoderConfig)
+             if f.name != "dims"}
+    return AutoencoderConfig(dims=list(dims), **knobs)
 
 
 def agent_config(drl: DrlSection, state_dim: int, n_ues: int,

@@ -3,12 +3,15 @@
 Everything the package trains (the channel autoencoder and the scheduling
 policy) runs through this module: float64 numpy parameters, explicit forward
 caches, analytic gradients, Adam or plain gradient steps.  Checkpoints are
-canonical JSON so that save -> load -> save is byte-identical.
+canonical JSON so that save -> load -> save is byte-identical;
+``network_from_dict`` is the one reader of their layer list and weights, and
+``write_json`` the one writer, for networks and autoencoders alike.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -219,15 +222,44 @@ def checkpoint_dict(net: Network, seed: int | None, epoch: int,
     }
 
 
-def save_checkpoint(net: Network, path: str | Path, *, seed: int | None = None,
-                    epoch: int = 0, extra: dict | None = None) -> None:
-    """Write the network to canonical JSON (sorted keys, fixed layout).
+def network_from_dict(doc: dict) -> Network:
+    """Rebuild the network stored in a ``checkpoint_dict`` document."""
+    specs = [LayerSpec(d["in"], d["out"], d["activation"]) for d in doc["layers"]]
+    weights = [np.array(flat, dtype=float).reshape(s.out_dim, s.in_dim)
+               for flat, s in zip(doc["weights"], specs)]
+    biases = [np.array(b, dtype=float) for b in doc["biases"]]
+    return Network(specs, weights=weights, biases=biases)
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one rename.
+
+    The text goes to a temporary file beside the target first, so a writer
+    killed mid-write leaves the previous file (or none), never a truncated
+    one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write ``doc`` as canonical JSON: sorted keys, fixed layout, atomic.
 
     Python floats round-trip exactly through repr, so loading a checkpoint
     and saving it again reproduces the file byte for byte.
     """
-    doc = checkpoint_dict(net, seed, epoch, extra)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
+def save_checkpoint(net: Network, path: str | Path, *, seed: int | None = None,
+                    epoch: int = 0, extra: dict | None = None) -> None:
+    """Write the network as a canonical JSON checkpoint (see ``write_json``)."""
+    write_json(path, checkpoint_dict(net, seed, epoch, extra))
 
 
 def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
@@ -235,8 +267,4 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a recognised checkpoint: {path}")
-    specs = [LayerSpec(d["in"], d["out"], d["activation"]) for d in doc["layers"]]
-    weights = [np.array(flat, dtype=float).reshape(s.out_dim, s.in_dim)
-               for flat, s in zip(doc["weights"], specs)]
-    biases = [np.array(b, dtype=float) for b in doc["biases"]]
-    return Network(specs, weights=weights, biases=biases), doc
+    return network_from_dict(doc), doc

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from edgesched.agent import (AgentConfig, SeedBundle, build_policy, decide,
                              write_timings_csv)
 from edgesched.annealing import AnnealConfig
 from edgesched.autoencoder import AutoencoderConfig, ChannelCompressor
-from edgesched.mec import random_scenario
+from edgesched.mec import random_scenario, sample_channel_state
 from edgesched.neural import Adam, LayerSpec, Network, mlp_specs
 from edgesched.replay import ReplayBuffer, ReplayConfig, Transition
 
@@ -190,6 +192,31 @@ class TestTrainStep:
                    if t.priority != 1.0]
         assert touched
         assert touched[0] == pytest.approx(abs(delta) + 1e-3)
+
+    def test_encoder_only_reencodes(self):
+        # with every stored state current, the encoder changes nothing
+        n, m = 3, 2
+        rng = np.random.default_rng(10)
+        comp = ChannelCompressor(AutoencoderConfig(dims=[6, 4]), n, m, rng=rng)
+        scen = random_scenario(n, m, rng_seed=10)
+        for e in range(1, 6):
+            comp.observe_and_admit(sample_channel_state(scen, e))
+        comp.sync()
+        buf = ReplayBuffer(ReplayConfig(capacity=8))
+        for e in range(1, 7):
+            raw = sample_channel_state(scen, 10 + e).gains.ravel()
+            buf.append(Transition(raw=raw, state=comp.encode_raw(raw),
+                                  best_action=rng.integers(0, m + 1, size=n),
+                                  theta_norm_sq=1.0, collect_epoch=e,
+                                  encoder_version=comp.version), 1.0)
+        net = Network(mlp_specs([4, 8, n * (m + 1)]), rng=rng)
+        runs = []
+        for encoder in (comp, None):
+            twin = copy.deepcopy(net)
+            runs.append(train_step(twin, Adam(twin), copy.deepcopy(buf), 4,
+                                   0.02, np.random.default_rng(3),
+                                   encoder=encoder, prev_loss=1.0))
+        assert runs[0] == runs[1]
 
     def test_nonfinite_loss_aborts(self):
         rng = np.random.default_rng(9)

@@ -187,13 +187,3 @@ class TestEvaluator:
         np.testing.assert_allclose(ev.latencies(batch),
                                    [ev.latency_of(row) for row in batch],
                                    rtol=1e-12)
-
-    def test_evaluate_returns_allocation(self):
-        scen = random_scenario(4, 2, rng_seed=2)
-        ch = sample_channel_state(scen, 1)
-        ev = Evaluator(scen, ch)
-        assign = np.array([0, 1, 2, 1])
-        alloc = ev.evaluate(assign)
-        direct = evaluate(OffloadDecision(assign=assign, n_mecs=2), scen, ch)
-        assert alloc.latency == pytest.approx(direct.latency, rel=1e-12)
-        np.testing.assert_allclose(alloc.freqs, direct.freqs)

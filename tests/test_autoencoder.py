@@ -264,6 +264,25 @@ class TestCompressor:
         two = comp.encode_raw(np.stack([ch.gains.ravel(), ch.gains.ravel()]))
         np.testing.assert_allclose(two[0], a)
 
+    @pytest.mark.parametrize("dims", [[8, 6], [8, 6, 4]])
+    def test_encoding_is_the_encoder_half_of_the_net(self, dims):
+        comp, scen, rng = self.make(dims=dims)
+        mats = [sample_channel_state(scen, e).gains for e in range(1, 20)]
+        comp.pretrain(mats, rng)
+        comp.refresh(rng, iters=5)
+        comp.sync()
+        chans = [sample_channel_state(scen, e) for e in range(40, 43)]
+        last = len(dims) - 2  # index of the last encoder layer
+        # a batch and a single row round differently, so compare each shape
+        x = np.stack([comp.rasterize(ch) for ch in chans])
+        _, cache = comp.net.forward_cached(x)
+        np.testing.assert_array_equal(comp._encode_normalised(x),
+                                      cache[last][2])
+        for ch in chans:
+            _, cache = comp.net.forward_cached(comp.rasterize(ch))
+            np.testing.assert_array_equal(comp.encode_channel(ch).vector,
+                                          cache[last][2][0])
+
     def test_pretrain_reduces_loss(self):
         comp, scen, rng = self.make(n=5, m=2, t_sae=300)
         mats = [sample_channel_state(scen, e).gains for e in range(1, 80)]

@@ -1,11 +1,19 @@
+import os
+import re
+from dataclasses import asdict, fields
+from operator import attrgetter
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
-from edgesched.config import (ScenarioConfig, build_scenario, config_from_dict,
-                              dump_scenario, load_config, load_scenario,
-                              override, scenario_to_dict)
-from edgesched.mec import random_scenario
+from edgesched.config import (ExperimentConfig, ScenarioConfig, build_scenario,
+                              config_from_dict, dump_scenario, load_config,
+                              load_scenario, override, scenario_to_dict)
+from edgesched.mec import RadioParams, Task, random_scenario
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestScenarioConfig:
@@ -176,3 +184,110 @@ class TestExperimentConfig:
         assert out.seed == 5 and out.out == "/tmp/x"
         untouched = override(cfg)
         assert untouched.seed == 1 and untouched.out is None
+
+
+def nest(path: str, value):
+    """{"a": {"b": value}} for path "a.b"."""
+    for part in reversed(path.split(".")):
+        value = {part: value}
+    return value
+
+
+def section_defaults(path: str) -> dict:
+    """Every key a config section accepts, at its default value."""
+    scen = ScenarioConfig()
+    if path == "scenario":
+        return {k: v for k, v in asdict(scen).items()
+                if k not in ("data_bits", "cycles")}
+    if path in ("scenario.task", "scenario.radio"):
+        cls = Task if path == "scenario.task" else RadioParams
+        return {f.name: getattr(scen, f.name) for f in fields(cls)}
+    return asdict(attrgetter(path)(ExperimentConfig()))
+
+
+SECTIONS = ["scenario", "scenario.task", "scenario.radio", "sae", "drl",
+            "asa", "replay", "bench", "bench.pso", "dynamic"]
+
+
+class TestLoader:
+    @pytest.mark.parametrize("path", SECTIONS)
+    def test_every_field_is_a_key(self, path):
+        doc = section_defaults(path)
+        assert doc
+        assert config_from_dict(nest(path, doc)) == ExperimentConfig()
+
+    @pytest.mark.parametrize("path", SECTIONS)
+    def test_unknown_key_names_its_section(self, path):
+        msg = re.escape(f"unknown {path} keys: ['bogus']")
+        with pytest.raises(ValueError, match=msg):
+            config_from_dict(nest(path, {"bogus": 1}))
+
+    @pytest.mark.parametrize("key", ["data_bits", "cycles"])
+    def test_task_sizes_only_under_task(self, key):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"unknown scenario keys: ['{key}']")):
+            config_from_dict({"scenario": {key: 1e6}})
+
+    @pytest.mark.parametrize("path, alias", [
+        ("asa", "lambda"), ("sae", "lambda"), ("replay", "lambda"),
+        ("drl", "t_sa"), ("bench", "t_sa"), ("bench.pso", "t_sa")])
+    def test_alias_only_in_its_own_section(self, path, alias):
+        msg = re.escape(f"unknown {path} keys: ['{alias}']")
+        with pytest.raises(ValueError, match=msg):
+            config_from_dict(nest(path, {alias: 1}))
+
+    def test_readme_example_loads(self, tmp_path):
+        example = re.search(r"```yaml\n(.*?)```", README.read_text(),
+                            re.S).group(1)
+        p = tmp_path / "readme.yaml"
+        p.write_text(example)
+        cfg = load_config(p)
+        assert cfg.seed == 7 and cfg.out == "runs/desk"
+        assert cfg.drl.lambda_reg == 0.02 and cfg.asa.t_sa_init == 20
+        assert cfg.replay.tau == 1.0
+        scen = build_scenario(cfg.scenario, fallback_seed=cfg.seed)
+        assert scen.ues[0].task.data_bits == 8e5
+        assert scen.mecs[0].f_max == 4e9
+
+
+class TestScenarioEntries:
+    def test_ue_typo_rejected(self):
+        cfg = ScenarioConfig.from_dict({
+            "n_mecs": 1, "task": {"cycles": 1e9},
+            "ues": [{"position": [1, 1], "wieght": 2.0}]})
+        with pytest.raises(ValueError,
+                           match=re.escape("unknown scenario.ues keys: ['wieght']")):
+            build_scenario(cfg)
+
+    def test_mec_typo_rejected(self):
+        with pytest.raises(ValueError,
+                           match=re.escape("unknown scenario.mecs keys: ['fmax']")):
+            ScenarioConfig.from_dict({"mecs": [{"position": [5, 5],
+                                                "fmax": 9e9}]})
+
+    def test_differing_mec_budgets_rejected(self):
+        with pytest.raises(ValueError, match="scenario.file"):
+            ScenarioConfig.from_dict({"mecs": [
+                {"position": [5, 5], "f_max": 4e9},
+                {"position": [45, 45], "f_max": 9e9}]})
+
+    def test_mecs_without_f_max_keep_the_section_budget(self):
+        cfg = ScenarioConfig.from_dict({"f_mec_max": 8e9,
+                                        "mecs": [{"position": [5, 5]}]})
+        assert cfg.f_mec_max == 8e9
+
+
+def test_dump_scenario_is_atomic(tmp_path, monkeypatch):
+    p = tmp_path / "scen.yaml"
+    dump_scenario(random_scenario(3, 1, rng_seed=1), p)
+    before = p.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        dump_scenario(random_scenario(4, 2, rng_seed=2), p)
+    assert p.read_bytes() == before
+    assert load_scenario(p) == random_scenario(3, 1, rng_seed=1)
+    assert [q.name for q in tmp_path.iterdir()] == ["scen.yaml"]

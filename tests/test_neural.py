@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,26 @@ class TestCheckpoints:
         p.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_checkpoint(p)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(13)
+        net = Network(mlp_specs([3, 4, 2]), rng=rng)
+        p = tmp_path / "policy.json"
+        save_checkpoint(net, p, seed=1, epoch=1)
+        before = p.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            save_checkpoint(Network(mlp_specs([3, 4, 2]), rng=rng), p,
+                            seed=1, epoch=2)
+        assert p.read_bytes() == before
+        loaded, doc = load_checkpoint(p)
+        assert doc["epoch"] == 1
+        np.testing.assert_array_equal(loaded.weights[0], net.weights[0])
+        assert [q.name for q in tmp_path.iterdir()] == ["policy.json"]
 
     def test_l2_norm(self):
         net = Network([LayerSpec(2, 1, "linear")],

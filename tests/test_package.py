@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import edgesched
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 PROBE = ("import os, edgesched; "
          "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
@@ -23,3 +25,9 @@ class TestBlasThreads:
 
     def test_user_setting_wins(self):
         assert threads_after_import(OPENBLAS_NUM_THREADS="3") == ["3", "1"]
+
+
+def test_every_export_resolves():
+    missing = [name for name in edgesched.__all__
+               if not hasattr(edgesched, name)]
+    assert missing == []
