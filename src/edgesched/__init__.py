@@ -21,8 +21,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 from .agent import (AgentConfig, EpochLog, RunResult, SeedBundle, decide,
                     policy_loss, policy_loss_grads, run, train_step)
 from .allocator import (Allocation, Evaluator, allocate_frequencies,
-                        allocate_frequencies_oracle, evaluate, local_capacity,
-                        max_power_assignment)
+                        evaluate, local_capacity, max_power_assignment)
 from .annealing import (AnnealConfig, BudgetState, SearchResult, adapt_budget,
                         mutate, random_search, search)
 from .autoencoder import (AutoencoderConfig, ChannelCompressor, EncodedState,
@@ -54,7 +53,7 @@ __all__ = [
     "Rasterizer", "ReplayBuffer", "ReplayConfig", "RunResult", "SampleMemory",
     "Scenario", "ScenarioConfig", "SearchResult", "SeedBundle",
     "StrategyStats", "Task", "Transition", "UeSpec", "adapt_budget",
-    "allocate_frequencies", "allocate_frequencies_oracle", "bench_experiment",
+    "allocate_frequencies", "bench_experiment",
     "build_scenario", "channel_gain", "compression_ratio", "data_rate",
     "decide", "default_dims", "dissimilarity", "dump_scenario",
     "dynamic_experiment", "evaluate", "exhaustive_best", "greedy_baseline",

@@ -8,15 +8,17 @@ loads into, and one loader (``_load``) reads them all; the only aliases are
 valid in its own section only.  ``scenario`` also accepts ``task``, ``radio``
 and ``mecs`` sub-mappings that flatten into its fields.  Unknown keys raise
 immediately: a typo in a knob name should never silently fall back to a
-default.  Scenario files written by ``gen-scenario`` pin every UE explicitly
-and load back bit-identically.
+default.  So does a string given to a field that takes no string.  Scenario
+files written by ``gen-scenario`` pin every UE explicitly, load back
+bit-identically and reject unknown keys in every entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any
+from types import UnionType
+from typing import Any, get_args, get_type_hints
 
 import yaml
 
@@ -41,6 +43,28 @@ def _names(cls) -> set[str]:
     return {f.name for f in fields(cls)}
 
 
+def _admits_str(hint) -> bool:
+    if isinstance(hint, UnionType):
+        return any(map(_admits_str, get_args(hint)))
+    return hint in (str, Any)
+
+
+def _check_strings(cls, section: str, data: dict) -> None:
+    """Reject a string where the field of ``cls`` takes no string.
+
+    PyYAML reads a float with no dot or no sign in its exponent (``4.0e9``,
+    ``1e-3``) as a string, which would otherwise load silently and fail far
+    from its key.
+    """
+    hints = get_type_hints(cls)
+    for key, value in data.items():
+        if isinstance(value, str) and not _admits_str(hints[key]):
+            raise ValueError(
+                f"{section}.{key} is the string {value!r} but takes no "
+                "string (PyYAML reads 4.0e9 and 1e-3 as strings: write "
+                "4.0e+9 and 1.0e-3)")
+
+
 def _load(cls, section: str, data: dict):
     """Build dataclass ``cls`` from one config section.
 
@@ -53,6 +77,7 @@ def _load(cls, section: str, data: dict):
         if alias in data:
             data[name] = data.pop(alias)
     _check_keys(section, data, _names(cls))
+    _check_strings(cls, section, data)
     for f in fields(cls):
         if f.name in data and is_dataclass(f.default_factory):
             data[f.name] = _load(f.default_factory, f"{section}.{f.name}",
@@ -123,6 +148,7 @@ class ScenarioConfig:
             data["mec_positions"] = [list(m["position"]) for m in mecs]
             data["f_mec_max"] = budgets[0]
             data["n_mecs"] = len(mecs)
+        _check_strings(cls, "scenario", data)
         return cls(**data)
 
 
@@ -161,8 +187,12 @@ def build_scenario(cfg: ScenarioConfig, fallback_seed: int = 0) -> Scenario:
         f_mec_max=cfg.f_mec_max, kappa=cfg.kappa, v=cfg.v)
 
 
+# the keys of one UE entry, in a config section and in a scenario file
+_UE_KEYS = _names(UeSpec) - {"task"} | _names(Task)
+
+
 def _ue_from_dict(u: dict, cfg: ScenarioConfig) -> UeSpec:
-    _check_keys("scenario.ues", u, _names(UeSpec) - {"task"} | _names(Task))
+    _check_keys("scenario.ues", u, _UE_KEYS)
     cycles = u.get("cycles", cfg.cycles)
     if isinstance(cycles, dict):
         raise ValueError("explicit UEs must pin cycles when the scenario "
@@ -214,6 +244,11 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         Path(source).read_text())
     _check_keys("scenario file", data, {"area_m", "rng_seed", "radio",
                                         "mecs", "ues"})
+    _check_keys("scenario file radio", data["radio"], _names(RadioParams))
+    for m in data["mecs"]:
+        _check_keys("scenario file mecs", m, _names(MecSpec))
+    for u in data["ues"]:
+        _check_keys("scenario file ues", u, _UE_KEYS)
     radio = RadioParams(**data["radio"])
     mecs = tuple(MecSpec(position=tuple(map(float, m["position"])),
                          f_max=float(m["f_max"])) for m in data["mecs"])
@@ -274,7 +309,6 @@ class BenchSection:
 class DynamicSection:
     mec_counts: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
     nrr_stride: int = 50
-    workers: int = 1
     out_dim: int | None = None
     accuracy_samples: int = 200
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -60,23 +59,22 @@ def autoencoder_config(cfg: ExperimentConfig, n_ues: int,
 def agent_config(drl: DrlSection, state_dim: int, n_ues: int,
                  n_mecs: int) -> AgentConfig:
     head = n_ues * (n_mecs + 1)
-    if drl.dims is None:
-        hidden = [120, 80]
-    else:
+    shape = {}  # unset dims keep AgentConfig's default hidden layers
+    if drl.dims is not None:
         dims = list(drl.dims)
         if len(dims) < 2 or dims[0] != state_dim or dims[-1] != head:
             raise ValueError(
                 f"drl dims {dims} must run from the encoded state size "
                 f"{state_dim} to the policy head {head}")
-        hidden = dims[1:-1]
-    return AgentConfig(hidden_dims=hidden, lambda_reg=drl.lambda_reg,
+        shape["hidden_dims"] = dims[1:-1]
+    return AgentConfig(lambda_reg=drl.lambda_reg,
                        t_drl=drl.t_drl, train_interval=drl.phi,
                        batch=drl.batch, lr=drl.lr,
                        hidden_activation=drl.hidden_activation,
                        weight_shift_epoch=drl.weight_shift_epoch,
                        search=drl.search, replay_mode=drl.replay_mode,
                        epsilon_greedy=drl.epsilon_greedy,
-                       checkpoint_interval=drl.checkpoint_interval)
+                       checkpoint_interval=drl.checkpoint_interval, **shape)
 
 
 def pretrain_compressor(cfg: ExperimentConfig, scenario: Scenario,
@@ -234,12 +232,7 @@ def _dynamic_row(cfg: ExperimentConfig, m: int) -> dict:
 def dynamic_experiment(cfg: ExperimentConfig,
                        out_dir: str | Path | None = None) -> list[dict]:
     """Sweep the MEC count and collect the per-M summary rows."""
-    counts = list(cfg.dynamic.mec_counts)
-    if cfg.dynamic.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.dynamic.workers) as pool:
-            rows = list(pool.map(_dynamic_row, [cfg] * len(counts), counts))
-    else:
-        rows = [_dynamic_row(cfg, m) for m in counts]
+    rows = [_dynamic_row(cfg, m) for m in cfg.dynamic.mec_counts]
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -15,8 +15,7 @@ import pytest
 import scipy.stats as sps
 
 from edgesched.agent import (SeedBundle, policy_loss, policy_loss_grads)
-from edgesched.allocator import (Evaluator, allocate_frequencies,
-                                 allocate_frequencies_oracle)
+from edgesched.allocator import Evaluator, allocate_frequencies
 from edgesched.annealing import AnnealConfig, BudgetState, adapt_budget
 from edgesched.autoencoder import (AutoencoderConfig, ChannelCompressor,
                                    default_dims, reconstruction_loss,
@@ -30,6 +29,7 @@ from edgesched.mec import OffloadDecision, random_scenario, sample_channel_state
 from edgesched.neural import Network, mlp_specs
 from edgesched.replay import ReplayBuffer, ReplayConfig
 
+from reference import allocate_frequencies_oracle
 from test_neural import fd_gradients
 from test_replay import make_transition
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from edgesched.allocator import (Allocation, Evaluator, allocate_frequencies,
-                                 allocate_frequencies_oracle, evaluate,
-                                 local_capacity, max_power_assignment)
+                                 evaluate, local_capacity, max_power_assignment)
 from edgesched.mec import (OffloadDecision, Task, UeSpec, random_scenario,
                            sample_channel_state, weighted_latency)
+
+from reference import allocate_frequencies_oracle
 
 
 def fuzz_case(rng, n_max=8, m_max=3):

@@ -133,6 +133,21 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match="unknown scenario file"):
             load_scenario(p)
 
+    @pytest.mark.parametrize("kind, key", [
+        ("ues", "wieght"), ("mecs", "fmax"), ("radio", "bandwith_hz")])
+    def test_unknown_entry_key_rejected(self, tmp_path, kind, key):
+        doc = scenario_to_dict(random_scenario(3, 2, rng_seed=1))
+        entry = {"ues": doc["ues"][0], "mecs": doc["mecs"][1],
+                 "radio": doc["radio"]}[kind]
+        entry[key] = 9.0
+        p = tmp_path / "typo.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        msg = re.escape(f"unknown scenario file {kind} keys: ['{key}']")
+        with pytest.raises(ValueError, match=msg):
+            load_scenario(p)
+        with pytest.raises(ValueError, match=msg):
+            build_scenario(ScenarioConfig(file=str(p)))
+
 
 class TestExperimentConfig:
     def test_empty_config_is_default(self):
@@ -275,6 +290,26 @@ class TestScenarioEntries:
         cfg = ScenarioConfig.from_dict({"f_mec_max": 8e9,
                                         "mecs": [{"position": [5, 5]}]})
         assert cfg.f_mec_max == 8e9
+
+
+class TestStringValues:
+    @pytest.mark.parametrize("doc, key", [
+        ({"scenario": {"f_mec_max": "4.0e9"}}, "scenario.f_mec_max"),
+        ({"scenario": {"task": {"data_bits": "8.0e5"}}}, "scenario.data_bits"),
+        ({"drl": {"lr": "1e-3"}}, "drl.lr"),
+        ({"drl": {"weight_shift_epoch": "1500"}}, "drl.weight_shift_epoch"),
+        ({"bench": {"pso": {"iters": "300"}}}, "bench.pso.iters")])
+    def test_string_number_names_its_key(self, doc, key):
+        with pytest.raises(ValueError, match=re.escape(key) + ".*4.0e\\+9"):
+            config_from_dict(doc)
+
+    def test_string_fields_still_take_strings(self, tmp_path):
+        cfg = config_from_dict({
+            "scenario": {"fading": "rayleigh", "file": str(tmp_path / "s.yaml")},
+            "drl": {"search": "random"}})
+        assert cfg.scenario.fading == "rayleigh"
+        assert cfg.scenario.file == str(tmp_path / "s.yaml")
+        assert cfg.drl.search == "random"
 
 
 def test_dump_scenario_is_atomic(tmp_path, monkeypatch):

@@ -176,3 +176,13 @@ class TestCli:
         p = tmp_path / "foo.json"
         p.write_text('{"format": "mystery"}')
         assert cli_main(["inspect-checkpoint", str(p)]) == 1
+
+
+def test_agent_config_hidden_layers():
+    from edgesched.agent import AgentConfig
+    from edgesched.config import DrlSection
+    from edgesched.experiment import agent_config
+    assert (agent_config(DrlSection(), 8, 4, 2).hidden_dims
+            == AgentConfig().hidden_dims)
+    explicit = agent_config(DrlSection(dims=[8, 30, 12]), 8, 4, 2)
+    assert explicit.hidden_dims == [30]

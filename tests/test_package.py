@@ -1,22 +1,30 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import edgesched
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 PROBE = ("import os, edgesched; "
          "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
 
 
-def threads_after_import(**preset):
+def run_probe(probe, **preset):
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env.update(preset, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     return out.stdout.split()
+
+
+def threads_after_import(**preset):
+    return run_probe(PROBE, **preset)
 
 
 class TestBlasThreads:
@@ -31,3 +39,22 @@ def test_every_export_resolves():
     missing = [name for name in edgesched.__all__
                if not hasattr(edgesched, name)]
     assert missing == []
+
+
+def test_runtime_imports_no_scipy():
+    probe = ("import sys, edgesched, edgesched.cli, edgesched.experiment; "
+             "print('scipy' in sys.modules)")
+    assert run_probe(probe) == ["False"]
+
+
+def requirement_names(requirements):
+    return {re.split(r"[<>=!~;\[ ]", r, maxsplit=1)[0].lower()
+            for r in requirements}
+
+
+def test_scipy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert requirement_names(project["dependencies"]) == {"numpy", "pyyaml"}
+    assert "scipy" in requirement_names(
+        project["optional-dependencies"]["test"])
