@@ -10,7 +10,8 @@ and ``mecs`` sub-mappings that flatten into its fields.  Unknown keys raise
 immediately: a typo in a knob name should never silently fall back to a
 default.  So does a string given to a field that takes no string.  Scenario
 files written by ``gen-scenario`` pin every UE explicitly, load back
-bit-identically and reject unknown keys in every entry.
+bit-identically and reject unknown keys in every entry; a missing top-level,
+``ues[i]`` or ``mecs[i]`` key is named in a ``ValueError`` too.
 """
 
 from __future__ import annotations
@@ -33,10 +34,15 @@ from .replay import ReplayConfig
 _ALIASES = {"drl": {"lambda": "lambda_reg"}, "asa": {"t_sa": "t_sa_init"}}
 
 
-def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
+def _check_keys(section: str, data: dict, allowed: set[str],
+                complete: bool = False) -> None:
+    """Reject keys outside ``allowed``; if ``complete``, also missing ones."""
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    missing = allowed - set(data) if complete else set()
+    if missing:
+        raise ValueError(f"missing {section} keys: {sorted(missing)}")
 
 
 def _names(cls) -> set[str]:
@@ -243,12 +249,12 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     data = source if isinstance(source, dict) else yaml.safe_load(
         Path(source).read_text())
     _check_keys("scenario file", data, {"area_m", "rng_seed", "radio",
-                                        "mecs", "ues"})
+                                        "mecs", "ues"}, complete=True)
     _check_keys("scenario file radio", data["radio"], _names(RadioParams))
     for m in data["mecs"]:
-        _check_keys("scenario file mecs", m, _names(MecSpec))
+        _check_keys("scenario file mecs", m, _names(MecSpec), complete=True)
     for u in data["ues"]:
-        _check_keys("scenario file ues", u, _UE_KEYS)
+        _check_keys("scenario file ues", u, _UE_KEYS, complete=True)
     radio = RadioParams(**data["radio"])
     mecs = tuple(MecSpec(position=tuple(map(float, m["position"])),
                          f_max=float(m["f_max"])) for m in data["mecs"])

@@ -148,6 +148,21 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match=msg):
             build_scenario(ScenarioConfig(file=str(p)))
 
+    @pytest.mark.parametrize("kind, key", [
+        ("ues", "weight"), ("ues", "position"), ("mecs", "f_max"),
+        (None, "area_m"), (None, "ues")])
+    def test_missing_key_rejected(self, tmp_path, kind, key):
+        doc = scenario_to_dict(random_scenario(3, 2, rng_seed=1))
+        entry = {"ues": doc["ues"][0], "mecs": doc["mecs"][1],
+                 None: doc}[kind]
+        del entry[key]
+        p = tmp_path / "short.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        section = "scenario file" + (f" {kind}" if kind else "")
+        msg = re.escape(f"missing {section} keys: ['{key}']")
+        with pytest.raises(ValueError, match=msg):
+            load_scenario(p)
+
 
 class TestExperimentConfig:
     def test_empty_config_is_default(self):

@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -58,3 +59,16 @@ def test_scipy_is_a_test_dependency_only():
     assert requirement_names(project["dependencies"]) == {"numpy", "pyyaml"}
     assert "scipy" in requirement_names(
         project["optional-dependencies"]["test"])
+
+
+def test_benchmark_tracer_wraps_live_names(monkeypatch):
+    """The benchmark's ``--trace 1`` wraps package functions by name (such
+    as ``annealing.mutate``); deleting one of them fails here first."""
+    from edgesched import annealing
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workload = importlib.import_module("workload")
+    mutate = annealing.mutate
+    patches = workload.Workload("desk-bench", 1, 1.0, trace=True).traced()
+    assert annealing.mutate is not mutate
+    patches.restore()
+    assert annealing.mutate is mutate
