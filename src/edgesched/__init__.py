@@ -40,7 +40,7 @@ from .mec import (ChannelState, MecSpec, OffloadDecision, RadioParams,
                   random_scenario, reweighted, sample_channel_state,
                   weighted_latency)
 from .neural import (Adam, LayerSpec, Network, load_checkpoint, mlp_specs,
-                     save_checkpoint, sgd_step)
+                     save_checkpoint)
 from .replay import ReplayBuffer, ReplayConfig, Transition, dissimilarity
 
 __version__ = "0.1.0"
@@ -62,6 +62,6 @@ __all__ = [
     "policy_loss_grads", "pso_oracle", "random_baseline", "random_scenario",
     "random_search", "reconstruction_accuracy", "reconstruction_error",
     "reweighted", "run", "run_benchmark", "sample_channel_state",
-    "save_checkpoint", "search", "sgd_step", "train_experiment", "train_step",
+    "save_checkpoint", "search", "train_experiment", "train_step",
     "weighted_latency",
 ]

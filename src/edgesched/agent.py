@@ -131,11 +131,11 @@ def decide(policy: Network, state: np.ndarray, n_ues: int,
 
 
 def one_hot_target(decision: np.ndarray, n_mecs: int) -> np.ndarray:
-    """Flat 0/1 target vector matching the policy head layout."""
-    n = decision.shape[0]
-    mat = np.zeros((n, n_mecs + 1))
-    mat[np.arange(n), decision] = 1.0
-    return mat.ravel()
+    """0/1 policy-head target of a placement vector, or one per row of a stack."""
+    decision = np.asarray(decision)
+    mat = np.zeros((*decision.shape, n_mecs + 1))
+    np.put_along_axis(mat, decision[..., None], 1.0, axis=-1)
+    return mat.reshape(*decision.shape[:-1], -1)
 
 
 def policy_loss(net: Network, states: np.ndarray, targets: np.ndarray,
@@ -170,29 +170,29 @@ def policy_loss_grads(net: Network, states: np.ndarray, targets: np.ndarray,
 
 
 def train_step(policy: Network, adam: Adam, buffer: ReplayBuffer, batch: int,
-               lam: float, rng: np.random.Generator, encoder=None,
+               lam: float, rng: np.random.Generator, encoder: ChannelCompressor,
                prev_loss: float | None = None) -> tuple[float, float, float]:
     """One replayed imitation step.
 
     Returns (loss, delta_loss, theta_norm_sq): the batch loss before the
     update, its improvement over the previous training event (0 at the first
-    event), and the post-update squared parameter norm.  Priorities of the
-    sampled transitions are refreshed from the improvement.  ``encoder``, when
-    given, re-encodes replayed states that predate its last sync.
+    event), and the post-update squared parameter norm.  The sampled raw
+    channels are encoded in one ``encoder.encode_raw`` call against its
+    current snapshot.  Priorities of the sampled transitions are refreshed
+    from the improvement.
     """
-    picked, idx = buffer.sample(batch, rng, encoder=encoder)
-    states = np.stack([t.state for t in picked])
+    picked, idx = buffer.sample(batch, rng)
+    states = encoder.encode_raw(np.stack([t.raw for t in picked]))
+    actions = np.stack([t.best_action for t in picked])
     # the policy head holds M+1 scores per UE
-    n_mecs = policy.out_dim // picked[0].best_action.size - 1
-    targets = np.stack([one_hot_target(t.best_action, n_mecs) for t in picked])
+    targets = one_hot_target(actions, policy.out_dim // actions.shape[1] - 1)
     loss, grads = policy_loss_grads(policy, states, targets, lam)
     if not np.isfinite(loss):
         raise RuntimeError("policy loss diverged to a non-finite value")
     adam.step(grads)  # type: ignore[arg-type]
     delta_loss = 0.0 if prev_loss is None else prev_loss - loss
-    theta_sq = policy.l2_norm_sq()
-    buffer.update_stats(idx, delta_loss, theta_sq)
-    return loss, delta_loss, theta_sq
+    buffer.update_stats(idx, delta_loss)
+    return loss, delta_loss, policy.l2_norm_sq()
 
 
 def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
@@ -266,11 +266,9 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
         asa_ms = (time.perf_counter() - tic) * 1e3
 
         buffer.append(Transition(raw=channel.gains.ravel().copy(),
-                                 state=np.asarray(state.vector, dtype=float),
                                  best_action=result.decision.assign.copy(),
                                  theta_norm_sq=theta_sq_now,
-                                 collect_epoch=t,
-                                 encoder_version=compressor.version),
+                                 collect_epoch=t),
                       theta_norm_now=theta_sq_now)
 
         loss = delta_loss = None

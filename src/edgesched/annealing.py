@@ -8,9 +8,9 @@ cooling.  The iteration budget is adapted between invocations from the
 policy-loss improvement: while the learner still improves quickly the search
 works harder, once learning flattens the budget decays to a single step.
 
-``mutate`` and ``accept`` are single steps that draw as they go.  ``search``
-owns its stream: for B iterations over N genes and M MECs it draws, in
-order, ``rng.random((B, N))`` (keep tests against ``keep_table``),
+``mutate`` is a single step that draws as it goes.  ``search`` owns its
+stream: for B iterations over N genes and M MECs it draws, in order,
+``rng.random((B, N))`` (keep tests against ``keep_table``),
 ``rng.integers(0, M+1, (B, N))`` (values of redrawn genes),
 ``rng.integers(0, N*M, B)`` (the forced change when no gene changed, decoded
 as ``divmod(pick, M)``) and ``rng.random(B)`` (Boltzmann uniforms u).  A
@@ -104,15 +104,6 @@ def mutate(assign: np.ndarray, gains: np.ndarray,
         shift = int(rng.integers(m))  # uniform over the other M values
         cand[k] = shift if shift < assign[k] else shift + 1
     return cand
-
-
-def accept(f_old: float, f_new: float, temperature: float,
-           rng: np.random.Generator) -> bool:
-    """Boltzmann rule: accept iff exp((f_old - f_new)/T) beats a uniform draw."""
-    delta = f_old - f_new
-    if delta >= 0:
-        return True
-    return bool(np.exp(delta / temperature) > rng.random())
 
 
 def adapt_budget(state: BudgetState, delta_loss: float,

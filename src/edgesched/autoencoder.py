@@ -228,7 +228,8 @@ def reconstruction_loss_grads(net: Network, batch: np.ndarray, n_rows: int,
         yr = y.reshape(b, n_rows, n_cols)
         maxima = yr.max(axis=2, keepdims=True)
         if np.any(maxima <= 0):
-            raise ValueError("row maximum must be positive")
+            # a sigmoid output row underflows to 0 only once training diverged
+            raise ValueError("reconstructed row maximum must be positive")
         v = yr / maxima
         e = u - v
         loss += float(0.5 * gamma1 * np.sum(e * e) / b)
@@ -272,6 +273,8 @@ def train(net: Network, memory: SampleMemory, cfg: AutoencoderConfig,
         idx = rng.integers(0, data.shape[0], size=take)
         loss, grads = reconstruction_loss_grads(net, data[idx], n_rows, n_cols,
                                                 cfg.gamma1, cfg.gamma2)
+        if not np.isfinite(loss):
+            raise RuntimeError("autoencoder loss diverged to a non-finite value")
         adam.step(grads)  # type: ignore[arg-type]
         trace.append(loss)
     return trace
@@ -294,9 +297,10 @@ class ChannelCompressor:
     """Autoencoder, its memory, and the synced online encoder snapshot.
 
     The training side (net, bounds, memory) advances whenever samples are
-    admitted or a refresh runs; the scheduler encodes against the snapshot
-    taken at the last ``sync`` call.  ``version`` counts syncs so stored
-    encodings can be detected as stale and recomputed.
+    admitted or a refresh runs.  Every encoding, of the live channel
+    (``encode_channel``) and of replayed raw channels (``encode_raw``), uses
+    the snapshot of encoder half and bounds taken at the last ``sync`` call,
+    so one snapshot gives one meaning to every state until the next sync.
     """
 
     def __init__(self, cfg: AutoencoderConfig, n_ues: int, n_mecs: int,
@@ -320,7 +324,6 @@ class ChannelCompressor:
             self.adam = Adam(self.net, lr=cfg.lr)
         self._encoder: Network | None = None
         self._online_raster = Rasterizer()
-        self.version = 0
         self.sync()
 
     # --- dimensions -----------------------------------------------------
@@ -397,7 +400,6 @@ class ChannelCompressor:
             self.net.specs[:k], weights=self.net.weights[:k],
             biases=self.net.biases[:k])
         self._online_raster = self.raster.copy()
-        self.version += 1
 
     def rasterize(self, channel: ChannelState) -> np.ndarray:
         """Normalised flat vector of one channel state (online bounds)."""
@@ -447,6 +449,5 @@ class ChannelCompressor:
         if doc["net"] is not None:
             comp.net = network_from_dict(doc["net"])
             comp.adam = Adam(comp.net, lr=cfg.lr)
-        comp.version = 0
         comp.sync()
         return comp

@@ -164,9 +164,10 @@ def bench_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
             logger.info("loaded trained artifacts from %s", out)
     if artifacts is None:
         artifacts = train_experiment(cfg, out_dir)
-    scenario = artifacts.result.scenario_final
+    # the resolved (pre-shift) scenario, the one a reloaded set also has
     report = run_benchmark(
-        scenario, artifacts.result.policy, artifacts.compressor, cfg.asa,
+        artifacts.scenario, artifacts.result.policy, artifacts.compressor,
+        cfg.asa,
         n_channels=cfg.bench.n_channels, asa_budget=cfg.bench.asa_budget,
         rng=np.random.default_rng(artifacts.seeds.bench),
         pso_cfg=cfg.bench.pso if cfg.bench.with_oracle else None,

@@ -2,7 +2,7 @@
 
 Everything the package trains (the channel autoencoder and the scheduling
 policy) runs through this module: float64 numpy parameters, explicit forward
-caches, analytic gradients, Adam or plain gradient steps.  Checkpoints are
+caches, analytic gradients and Adam steps.  Checkpoints are
 canonical JSON so that save -> load -> save is byte-identical;
 ``network_from_dict`` is the one reader of their layer list and weights, and
 ``write_json`` the one writer, for networks and autoencoders alike.
@@ -47,12 +47,9 @@ def mlp_specs(dims: Sequence[int], hidden: str = "sigmoid",
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, so exp never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _apply(act: str, z: np.ndarray) -> np.ndarray:
@@ -162,13 +159,6 @@ class Network:
 
     def n_params(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-
-def sgd_step(net: Network, grads: Gradients, lr: float) -> None:
-    """Plain gradient descent update, in place."""
-    for (dw, db), w, b in zip(grads, net.weights, net.biases):
-        w -= lr * dw
-        b -= lr * db
 
 
 class Adam:

@@ -1,13 +1,18 @@
 """Experience replay with parameter-aware eviction and prioritised sampling.
 
-Each stored transition is stamped with the policy's squared parameter norm
-at collection time.  The ratio of the current norm to the stamp measures how
-much the policy has drifted since the sample was taken; samples whose ratio
-stays inside (1/rho_max, rho_max) are still representative of the current
-policy and are preserved, so eviction removes the oldest sample that has
-drifted out of that band and only falls back to plain FIFO when everything
-is still fresh.  Sampling weights follow each sample's last observed loss
-improvement, sharpened by the exponent tau.
+A transition holds only what was observed: the raw channel gains, the
+search's placement label, the policy's squared parameter norm and the epoch
+at collection.  No encoded state is stored; the trainer encodes each sampled
+batch on read, in one call against the current encoder snapshot.
+
+The buffer owns the numbers it ranks by: norms and priorities sit in arrays
+in store order and shift with their transitions on eviction.  The ratio of
+the current norm to a sample's stamp measures how far the policy has drifted
+since; eviction removes the oldest sample whose ratio left the band
+(1/rho_max, rho_max), and falls back to plain FIFO when none has.  A new
+sample enters at the highest stored priority, a trained one takes its
+batch's loss improvement plus eps, and sampling weights are priorities
+raised to the power tau.
 """
 
 from __future__ import annotations
@@ -33,17 +38,14 @@ class ReplayConfig:
             raise ValueError("tau must be >= 0 and eps > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transition:
     """One scheduling experience: channel observation and its search label."""
 
     raw: np.ndarray            # flat, unnormalised gain vector
-    state: np.ndarray          # encoded observation fed to the policy
     best_action: np.ndarray    # placement vector found by the search
     theta_norm_sq: float       # policy ||theta||^2 when collected
     collect_epoch: int
-    encoder_version: int = 0
-    priority: float = 1.0
 
 
 def dissimilarity(theta_now_sq: float, theta_then_sq: float) -> float:
@@ -60,11 +62,11 @@ class ReplayBuffer:
         self.cfg = cfg
         self.preserve = preserve
         self._store: list[Transition] = []
-        # theta_norm_sq of each stored transition, in store order
+        # theta_norm_sq and priority of each stored transition, in store order
         self._norms = np.empty(cfg.capacity)
+        self._priorities = np.empty(cfg.capacity)
         self.evictions = 0
         self.preserve_hits = 0
-        self.last_policy_norm: float | None = None
 
     def __len__(self) -> int:
         return len(self._store)
@@ -80,20 +82,19 @@ class ReplayBuffer:
         at least as eagerly as anything already stored.
         """
         size = len(self._store)
-        if size:
-            transition.priority = max([t.priority for t in self._store])
-        else:
-            transition.priority = 1.0
+        priority = self._priorities[:size].max() if size else 1.0
         if size >= self.cfg.capacity:
             victim = self._victim(theta_norm_now) if self.preserve else 0
             if victim != 0:
                 self.preserve_hits += 1
             self._store.pop(victim)
-            self._norms[victim:size - 1] = self._norms[victim + 1:size]
+            for col in (self._norms, self._priorities):
+                col[victim:size - 1] = col[victim + 1:size]
             self.evictions += 1
             size -= 1
         self._store.append(transition)
         self._norms[size] = transition.theta_norm_sq
+        self._priorities[size] = priority
 
     def _victim(self, theta_norm_now: float) -> int:
         """Oldest sample outside the reuse band, else 0 (plain FIFO).
@@ -113,45 +114,27 @@ class ReplayBuffer:
         return victim
 
     def sample_probs(self) -> np.ndarray:
-        pri = np.array([t.priority for t in self._store])
-        weights = pri ** self.cfg.tau
+        weights = self._priorities[:len(self._store)] ** self.cfg.tau
         return weights / weights.sum()
 
-    def sample(self, batch: int, rng: np.random.Generator,
-               encoder=None) -> tuple[list[Transition], np.ndarray]:
-        """Draw ``batch`` transitions with replacement by priority.
-
-        When an ``encoder`` (a ChannelCompressor) is supplied, stored states
-        whose encoder snapshot has since advanced are recomputed from the raw
-        channel vector before being returned.
-        """
+    def sample(self, batch: int,
+               rng: np.random.Generator) -> tuple[list[Transition], np.ndarray]:
+        """Draw ``batch`` transitions with replacement by priority."""
         if not self._store:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.choice(len(self._store), size=batch, replace=True,
                          p=self.sample_probs())
-        picked = [self._store[i] for i in idx]
-        if encoder is not None:
-            stale = [t for t in picked if t.encoder_version != encoder.version]
-            if stale:
-                unique = {id(t): t for t in stale}.values()
-                for t in unique:
-                    t.state = encoder.encode_raw(t.raw)
-                    t.encoder_version = encoder.version
-        return picked, idx
+        return [self._store[i] for i in idx], idx
 
-    def update_stats(self, indices: np.ndarray, delta_loss: float,
-                     theta_norm_now: float) -> None:
+    def update_stats(self, indices: np.ndarray, delta_loss: float) -> None:
         """Refresh priorities of just-trained samples from the loss change."""
-        p_new = abs(delta_loss) + self.cfg.eps
-        for i in np.unique(indices):
-            self._store[int(i)].priority = p_new
-        self.last_policy_norm = theta_norm_now
+        self._priorities[indices] = abs(delta_loss) + self.cfg.eps
 
     def stats(self) -> dict:
-        pri = [t.priority for t in self._store]
+        pri = self._priorities[:len(self._store)]
         return {
-            "size": len(self._store),
-            "mean_priority": float(np.mean(pri)) if pri else 0.0,
+            "size": pri.size,
+            "mean_priority": float(np.mean(pri)) if pri.size else 0.0,
             "evictions": self.evictions,
             "preserve_hits": self.preserve_hits,
         }

@@ -190,8 +190,8 @@ def test_06_priority_sampling_law():
     buf = ReplayBuffer(ReplayConfig(capacity=4, tau=1.0))
     buf.append(make_transition(0), 1.0)
     buf.append(make_transition(1), 1.0)
-    buf._store[0].priority = 1.0
-    buf._store[1].priority = 3.0
+    buf._priorities[0] = 1.0
+    buf._priorities[1] = 3.0
     _, idx = buf.sample(100_000, np.random.default_rng(0))
     freq = np.bincount(idx, minlength=2) / idx.size
     sharp_ok = (abs(freq[0] - 0.25) <= 0.01 and abs(freq[1] - 0.75) <= 0.01)
@@ -199,7 +199,7 @@ def test_06_priority_sampling_law():
     flat = ReplayBuffer(ReplayConfig(capacity=8, tau=0.0))
     for e in range(5):
         flat.append(make_transition(e), 1.0)
-        flat._store[e].priority = float(1 + 100 * e)
+        flat._priorities[e] = float(1 + 100 * e)
     _, idx = flat.sample(100_000, np.random.default_rng(1))
     _, p_value = sps.chisquare(np.bincount(idx, minlength=5))
     elapsed = time.perf_counter() - t0

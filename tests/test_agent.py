@@ -85,6 +85,12 @@ class TestLoss:
         target = one_hot_target(np.array([0, 2]), n_mecs=2)
         np.testing.assert_array_equal(target, [1, 0, 0, 0, 0, 1])
 
+    def test_one_hot_batch_is_rowwise(self):
+        actions = np.array([[0, 2], [1, 1], [2, 0]])
+        np.testing.assert_array_equal(
+            one_hot_target(actions, n_mecs=2),
+            np.stack([one_hot_target(a, n_mecs=2) for a in actions]))
+
     def test_cross_entropy_hand_value(self):
         # outputs (0.9, 0.1) against target (1, 0): loss = -2 ln 0.9
         z = np.log(9.0)
@@ -134,12 +140,22 @@ class TestLoss:
             assert np.all(np.isfinite(dw)) and np.all(np.isfinite(db))
 
 
+class RawEncoder:
+    """Encoder stand-in: a raw channel vector is its own state."""
+
+    def __init__(self):
+        self.calls = []
+
+    def encode_raw(self, raw):
+        self.calls.append(raw.copy())
+        return raw
+
+
 def fill_buffer(buf, rng, n=2, m=1, count=6):
     for e in range(count):
-        raw = rng.uniform(1e-8, 1e-6, size=n * m)
-        state = rng.uniform(0.0, 1.0, size=n * m)
+        raw = rng.uniform(0.0, 1.0, size=n * m)
         action = rng.integers(0, m + 1, size=n)
-        buf.append(Transition(raw=raw, state=state, best_action=action,
+        buf.append(Transition(raw=raw, best_action=action,
                               theta_norm_sq=1.0, collect_epoch=e + 1), 1.0)
 
 
@@ -153,11 +169,11 @@ class TestTrainStep:
         loss = None
         for _ in range(1500):
             loss, _, _ = train_step(net, adam, buf, batch=8, lam=0.0, rng=rng,
-                                    prev_loss=loss)
+                                    encoder=RawEncoder(), prev_loss=loss)
         assert loss < 0.01
         # the learned policy reproduces every stored label
         for t in buf._store:
-            dec = decide(net, t.state, n_ues=2, n_mecs=1)
+            dec = decide(net, t.raw, n_ues=2, n_mecs=1)
             np.testing.assert_array_equal(dec.assign, t.best_action)
 
     def test_first_event_delta_is_zero(self):
@@ -167,7 +183,7 @@ class TestTrainStep:
         net = Network(mlp_specs([2, 8, 4]), rng=rng)
         adam = Adam(net)
         loss, delta, theta = train_step(net, adam, buf, 4, 0.02, rng,
-                                        prev_loss=None)
+                                        RawEncoder(), prev_loss=None)
         assert delta == 0.0
         assert theta == pytest.approx(net.l2_norm_sq())
 
@@ -177,8 +193,9 @@ class TestTrainStep:
         fill_buffer(buf, rng)
         net = Network(mlp_specs([2, 8, 4]), rng=rng)
         adam = Adam(net)
-        l1, _, _ = train_step(net, adam, buf, 4, 0.02, rng, prev_loss=None)
-        l2, d2, _ = train_step(net, adam, buf, 4, 0.02, rng, prev_loss=l1)
+        enc = RawEncoder()
+        l1, _, _ = train_step(net, adam, buf, 4, 0.02, rng, enc, prev_loss=None)
+        l2, d2, _ = train_step(net, adam, buf, 4, 0.02, rng, enc, prev_loss=l1)
         assert d2 == pytest.approx(l1 - l2)
 
     def test_priorities_updated(self):
@@ -187,14 +204,26 @@ class TestTrainStep:
         fill_buffer(buf, rng, count=3)
         net = Network(mlp_specs([2, 8, 4]), rng=rng)
         _, delta, _ = train_step(net, Adam(net), buf, 8, 0.0, rng,
-                                 prev_loss=5.0)
-        touched = [t.priority for t in buf._store
-                   if t.priority != 1.0]
+                                 RawEncoder(), prev_loss=5.0)
+        touched = [p for p in buf._priorities[:len(buf)] if p != 1.0]
         assert touched
         assert touched[0] == pytest.approx(abs(delta) + 1e-3)
 
-    def test_encoder_only_reencodes(self):
-        # with every stored state current, the encoder changes nothing
+    def test_one_encode_call_on_the_sampled_rows(self):
+        rng = np.random.default_rng(11)
+        buf = ReplayBuffer(ReplayConfig(capacity=8))
+        fill_buffer(buf, rng)
+        net = Network(mlp_specs([2, 8, 4]), rng=rng)
+        adam = Adam(net)
+        enc = RawEncoder()
+        for step in range(3):
+            picked, _ = buf.sample(5, np.random.default_rng(step))
+            train_step(net, adam, buf, 5, 0.0, np.random.default_rng(step), enc)
+            assert len(enc.calls) == step + 1
+            np.testing.assert_array_equal(
+                enc.calls[-1], np.stack([t.raw for t in picked]))
+
+    def test_states_follow_the_encoder_after_sync(self):
         n, m = 3, 2
         rng = np.random.default_rng(10)
         comp = ChannelCompressor(AutoencoderConfig(dims=[6, 4]), n, m, rng=rng)
@@ -204,19 +233,25 @@ class TestTrainStep:
         comp.sync()
         buf = ReplayBuffer(ReplayConfig(capacity=8))
         for e in range(1, 7):
-            raw = sample_channel_state(scen, 10 + e).gains.ravel()
-            buf.append(Transition(raw=raw, state=comp.encode_raw(raw),
+            buf.append(Transition(raw=sample_channel_state(scen, 10 + e).gains.ravel(),
                                   best_action=rng.integers(0, m + 1, size=n),
-                                  theta_norm_sq=1.0, collect_epoch=e,
-                                  encoder_version=comp.version), 1.0)
+                                  theta_norm_sq=1.0, collect_epoch=e), 1.0)
+        raws = np.stack([t.raw for t in buf._store])
+        before = comp.encode_raw(raws)
+        # wider bounds and a refreshed net, published by the sync
+        comp.observe_and_admit(sample_channel_state(scen, 99))
+        comp.raster.observe(raws * 1e3)
+        comp.refresh(rng, iters=5)
+        comp.sync()
+        assert not np.allclose(comp.encode_raw(raws), before)
         net = Network(mlp_specs([4, 8, n * (m + 1)]), rng=rng)
-        runs = []
-        for encoder in (comp, None):
-            twin = copy.deepcopy(net)
-            runs.append(train_step(twin, Adam(twin), copy.deepcopy(buf), 4,
-                                   0.02, np.random.default_rng(3),
-                                   encoder=encoder, prev_loss=1.0))
-        assert runs[0] == runs[1]
+        twin = copy.deepcopy(net)
+        picked, _ = buf.sample(4, np.random.default_rng(3))
+        loss, _, _ = train_step(net, Adam(net), buf, 4, 0.02,
+                                np.random.default_rng(3), comp)
+        states = comp.encode_raw(np.stack([t.raw for t in picked]))
+        targets = one_hot_target(np.stack([t.best_action for t in picked]), m)
+        assert loss == policy_loss(twin, states, targets, 0.02)
 
     def test_nonfinite_loss_aborts(self):
         rng = np.random.default_rng(9)
@@ -225,7 +260,7 @@ class TestTrainStep:
         net = Network(mlp_specs([2, 4, 4]), rng=rng)
         net.weights[0][0, 0] = np.nan
         with pytest.raises(RuntimeError):
-            train_step(net, Adam(net), buf, 4, 0.0, rng)
+            train_step(net, Adam(net), buf, 4, 0.0, rng, RawEncoder())
 
 
 class TestRun:

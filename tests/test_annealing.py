@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from edgesched import agent
 from edgesched.allocator import Evaluator
 from edgesched.annealing import (AnnealConfig, BudgetState, SearchResult,
-                                 accept, adapt_budget, keep_table, mutate,
+                                 adapt_budget, keep_table, mutate,
                                  mutation_probs, random_search, search)
 from edgesched.bench import exhaustive_best
 from edgesched.mec import (ChannelState, OffloadDecision, random_scenario,
@@ -114,24 +114,6 @@ class TestMutation:
         assert kept0 / trials > 0.75
         assert kept1 / trials < 0.3
         assert kept0 > 2 * kept1
-
-
-class TestAcceptance:
-    def test_improvement_always_accepted(self):
-        rng = np.random.default_rng(0)
-        assert accept(5.0, 4.0, 1e-9, rng)
-        assert accept(5.0, 5.0, 1e-9, rng)
-
-    def test_worsening_frequency_matches_boltzmann(self):
-        # delta = -0.5, T = 1: acceptance probability exp(-0.5)
-        rng = np.random.default_rng(3)
-        trials = 200_000
-        hits = sum(accept(1.0, 1.5, 1.0, rng) for _ in range(trials))
-        assert hits / trials == pytest.approx(np.exp(-0.5), abs=2e-2)
-
-    def test_cold_temperature_rejects(self):
-        rng = np.random.default_rng(4)
-        assert not any(accept(1.0, 1.1, 1e-6, rng) for _ in range(100))
 
 
 class TestBudget:

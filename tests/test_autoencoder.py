@@ -246,11 +246,18 @@ class TestCompressor:
         before = comp.encode_channel(ch).vector.copy()
         comp.refresh(rng, iters=50)  # training side moves
         np.testing.assert_array_equal(comp.encode_channel(ch).vector, before)
-        v = comp.version
         comp.sync()
-        assert comp.version == v + 1
         after = comp.encode_channel(ch).vector
         assert not np.array_equal(after, before)
+
+    def test_nonfinite_loss_aborts_refresh(self):
+        comp, scen, rng = self.make()
+        comp.pretrain([sample_channel_state(scen, e).gains
+                       for e in range(1, 20)], rng)
+        assert len(comp.memory) > 0
+        comp.net.weights[0][0, 0] = np.nan
+        with pytest.raises(RuntimeError):
+            comp.refresh(rng)
 
     def test_encode_raw_matches_encode_channel(self):
         comp, scen, rng = self.make()

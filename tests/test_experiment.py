@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -92,6 +93,20 @@ class TestBench:
         art = train_experiment(cfg, tmp_path)
         rep = bench_experiment(cfg, tmp_path, artifacts=art)
         assert rep.n_channels == 4
+
+    def test_reloaded_artifacts_bench_the_same(self, tmp_path):
+        # a weight shift makes the run's final scenario differ from the
+        # resolved one that a reload sees
+        cfg = tiny_config(drl={"t_drl": 20, "phi": 5, "weight_shift_epoch": 10})
+        tables = []
+        for _ in range(2):  # trains on the first call, reloads on the second
+            bench_experiment(cfg, tmp_path)
+            with open(tmp_path / "bench.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            tables.append([{k: v for k, v in row.items()
+                            if not k.startswith("decision_time")}
+                           for row in rows])
+        assert tables[0] == tables[1]
 
 
 class TestDynamic:

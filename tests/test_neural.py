@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from edgesched.neural import (ACTIVATIONS, Adam, LayerSpec, Network,
-                              load_checkpoint, mlp_specs, save_checkpoint,
-                              sgd_step)
+                              load_checkpoint, mlp_specs, save_checkpoint)
 
 
 def fd_gradients(net, x, loss_fn, h=1e-6):
@@ -143,13 +142,6 @@ class TestBackward:
 
 
 class TestOptimizers:
-    def test_sgd_step(self):
-        net = Network([LayerSpec(1, 1, "linear")],
-                      weights=[np.array([[2.0]])], biases=[np.array([1.0])])
-        sgd_step(net, [(np.array([[0.5]]), np.array([0.25]))], lr=0.1)
-        assert net.weights[0][0, 0] == pytest.approx(1.95)
-        assert net.biases[0][0] == pytest.approx(0.975)
-
     def test_adam_first_step_is_lr_signed(self):
         # with bias correction the first update is exactly lr * sign(grad)
         # up to the eps term

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,17 @@ from edgesched.replay import (ReplayBuffer, ReplayConfig, Transition,
                               dissimilarity)
 
 
-def make_transition(epoch, theta=1.0, priority=1.0, dim=4):
+def make_transition(epoch, theta=1.0, dim=4):
     return Transition(raw=np.full(dim, float(epoch)),
-                      state=np.full(dim, float(epoch)),
                       best_action=np.zeros(2, dtype=int),
-                      theta_norm_sq=theta, collect_epoch=epoch,
-                      priority=priority)
+                      theta_norm_sq=theta, collect_epoch=epoch)
+
+
+def test_transition_is_a_frozen_observation():
+    names = [f.name for f in dataclasses.fields(Transition)]
+    assert names == ["raw", "best_action", "theta_norm_sq", "collect_epoch"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        make_transition(0).collect_epoch = 1
 
 
 class TestDissimilarity:
@@ -49,10 +56,10 @@ class TestAppendEvict:
     def test_new_sample_takes_max_priority(self):
         buf = ReplayBuffer(ReplayConfig(capacity=8))
         buf.append(make_transition(0), 1.0)
-        assert buf._store[0].priority == 1.0
-        buf._store[0].priority = 7.5
+        assert buf._priorities[0] == 1.0
+        buf._priorities[0] = 7.5
         buf.append(make_transition(1), 1.0)
-        assert buf._store[1].priority == 7.5
+        assert buf._priorities[1] == 7.5
 
     def test_evicts_oldest_drifted_sample(self):
         buf = ReplayBuffer(ReplayConfig(capacity=3, rho_max=1.2))
@@ -108,14 +115,26 @@ class TestVictimMatchesScan:
                                             1.2, 2.0]), min_size=1,
                           max_size=8),
            now=st.sampled_from([-1.0, 0.0, 0.9, 1.0, 1.2, float("nan")]),
-           rounds=st.integers(1, 4))
+           rounds=st.integers(1, 4),
+           updates=st.lists(st.tuples(st.lists(st.integers(0, 7), max_size=3),
+                                      st.sampled_from([-2.0, -0.5, 0.0, 0.25,
+                                                       3.0])),
+                            min_size=4, max_size=4))
     @settings(max_examples=200, deadline=None)
-    def test_same_victim_or_error(self, norms, now, rounds):
+    def test_same_victim_or_error(self, norms, now, rounds, updates):
+        # in-order model: one [epoch, norm, priority] entry per transition
+        eps = ReplayConfig().eps
         buf = ReplayBuffer(ReplayConfig(capacity=len(norms), rho_max=1.2))
+        model = []
         for e, theta in enumerate(norms):
             buf.append(make_transition(e, theta=theta), 1.0)
+            model.append([e, theta, 1.0])
         for r in range(rounds):
-            kept = [t.collect_epoch for t in buf._store]
+            picks, delta = updates[r]
+            picks = np.array(picks, dtype=int) % len(model)
+            buf.update_stats(picks, delta)
+            for i in picks:
+                model[i][2] = abs(delta) + eps
             try:
                 victim = scan_victim(buf, now)
             except ValueError:
@@ -123,9 +142,14 @@ class TestVictimMatchesScan:
                     buf.append(make_transition(100 + r, theta=1.0), now)
                 return
             hits = buf.preserve_hits
+            top = max(p for _, _, p in model)
             buf.append(make_transition(100 + r, theta=1.0), now)
-            del kept[victim]
-            assert [t.collect_epoch for t in buf._store] == kept + [100 + r]
+            del model[victim]
+            model.append([100 + r, 1.0, top])
+            assert [t.collect_epoch for t in buf._store] == [e for e, _, _ in model]
+            size = len(model)
+            assert buf._norms[:size].tolist() == [n for _, n, _ in model]
+            assert buf._priorities[:size].tolist() == [p for _, _, p in model]
             assert buf.preserve_hits == hits + (victim != 0)
 
 
@@ -140,8 +164,8 @@ class TestSampling:
         buf = ReplayBuffer(ReplayConfig(capacity=4, tau=1.0))
         buf.append(make_transition(0), 1.0)
         buf.append(make_transition(1), 1.0)
-        buf._store[0].priority = 1.0
-        buf._store[1].priority = 3.0
+        buf._priorities[0] = 1.0
+        buf._priorities[1] = 3.0
         np.testing.assert_allclose(buf.sample_probs(), [0.25, 0.75])
         rng = np.random.default_rng(0)
         _, idx = buf.sample(100_000, rng)
@@ -153,7 +177,7 @@ class TestSampling:
         buf = ReplayBuffer(ReplayConfig(capacity=8, tau=0.0))
         for e in range(5):
             buf.append(make_transition(e), 1.0)
-            buf._store[e].priority = float(1 + 10 * e)  # wildly different
+            buf._priorities[e] = float(1 + 10 * e)  # wildly different
         np.testing.assert_allclose(buf.sample_probs(), np.full(5, 0.2))
         _, idx = buf.sample(50_000, np.random.default_rng(1))
         counts = np.bincount(idx, minlength=5)
@@ -165,8 +189,8 @@ class TestSampling:
             buf = ReplayBuffer(ReplayConfig(capacity=4, tau=tau))
             buf.append(make_transition(0), 1.0)
             buf.append(make_transition(1), 1.0)
-            buf._store[0].priority = 1.0
-            buf._store[1].priority = 5.0
+            buf._priorities[0] = 1.0
+            buf._priorities[1] = 5.0
             return buf.sample_probs()[1]
 
         assert top_prob(0.0) < top_prob(0.6) < top_prob(1.0)
@@ -179,52 +203,15 @@ class TestSampling:
         assert np.all(idx == 0)
 
 
-class _FakeEncoder:
-    def __init__(self, version):
-        self.version = version
-        self.calls = 0
-
-    def encode_raw(self, raw):
-        self.calls += 1
-        return raw * 10.0
-
-
-class TestReencoding:
-    def test_stale_states_recomputed_once(self):
-        buf = ReplayBuffer(ReplayConfig(capacity=8))
-        t = make_transition(0)
-        t.encoder_version = 1
-        buf.append(t, 1.0)
-        enc = _FakeEncoder(version=3)
-        picked, _ = buf.sample(6, np.random.default_rng(3), encoder=enc)
-        # six draws of the same stale transition: one re-encode
-        assert enc.calls == 1
-        assert all(p.encoder_version == 3 for p in picked)
-        np.testing.assert_array_equal(picked[0].state, t.raw * 10.0)
-
-    def test_fresh_states_left_alone(self):
-        buf = ReplayBuffer(ReplayConfig(capacity=8))
-        t = make_transition(0)
-        t.encoder_version = 3
-        buf.append(t, 1.0)
-        enc = _FakeEncoder(version=3)
-        before = t.state.copy()
-        buf.sample(4, np.random.default_rng(4), encoder=enc)
-        assert enc.calls == 0
-        np.testing.assert_array_equal(t.state, before)
-
-
 class TestStats:
     def test_update_stats_sets_priorities(self):
         buf = ReplayBuffer(ReplayConfig(capacity=8, eps=1e-3))
         for e in range(4):
             buf.append(make_transition(e), 1.0)
-        buf.update_stats(np.array([0, 2, 2]), delta_loss=-0.5,
-                         theta_norm_now=2.0)
-        assert buf._store[0].priority == pytest.approx(0.501)
-        assert buf._store[2].priority == pytest.approx(0.501)
-        assert buf._store[1].priority == 1.0
-        assert buf.last_policy_norm == 2.0
+        buf.update_stats(np.array([0, 2, 2]), delta_loss=-0.5)
+        assert buf._priorities[0] == pytest.approx(0.501)
+        assert buf._priorities[2] == pytest.approx(0.501)
+        assert buf._priorities[1] == 1.0
 
     def test_stats_dict(self):
         buf = ReplayBuffer(ReplayConfig(capacity=4))
