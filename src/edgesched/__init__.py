@@ -19,15 +19,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .agent import (AgentConfig, EpochLog, RunResult, SeedBundle, decide,
-                    policy_loss, policy_loss_grads, run, train_step)
+                    policy_loss_grads, run, train_step)
 from .allocator import (Allocation, Evaluator, allocate_frequencies,
                         evaluate, local_capacity, max_power_assignment)
 from .annealing import (AnnealConfig, BudgetState, SearchResult, adapt_budget,
                         mutate, random_search, search)
 from .autoencoder import (AutoencoderConfig, ChannelCompressor, EncodedState,
-                          Rasterizer, SampleMemory, compression_ratio,
-                          default_dims, reconstruction_accuracy,
-                          reconstruction_error)
+                          Rasterizer, compression_ratio, default_dims)
 from .bench import (BenchReport, PsoConfig, StrategyStats, exhaustive_best,
                     greedy_baseline, nrr, pso_oracle, random_baseline,
                     run_benchmark)
@@ -50,17 +48,16 @@ __all__ = [
     "BenchReport", "BudgetState", "ChannelCompressor", "ChannelState",
     "EncodedState", "EpochLog", "Evaluator", "ExperimentConfig", "LayerSpec",
     "MecSpec", "Network", "OffloadDecision", "PsoConfig", "RadioParams",
-    "Rasterizer", "ReplayBuffer", "ReplayConfig", "RunResult", "SampleMemory",
-    "Scenario", "ScenarioConfig", "SearchResult", "SeedBundle",
+    "Rasterizer", "ReplayBuffer", "ReplayConfig", "RunResult", "Scenario",
+    "ScenarioConfig", "SearchResult", "SeedBundle",
     "StrategyStats", "Task", "Transition", "UeSpec", "adapt_budget",
     "allocate_frequencies", "bench_experiment",
     "build_scenario", "channel_gain", "compression_ratio", "data_rate",
     "decide", "default_dims", "dissimilarity", "dump_scenario",
     "dynamic_experiment", "evaluate", "exhaustive_best", "greedy_baseline",
     "load_checkpoint", "load_config", "load_scenario", "local_capacity",
-    "max_power_assignment", "mlp_specs", "mutate", "nrr", "policy_loss",
-    "policy_loss_grads", "pso_oracle", "random_baseline", "random_scenario",
-    "random_search", "reconstruction_accuracy", "reconstruction_error",
+    "max_power_assignment", "mlp_specs", "mutate", "nrr", "policy_loss_grads",
+    "pso_oracle", "random_baseline", "random_scenario", "random_search",
     "reweighted", "run", "run_benchmark", "sample_channel_state",
     "save_checkpoint", "search", "train_experiment", "train_step",
     "weighted_latency",

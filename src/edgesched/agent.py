@@ -11,7 +11,6 @@ from its own generator, so ablations do not perturb each other's streams.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +23,8 @@ from .annealing import random_search as _random_search
 from .annealing import search as _anneal_search
 from .autoencoder import ChannelCompressor
 from .mec import OffloadDecision, Scenario, reweighted, sample_channel_state
-from .neural import Adam, Gradients, Network, mlp_specs, save_checkpoint
+from .neural import (Adam, Gradients, Network, mlp_specs, save_checkpoint,
+                     write_csv)
 from .replay import ReplayBuffer, ReplayConfig, Transition
 
 _CLAMP = 1e-12
@@ -138,14 +138,8 @@ def one_hot_target(decision: np.ndarray, n_mecs: int) -> np.ndarray:
     return mat.reshape(*decision.shape[:-1], -1)
 
 
-def policy_loss(net: Network, states: np.ndarray, targets: np.ndarray,
-                lam: float) -> float:
-    loss, _ = policy_loss_grads(net, states, targets, lam, want_grads=False)
-    return loss
-
-
 def policy_loss_grads(net: Network, states: np.ndarray, targets: np.ndarray,
-                      lam: float, want_grads: bool = True) -> tuple[float, Gradients | None]:
+                      lam: float) -> tuple[float, Gradients]:
     """Batch sigmoid cross-entropy with L2 regularisation, plus gradients.
 
     Outputs are clamped to [1e-12, 1 - 1e-12] before the logs; a clamped
@@ -157,16 +151,9 @@ def policy_loss_grads(net: Network, states: np.ndarray, targets: np.ndarray,
     b = x.shape[0]
     yc = np.clip(y, _CLAMP, 1.0 - _CLAMP)
     ce = -(t * np.log(yc) + (1.0 - t) * np.log(1.0 - yc)).sum() / b
-    loss = float(ce + 0.5 * lam * net.l2_norm_sq())
-    if not want_grads:
-        return loss, None
     grad_y = -(t / yc - (1.0 - t) / (1.0 - yc)) / b
     grad_y[(y != yc)] = 0.0
-    grads = net.backward(cache, grad_y)
-    if lam != 0.0:
-        grads = [(dw + lam * w, db + lam * bb)
-                 for (dw, db), w, bb in zip(grads, net.weights, net.biases)]
-    return loss, grads
+    return net.add_l2(lam, float(ce), net.backward(cache, grad_y))
 
 
 def train_step(policy: Network, adam: Adam, buffer: ReplayBuffer, batch: int,
@@ -189,7 +176,7 @@ def train_step(policy: Network, adam: Adam, buffer: ReplayBuffer, batch: int,
     loss, grads = policy_loss_grads(policy, states, targets, lam)
     if not np.isfinite(loss):
         raise RuntimeError("policy loss diverged to a non-finite value")
-    adam.step(grads)  # type: ignore[arg-type]
+    adam.step(grads)
     delta_loss = 0.0 if prev_loss is None else prev_loss - loss
     buffer.update_stats(idx, delta_loss)
     return loss, delta_loss, policy.l2_norm_sq()
@@ -322,16 +309,12 @@ def write_epoch_csv(logs: list[EpochLog], path: str | Path) -> None:
     Wall-clock timings are deliberately excluded (they vary run to run) and
     go to the companion timings file instead.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_EPOCH_COLUMNS)
-        for row in logs:
-            writer.writerow([_fmt(getattr(row, col)) for col in _EPOCH_COLUMNS])
+    write_csv(path, _EPOCH_COLUMNS,
+              ([_fmt(getattr(row, col)) for col in _EPOCH_COLUMNS]
+               for row in logs))
 
 
 def write_timings_csv(logs: list[EpochLog], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epoch", "decision_ms", "asa_ms"))
-        for row in logs:
-            writer.writerow([row.epoch, _fmt(row.decision_ms), _fmt(row.asa_ms)])
+    write_csv(path, ("epoch", "decision_ms", "asa_ms"),
+              ([row.epoch, _fmt(row.decision_ms), _fmt(row.asa_ms)]
+               for row in logs))

@@ -32,6 +32,8 @@ from .neural import (Adam, Gradients, Network, checkpoint_dict, mlp_specs,
 
 SAE_FORMAT = "edgesched-sae-v1"
 
+_DIVERGED = "autoencoder loss diverged to a non-finite value"
+
 
 @dataclass
 class AutoencoderConfig:
@@ -62,6 +64,8 @@ class AutoencoderConfig:
             raise ValueError("layer sizes must be positive")
         if len(self.dims) > 1 and self.dims[-1] >= self.dims[0]:
             raise ValueError("encoder output must be smaller than its input")
+        if self.memory <= 0:
+            raise ValueError("memory capacity must be positive")
 
     @property
     def identity(self) -> bool:
@@ -129,55 +133,8 @@ class Rasterizer:
             return np.full(flat.shape, 0.5)
         return np.clip((flat - self.lo) / span, 0.0, 1.0)
 
-    def inverse(self, vector: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
-        """Map a normalised vector back to a gain matrix (diagnostics)."""
-        if self.lo is None:
-            raise RuntimeError("no bounds observed yet")
-        span = max(self.hi - self.lo, 0.0)
-        logg = self.lo + np.asarray(vector, dtype=float) * span
-        return (10.0 ** logg).reshape(n_rows, n_cols)
-
     def copy(self) -> "Rasterizer":
         return Rasterizer(self.lo, self.hi)
-
-
-class SampleMemory:
-    """Bounded FIFO store of rasterized channel vectors."""
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._store: deque[np.ndarray] = deque(maxlen=capacity)
-
-    def add(self, x: np.ndarray) -> None:
-        self._store.append(np.asarray(x, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def as_array(self) -> np.ndarray:
-        return np.stack(tuple(self._store))
-
-
-def reconstruction_error(net: Network, x: np.ndarray) -> float:
-    """Root-mean-square entry error of one normalised vector."""
-    diff = net.forward(x) - x
-    return float(np.sqrt(np.mean(diff * diff)))
-
-
-def memory_update(memory: SampleMemory, x: np.ndarray, net: Network,
-                  threshold: float) -> bool:
-    """Admit ``x`` iff the current net reconstructs it worse than ``threshold``.
-
-    Returns whether the sample was admitted.  Well-reconstructed samples are
-    dropped so the memory concentrates on channel patterns still worth
-    learning.
-    """
-    if reconstruction_error(net, x) > threshold:
-        memory.add(x)
-        return True
-    return False
 
 
 def _row_shapes(batch: np.ndarray, n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,24 +146,9 @@ def _row_shapes(batch: np.ndarray, n_rows: int, n_cols: int) -> tuple[np.ndarray
     return rows / maxima, maxima
 
 
-def mse_loss(net: Network, batch: np.ndarray) -> float:
-    """Plain mean squared entry error over a batch of normalised vectors."""
-    batch = np.atleast_2d(batch)
-    diff = net.forward(batch) - batch
-    return float(np.mean(diff * diff))
-
-
-def reconstruction_loss(net: Network, batch: np.ndarray, n_rows: int,
-                        n_cols: int, gamma1: float, gamma2: float) -> float:
-    """Composite loss: MSE + relative row-shape term + L2 weight penalty."""
-    loss, _ = reconstruction_loss_grads(net, batch, n_rows, n_cols,
-                                        gamma1, gamma2, want_grads=False)
-    return loss
-
-
 def reconstruction_loss_grads(net: Network, batch: np.ndarray, n_rows: int,
-                              n_cols: int, gamma1: float, gamma2: float,
-                              want_grads: bool = True) -> tuple[float, Gradients | None]:
+                              n_cols: int, gamma1: float,
+                              gamma2: float) -> tuple[float, Gradients]:
     """Loss and analytic parameter gradients for one batch.
 
     The relative term treats each sample's row maximum as part of the
@@ -228,8 +170,9 @@ def reconstruction_loss_grads(net: Network, batch: np.ndarray, n_rows: int,
         yr = y.reshape(b, n_rows, n_cols)
         maxima = yr.max(axis=2, keepdims=True)
         if np.any(maxima <= 0):
-            # a sigmoid output row underflows to 0 only once training diverged
-            raise ValueError("reconstructed row maximum must be positive")
+            # a sigmoid output row underflows to 0 only once training
+            # diverged, and its shape term would be 0/0
+            raise RuntimeError(_DIVERGED)
         v = yr / maxima
         e = u - v
         loss += float(0.5 * gamma1 * np.sum(e * e) / b)
@@ -242,55 +185,7 @@ def reconstruction_loss_grads(net: Network, batch: np.ndarray, n_rows: int,
                           axis=2)
         grad_y = grad_y + gamma1 * g.reshape(b, d) / b
 
-    if gamma2 != 0.0:
-        loss += 0.5 * gamma2 * net.l2_norm_sq()
-
-    if not want_grads:
-        return loss, None
-
-    grads = net.backward(cache, grad_y)
-    if gamma2 != 0.0:
-        grads = [(dw + gamma2 * w, db + gamma2 * bb)
-                 for (dw, db), w, bb in zip(grads, net.weights, net.biases)]
-    return loss, grads
-
-
-def train(net: Network, memory: SampleMemory, cfg: AutoencoderConfig,
-          rng: np.random.Generator, adam: Adam | None = None,
-          iters: int | None = None, n_rows: int | None = None,
-          n_cols: int | None = None) -> list[float]:
-    """Run mini-batch updates against the memory; returns the loss trace."""
-    if len(memory) == 0:
-        return []
-    if n_rows is None or n_cols is None:
-        raise ValueError("row/column shape required for the relative term")
-    data = memory.as_array()
-    adam = adam or Adam(net, lr=cfg.lr)
-    steps = cfg.t_sae if iters is None else iters
-    take = min(cfg.batch, data.shape[0])
-    trace = []
-    for _ in range(steps):
-        idx = rng.integers(0, data.shape[0], size=take)
-        loss, grads = reconstruction_loss_grads(net, data[idx], n_rows, n_cols,
-                                                cfg.gamma1, cfg.gamma2)
-        if not np.isfinite(loss):
-            raise RuntimeError("autoencoder loss diverged to a non-finite value")
-        adam.step(grads)  # type: ignore[arg-type]
-        trace.append(loss)
-    return trace
-
-
-def reconstruction_accuracy(net: Network | None, vectors: np.ndarray) -> float:
-    """1 minus the mean relative entry error, clamped to [0, 1].
-
-    ``net=None`` stands for the identity compressor and scores exactly 1.
-    """
-    if net is None:
-        return 1.0
-    x = np.atleast_2d(np.asarray(vectors, dtype=float))
-    y = net.forward(x)
-    rel = np.abs(x - y) / np.maximum(np.abs(x), 1e-9)
-    return float(np.clip(1.0 - rel.mean(), 0.0, 1.0))
+    return net.add_l2(gamma2, loss, net.backward(cache, grad_y))
 
 
 class ChannelCompressor:
@@ -311,7 +206,7 @@ class ChannelCompressor:
         self.n_ues = n_ues
         self.n_mecs = n_mecs
         self.raster = Rasterizer()
-        self.memory = SampleMemory(cfg.memory)
+        self.memory: deque[np.ndarray] = deque(maxlen=cfg.memory)
         if cfg.identity:
             self.net = None
             self.adam = None
@@ -346,8 +241,7 @@ class ChannelCompressor:
         self.raster.observe(channel.gains)
         if self.net is None:
             return False
-        x = self.raster.transform(channel.gains)
-        return memory_update(self.memory, x, self.net, self.cfg.threshold)
+        return self._admit(self.raster.transform(channel.gains))
 
     def pretrain(self, gain_mats: Iterable[np.ndarray],
                  rng: np.random.Generator) -> list[float]:
@@ -362,8 +256,7 @@ class ChannelCompressor:
             self.raster.observe(g)
         if self.net is not None:
             for g in mats:
-                memory_update(self.memory, self.raster.transform(g), self.net,
-                              self.cfg.threshold)
+                self._admit(self.raster.transform(g))
         trace = self._train(rng, self.cfg.t_sae)
         self.sync()
         return trace
@@ -372,18 +265,46 @@ class ChannelCompressor:
         """Continue training from the current memory (incremental learning)."""
         return self._train(rng, self.cfg.refresh_iters if iters is None else iters)
 
+    def _admit(self, x: np.ndarray) -> bool:
+        """Keep ``x`` iff the net reconstructs it worse than the threshold.
+
+        The error is root-mean-square over entries; dropping the rest keeps
+        the memory on channel patterns still worth learning.
+        """
+        diff = self.net.forward(x) - x
+        if np.sqrt(np.mean(diff * diff)) > self.cfg.threshold:
+            self.memory.append(x)
+            return True
+        return False
+
     def _train(self, rng: np.random.Generator, iters: int) -> list[float]:
-        if self.net is None or iters <= 0:
+        """``iters`` Adam steps on mini-batches drawn from the memory."""
+        if self.net is None or iters <= 0 or not self.memory:
             return []
-        return train(self.net, self.memory, self.cfg, rng, adam=self.adam,
-                     iters=iters, n_rows=self.n_ues, n_cols=self.n_mecs)
+        data = np.stack(self.memory)
+        take = min(self.cfg.batch, len(data))
+        trace = []
+        for _ in range(iters):
+            idx = rng.integers(0, len(data), size=take)
+            loss, grads = reconstruction_loss_grads(
+                self.net, data[idx], self.n_ues, self.n_mecs, self.cfg.gamma1,
+                self.cfg.gamma2)
+            if not np.isfinite(loss):
+                raise RuntimeError(_DIVERGED)
+            self.adam.step(grads)
+            trace.append(loss)
+        return trace
 
     def accuracy(self, gain_mats: Sequence[np.ndarray]) -> float:
-        """Reconstruction accuracy of the training-side net on held-out data."""
+        """1 minus the mean relative entry error on held-out data, in [0, 1].
+
+        Scored with the training-side net; the identity compressor scores 1.
+        """
         if self.net is None:
             return 1.0
         x = np.stack([self.raster.transform(g) for g in gain_mats])
-        return reconstruction_accuracy(self.net, x)
+        rel = np.abs(x - self.net.forward(x)) / np.maximum(np.abs(x), 1e-9)
+        return float(np.clip(1.0 - rel.mean(), 0.0, 1.0))
 
     # --- online side ----------------------------------------------------
 

@@ -9,7 +9,6 @@ comparisons isolate the decision quality.
 
 from __future__ import annotations
 
-import csv
 import logging
 import time
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from .allocator import Evaluator
 from .annealing import AnnealConfig, BudgetState, SearchResult, search
 from .autoencoder import ChannelCompressor
 from .mec import ChannelState, OffloadDecision, Scenario, distance_matrix, sample_channel_state
-from .neural import Network
+from .neural import Network, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -298,16 +297,12 @@ _BENCH_COLUMNS = ("strategy", "decision_time_s", "decision_time_mean_s",
 
 
 def write_bench_csv(report: BenchReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_BENCH_COLUMNS)
-        for s in report.stats:
-            writer.writerow([
-                s.name, repr(s.decision_time_s), repr(s.decision_time_mean_s),
-                repr(s.latency_s), repr(s.reward), repr(s.mean_draw_reward),
-                "" if s.nrr_mean is None else repr(s.nrr_mean),
-                "" if s.nrr_best is None else repr(s.nrr_best),
-            ])
+    write_csv(path, _BENCH_COLUMNS, (
+        [s.name, repr(s.decision_time_s), repr(s.decision_time_mean_s),
+         repr(s.latency_s), repr(s.reward), repr(s.mean_draw_reward),
+         "" if s.nrr_mean is None else repr(s.nrr_mean),
+         "" if s.nrr_best is None else repr(s.nrr_best)]
+        for s in report.stats))
 
 
 def format_report(report: BenchReport) -> str:

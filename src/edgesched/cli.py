@@ -22,9 +22,10 @@ import numpy as np
 
 from . import experiment
 from .agent import SeedBundle
+from .autoencoder import SAE_FORMAT
 from .bench import format_report
 from .config import build_scenario, dump_scenario, load_config, override
-from .neural import Network, network_from_dict
+from .neural import CHECKPOINT_FORMAT, Network, network_from_dict
 
 logger = logging.getLogger("edgesched")
 
@@ -134,13 +135,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     doc = json.loads(Path(args.path).read_text())
     fmt = doc.get("format", "?")
     print(f"format: {fmt}")
-    if fmt == "edgesched-sae-v1":
+    if fmt == SAE_FORMAT:
         identity = doc["net"] is None
         print(f"dims: {doc['dims']}  identity: {identity}")
         if not identity:
             print(f"network dims: {_dims(network_from_dict(doc['net']))}")
         print(f"raster bounds: [{doc['lo']}, {doc['hi']}]")
-    elif fmt == "edgesched-net-v1":
+    elif fmt == CHECKPOINT_FORMAT:
         net = network_from_dict(doc)
         print(f"dims: {_dims(net)}")
         print(f"activations: {[s.activation for s in net.specs]}")
@@ -148,7 +149,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     else:
         print("unrecognised format")
         return 1
-    meta = doc if fmt == "edgesched-net-v1" else (doc.get("net") or {})
+    meta = doc if fmt == CHECKPOINT_FORMAT else (doc.get("net") or {})
     for key in ("seed", "epoch"):
         if key in meta:
             print(f"{key}: {meta[key]}")

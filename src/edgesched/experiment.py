@@ -11,7 +11,6 @@ mid-run workload shift.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -25,7 +24,7 @@ from .bench import BenchReport, PsoConfig, nrr, pso_oracle, run_benchmark, write
 from .config import (DrlSection, ExperimentConfig, build_scenario,
                      dump_scenario, load_scenario)
 from .mec import Scenario, sample_channel_state
-from .neural import load_checkpoint, save_checkpoint
+from .neural import Network, load_checkpoint, save_checkpoint, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -38,11 +37,19 @@ HELDOUT_EPOCH_BASE = 3_000_001
 
 @dataclass
 class TrainArtifacts:
+    """A trained policy with the scenario and compressor it runs on.
+
+    ``result`` (epoch logs, final scenario, shift epoch) and ``sae_trace``
+    exist only for a run trained in this process; a set reloaded from disk
+    carries neither.
+    """
+
     scenario: Scenario
     compressor: ChannelCompressor
-    result: RunResult
+    policy: Network
     seeds: SeedBundle
-    sae_trace: list[float]
+    result: RunResult | None = None
+    sae_trace: list[float] | None = None
 
 
 def autoencoder_config(cfg: ExperimentConfig, n_ues: int,
@@ -119,8 +126,8 @@ def train_experiment(cfg: ExperimentConfig,
     logger.info("run finished: mean reward over last %d epochs %.5f",
                 len(tail), float(np.mean([r.reward for r in tail])))
     artifacts = TrainArtifacts(scenario=scenario, compressor=comp,
-                               result=result, seeds=seeds,
-                               sae_trace=sae_trace)
+                               policy=result.policy, seeds=seeds,
+                               result=result, sae_trace=sae_trace)
     if out_dir is not None:
         _write_train_outputs(artifacts, cfg, Path(out_dir))
     return artifacts
@@ -147,11 +154,8 @@ def load_artifacts(cfg: ExperimentConfig, out: Path) -> TrainArtifacts | None:
     scenario = load_scenario(out / "scenario_resolved.yaml")
     comp = ChannelCompressor.load(out / "sae.json")
     policy, _ = load_checkpoint(out / "policy.json")
-    seeds = SeedBundle.from_master(cfg.seed)
-    result = RunResult(policy=policy, logs=[], scenario_final=scenario,
-                       shift_epoch=None)
-    return TrainArtifacts(scenario=scenario, compressor=comp, result=result,
-                          seeds=seeds, sae_trace=[])
+    return TrainArtifacts(scenario=scenario, compressor=comp, policy=policy,
+                          seeds=SeedBundle.from_master(cfg.seed))
 
 
 def bench_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
@@ -166,7 +170,7 @@ def bench_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
         artifacts = train_experiment(cfg, out_dir)
     # the resolved (pre-shift) scenario, the one a reloaded set also has
     report = run_benchmark(
-        artifacts.scenario, artifacts.result.policy, artifacts.compressor,
+        artifacts.scenario, artifacts.policy, artifacts.compressor,
         cfg.asa,
         n_channels=cfg.bench.n_channels, asa_budget=cfg.bench.asa_budget,
         rng=np.random.default_rng(artifacts.seeds.bench),
@@ -246,12 +250,9 @@ _TABLE_COLUMNS = ("m", "accuracy", "compression_ratio", "f_best", "f_avg",
 
 
 def write_table_csv(rows: list[dict], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TABLE_COLUMNS)
-        for row in rows:
-            writer.writerow([row["m"]] + [repr(float(row[c]))
-                                          for c in _TABLE_COLUMNS[1:]])
+    write_csv(path, _TABLE_COLUMNS,
+              ([row["m"]] + [repr(float(row[c])) for c in _TABLE_COLUMNS[1:]]
+               for row in rows))
 
 
 def format_table(rows: list[dict]) -> str:

@@ -5,11 +5,15 @@ policy) runs through this module: float64 numpy parameters, explicit forward
 caches, analytic gradients and Adam steps.  Checkpoints are
 canonical JSON so that save -> load -> save is byte-identical;
 ``network_from_dict`` is the one reader of their layer list and weights, and
-``write_json`` the one writer, for networks and autoencoders alike.
+``write_json`` the one writer, for networks and autoencoders alike.  Every
+artifact, CSV traces included, is replaced in one rename by
+``write_atomic``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -109,17 +113,10 @@ class Network:
     def out_dim(self) -> int:
         return self.specs[-1].out_dim
 
-    def clone(self) -> "Network":
-        return Network(self.specs,
-                       weights=[w.copy() for w in self.weights],
-                       biases=[b.copy() for b in self.biases])
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Map (B, in_dim) or (in_dim,) inputs to outputs, no cache kept."""
-        a = np.atleast_2d(np.asarray(x, dtype=float))
-        for spec, w, b in zip(self.specs, self.weights, self.biases):
-            a = _apply(spec.activation, a @ w.T + b)
-        return a[0] if np.ndim(x) == 1 else a
+        """Map (B, in_dim) or (in_dim,) inputs to outputs (the cache dropped)."""
+        out, _ = self.forward_cached(x)
+        return out[0] if np.ndim(x) == 1 else out
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping per-layer inputs and pre-activations."""
@@ -156,6 +153,19 @@ class Network:
         for w, b in zip(self.weights, self.biases):
             total += float((w * w).sum() + (b * b).sum())
         return total
+
+    def add_l2(self, lam: float, loss: float,
+               grads: Gradients) -> tuple[float, Gradients]:
+        """``loss`` plus 0.5*lam*|theta|^2, ``grads`` plus lam*theta.
+
+        The one place either learner regularises its parameters; ``lam=0``
+        returns both unchanged.
+        """
+        if lam == 0.0:
+            return loss, grads
+        return (loss + 0.5 * lam * self.l2_norm_sq(),
+                [(dw + lam * w, db + lam * b)
+                 for (dw, db), w, b in zip(grads, self.weights, self.biases)])
 
     def n_params(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
@@ -244,6 +254,16 @@ def write_json(path: str | Path, doc: dict) -> None:
     and saving it again reproduces the file byte for byte.
     """
     write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
+def write_csv(path: str | Path, header: Sequence,
+              rows: Iterable[Sequence]) -> None:
+    """Write a CSV table (CRLF line ends) in one rename, see ``write_atomic``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue())
 
 
 def save_checkpoint(net: Network, path: str | Path, *, seed: int | None = None,

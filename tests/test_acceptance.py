@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 import scipy.stats as sps
 
-from edgesched.agent import (SeedBundle, policy_loss, policy_loss_grads)
+from edgesched.agent import policy_loss_grads
 from edgesched.allocator import Evaluator, allocate_frequencies
 from edgesched.annealing import AnnealConfig, BudgetState, adapt_budget
 from edgesched.autoencoder import (AutoencoderConfig, ChannelCompressor,
-                                   default_dims, reconstruction_loss,
-                                   reconstruction_loss_grads)
+                                   default_dims, reconstruction_loss_grads)
 from edgesched.bench import asa_only, exhaustive_best, run_benchmark, window_rewards
 from edgesched.cli import main as cli_main
 from edgesched.config import config_from_dict
@@ -103,7 +102,7 @@ def test_02_loss_gradients_match_finite_differences():
         _, grads = reconstruction_loss_grads(net, batch, 3, 2, 0.5, 0.08)
         numeric = fd_gradients(
             net, batch,
-            lambda _y: reconstruction_loss(net, batch, 3, 2, 0.5, 0.08))
+            lambda _y: reconstruction_loss_grads(net, batch, 3, 2, 0.5, 0.08)[0])
         worst = max(worst, rel_dev(grads, numeric))
 
     for seed in range(3):
@@ -113,7 +112,8 @@ def test_02_loss_gradients_match_finite_differences():
                    .integers(0, 2, size=(4, 6)).astype(float))
         _, grads = policy_loss_grads(net, states, targets, 0.02)
         numeric = fd_gradients(
-            net, states, lambda _y: policy_loss(net, states, targets, 0.02))
+            net, states,
+            lambda _y: policy_loss_grads(net, states, targets, 0.02)[0])
         worst = max(worst, rel_dev(grads, numeric))
 
     elapsed = time.perf_counter() - t0

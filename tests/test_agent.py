@@ -1,4 +1,5 @@
 import copy
+import os
 
 import numpy as np
 import pytest
@@ -6,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesched.agent import (AgentConfig, SeedBundle, build_policy, decide,
-                             one_hot_target, policy_loss, policy_loss_grads,
-                             run, train_step, write_epoch_csv,
-                             write_timings_csv)
+                             one_hot_target, policy_loss_grads, run,
+                             train_step, write_epoch_csv, write_timings_csv)
 from edgesched.annealing import AnnealConfig
 from edgesched.autoencoder import AutoencoderConfig, ChannelCompressor
 from edgesched.mec import random_scenario, sample_channel_state
@@ -16,6 +16,10 @@ from edgesched.neural import Adam, LayerSpec, Network, mlp_specs
 from edgesched.replay import ReplayBuffer, ReplayConfig, Transition
 
 from test_neural import assert_grads_close, fd_gradients
+
+
+def policy_loss(net, states, targets, lam):
+    return policy_loss_grads(net, states, targets, lam)[0]
 
 
 def identity_compressor(n, m):
@@ -387,3 +391,19 @@ class TestCsv:
         lines = p.read_text().splitlines()
         assert lines[0] == "epoch,decision_ms,asa_ms"
         assert len(lines) == 6
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        _, res = quick_run(t_drl=6)
+        p = tmp_path / "epochs.csv"
+        write_epoch_csv(res.logs[:3], p)
+        before = p.read_bytes()
+        assert before.count(b"\r\n") == 4  # csv line ends, header included
+
+        def fail(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            write_epoch_csv(res.logs, p)
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["epochs.csv"]

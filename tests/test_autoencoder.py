@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 
 from edgesched.autoencoder import (AutoencoderConfig, ChannelCompressor,
-                                   Rasterizer, SampleMemory,
-                                   compression_ratio, default_dims,
-                                   memory_update, mse_loss,
-                                   reconstruction_accuracy,
-                                   reconstruction_error, reconstruction_loss,
-                                   reconstruction_loss_grads, train)
+                                   Rasterizer, compression_ratio,
+                                   default_dims, reconstruction_loss_grads)
 from edgesched.mec import random_scenario, sample_channel_state
-from edgesched.neural import Adam, Network, mlp_specs
+from edgesched.neural import Network, mlp_specs
 
 from test_neural import assert_grads_close, fd_gradients
+
+
+def reconstruction_loss(net, batch, n_rows, n_cols, gamma1, gamma2):
+    return reconstruction_loss_grads(net, batch, n_rows, n_cols, gamma1,
+                                     gamma2)[0]
+
+
+def rms_errors(net, x):
+    """Root-mean-square reconstruction error of each row of ``x``."""
+    return np.sqrt(np.mean((net.forward(x) - x) ** 2, axis=1))
 
 
 class TestDims:
@@ -41,6 +47,11 @@ class TestDims:
             AutoencoderConfig(dims=[10, 12])
         assert AutoencoderConfig(dims=[10]).identity
 
+    def test_memory_capacity_must_be_positive(self):
+        # a deque with maxlen 0 would drop every sample without a word
+        with pytest.raises(ValueError):
+            AutoencoderConfig(dims=[8, 4], memory=0)
+
     def test_ratio_rejects_expansion(self):
         with pytest.raises(ValueError):
             compression_ratio(10, 11)
@@ -68,29 +79,28 @@ class TestRasterizer:
         with pytest.raises(RuntimeError):
             Rasterizer().transform(np.ones((1, 1)))
 
-    def test_inverse_round_trip(self):
-        r = Rasterizer(lo=-8.0, hi=-3.0)
-        gains = 10.0 ** np.random.default_rng(0).uniform(-8, -3, size=(3, 2))
-        vec = r.transform(gains)
-        np.testing.assert_allclose(r.inverse(vec, 3, 2), gains, rtol=1e-12)
-
 
 class TestMemory:
+    def make(self, **cfg_kw):
+        cfg = AutoencoderConfig(dims=[4, 2], **cfg_kw)
+        return ChannelCompressor(cfg, 2, 2, rng=np.random.default_rng(0))
+
     def test_fifo_capacity(self):
-        mem = SampleMemory(3)
+        comp = self.make(memory=3, threshold=-1.0)  # admits every sample
         for k in range(5):
-            mem.add(np.full(2, float(k)))
-        assert len(mem) == 3
-        np.testing.assert_array_equal(mem.as_array()[:, 0], [2.0, 3.0, 4.0])
+            assert comp._admit(np.full(4, float(k)))
+        assert len(comp.memory) == 3
+        np.testing.assert_array_equal(np.stack(comp.memory)[:, 0],
+                                      [2.0, 3.0, 4.0])
 
     def test_admission_threshold(self):
-        net = Network(mlp_specs([4, 2, 4]), rng=np.random.default_rng(0))
-        mem = SampleMemory(10)
         x = np.random.default_rng(1).uniform(0.2, 0.8, size=4)
-        err = reconstruction_error(net, x)
-        assert memory_update(mem, x, net, threshold=err - 1e-9)
-        assert not memory_update(mem, x, net, threshold=err + 1e-9)
-        assert len(mem) == 1
+        err = rms_errors(self.make().net, x[None])[0]
+        comp = self.make(threshold=err - 1e-9)
+        assert comp._admit(x)
+        comp.cfg.threshold = err + 1e-9
+        assert not comp._admit(x)
+        assert len(comp.memory) == 1
 
 
 class TestLoss:
@@ -102,7 +112,8 @@ class TestLoss:
         batch = np.random.default_rng(2).uniform(0.1, 0.9, size=(5, 6))
         composite = reconstruction_loss(net, batch, n_rows=3, n_cols=2,
                                         gamma1=0.0, gamma2=0.0)
-        assert composite == mse_loss(net, batch)
+        diff = net.forward(batch) - batch
+        assert composite == float(np.mean(diff * diff))
 
     def test_l2_term_value(self):
         net = self.tiny_net()
@@ -153,6 +164,13 @@ class TestLoss:
             lambda _y: reconstruction_loss(net, batch, 2, 4, 0.5, 0.08))
         assert_grads_close(grads, numeric, atol=2e-6)
 
+    def test_input_row_maximum_must_be_positive(self):
+        net = self.tiny_net()
+        batch = np.full((1, 6), 0.5)
+        batch[0, 3:] = 0.0  # the second of two input rows is all zero
+        with pytest.raises(ValueError):
+            reconstruction_loss_grads(net, batch, 2, 3, 0.5, 0.0)
+
     def test_batch_width_checked(self):
         net = self.tiny_net()
         with pytest.raises(ValueError):
@@ -160,51 +178,44 @@ class TestLoss:
 
 
 class TestTraining:
+    def make(self, net_seed, capacity, **cfg_kw):
+        cfg = AutoencoderConfig(dims=[6, 4], memory=capacity, **cfg_kw)
+        return ChannelCompressor(cfg, 3, 2, rng=np.random.default_rng(net_seed))
+
     def test_memorizes_small_set(self):
-        cfg = AutoencoderConfig(dims=[6, 4], gamma1=0.0, gamma2=0.0,
-                                batch=4, lr=3e-2)
-        net = Network(mlp_specs([6, 4, 6]), rng=np.random.default_rng(10))
-        mem = SampleMemory(8)
+        comp = self.make(10, 8, gamma1=0.0, gamma2=0.0, batch=4, lr=3e-2)
         rng = np.random.default_rng(11)
-        for _ in range(4):
-            mem.add(rng.uniform(0.2, 0.8, size=6))
-        train(net, mem, cfg, rng, iters=4000, n_rows=3, n_cols=2)
-        worst = max(reconstruction_error(net, x) for x in mem.as_array())
-        assert worst < 1e-3
+        comp.memory.extend(rng.uniform(0.2, 0.8, size=6) for _ in range(4))
+        comp.refresh(rng, iters=4000)
+        assert rms_errors(comp.net, np.stack(comp.memory)).max() < 1e-3
 
     def test_loss_trace_decreases(self):
-        cfg = AutoencoderConfig(dims=[6, 4], batch=8, lr=1e-2)
-        net = Network(mlp_specs([6, 4, 6]), rng=np.random.default_rng(12))
-        mem = SampleMemory(64)
+        comp = self.make(12, 64, batch=8, lr=1e-2)
         rng = np.random.default_rng(13)
-        for _ in range(32):
-            mem.add(rng.uniform(0.1, 0.9, size=6))
-        trace = train(net, mem, cfg, rng, iters=400, n_rows=3, n_cols=2)
+        comp.memory.extend(rng.uniform(0.1, 0.9, size=6) for _ in range(32))
+        trace = comp.refresh(rng, iters=400)
         assert len(trace) == 400
         assert np.mean(trace[-20:]) < np.mean(trace[:20])
 
     def test_weight_penalty_shrinks_norm(self):
         def run(gamma2):
-            net = Network(mlp_specs([6, 4, 6]), rng=np.random.default_rng(14))
-            mem = SampleMemory(16)
+            comp = self.make(14, 16, gamma1=0.0, gamma2=gamma2, batch=8,
+                             lr=1e-2)
             rng = np.random.default_rng(15)
-            for _ in range(16):
-                mem.add(rng.uniform(0.1, 0.9, size=6))
-            cfg = AutoencoderConfig(dims=[6, 4], gamma1=0.0, gamma2=gamma2,
-                                    batch=8, lr=1e-2)
-            train(net, mem, cfg, rng, iters=600, n_rows=3, n_cols=2)
-            return net.l2_norm_sq()
+            comp.memory.extend(rng.uniform(0.1, 0.9, size=6)
+                               for _ in range(16))
+            comp.refresh(rng, iters=600)
+            return comp.net.l2_norm_sq()
 
         assert run(0.5) < run(0.0)
 
     def test_empty_memory_is_noop(self):
-        cfg = AutoencoderConfig(dims=[6, 4])
-        net = Network(mlp_specs([6, 4, 6]), rng=np.random.default_rng(16))
-        assert train(net, SampleMemory(4), cfg, np.random.default_rng(0),
-                     n_rows=3, n_cols=2) == []
+        comp = self.make(16, 4)
+        assert comp.refresh(np.random.default_rng(0)) == []
 
     def test_accuracy_identity_is_one(self):
-        assert reconstruction_accuracy(None, np.ones((3, 4))) == 1.0
+        comp = ChannelCompressor(AutoencoderConfig(dims=[4]), 4, 1)
+        assert comp.accuracy([np.ones((4, 1))] * 3) == 1.0
 
 
 class TestCompressor:
@@ -258,6 +269,14 @@ class TestCompressor:
         comp.net.weights[0][0, 0] = np.nan
         with pytest.raises(RuntimeError):
             comp.refresh(rng)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_diverging_pretrain_raises(self, seed):
+        # the sigmoid outputs underflow to 0 before the loss turns non-finite
+        comp, scen, rng = self.make(seed=seed, lr=1e6)
+        with pytest.raises(RuntimeError, match="diverged"):
+            comp.pretrain([sample_channel_state(scen, e).gains
+                           for e in range(1, 20)], rng)
 
     def test_encode_raw_matches_encode_channel(self):
         comp, scen, rng = self.make()

@@ -73,8 +73,20 @@ class TestTrain:
         loaded = load_artifacts(cfg, tmp_path)
         assert loaded is not None
         assert loaded.scenario == art.scenario
-        for wa, wb in zip(art.result.policy.weights,
-                          loaded.result.policy.weights):
+        for wa, wb in zip(art.policy.weights, loaded.policy.weights):
+            np.testing.assert_array_equal(wa, wb)
+
+    def test_reloaded_shifted_run_claims_no_run(self, tmp_path):
+        # the files hold no final scenario or shift epoch, so a reload
+        # must not make them up
+        cfg = tiny_config(drl={"t_drl": 20, "phi": 5, "weight_shift_epoch": 10})
+        art = train_experiment(cfg, tmp_path)
+        assert art.result.shift_epoch == 10
+        assert art.result.scenario_final != art.scenario
+        loaded = load_artifacts(cfg, tmp_path)
+        assert loaded.result is None and loaded.sae_trace is None
+        assert loaded.scenario == art.scenario
+        for wa, wb in zip(art.policy.weights, loaded.policy.weights):
             np.testing.assert_array_equal(wa, wb)
 
     def test_load_artifacts_missing_returns_none(self, tmp_path):

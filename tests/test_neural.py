@@ -189,12 +189,6 @@ class TestDeterminism:
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
 
-    def test_clone_is_independent(self):
-        net = Network(mlp_specs([2, 2]), rng=np.random.default_rng(0))
-        twin = net.clone()
-        net.weights[0][0, 0] += 1.0
-        assert twin.weights[0][0, 0] != net.weights[0][0, 0]
-
 
 class TestCheckpoints:
     def test_round_trip_preserves_everything(self, tmp_path):

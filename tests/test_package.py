@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import re
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import edgesched
@@ -61,10 +63,37 @@ def test_scipy_is_a_test_dependency_only():
         project["optional-dependencies"]["test"])
 
 
+def hooked_names(path, functions):
+    """(module, attribute) of every ``wrap(module, "attr", ...)`` call in the
+    named functions of ``path``, also where a loop over a tuple of string
+    tuples supplies the attribute."""
+    found = set()
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in functions):
+            continue
+        loop_values = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.For) and isinstance(node.target, ast.Tuple):
+                for k, var in enumerate(node.target.elts):
+                    loop_values[var.id] = [row.elts[k].value
+                                           for row in node.iter.elts]
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "wrap"):
+                owner, attr = node.args[:2]
+                values = ([attr.value] if isinstance(attr, ast.Constant)
+                          else loop_values[attr.id])
+                found.update((owner.id, v) for v in values)
+    return found
+
+
 def test_benchmark_tracer_wraps_live_names(monkeypatch):
     """The benchmark's ``--trace 1`` wraps package functions by name (such
-    as ``annealing.mutate``); deleting one of them fails here first."""
-    from edgesched import annealing
+    as ``annealing.mutate``); deleting one of them fails here first.  So
+    does deleting a name it hooks while it sets up, trains and compares,
+    or pretraining past ``autoencoder.reconstruction_loss_grads``, on which
+    its set-up clock ticks once per step."""
+    from edgesched import annealing, autoencoder
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workload = importlib.import_module("workload")
     mutate = annealing.mutate
@@ -72,3 +101,23 @@ def test_benchmark_tracer_wraps_live_names(monkeypatch):
     assert annealing.mutate is not mutate
     patches.restore()
     assert annealing.mutate is mutate
+
+    hooks = hooked_names(ROOT / "perfbench" / "workload.py",
+                         {"setup", "run_agent", "compare"})
+    assert {("autoencoder", "reconstruction_loss_grads"),
+            ("agent", "_anneal_search"), ("bench", "pso_oracle")} <= hooks
+    missing = [(owner, name) for owner, name in sorted(hooks)
+               if not hasattr(getattr(workload, owner), name)]
+    assert missing == []
+
+    calls = []
+    loss_grads = autoencoder.reconstruction_loss_grads
+    monkeypatch.setattr(autoencoder, "reconstruction_loss_grads",
+                        lambda *a, **k: calls.append(1) or loss_grads(*a, **k))
+    cfg = autoencoder.AutoencoderConfig(dims=[8, 6, 4], t_sae=7)
+    rng = np.random.default_rng(0)
+    comp = autoencoder.ChannelCompressor(cfg, 4, 2, rng=rng)
+    scen = edgesched.random_scenario(4, 2, rng_seed=0)
+    comp.pretrain([edgesched.sample_channel_state(scen, e).gains
+                   for e in range(1, 20)], rng)
+    assert len(comp.memory) > 0 and len(calls) == cfg.t_sae
