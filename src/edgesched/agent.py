@@ -3,7 +3,7 @@
 Per epoch the agent encodes the fresh channel state, reads a placement off
 the policy network, then lets the annealing search improve that placement
 under the current iteration budget.  The searched placement becomes the
-training label; every ``train_interval`` epochs the policy takes one Adam
+training label; every ``phi`` epochs the policy takes one Adam
 step of sigmoid cross-entropy towards a replayed batch of such labels.  The
 loop is deterministic given a master seed: every stochastic component draws
 from its own generator, so ablations do not perturb each other's streams.
@@ -12,7 +12,7 @@ from its own generator, so ablations do not perturb each other's streams.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +51,23 @@ class SeedBundle:
         return cls(master, *vals)
 
 
+# hidden layer sizes of a policy whose dims are left unset
+DEFAULT_HIDDEN = (120, 80)
+
+
 @dataclass
 class AgentConfig:
-    """Policy architecture and training-loop knobs."""
+    """Policy architecture and training-loop knobs.
 
-    hidden_dims: list[int] = field(default_factory=lambda: [120, 80])
+    ``dims`` is the full policy layer list, from the encoded state size to
+    the N * (M + 1) head; ``None`` puts ``DEFAULT_HIDDEN`` between the two.
+    The policy trains every ``phi`` epochs.
+    """
+
+    dims: list[int] | None = None
     lambda_reg: float = 0.02
     t_drl: int = 3000
-    train_interval: int = 10
+    phi: int = 10
     batch: int = 64
     lr: float = 1e-3
     hidden_activation: str = "relu"
@@ -69,12 +78,21 @@ class AgentConfig:
     checkpoint_interval: int = 0
 
     def __post_init__(self) -> None:
-        if self.t_drl < 1 or self.train_interval < 1 or self.batch < 1:
-            raise ValueError("loop sizes must be positive")
+        for key in ("t_drl", "phi", "batch"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got "
+                                 f"{getattr(self, key)}")
+        if self.dims is not None and (len(self.dims) < 2 or min(self.dims) < 1):
+            raise ValueError(f"dims {self.dims} must list at least two "
+                             "positive layer sizes")
+        shift = self.weight_shift_epoch
+        if shift is not None and not 1 <= shift <= self.t_drl:
+            raise ValueError(f"weight_shift_epoch {shift} must lie in "
+                             f"1..t_drl = 1..{self.t_drl}")
         if self.search not in ("asa", "random"):
             raise ValueError(f"unknown search mode {self.search!r}")
         if self.replay_mode not in ("prioritized", "uniform"):
-            raise ValueError(f"unknown replay mode {self.replay_mode!r}")
+            raise ValueError(f"unknown replay_mode {self.replay_mode!r}")
         if not 0.0 <= self.epsilon_greedy <= 1.0:
             raise ValueError("epsilon_greedy must lie in [0, 1]")
 
@@ -110,7 +128,7 @@ class RunResult:
 def build_policy(state_dim: int, n_ues: int, n_mecs: int, cfg: AgentConfig,
                  rng: np.random.Generator) -> Network:
     """Fresh policy MLP: encoded state in, one sigmoid score per placement out."""
-    dims = [state_dim, *cfg.hidden_dims, n_ues * (n_mecs + 1)]
+    dims = cfg.dims or [state_dim, *DEFAULT_HIDDEN, n_ues * (n_mecs + 1)]
     return Network(mlp_specs(dims, hidden=cfg.hidden_activation,
                              output="sigmoid"), rng=rng)
 
@@ -259,7 +277,7 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
                       theta_norm_now=theta_sq_now)
 
         loss = delta_loss = None
-        if t % cfg.train_interval == 0 and len(buffer) > 0:
+        if t % cfg.phi == 0 and len(buffer) > 0:
             loss, delta_loss, theta_sq_now = train_step(
                 policy, adam, buffer, cfg.batch, cfg.lambda_reg, rng_replay,
                 encoder=compressor, prev_loss=prev_loss)

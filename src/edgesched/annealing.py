@@ -47,9 +47,12 @@ class AnnealConfig:
 
     def __post_init__(self) -> None:
         if self.t0 <= 0 or not 0 < self.phi_cool <= 1:
-            raise ValueError("bad temperature schedule")
+            raise ValueError("t0 must be positive and phi_cool lie in (0, 1]")
         if self.t_sa_init < 1 or self.t_sa_max < 1:
-            raise ValueError("iteration budgets must be at least 1")
+            raise ValueError("t_sa_init and t_sa_max must be at least 1")
+        if self.t_sa_init > self.t_sa_max:
+            raise ValueError(f"t_sa_init {self.t_sa_init} exceeds t_sa_max "
+                             f"{self.t_sa_max}")
 
 
 @dataclass(frozen=True)

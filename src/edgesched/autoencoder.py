@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,9 +42,12 @@ class AutoencoderConfig:
     ``dims`` lists the encoder sizes input-first, e.g. [60, 45, 30]; the
     decoder mirrors them.  A single-entry list means no compression at all:
     the compressor becomes an identity map over the normalised raster vector.
+    ``None`` leaves the layout to ``default_dims`` with output ``out_dim``,
+    resolved by the compressor once it knows N and M.
     """
 
-    dims: list[int]
+    dims: list[int] | None = None
+    out_dim: int | None = None
     gamma1: float = 0.5
     gamma2: float = 0.08
     t_sae: int = 500
@@ -58,14 +61,16 @@ class AutoencoderConfig:
     pretrain_samples: int = 2000
 
     def __post_init__(self) -> None:
-        if not self.dims:
-            raise ValueError("dims must not be empty")
-        if any(d <= 0 for d in self.dims):
-            raise ValueError("layer sizes must be positive")
-        if len(self.dims) > 1 and self.dims[-1] >= self.dims[0]:
-            raise ValueError("encoder output must be smaller than its input")
+        if self.dims is not None:
+            if not self.dims:
+                raise ValueError("dims must not be empty")
+            if any(d <= 0 for d in self.dims):
+                raise ValueError(f"dims {self.dims}: layer sizes must be positive")
+            if len(self.dims) > 1 and self.dims[-1] >= self.dims[0]:
+                raise ValueError(f"dims {self.dims}: encoder output must be "
+                                 "smaller than its input")
         if self.memory <= 0:
-            raise ValueError("memory capacity must be positive")
+            raise ValueError(f"memory capacity must be positive, got {self.memory}")
 
     @property
     def identity(self) -> bool:
@@ -200,8 +205,11 @@ class ChannelCompressor:
 
     def __init__(self, cfg: AutoencoderConfig, n_ues: int, n_mecs: int,
                  rng: np.random.Generator | None = None):
+        cfg = replace(cfg, dims=list(cfg.dims or default_dims(n_ues, n_mecs,
+                                                              cfg.out_dim)))
         if cfg.dims[0] != n_ues * n_mecs:
-            raise ValueError("encoder input size must equal N * M")
+            raise ValueError(f"encoder dims {cfg.dims} do not start at "
+                             f"N * M = {n_ues * n_mecs}")
         self.cfg = cfg
         self.n_ues = n_ues
         self.n_mecs = n_mecs
@@ -362,10 +370,10 @@ class ChannelCompressor:
         if doc.get("format") != SAE_FORMAT:
             raise ValueError(f"not a compressor checkpoint: {path}")
         cfg = cfg or AutoencoderConfig(dims=list(doc["dims"]))
-        if list(cfg.dims) != list(doc["dims"]):
-            raise ValueError("checkpoint dims disagree with the configuration")
         rng = np.random.default_rng(0)
         comp = cls(cfg, doc["n_ues"], doc["n_mecs"], rng=rng)
+        if comp.cfg.dims != list(doc["dims"]):
+            raise ValueError("checkpoint dims disagree with the configuration")
         comp.raster = Rasterizer(doc["lo"], doc["hi"])
         if doc["net"] is not None:
             comp.net = network_from_dict(doc["net"])

@@ -5,25 +5,30 @@ A config file holds one mapping with optional sections ``scenario``, ``sae``,
 ``seed`` and ``out``.  Every key of a section is a field of the dataclass it
 loads into, and one loader (``_load``) reads them all; the only aliases are
 ``drl.lambda`` for ``lambda_reg`` and ``asa.t_sa`` for ``t_sa_init``, each
-valid in its own section only.  ``scenario`` also accepts ``task``, ``radio``
-and ``mecs`` sub-mappings that flatten into its fields.  Unknown keys raise
-immediately: a typo in a knob name should never silently fall back to a
-default.  So does a string given to a field that takes no string.  Scenario
-files written by ``gen-scenario`` pin every UE explicitly, load back
-bit-identically and reject unknown keys in every entry; a missing top-level,
-``ues[i]`` or ``mecs[i]`` key is named in a ``ValueError`` too.
+valid in its own section only.  ``sae`` and ``drl`` load straight into the
+runtime ``AutoencoderConfig`` and ``AgentConfig``.  ``scenario`` also accepts
+``task``, ``radio`` and ``mecs`` sub-mappings that flatten into its fields.
+Unknown keys raise immediately: a typo in a knob name should never silently
+fall back to a default.  So does a string given to a field that takes no
+string, and so does a value that a section's own checks reject, with the
+section's name in front of the message.  Scenario files written by
+``gen-scenario`` pin every UE explicitly, load back bit-identically and
+reject unknown keys in every entry; a missing top-level, ``ues[i]`` or
+``mecs[i]`` key is named in a ``ValueError`` too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
 from typing import Any, get_args, get_type_hints
 
 import yaml
 
+from .agent import AgentConfig
 from .annealing import AnnealConfig
+from .autoencoder import AutoencoderConfig
 from .bench import PsoConfig
 from .mec import (MecSpec, RadioParams, Scenario, Task, UeSpec,
                   default_mec_positions, random_scenario)
@@ -76,7 +81,7 @@ def _load(cls, section: str, data: dict):
 
     The allowed keys are the fields of ``cls`` plus the section's aliases.  A
     field whose default is itself a dataclass loads recursively as
-    ``section.key``.
+    ``section.key``.  The section's own checks run on construction.
     """
     data = dict(data)
     for alias, name in _ALIASES.get(section, {}).items():
@@ -88,7 +93,10 @@ def _load(cls, section: str, data: dict):
         if f.name in data and is_dataclass(f.default_factory):
             data[f.name] = _load(f.default_factory, f"{section}.{f.name}",
                                  data[f.name])
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ValueError as exc:
+        raise ValueError(f"{section}: {exc}") from exc
 
 
 @dataclass
@@ -163,11 +171,14 @@ def build_scenario(cfg: ScenarioConfig, fallback_seed: int = 0) -> Scenario:
     if cfg.file is not None:
         return load_scenario(cfg.file)
     seed = cfg.rng_seed if cfg.rng_seed is not None else fallback_seed
-    radio = RadioParams(bandwidth_hz=cfg.bandwidth_hz, noise_w=cfg.noise_w,
-                        beta0=cfg.beta0, min_distance_m=cfg.min_distance_m,
-                        fading=cfg.fading)
+    radio = RadioParams(**{k: getattr(cfg, k) for k in _names(RadioParams)})
     if cfg.ues is not None:
-        ues = tuple(_ue_from_dict(u, cfg) for u in cfg.ues)
+        defaults = {"data_bits": cfg.data_bits, "cycles": cfg.cycles,
+                    "weight": 1.0, "f_local_max": cfg.f_local_max,
+                    "p_max": cfg.p_ue_max_w, "kappa": cfg.kappa, "v": cfg.v}
+        for u in cfg.ues:
+            _check_keys("scenario.ues", u, _UE_KEYS)
+        ues = tuple(_ue_from_dict(u, defaults) for u in cfg.ues)
         positions = cfg.mec_positions or default_mec_positions(cfg.n_mecs,
                                                                cfg.area_m)
         mecs = tuple(MecSpec(position=(float(x), float(y)), f_max=cfg.f_mec_max)
@@ -195,48 +206,32 @@ def build_scenario(cfg: ScenarioConfig, fallback_seed: int = 0) -> Scenario:
 
 # the keys of one UE entry, in a config section and in a scenario file
 _UE_KEYS = _names(UeSpec) - {"task"} | _names(Task)
+# the UeSpec fields an entry gives as plain numbers
+_UE_NUMBERS = [f.name for f in fields(UeSpec)
+               if f.name not in ("position", "task")]
 
 
-def _ue_from_dict(u: dict, cfg: ScenarioConfig) -> UeSpec:
-    _check_keys("scenario.ues", u, _UE_KEYS)
-    cycles = u.get("cycles", cfg.cycles)
-    if isinstance(cycles, dict):
+def _ue_from_dict(u: dict, defaults: dict) -> UeSpec:
+    """One UE entry; a key the entry leaves out takes its ``defaults`` value."""
+    u = {**defaults, **u}
+    if isinstance(u["cycles"], dict):
         raise ValueError("explicit UEs must pin cycles when the scenario "
                          "default is a range")
-    return UeSpec(
-        position=(float(u["position"][0]), float(u["position"][1])),
-        task=Task(data_bits=float(u.get("data_bits", cfg.data_bits)),
-                  cycles=float(cycles)),
-        weight=float(u.get("weight", 1.0)),
-        f_local_max=float(u.get("f_local_max", cfg.f_local_max)),
-        p_max=float(u.get("p_max", cfg.p_ue_max_w)),
-        kappa=float(u.get("kappa", cfg.kappa)),
-        v=float(u.get("v", cfg.v)))
+    return UeSpec(position=tuple(map(float, u["position"])),
+                  task=Task(**{k: float(u[k]) for k in _names(Task)}),
+                  **{k: float(u[k]) for k in _UE_NUMBERS})
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     return {
         "area_m": scenario.area_m,
         "rng_seed": scenario.rng_seed,
-        "radio": {
-            "bandwidth_hz": scenario.radio.bandwidth_hz,
-            "noise_w": scenario.radio.noise_w,
-            "beta0": scenario.radio.beta0,
-            "min_distance_m": scenario.radio.min_distance_m,
-            "fading": scenario.radio.fading,
-        },
+        "radio": asdict(scenario.radio),
         "mecs": [{"position": list(m.position), "f_max": m.f_max}
                  for m in scenario.mecs],
-        "ues": [{
-            "position": list(u.position),
-            "data_bits": u.task.data_bits,
-            "cycles": u.task.cycles,
-            "weight": u.weight,
-            "f_local_max": u.f_local_max,
-            "p_max": u.p_max,
-            "kappa": u.kappa,
-            "v": u.v,
-        } for u in scenario.ues],
+        "ues": [{"position": list(u.position), **asdict(u.task),
+                 **{k: getattr(u, k) for k in _UE_NUMBERS}}
+                for u in scenario.ues],
     }
 
 
@@ -258,49 +253,17 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     radio = RadioParams(**data["radio"])
     mecs = tuple(MecSpec(position=tuple(map(float, m["position"])),
                          f_max=float(m["f_max"])) for m in data["mecs"])
-    ues = tuple(UeSpec(position=tuple(map(float, u["position"])),
-                       task=Task(data_bits=float(u["data_bits"]),
-                                 cycles=float(u["cycles"])),
-                       weight=float(u["weight"]),
-                       f_local_max=float(u["f_local_max"]),
-                       p_max=float(u["p_max"]), kappa=float(u["kappa"]),
-                       v=float(u["v"])) for u in data["ues"])
+    ues = tuple(_ue_from_dict(u, {}) for u in data["ues"])
     return Scenario(ues=ues, mecs=mecs, radio=radio,
                     area_m=float(data["area_m"]),
                     rng_seed=int(data["rng_seed"]))
 
 
-@dataclass
-class SaeSection:
-    dims: list[int] | None = None
-    out_dim: int | None = None
-    gamma1: float = 0.5
-    gamma2: float = 0.08
-    t_sae: int = 500
-    memory: int = 4096
-    threshold: float = 0.01
-    batch: int = 32
-    lr: float = 1e-3
-    activation: str = "sigmoid"
-    sync_period: int = 200
-    refresh_iters: int = 20
-    pretrain_samples: int = 2000
-
-
-@dataclass
-class DrlSection:
-    dims: list[int] | None = None
-    lambda_reg: float = 0.02
-    t_drl: int = 3000
-    phi: int = 10
-    batch: int = 64
-    lr: float = 1e-3
-    hidden_activation: str = "relu"
-    weight_shift_epoch: int | None = None
-    search: str = "asa"
-    replay_mode: str = "prioritized"
-    epsilon_greedy: float = 0.0
-    checkpoint_interval: int = 0
+def _at_least_one(obj, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass
@@ -310,6 +273,9 @@ class BenchSection:
     with_oracle: bool = False
     pso: PsoConfig = field(default_factory=PsoConfig)
 
+    def __post_init__(self) -> None:
+        _at_least_one(self, "n_channels", "asa_budget")
+
 
 @dataclass
 class DynamicSection:
@@ -318,14 +284,20 @@ class DynamicSection:
     out_dim: int | None = None
     accuracy_samples: int = 200
 
+    def __post_init__(self) -> None:
+        _at_least_one(self, "nrr_stride", "accuracy_samples")
+        if not self.mec_counts or min(self.mec_counts) < 1:
+            raise ValueError(f"mec_counts {self.mec_counts} must be a "
+                             "non-empty list of counts of at least 1")
+
 
 @dataclass
 class ExperimentConfig:
     seed: int = 1
     out: str | None = None
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
-    sae: SaeSection = field(default_factory=SaeSection)
-    drl: DrlSection = field(default_factory=DrlSection)
+    sae: AutoencoderConfig = field(default_factory=AutoencoderConfig)
+    drl: AgentConfig = field(default_factory=AgentConfig)
     asa: AnnealConfig = field(default_factory=AnnealConfig)
     replay: ReplayConfig = field(default_factory=ReplayConfig)
     bench: BenchSection = field(default_factory=BenchSection)

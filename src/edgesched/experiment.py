@@ -12,17 +12,17 @@ mid-run workload shift.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .agent import (AgentConfig, RunResult, SeedBundle, run, write_epoch_csv,
                     write_timings_csv)
-from .autoencoder import AutoencoderConfig, ChannelCompressor, default_dims
+from .autoencoder import ChannelCompressor
 from .bench import BenchReport, PsoConfig, nrr, pso_oracle, run_benchmark, write_bench_csv
-from .config import (DrlSection, ExperimentConfig, build_scenario,
-                     dump_scenario, load_scenario)
+from .config import (ExperimentConfig, build_scenario, dump_scenario,
+                     load_scenario)
 from .mec import Scenario, sample_channel_state
 from .neural import Network, load_checkpoint, save_checkpoint, write_csv
 
@@ -52,36 +52,16 @@ class TrainArtifacts:
     sae_trace: list[float] | None = None
 
 
-def autoencoder_config(cfg: ExperimentConfig, n_ues: int,
-                       n_mecs: int) -> AutoencoderConfig:
-    sae = cfg.sae
-    dims = sae.dims or default_dims(n_ues, n_mecs, sae.out_dim)
-    if dims[0] != n_ues * n_mecs:
-        raise ValueError(f"sae dims {dims} do not start at N*M = {n_ues * n_mecs}")
-    knobs = {f.name: getattr(sae, f.name) for f in fields(AutoencoderConfig)
-             if f.name != "dims"}
-    return AutoencoderConfig(dims=list(dims), **knobs)
-
-
-def agent_config(drl: DrlSection, state_dim: int, n_ues: int,
+def agent_config(drl: AgentConfig, state_dim: int, n_ues: int,
                  n_mecs: int) -> AgentConfig:
+    """``drl`` itself, once its ``dims`` fit the encoded state and the head."""
     head = n_ues * (n_mecs + 1)
-    shape = {}  # unset dims keep AgentConfig's default hidden layers
-    if drl.dims is not None:
-        dims = list(drl.dims)
-        if len(dims) < 2 or dims[0] != state_dim or dims[-1] != head:
-            raise ValueError(
-                f"drl dims {dims} must run from the encoded state size "
-                f"{state_dim} to the policy head {head}")
-        shape["hidden_dims"] = dims[1:-1]
-    return AgentConfig(lambda_reg=drl.lambda_reg,
-                       t_drl=drl.t_drl, train_interval=drl.phi,
-                       batch=drl.batch, lr=drl.lr,
-                       hidden_activation=drl.hidden_activation,
-                       weight_shift_epoch=drl.weight_shift_epoch,
-                       search=drl.search, replay_mode=drl.replay_mode,
-                       epsilon_greedy=drl.epsilon_greedy,
-                       checkpoint_interval=drl.checkpoint_interval, **shape)
+    if drl.dims is not None and (drl.dims[0] != state_dim
+                                 or drl.dims[-1] != head):
+        raise ValueError(
+            f"drl dims {drl.dims} must run from the encoded state size "
+            f"{state_dim} to the policy head {head}")
+    return drl
 
 
 def pretrain_compressor(cfg: ExperimentConfig, scenario: Scenario,
@@ -89,13 +69,12 @@ def pretrain_compressor(cfg: ExperimentConfig, scenario: Scenario,
                                                     np.random.Generator,
                                                     list[float]]:
     """Build the compressor and pretrain it on a dedicated channel stream."""
-    ae_cfg = autoencoder_config(cfg, scenario.n_ues, scenario.n_mecs)
     sae_rng = np.random.default_rng(seeds.sae)
-    comp = ChannelCompressor(ae_cfg, scenario.n_ues, scenario.n_mecs,
+    comp = ChannelCompressor(cfg.sae, scenario.n_ues, scenario.n_mecs,
                              rng=sae_rng)
     mats = [sample_channel_state(scenario, PRETRAIN_EPOCH_BASE + i,
                                  seeds.channel).gains
-            for i in range(ae_cfg.pretrain_samples)]
+            for i in range(cfg.sae.pretrain_samples)]
     trace = comp.pretrain(mats, sae_rng)
     return comp, sae_rng, trace
 
@@ -213,7 +192,7 @@ def _dynamic_row(cfg: ExperimentConfig, m: int) -> dict:
     sae_cfg = replace(cfg.sae, dims=None, out_dim=out_dim)
     drl_cfg = replace(cfg.drl,
                       weight_shift_epoch=cfg.drl.weight_shift_epoch
-                      or cfg.drl.t_drl // 2)
+                      or max(1, cfg.drl.t_drl // 2))
     sub = replace(cfg, scenario=scen_cfg, sae=sae_cfg, drl=drl_cfg)
     art = train_experiment(sub)
     comp = art.compressor

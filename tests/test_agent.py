@@ -30,7 +30,7 @@ def identity_compressor(n, m):
 def quick_run(n=4, m=2, t_drl=25, master=9, **cfg_kw):
     scen = random_scenario(n, m, rng_seed=3, weights=(0.5, 2.0))
     seeds = SeedBundle.from_master(master)
-    cfg = AgentConfig(hidden_dims=[16], t_drl=t_drl, train_interval=5,
+    cfg = AgentConfig(dims=[n * m, 16, n * (m + 1)], t_drl=t_drl, phi=5,
                       batch=8, **cfg_kw)
     res = run(scen, identity_compressor(n, m), cfg, AnnealConfig(t_sa_init=4),
               ReplayConfig(capacity=64), seeds)
@@ -355,7 +355,7 @@ class TestRun:
     def test_checkpoints_written(self, tmp_path):
         scen = random_scenario(3, 2, rng_seed=1)
         seeds = SeedBundle.from_master(2)
-        cfg = AgentConfig(hidden_dims=[8], t_drl=9, train_interval=3,
+        cfg = AgentConfig(dims=[6, 8, 9], t_drl=9, phi=3,
                           batch=4, checkpoint_interval=4)
         run(scen, identity_compressor(3, 2), cfg, AnnealConfig(t_sa_init=2),
             ReplayConfig(capacity=16), seeds, out_dir=tmp_path)

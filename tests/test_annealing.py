@@ -132,7 +132,7 @@ class TestBudget:
         assert adapt_budget(BudgetState(1), 0.0, cfg).budget == 1
 
     def test_cap_at_max(self):
-        cfg = AnnealConfig(epsilon=0.02, t_sa_max=10)
+        cfg = AnnealConfig(epsilon=0.02, t_sa_init=10, t_sa_max=10)
         assert adapt_budget(BudgetState(10), 5.0, cfg).budget == 10
 
     def test_deterministic_decay_sequence(self):
@@ -283,8 +283,8 @@ class TestSearchMatchesReference:
         def desk_run(path):
             n, m = 10, 2
             scen = random_scenario(n, m, rng_seed=3, weights=(0.5, 2.0))
-            cfg = agent.AgentConfig(hidden_dims=[32], t_drl=300,
-                                    train_interval=10, batch=16)
+            cfg = agent.AgentConfig(dims=[n * m, 32, n * (m + 1)], t_drl=300,
+                                    phi=10, batch=16)
             res = agent.run(scen, identity_compressor(n, m), cfg,
                             AnnealConfig(), ReplayConfig(capacity=128),
                             agent.SeedBundle.from_master(1))

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import yaml
 
+from edgesched.agent import AgentConfig
+from edgesched.autoencoder import AutoencoderConfig
 from edgesched.config import (ExperimentConfig, ScenarioConfig, build_scenario,
                               config_from_dict, dump_scenario, load_config,
                               load_scenario, override, scenario_to_dict)
@@ -278,6 +280,93 @@ class TestLoader:
         scen = build_scenario(cfg.scenario, fallback_seed=cfg.seed)
         assert scen.ues[0].task.data_bits == 8e5
         assert scen.mecs[0].f_max == 4e9
+
+
+# The keys each section accepts, written out so that a renamed, added or
+# dropped dataclass field shows up as a changed config key.
+ACCEPTED_KEYS = {
+    "scenario": ["n_ues", "n_mecs", "area_m", "mec_positions",
+                 "bandwidth_hz", "noise_w", "beta0", "p_ue_max_w",
+                 "min_distance_m", "fading", "weights", "f_local_max",
+                 "f_mec_max", "kappa", "v", "rng_seed", "ues", "file",
+                 "task", "radio", "mecs"],
+    "scenario.task": ["data_bits", "cycles"],
+    "scenario.radio": ["bandwidth_hz", "noise_w", "beta0", "min_distance_m",
+                       "fading"],
+    "sae": ["dims", "out_dim", "gamma1", "gamma2", "t_sae", "memory",
+            "threshold", "batch", "lr", "activation", "sync_period",
+            "refresh_iters", "pretrain_samples"],
+    "drl": ["dims", "lambda_reg", "lambda", "t_drl", "phi", "batch", "lr",
+            "hidden_activation", "weight_shift_epoch", "search",
+            "replay_mode", "epsilon_greedy", "checkpoint_interval"],
+    "asa": ["t0", "phi_cool", "t_sa_init", "t_sa", "epsilon", "t_sa_max"],
+    "replay": ["capacity", "rho_max", "tau", "eps"],
+    "bench": ["n_channels", "asa_budget", "with_oracle", "pso"],
+    "bench.pso": ["particles", "iters", "inertia", "cognitive", "social"],
+    "dynamic": ["mec_counts", "nrr_stride", "out_dim", "accuracy_samples"],
+}
+# a valid value for the keys that are no field of their section
+NON_FIELD_VALUES = {"drl.lambda": 0.02, "asa.t_sa": 20, "scenario.task": {},
+                    "scenario.radio": {},
+                    "scenario.mecs": [{"position": [5, 5]}]}
+
+
+class TestAcceptedKeys:
+    def test_pinned_sections_are_all_sections(self):
+        assert sorted(ACCEPTED_KEYS) == sorted(SECTIONS)
+
+    @pytest.mark.parametrize("path", sorted(ACCEPTED_KEYS))
+    def test_section_accepts_exactly_its_pinned_keys(self, path):
+        defaults = section_defaults(path)
+        for key in ACCEPTED_KEYS[path]:
+            value = NON_FIELD_VALUES.get(f"{path}.{key}", defaults.get(key))
+            config_from_dict(nest(path, {key: value}))
+        assert set(defaults) <= set(ACCEPTED_KEYS[path])
+
+    def test_runtime_configs_are_the_sections(self):
+        cfg = ExperimentConfig()
+        assert type(cfg.drl) is AgentConfig
+        assert type(cfg.sae) is AutoencoderConfig
+        loaded = config_from_dict({"drl": {"phi": 4, "dims": [8, 30, 12]},
+                                   "sae": {"out_dim": 5}})
+        assert loaded.drl == AgentConfig(phi=4, dims=[8, 30, 12])
+        assert loaded.sae == AutoencoderConfig(out_dim=5)
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("doc, key", [
+        ({"drl": {"search": "hillclimb"}}, "search"),
+        ({"drl": {"replay_mode": "none"}}, "replay_mode"),
+        ({"drl": {"t_drl": 0}}, "t_drl"),
+        ({"drl": {"phi": 0}}, "phi"),
+        ({"drl": {"batch": 0}}, "batch"),
+        ({"drl": {"dims": [8]}}, "dims"),
+        ({"drl": {"t_drl": 40, "weight_shift_epoch": 500}},
+         "weight_shift_epoch"),
+        ({"drl": {"weight_shift_epoch": 0}}, "weight_shift_epoch"),
+        ({"sae": {"dims": [10, 12]}}, "dims"),
+        ({"sae": {"memory": 0}}, "memory"),
+        ({"asa": {"t_sa": 300}}, "t_sa_init"),
+        ({"asa": {"t_sa_init": 101}}, "t_sa_init"),
+        ({"bench": {"n_channels": 0}}, "n_channels"),
+        ({"bench": {"asa_budget": 0}}, "asa_budget"),
+        ({"dynamic": {"nrr_stride": 0}}, "nrr_stride"),
+        ({"dynamic": {"accuracy_samples": 0}}, "accuracy_samples"),
+        ({"dynamic": {"mec_counts": []}}, "mec_counts"),
+        ({"dynamic": {"mec_counts": [2, 0]}}, "mec_counts")])
+    def test_bad_value_names_its_section_and_key(self, doc, key):
+        section = next(iter(doc))
+        with pytest.raises(ValueError, match=rf"^{section}: .*\b{key}\b"):
+            config_from_dict(doc)
+
+    def test_budget_may_start_at_its_cap(self):
+        cfg = config_from_dict({"asa": {"t_sa": 100, "t_sa_max": 100}})
+        assert cfg.asa.t_sa_init == cfg.asa.t_sa_max == 100
+
+    def test_shift_may_fall_on_the_last_epoch(self):
+        cfg = config_from_dict({"drl": {"t_drl": 40,
+                                        "weight_shift_epoch": 40}})
+        assert cfg.drl.weight_shift_epoch == 40
 
 
 class TestScenarioEntries:

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import edgesched
 from edgesched.cli import main as cli_main
 from edgesched.config import config_from_dict
 from edgesched.experiment import (HELDOUT_EPOCH_BASE, PRETRAIN_EPOCH_BASE,
@@ -199,6 +204,32 @@ class TestCli:
         text = capsys.readouterr().out
         assert "policy" in text and "greedy" in text
 
+    def test_bench_on_trained_run_rejects_bad_drl(self, tmp_path):
+        good = ("seed: 5\n"
+                "scenario: {n_ues: 3, n_mecs: 2}\n"
+                "sae: {t_sae: 20, pretrain_samples: 30}\n"
+                "asa: {t_sa: 3}\n"
+                "bench: {n_channels: 3, asa_budget: 20}\n")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(good + "drl: {t_drl: 8, phi: 4}\n")
+        run = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg), "--out", str(run),
+                         "--quiet"]) == 0
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(good + "drl: {t_drl: 8, phi: 4, search: hillclimb}\n")
+        # bench on a complete artifact set trains nothing, so only loading
+        # the config can catch the bad value
+        src = Path(edgesched.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "edgesched.cli", "bench", "--config",
+             str(bad), "--out", str(run), "--quiet"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode != 0
+        assert "drl: unknown search mode 'hillclimb'" in proc.stderr
+        assert not (run / "bench.csv").exists()
+
     def test_inspect_rejects_unknown(self, tmp_path, capsys):
         p = tmp_path / "foo.json"
         p.write_text('{"format": "mystery"}')
@@ -206,10 +237,13 @@ class TestCli:
 
 
 def test_agent_config_hidden_layers():
-    from edgesched.agent import AgentConfig
-    from edgesched.config import DrlSection
+    from edgesched.agent import DEFAULT_HIDDEN, AgentConfig, build_policy
     from edgesched.experiment import agent_config
-    assert (agent_config(DrlSection(), 8, 4, 2).hidden_dims
-            == AgentConfig().hidden_dims)
-    explicit = agent_config(DrlSection(dims=[8, 30, 12]), 8, 4, 2)
-    assert explicit.hidden_dims == [30]
+    default = agent_config(AgentConfig(), 8, 4, 2)
+    net = build_policy(8, 4, 2, default, np.random.default_rng(0))
+    assert [s.out_dim for s in net.specs] == [*DEFAULT_HIDDEN, 12]
+    explicit = agent_config(AgentConfig(dims=[8, 30, 12]), 8, 4, 2)
+    net = build_policy(8, 4, 2, explicit, np.random.default_rng(0))
+    assert [s.out_dim for s in net.specs] == [30, 12]
+    with pytest.raises(ValueError, match="policy head 12"):
+        agent_config(AgentConfig(dims=[8, 30, 10]), 8, 4, 2)
