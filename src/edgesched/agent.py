@@ -12,7 +12,7 @@ from its own generator, so ablations do not perturb each other's streams.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -220,10 +220,8 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
         raise ValueError("policy dimensions do not match compressor/scenario")
     adam = Adam(policy, lr=cfg.lr)
     uniform = cfg.replay_mode == "uniform"
-    buffer_cfg = replay_cfg if not uniform else ReplayConfig(
-        capacity=replay_cfg.capacity, rho_max=replay_cfg.rho_max,
-        tau=0.0, eps=replay_cfg.eps)
-    buffer = ReplayBuffer(buffer_cfg, preserve=not uniform)
+    buffer = ReplayBuffer(replace(replay_cfg, tau=0.0) if uniform else replay_cfg,
+                          preserve=not uniform)
     rng_asa = np.random.default_rng(seeds.asa)
     rng_replay = np.random.default_rng(seeds.replay)
     rng_shift = np.random.default_rng(seeds.shift)

@@ -1,10 +1,11 @@
 """Exact power and CPU-frequency allocation for a fixed placement decision.
 
 Once the placement vector is fixed, the remaining latency minimisation is
-convex and separable: transmit powers sit at their caps (rates increase with
-power faster than energy constraints bite under the power model used here),
-and each MEC's frequency budget splits across its tasks by a closed-form
-KKT condition, with the budget constraint tight.
+convex and separable: transmit powers sit at their caps (no energy budget
+binds under the power model used here), and each MEC's budget is spent in
+full on its tasks, split by a closed-form KKT condition.  Inputs come from
+``Scenario.arrays``; ``Evaluator`` scores placements under this allocation,
+and ``mec.weighted_latency`` is the per-UE reference.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mec import ChannelState, OffloadDecision, Scenario, data_rate, weighted_latency
+from .mec import local_capacity  # noqa: F401  (re-exported for the tests' oracle)
 
 
 @dataclass(frozen=True)
@@ -32,27 +34,10 @@ class Allocation:
                    reward=1.0 / latency)
 
 
-def local_capacity(ue) -> float:
-    """Fastest feasible local CPU frequency under both the cap and power model.
-
-    The local power constraint p = kappa * f**v <= p_max bounds f by
-    (p_max/kappa)**(1/v); the hardware cap f_local_max applies on top.
-    """
-    cap = min(ue.f_local_max, (ue.p_max / ue.kappa) ** (1.0 / ue.v))
-    if cap <= 0:
-        raise ValueError("local capacity must be positive")
-    return cap
-
-
 def max_power_assignment(scenario: Scenario, decision: OffloadDecision) -> np.ndarray:
     """Per-UE power: transmit cap when offloading, local CPU power otherwise."""
-    powers = np.empty(scenario.n_ues)
-    for i, ue in enumerate(scenario.ues):
-        if decision.assign[i] > 0:
-            powers[i] = ue.p_max
-        else:
-            powers[i] = ue.kappa * local_capacity(ue) ** ue.v
-    return powers
+    arr = scenario.arrays
+    return np.where(decision.assign > 0, arr.p_max, arr.local_power)
 
 
 def allocate_frequencies(decision: OffloadDecision, scenario: Scenario) -> np.ndarray:
@@ -63,17 +48,13 @@ def allocate_frequencies(decision: OffloadDecision, scenario: Scenario) -> np.nd
     latency across served tasks and uses the budget exactly.
     """
     assign = decision.assign
-    n = scenario.n_ues
-    freqs = np.zeros(n)
-    s = np.array([np.sqrt(u.weight * u.task.cycles) for u in scenario.ues])
-    for i, ue in enumerate(scenario.ues):
-        if assign[i] == 0:
-            freqs[i] = local_capacity(ue)
-    for j, mec in enumerate(scenario.mecs, start=1):
+    arr = scenario.arrays
+    freqs = np.where(assign == 0, arr.local_cap, 0.0)
+    for j, f_max in enumerate(arr.f_mec, start=1):
         members = np.flatnonzero(assign == j)
-        if members.size == 0:
-            continue
-        freqs[members] = mec.f_max * s[members] / s[members].sum()
+        if members.size:
+            s = arr.sqrt_wf[members]
+            freqs[members] = f_max * s / s.sum()
     return freqs
 
 
@@ -89,51 +70,39 @@ def evaluate(decision: OffloadDecision, scenario: Scenario,
 class Evaluator:
     """Vectorised decision scoring bound to one (scenario, channel) pair.
 
-    Search loops score thousands of candidate placements against the same
-    channel draw, so the pieces that do not depend on the placement (rates at
-    max power, local latencies, sqrt(w*F) terms) are precomputed once.  The
-    optimal per-MEC split makes each MEC's weighted computation time equal to
-    (sum of sqrt(w_i*F_i))^2 / f_max, which is what ``latency_of`` uses.
+    Built once per draw: ``rates`` at max power and the (N, M+1) ``cost``
+    table, column 0 each UE's weighted local latency w*F/f_local and column j
+    its weighted upload time w*D/r_j to MEC j.  Under the optimal split MEC j
+    computes for load_j^2 / f_j, load_j the sum of its sqrt(w_i*F_i), so one
+    kernel behind ``latency_of`` and ``latencies`` gathers from ``cost`` and
+    bincounts the loads.
     """
 
     def __init__(self, scenario: Scenario, channel: ChannelState):
-        radio = scenario.radio
-        ues = scenario.ues
-        self.n = scenario.n_ues
-        self.m = scenario.n_mecs
-        w = np.array([u.weight for u in ues])
-        cycles = np.array([u.task.cycles for u in ues])
-        bits = np.array([u.task.data_bits for u in ues])
-        p_max = np.array([u.p_max for u in ues])
-        self.local_cap = np.array([local_capacity(u) for u in ues])
-        self.local_lat = w * cycles / self.local_cap
-        self.rates = data_rate(radio.bandwidth_hz, p_max[:, None],
+        arr, radio = scenario.arrays, scenario.radio
+        self.n, self.m = scenario.n_ues, scenario.n_mecs
+        self.s, self.f_mec = arr.sqrt_wf, arr.f_mec
+        self.rates = data_rate(radio.bandwidth_hz, arr.p_max[:, None],
                                channel.gains, radio.noise_w)
-        self.upload_lat = (w * bits)[:, None] / self.rates
-        self.s = np.sqrt(w * cycles)
-        self.f_mec = np.array([m.f_max for m in scenario.mecs])
+        self.cost = np.column_stack([arr.weight * arr.cycles / arr.local_cap,
+                                     (arr.weight * arr.data_bits)[:, None]
+                                     / self.rates])
         self._rows = np.arange(self.n)
+
+    def _score(self, assigns: np.ndarray) -> np.ndarray:
+        # row sums run pairwise over C-ordered rows, whatever the batch size
+        assigns = np.ascontiguousarray(assigns)
+        b, width = assigns.shape[0], self.m + 1
+        total = self.cost[self._rows, assigns].sum(axis=1)
+        bins = (assigns + width * np.arange(b)[:, None]).ravel()
+        loads = np.bincount(bins, weights=np.tile(self.s, b),
+                            minlength=b * width).reshape(b, width)[:, 1:]
+        return total + (loads * loads / self.f_mec).sum(axis=1)
 
     def latency_of(self, assign: np.ndarray) -> float:
         """Weighted latency of one placement vector (length N, values 0..M)."""
-        off = assign > 0
-        total = float(self.local_lat[~off].sum())
-        if off.any():
-            cols = assign[off] - 1
-            total += float(self.upload_lat[self._rows[off], cols].sum())
-            loads = np.bincount(cols, weights=self.s[off], minlength=self.m)
-            total += float((loads * loads / self.f_mec).sum())
-        return total
+        return float(self._score(np.asarray(assign)[None])[0])
 
     def latencies(self, assigns: np.ndarray) -> np.ndarray:
         """Weighted latencies for a (B, N) batch of placement vectors."""
-        assigns = np.asarray(assigns)
-        off = assigns > 0
-        total = (self.local_lat[None, :] * ~off).sum(axis=1)
-        cols = np.clip(assigns - 1, 0, self.m - 1)
-        up = self.upload_lat[self._rows[None, :], cols]
-        total += (up * off).sum(axis=1)
-        onehot = off[:, :, None] & (cols[:, :, None] == np.arange(self.m)[None, None, :])
-        loads = (onehot * self.s[None, :, None]).sum(axis=1)
-        total += (loads * loads / self.f_mec[None, :]).sum(axis=1)
-        return total
+        return self._score(assigns)

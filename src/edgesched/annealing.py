@@ -15,8 +15,8 @@ stream: for B iterations over N genes and M MECs it draws, in order,
 ``rng.integers(0, N*M, B)`` (the forced change when no gene changed, decoded
 as ``divmod(pick, M)``) and ``rng.random(B)`` (Boltzmann uniforms u).  A
 candidate is scored by delta over its changed genes, as a running sum of
-``[local_lat | upload_lat]`` entries plus sum_j load_j^2 / f_j over running
-MEC loads, and accepted iff its score rise D has D <= 0 or exp(-D/T) > u.
+``Evaluator.cost`` entries plus sum_j load_j^2 / f_j over running MEC
+loads, and accepted iff its score rise D has D <= 0 or exp(-D/T) > u.
 Only a candidate that beats the best is scored with ``latency_of``.
 
 Contract: one seed gives one decision, objective, trace and generator state;
@@ -138,7 +138,7 @@ def search(initial: OffloadDecision, scenario: Scenario, channel: ChannelState,
     boltzmann = rng.random(budget).tolist()
 
     keep_p = keep_table(channel.gains).tolist()
-    cost = np.column_stack([ev.local_lat, ev.upload_lat]).tolist()
+    cost = ev.cost.tolist()
     s, f = ev.s.tolist(), ev.f_mec.tolist()
     a = initial.assign.tolist()  # current placement
     run_sum = sum(cost[i][v] for i, v in enumerate(a))
@@ -175,17 +175,12 @@ def search(initial: OffloadDecision, scenario: Scenario, channel: ChannelState,
 def random_search(initial: OffloadDecision, scenario: Scenario,
                   channel: ChannelState, budget: int, rng: np.random.Generator,
                   evaluator: Evaluator | None = None) -> SearchResult:
-    """Ablation baseline: same budget, but uniform redraws of the whole vector."""
+    """Ablation baseline: same budget, uniform redraws scored in one batch."""
     ev = evaluator if evaluator is not None else Evaluator(scenario, channel)
-    best = initial.assign.copy()
-    f_best = ev.latency_of(best)
-    trace = [f_best]
-    n = best.shape[0]
-    for _ in range(budget):
-        cand = rng.integers(0, ev.m + 1, size=n)
-        f_cand = ev.latency_of(cand)
-        if f_cand < f_best:
-            best, f_best = cand, f_cand
-        trace.append(f_best)
-    return SearchResult(decision=OffloadDecision(assign=best, n_mecs=ev.m),
-                        objective=f_best, trace=tuple(trace))
+    cands = np.stack([initial.assign] + [rng.integers(0, ev.m + 1, size=ev.n)
+                                         for _ in range(budget)])
+    lat = ev.latencies(cands)
+    k = int(np.argmin(lat))
+    return SearchResult(decision=OffloadDecision(assign=cands[k], n_mecs=ev.m),
+                        objective=float(lat[k]),
+                        trace=tuple(np.minimum.accumulate(lat).tolist()))

@@ -43,7 +43,8 @@ class AutoencoderConfig:
     decoder mirrors them.  A single-entry list means no compression at all:
     the compressor becomes an identity map over the normalised raster vector.
     ``None`` leaves the layout to ``default_dims`` with output ``out_dim``,
-    resolved by the compressor once it knows N and M.
+    resolved by the compressor once it knows N and M.  Given both, ``out_dim``
+    must equal ``dims[-1]``.
     """
 
     dims: list[int] | None = None
@@ -69,6 +70,9 @@ class AutoencoderConfig:
             if len(self.dims) > 1 and self.dims[-1] >= self.dims[0]:
                 raise ValueError(f"dims {self.dims}: encoder output must be "
                                  "smaller than its input")
+            if self.out_dim is not None and self.out_dim != self.dims[-1]:
+                raise ValueError(f"out_dim {self.out_dim} disagrees with the "
+                                 f"encoder output of dims {self.dims}")
         if self.memory <= 0:
             raise ValueError(f"memory capacity must be positive, got {self.memory}")
 
@@ -205,8 +209,8 @@ class ChannelCompressor:
 
     def __init__(self, cfg: AutoencoderConfig, n_ues: int, n_mecs: int,
                  rng: np.random.Generator | None = None):
-        cfg = replace(cfg, dims=list(cfg.dims or default_dims(n_ues, n_mecs,
-                                                              cfg.out_dim)))
+        dims = list(cfg.dims or default_dims(n_ues, n_mecs, cfg.out_dim))
+        cfg = replace(cfg, dims=dims, out_dim=dims[-1])
         if cfg.dims[0] != n_ues * n_mecs:
             raise ValueError(f"encoder dims {cfg.dims} do not start at "
                              f"N * M = {n_ues * n_mecs}")

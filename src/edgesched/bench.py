@@ -20,7 +20,7 @@ from .agent import EpochLog, decide
 from .allocator import Evaluator
 from .annealing import AnnealConfig, BudgetState, SearchResult, search
 from .autoencoder import ChannelCompressor
-from .mec import ChannelState, OffloadDecision, Scenario, distance_matrix, sample_channel_state
+from .mec import ChannelState, OffloadDecision, Scenario, sample_channel_state
 from .neural import Network, write_csv
 
 logger = logging.getLogger(__name__)
@@ -39,20 +39,18 @@ def greedy_baseline(scenario: Scenario, channel: ChannelState) -> OffloadDecisio
     execution.  Channel gains only enter through the upload time at max
     power; weights cancel out of the per-UE comparison.
     """
-    ev = Evaluator(scenario, channel)
-    dist = distance_matrix(scenario)
-    assign = dist.argmin(axis=1) + 1
-    cycles = np.array([u.task.cycles for u in scenario.ues])
-    bits = np.array([u.task.data_bits for u in scenario.ues])
-    for j in range(1, scenario.n_mecs + 1):
+    arr = scenario.arrays
+    rates = Evaluator(scenario, channel).rates
+    assign = arr.distances.argmin(axis=1) + 1
+    for j, f_max in enumerate(arr.f_mec, start=1):
         members = list(np.flatnonzero(assign == j))
         while members:
-            share = scenario.mecs[j - 1].f_max / len(members)
-            remote = bits[members] / ev.rates[members, j - 1] + cycles[members] / share
-            local = cycles[members] / ev.local_cap[members]
-            if np.all(remote <= local):
+            cycles = arr.cycles[members]
+            remote = (arr.data_bits[members] / rates[members, j - 1]
+                      + cycles / (f_max / len(members)))
+            if np.all(remote <= cycles / arr.local_cap[members]):
                 break
-            worst = members[int(np.argmax(cycles[members]))]
+            worst = members[int(np.argmax(cycles))]
             assign[worst] = 0
             members.remove(worst)
     return OffloadDecision(assign=assign, n_mecs=scenario.n_mecs)
@@ -102,7 +100,6 @@ def pso_oracle(scenario: Scenario, channel: ChannelState, cfg: PsoConfig,
     pbest_f = fit.copy()
     g = int(np.argmin(fit))
     gbest_x, gbest_f = x[g].copy(), float(fit[g])
-    gbest_a = decoded(x[g])
     for _ in range(cfg.iters):
         r1 = rng.random((cfg.particles, n))
         r2 = rng.random((cfg.particles, n))
@@ -119,8 +116,7 @@ def pso_oracle(scenario: Scenario, channel: ChannelState, cfg: PsoConfig,
         if pbest_f[g] < gbest_f:
             gbest_f = float(pbest_f[g])
             gbest_x = pbest_x[g].copy()
-            gbest_a = decoded(pbest_x[g])
-    return OffloadDecision(assign=gbest_a, n_mecs=m), gbest_f
+    return OffloadDecision(assign=decoded(gbest_x), n_mecs=m), gbest_f
 
 
 def exhaustive_best(scenario: Scenario, channel: ChannelState,
@@ -131,18 +127,11 @@ def exhaustive_best(scenario: Scenario, channel: ChannelState,
     total = (m + 1) ** n
     if total > 2_000_000:
         raise ValueError("decision space too large to enumerate")
-    grids = np.meshgrid(*([np.arange(m + 1)] * n), indexing="ij")
-    assigns = np.stack([g.ravel() for g in grids], axis=1)
-    best_f = np.inf
-    best = assigns[0]
-    for start in range(0, total, 65536):
-        chunk = assigns[start:start + 65536]
-        lat = ev.latencies(chunk)
-        k = int(np.argmin(lat))
-        if lat[k] < best_f:
-            best_f = float(lat[k])
-            best = chunk[k]
-    return best.copy(), best_f
+    assigns = np.indices((m + 1,) * n).reshape(n, -1).T
+    lat = np.concatenate([ev.latencies(assigns[start:start + 65536])
+                          for start in range(0, total, 65536)])
+    k = int(np.argmin(lat))
+    return assigns[k].copy(), float(lat[k])
 
 
 def nrr(inferred_reward: float, optimal_reward: float) -> float:
@@ -224,36 +213,30 @@ def run_benchmark(scenario: Scenario, policy: Network | None,
     lat: dict[str, list[float]] = {k: [] for k in names + ["oracle"]}
     tim: dict[str, list[float]] = {k: [] for k in names + ["oracle"]}
     ratio: dict[str, list[float]] = {k: [] for k in names}
+
+    def timed(name, strategy, *args, **kwargs):
+        tic = time.perf_counter()
+        out = strategy(*args, **kwargs)
+        tim[name].append(time.perf_counter() - tic)
+        return out
+
     for k in range(n_channels):
         channel = sample_channel_state(scenario, epoch_base + k, channel_seed)
         ev = Evaluator(scenario, channel)
-
         if with_policy:
-            tic = time.perf_counter()
-            state = compressor.encode_channel(channel)
-            dec_policy = decide(policy, state.vector, n, m)
-            tim["policy"].append(time.perf_counter() - tic)
-            lat["policy"].append(ev.latency_of(dec_policy.assign))
-
-        tic = time.perf_counter()
-        dec = greedy_baseline(scenario, channel)
-        tim["greedy"].append(time.perf_counter() - tic)
+            dec = timed("policy", lambda: decide(
+                policy, compressor.encode_channel(channel).vector, n, m))
+            lat["policy"].append(ev.latency_of(dec.assign))
+        dec = timed("greedy", greedy_baseline, scenario, channel)
         lat["greedy"].append(ev.latency_of(dec.assign))
-
-        tic = time.perf_counter()
-        dec = random_baseline(scenario, channel, rng)
-        tim["random"].append(time.perf_counter() - tic)
+        dec = timed("random", random_baseline, scenario, channel, rng)
         lat["random"].append(ev.latency_of(dec.assign))
-
-        tic = time.perf_counter()
-        res = asa_only(scenario, channel, asa_cfg, asa_budget, rng, evaluator=ev)
-        tim["asa"].append(time.perf_counter() - tic)
+        res = timed("asa", asa_only, scenario, channel, asa_cfg, asa_budget,
+                    rng, evaluator=ev)
         lat["asa"].append(res.objective)
-
         if pso_cfg is not None:
-            tic = time.perf_counter()
-            _, f_opt = pso_oracle(scenario, channel, pso_cfg, rng, evaluator=ev)
-            tim["oracle"].append(time.perf_counter() - tic)
+            _, f_opt = timed("oracle", pso_oracle, scenario, channel, pso_cfg,
+                             rng, evaluator=ev)
             lat["oracle"].append(f_opt)
             for name in names:
                 ratio[name].append(nrr(1.0 / lat[name][-1], 1.0 / f_opt))

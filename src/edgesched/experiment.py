@@ -19,7 +19,7 @@ import numpy as np
 
 from .agent import (AgentConfig, RunResult, SeedBundle, run, write_epoch_csv,
                     write_timings_csv)
-from .autoencoder import ChannelCompressor
+from .autoencoder import ChannelCompressor, default_dims
 from .bench import BenchReport, PsoConfig, nrr, pso_oracle, run_benchmark, write_bench_csv
 from .config import (ExperimentConfig, build_scenario, dump_scenario,
                      load_scenario)
@@ -185,7 +185,8 @@ def nrr_samples(result: RunResult, scenario_pre: Scenario,
     return pre, post
 
 
-def _dynamic_row(cfg: ExperimentConfig, m: int) -> dict:
+def _dynamic_config(cfg: ExperimentConfig, m: int) -> ExperimentConfig:
+    """The sweep's config for M = ``m``, after ``drl.dims`` is checked on it."""
     n = cfg.scenario.n_ues
     out_dim = cfg.dynamic.out_dim if cfg.dynamic.out_dim is not None else n
     scen_cfg = replace(cfg.scenario, n_mecs=m, mec_positions=None)
@@ -193,15 +194,22 @@ def _dynamic_row(cfg: ExperimentConfig, m: int) -> dict:
     drl_cfg = replace(cfg.drl,
                       weight_shift_epoch=cfg.drl.weight_shift_epoch
                       or max(1, cfg.drl.t_drl // 2))
-    sub = replace(cfg, scenario=scen_cfg, sae=sae_cfg, drl=drl_cfg)
+    scenario = build_scenario(scen_cfg, fallback_seed=cfg.seed)
+    state_dim = default_dims(scenario.n_ues, scenario.n_mecs, out_dim)[-1]
+    agent_config(drl_cfg, state_dim, scenario.n_ues, scenario.n_mecs)
+    return replace(cfg, scenario=scen_cfg, sae=sae_cfg, drl=drl_cfg)
+
+
+def _dynamic_row(sub: ExperimentConfig) -> dict:
+    m = sub.scenario.n_mecs
     art = train_experiment(sub)
     comp = art.compressor
     acc = heldout_accuracy(comp, art.scenario, art.seeds,
-                           cfg.dynamic.accuracy_samples)
+                           sub.dynamic.accuracy_samples)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(art.seeds.bench, spawn_key=(m,))))
     pre, post = nrr_samples(art.result, art.scenario, art.seeds,
-                            cfg.bench.pso, cfg.dynamic.nrr_stride, rng)
+                            sub.bench.pso, sub.dynamic.nrr_stride, rng)
     return {
         "m": m,
         "accuracy": acc,
@@ -215,8 +223,9 @@ def _dynamic_row(cfg: ExperimentConfig, m: int) -> dict:
 
 def dynamic_experiment(cfg: ExperimentConfig,
                        out_dir: str | Path | None = None) -> list[dict]:
-    """Sweep the MEC count and collect the per-M summary rows."""
-    rows = [_dynamic_row(cfg, m) for m in cfg.dynamic.mec_counts]
+    """Per-M summary rows of a MEC-count sweep; all rows are checked first."""
+    subs = [_dynamic_config(cfg, m) for m in cfg.dynamic.mec_counts]
+    rows = [_dynamic_row(sub) for sub in subs]
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -4,12 +4,14 @@ A scenario fixes N user equipments (UEs), each holding one computation task,
 and M edge servers (MECs) in a square service area.  The channel between a UE
 and a MEC follows inverse-square path loss with optional small-scale fading,
 so channel states vary per epoch while the scenario itself stays immutable.
+``Scenario.arrays`` holds the latency model's inputs, built once per scenario.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,6 +93,32 @@ class RadioParams:
             raise ValueError(f"unknown fading mode {self.fading!r}")
 
 
+def local_capacity(ue: UeSpec) -> float:
+    """Fastest feasible local CPU frequency under both the cap and power model.
+
+    The local power constraint p = kappa * f**v <= p_max bounds f by
+    (p_max/kappa)**(1/v); the hardware cap f_local_max applies on top.
+    """
+    cap = min(ue.f_local_max, (ue.p_max / ue.kappa) ** (1.0 / ue.v))
+    if cap <= 0:
+        raise ValueError("local capacity must be positive")
+    return cap
+
+
+class ModelArrays(NamedTuple):
+    """A scenario's latency-model inputs as read-only arrays."""
+
+    weight: np.ndarray       # (N,) scheduling weights
+    cycles: np.ndarray       # (N,) task CPU cycles
+    data_bits: np.ndarray    # (N,) task input sizes
+    p_max: np.ndarray        # (N,) transmit power caps
+    local_cap: np.ndarray    # (N,) local_capacity of each UE
+    local_power: np.ndarray  # (N,) kappa * local_cap**v
+    sqrt_wf: np.ndarray      # (N,) sqrt(weight * cycles)
+    f_mec: np.ndarray        # (M,) MEC frequency budgets
+    distances: np.ndarray    # (N, M) UE-to-MEC distances
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Immutable deployment: UEs, MECs, radio parameters and the service area."""
@@ -116,6 +144,30 @@ class Scenario:
     @property
     def n_mecs(self) -> int:
         return len(self.mecs)
+
+    @cached_property
+    def arrays(self) -> ModelArrays:
+        """The model's inputs, built on first use and kept for this scenario.
+
+        Capacity and power take Python's ``pow`` per UE, not numpy's ``**``.
+        """
+        ues = self.ues
+        cap = [local_capacity(u) for u in ues]
+        w = np.array([u.weight for u in ues])
+        cycles = np.array([u.task.cycles for u in ues])
+        diff = (np.array([u.position for u in ues], dtype=float)[:, None, :]
+                - np.array([m.position for m in self.mecs], dtype=float)[None])
+        arrays = ModelArrays(
+            weight=w, cycles=cycles,
+            data_bits=np.array([u.task.data_bits for u in ues]),
+            p_max=np.array([u.p_max for u in ues]), local_cap=np.array(cap),
+            local_power=np.array([u.kappa * c ** u.v for u, c in zip(ues, cap)]),
+            sqrt_wf=np.sqrt(w * cycles),
+            f_mec=np.array([m.f_max for m in self.mecs]),
+            distances=np.sqrt((diff ** 2).sum(axis=2)))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -164,11 +216,6 @@ class OffloadDecision:
         return cls(assign=np.argmax(mat, axis=1), n_mecs=mat.shape[1] - 1)
 
 
-def distance(p: Sequence[float], q: Sequence[float]) -> float:
-    """Euclidean distance between two planar points, in meters."""
-    return float(np.hypot(p[0] - q[0], p[1] - q[1]))
-
-
 def sample_fading(shape: tuple[int, ...], rng: np.random.Generator,
                   mode: str = "exponential") -> np.ndarray:
     """Draw small-scale power gains: unit-mean exponential, or all ones."""
@@ -190,14 +237,6 @@ def channel_gain(beta0: float, fading_l: float | np.ndarray,
     return beta0 * np.asarray(fading_l, dtype=float) / (r * r)
 
 
-def distance_matrix(scenario: Scenario) -> np.ndarray:
-    """UE-to-MEC distances, shape (N, M)."""
-    ue = np.array([u.position for u in scenario.ues], dtype=float)
-    mec = np.array([m.position for m in scenario.mecs], dtype=float)
-    diff = ue[:, None, :] - mec[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
-
-
 def _epoch_rng(seed: int, epoch: int, namespace: int = _CHANNEL_NS) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(namespace, epoch))
     return np.random.Generator(np.random.PCG64(ss))
@@ -214,7 +253,7 @@ def sample_channel_state(scenario: Scenario, epoch: int,
     """
     entropy = scenario.rng_seed if seed is None else seed
     rng = _epoch_rng(entropy, epoch)
-    dist = distance_matrix(scenario)
+    dist = scenario.arrays.distances
     fad = sample_fading(dist.shape, rng, scenario.radio.fading)
     gains = channel_gain(scenario.radio.beta0, fad, dist,
                          scenario.radio.min_distance_m)

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from edgesched.allocator import (Allocation, Evaluator, allocate_frequencies,
                                  evaluate, local_capacity, max_power_assignment)
 from edgesched.mec import (OffloadDecision, Task, UeSpec, random_scenario,
-                           sample_channel_state, weighted_latency)
+                           reweighted, sample_channel_state, weighted_latency)
 
 from reference import allocate_frequencies_oracle
 
@@ -179,12 +181,54 @@ class TestEvaluator:
             assert ev.latency_of(dec.assign) == pytest.approx(direct.latency,
                                                               rel=1e-12)
 
-    def test_batch_matches_loop(self):
-        scen = random_scenario(6, 3, rng_seed=2, weights=(0.5, 2.0))
+    @pytest.mark.parametrize("n, m", [(6, 3), (10, 2), (30, 5)])
+    def test_batch_matches_loop(self, n, m):
+        scen = random_scenario(n, m, rng_seed=2, weights=(0.5, 2.0))
         ch = sample_channel_state(scen, 1)
         ev = Evaluator(scen, ch)
         rng = np.random.default_rng(0)
-        batch = rng.integers(0, 4, size=(40, 6))
-        np.testing.assert_allclose(ev.latencies(batch),
-                                   [ev.latency_of(row) for row in batch],
-                                   rtol=1e-12)
+        batch = rng.integers(0, m + 1, size=(500, n))
+        rows = [ev.latency_of(row) for row in batch]
+        np.testing.assert_array_equal(ev.latencies(batch), rows)
+        # a Fortran-ordered batch sums its rows in the same order
+        np.testing.assert_array_equal(ev.latencies(np.asfortranarray(batch)),
+                                      rows)
+
+
+class TestScenarioArrays:
+    def test_read_only_and_built_once(self):
+        scen = random_scenario(5, 2, rng_seed=3, weights=(0.5, 2.0))
+        arr = scen.arrays
+        assert scen.arrays is arr
+        for a in arr:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        with pytest.raises(AttributeError):
+            arr.weight = np.ones(5)
+
+    def test_capacity_and_power_taken_per_ue(self):
+        # the power model binds here: (p_max/kappa)**(1/v) < f_local_max
+        scen = random_scenario(50, 1, rng_seed=4, p_max=0.37, kappa=3e-28,
+                               v=2.7, f_local_max=1e12)
+        caps = [local_capacity(u) for u in scen.ues]
+        assert scen.arrays.local_cap.tolist() == caps
+        assert scen.arrays.local_power.tolist() == [
+            u.kappa * c ** u.v for u, c in zip(scen.ues, caps)]
+
+    @pytest.mark.parametrize("copy", [
+        lambda s: reweighted(s, np.random.default_rng(1)),
+        lambda s: dataclasses.replace(s, ues=s.ues[::-1])],
+        ids=["reweighted", "replace"])
+    def test_copies_get_their_own_arrays(self, copy):
+        scen = random_scenario(6, 2, rng_seed=3, weights=(0.5, 2.0))
+        before = scen.arrays
+        other = copy(scen)
+        assert other.arrays is not before and scen.arrays is before
+        assert other.arrays.weight.tolist() == [u.weight for u in other.ues]
+        assert before.weight.tolist() == [u.weight for u in scen.ues]
+        ch = sample_channel_state(other, 2)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            dec = OffloadDecision(assign=rng.integers(0, 3, size=6), n_mecs=2)
+            assert Evaluator(other, ch).latency_of(dec.assign) == \
+                pytest.approx(evaluate(dec, other, ch).latency, rel=1e-12)

@@ -197,6 +197,25 @@ class TestSearch:
         assert res.objective <= ev.latency_of(initial.assign)
         assert len(res.trace) == 61
 
+    @pytest.mark.parametrize("budget", [0, 1, 60])
+    def test_random_search_matches_loop(self, budget):
+        # one batch scoring equals the draw-and-score loop, bit for bit
+        scen, ch = toy(n=7, m=3, seed=9)
+        ev = Evaluator(scen, ch)
+        initial = OffloadDecision(assign=np.full(7, 2), n_mecs=3)
+        rng, loop_rng = np.random.default_rng(4), np.random.default_rng(4)
+        res = random_search(initial, scen, ch, budget, rng)
+        best, f_best = initial.assign, ev.latency_of(initial.assign)
+        trace = [f_best]
+        for _ in range(budget):
+            cand = loop_rng.integers(0, 4, size=7)
+            if ev.latency_of(cand) < f_best:
+                best, f_best = cand, ev.latency_of(cand)
+            trace.append(f_best)
+        np.testing.assert_array_equal(res.decision.assign, best)
+        assert res.objective == f_best and res.trace == tuple(trace)
+        assert rng.random() == loop_rng.random()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AnnealConfig(t0=0.0)

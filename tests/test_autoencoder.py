@@ -47,6 +47,22 @@ class TestDims:
             AutoencoderConfig(dims=[10, 12])
         assert AutoencoderConfig(dims=[10]).identity
 
+    def test_out_dim_must_match_dims(self):
+        # dims decides the encoder, so a disagreeing out_dim was ignored
+        with pytest.raises(ValueError, match="out_dim 5"):
+            AutoencoderConfig(dims=[20, 10], out_dim=5)
+
+    @pytest.mark.parametrize("cfg, dims", [
+        (AutoencoderConfig(dims=[20, 10]), [20, 10]),
+        (AutoencoderConfig(dims=[20, 10], out_dim=10), [20, 10]),
+        (AutoencoderConfig(out_dim=5), [20, 13, 5]),
+        (AutoencoderConfig(out_dim=20), [20]),
+        (AutoencoderConfig(out_dim=40), [20])])
+    def test_either_size_setting_resolves(self, cfg, dims):
+        comp = ChannelCompressor(cfg, 10, 2, rng=np.random.default_rng(0))
+        assert comp.cfg.dims == dims
+        assert comp.out_dim == comp.cfg.out_dim == dims[-1]
+
     def test_memory_capacity_must_be_positive(self):
         # a deque with maxlen 0 would drop every sample without a word
         with pytest.raises(ValueError):

@@ -25,9 +25,8 @@ class TestGreedy:
         scen, ch = toy(f_mec_max=1e12, f_local_max=1e8)
         dec = greedy_baseline(scen, ch)
         assert np.all(dec.assign > 0)
-        from edgesched.mec import distance_matrix
         np.testing.assert_array_equal(dec.assign,
-                                      distance_matrix(scen).argmin(axis=1) + 1)
+                                      scen.arrays.distances.argmin(axis=1) + 1)
 
     def test_sheds_load_when_server_weak(self):
         # tiny MEC budget, decent local CPUs: at least one UE must fall back
@@ -45,7 +44,7 @@ class TestGreedy:
         ch = sample_channel_state(scen, 1)
         dec = greedy_baseline(scen, ch)
         ev = Evaluator(scen, ch)
-        remote = ev.upload_lat[0, 0] / ue.weight + ue.task.cycles / 1e10
+        remote = ev.cost[0, 1] / ue.weight + ue.task.cycles / 1e10
         local = ue.task.cycles / local_capacity(ue)
         assert (dec.assign[0] == 1) == (remote <= local)
 

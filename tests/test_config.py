@@ -353,7 +353,8 @@ class TestBadValues:
         ({"dynamic": {"nrr_stride": 0}}, "nrr_stride"),
         ({"dynamic": {"accuracy_samples": 0}}, "accuracy_samples"),
         ({"dynamic": {"mec_counts": []}}, "mec_counts"),
-        ({"dynamic": {"mec_counts": [2, 0]}}, "mec_counts")])
+        ({"dynamic": {"mec_counts": [2, 0]}}, "mec_counts"),
+        ({"sae": {"dims": [20, 10], "out_dim": 5}}, "out_dim")])
     def test_bad_value_names_its_section_and_key(self, doc, key):
         section = next(iter(doc))
         with pytest.raises(ValueError, match=rf"^{section}: .*\b{key}\b"):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import edgesched
+from edgesched import experiment
 from edgesched.cli import main as cli_main
 from edgesched.config import config_from_dict
 from edgesched.experiment import (HELDOUT_EPOCH_BASE, PRETRAIN_EPOCH_BASE,
@@ -142,6 +143,16 @@ class TestDynamic:
         assert lines[0] == ("m,accuracy,compression_ratio,f_best,f_avg,"
                             "s_best,s_avg")
         assert len(lines) == 3
+
+    def test_drl_dims_checked_on_every_row_before_training(self, monkeypatch):
+        # [4, 16, 8] fits M = 1 (head 4 * 2) but not M = 2 (head 12)
+        def no_training(*args, **kwargs):
+            raise AssertionError("a row trained before every row was checked")
+        monkeypatch.setattr(experiment, "train_experiment", no_training)
+        cfg = tiny_config(drl={"t_drl": 20, "phi": 5, "dims": [4, 16, 8]})
+        with pytest.raises(ValueError, match=r"drl dims \[4, 16, 8\] must run "
+                           r"from the encoded state size 4 to the policy head 12"):
+            dynamic_experiment(cfg)
 
 
 class TestCli:

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from edgesched.mec import (ChannelState, MecSpec, OffloadDecision, RadioParams,
                            Scenario, Task, UeSpec, channel_gain, data_rate,
-                           default_mec_positions, distance, distance_matrix,
-                           random_scenario, reweighted, sample_channel_state,
-                           sample_fading, weighted_latency)
+                           default_mec_positions, random_scenario,
+                           reweighted, sample_channel_state, sample_fading,
+                           weighted_latency)
 
 
 def make_scenario(n=4, m=2, seed=0, **kw):
@@ -48,13 +48,16 @@ class TestConstruction:
 
 class TestGeometry:
     def test_distance(self):
-        assert distance((0.0, 0.0), (3.0, 4.0)) == 5.0
+        scen = Scenario(ues=(UeSpec(position=(0.0, 0.0), task=Task(1e5, 1e9)),),
+                        mecs=(MecSpec(position=(3.0, 4.0)),))
+        assert scen.arrays.distances[0, 0] == 5.0
 
     def test_distance_matrix_shape_and_values(self):
         scen = make_scenario(3, 2)
-        d = distance_matrix(scen)
+        d = scen.arrays.distances
         assert d.shape == (3, 2)
-        expect = distance(scen.ues[1].position, scen.mecs[0].position)
+        (ux, uy), (mx, my) = scen.ues[1].position, scen.mecs[0].position
+        expect = np.hypot(ux - mx, uy - my)
         assert d[1, 0] == pytest.approx(expect)
 
     def test_default_layouts_scale_with_area(self):
@@ -111,7 +114,7 @@ class TestChannel:
         radio = RadioParams(fading="deterministic")
         scen = make_scenario(radio=radio)
         ch = sample_channel_state(scen, 1)
-        d = np.maximum(distance_matrix(scen), radio.min_distance_m)
+        d = np.maximum(scen.arrays.distances, radio.min_distance_m)
         np.testing.assert_allclose(ch.gains, radio.beta0 / d ** 2)
 
     def test_data_rate_formula(self):

@@ -50,6 +50,25 @@ def test_runtime_imports_no_scipy():
     assert run_probe(probe) == ["False"]
 
 
+def test_package_imports_nothing_from_the_benchmark():
+    """The benchmark checks the package against its own latency model, so
+    the package must not import ``perfbench`` or any of its modules."""
+    banned = {"perfbench"} | {p.stem for p in (ROOT / "perfbench").glob("*.py")}
+    found = []
+    for path in sorted((SRC / "edgesched").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, n) for n in names
+                      if n.split(".")[0] in banned]
+    assert {"checks", "probes", "refclock", "workload"} <= banned
+    assert found == []
+
+
 def requirement_names(requirements):
     return {re.split(r"[<>=!~;\[ ]", r, maxsplit=1)[0].lower()
             for r in requirements}
