@@ -39,7 +39,7 @@ from .mec import (ChannelState, MecSpec, OffloadDecision, RadioParams,
                   weighted_latency)
 from .neural import (Adam, LayerSpec, Network, load_checkpoint, mlp_specs,
                      save_checkpoint)
-from .replay import ReplayBuffer, ReplayConfig, Transition, dissimilarity
+from .replay import ReplayBuffer, ReplayConfig, Transition
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,7 @@ __all__ = [
     "StrategyStats", "Task", "Transition", "UeSpec", "adapt_budget",
     "allocate_frequencies", "bench_experiment",
     "build_scenario", "channel_gain", "compression_ratio", "data_rate",
-    "decide", "default_dims", "dissimilarity", "dump_scenario",
+    "decide", "default_dims", "dump_scenario",
     "dynamic_experiment", "evaluate", "exhaustive_best", "greedy_baseline",
     "load_checkpoint", "load_config", "load_scenario", "local_capacity",
     "max_power_assignment", "mlp_specs", "mutate", "nrr", "policy_loss_grads",

@@ -111,10 +111,12 @@ class EpochLog:
     buffer_size: int
     mean_priority: float
     evictions: int
-    preserve_hits: int
     decision_ms: float
     asa_ms: float
     decision: np.ndarray
+    # replay eviction is FIFO (see replay), so the count of evictions that
+    # spared the oldest sample is always 0; the epochs.csv column stays
+    preserve_hits: int = 0
 
 
 @dataclass
@@ -176,15 +178,14 @@ def policy_loss_grads(net: Network, states: np.ndarray, targets: np.ndarray,
 
 def train_step(policy: Network, adam: Adam, buffer: ReplayBuffer, batch: int,
                lam: float, rng: np.random.Generator, encoder: ChannelCompressor,
-               prev_loss: float | None = None) -> tuple[float, float, float]:
+               prev_loss: float | None = None) -> tuple[float, float]:
     """One replayed imitation step.
 
-    Returns (loss, delta_loss, theta_norm_sq): the batch loss before the
-    update, its improvement over the previous training event (0 at the first
-    event), and the post-update squared parameter norm.  The sampled raw
-    channels are encoded in one ``encoder.encode_raw`` call against its
-    current snapshot.  Priorities of the sampled transitions are refreshed
-    from the improvement.
+    Returns (loss, delta_loss): the batch loss before the update and its
+    improvement over the previous training event (0 at the first event).
+    The sampled raw channels are encoded in one ``encoder.encode_raw`` call
+    against its current snapshot.  Priorities of the sampled transitions are
+    refreshed from the improvement.
     """
     picked, idx = buffer.sample(batch, rng)
     states = encoder.encode_raw(np.stack([t.raw for t in picked]))
@@ -197,7 +198,7 @@ def train_step(policy: Network, adam: Adam, buffer: ReplayBuffer, batch: int,
     adam.step(grads)
     delta_loss = 0.0 if prev_loss is None else prev_loss - loss
     buffer.update_stats(idx, delta_loss)
-    return loss, delta_loss, policy.l2_norm_sq()
+    return loss, delta_loss
 
 
 def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
@@ -219,9 +220,9 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
     if policy.in_dim != compressor.out_dim or policy.out_dim != n * (m + 1):
         raise ValueError("policy dimensions do not match compressor/scenario")
     adam = Adam(policy, lr=cfg.lr)
-    uniform = cfg.replay_mode == "uniform"
-    buffer = ReplayBuffer(replace(replay_cfg, tau=0.0) if uniform else replay_cfg,
-                          preserve=not uniform)
+    if cfg.replay_mode == "uniform":
+        replay_cfg = replace(replay_cfg, tau=0.0)
+    buffer = ReplayBuffer(replay_cfg)
     rng_asa = np.random.default_rng(seeds.asa)
     rng_replay = np.random.default_rng(seeds.replay)
     rng_shift = np.random.default_rng(seeds.shift)
@@ -229,7 +230,6 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
     sae_rng = sae_rng or np.random.default_rng(seeds.sae)
     budget = BudgetState(asa_cfg.t_sa_init)
     prev_loss: float | None = None
-    theta_sq_now = policy.l2_norm_sq()  # parameters change only in train_step
     active = scenario
     logs: list[EpochLog] = []
     ckpt_dir = None
@@ -269,14 +269,11 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
         asa_ms = (time.perf_counter() - tic) * 1e3
 
         buffer.append(Transition(raw=channel.gains.ravel().copy(),
-                                 best_action=result.decision.assign.copy(),
-                                 theta_norm_sq=theta_sq_now,
-                                 collect_epoch=t),
-                      theta_norm_now=theta_sq_now)
+                                 best_action=result.decision.assign.copy()))
 
         loss = delta_loss = None
         if t % cfg.phi == 0 and len(buffer) > 0:
-            loss, delta_loss, theta_sq_now = train_step(
+            loss, delta_loss = train_step(
                 policy, adam, buffer, cfg.batch, cfg.lambda_reg, rng_replay,
                 encoder=compressor, prev_loss=prev_loss)
             prev_loss = loss
@@ -295,7 +292,6 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
                              buffer_size=st["size"],
                              mean_priority=st["mean_priority"],
                              evictions=st["evictions"],
-                             preserve_hits=st["preserve_hits"],
                              decision_ms=decision_ms, asa_ms=asa_ms,
                              decision=decision.assign.copy()))
         if ckpt_dir is not None and t % cfg.checkpoint_interval == 0:

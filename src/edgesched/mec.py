@@ -52,8 +52,9 @@ class UeSpec:
     def __post_init__(self) -> None:
         if self.weight <= 0:
             raise ValueError("weight must be positive")
-        if self.f_local_max <= 0 or self.p_max <= 0 or self.kappa <= 0:
-            raise ValueError("local capability parameters must be positive")
+        if min(self.f_local_max, self.p_max, self.kappa, self.v) <= 0:
+            raise ValueError("local capability parameters (f_local_max, p_max, "
+                             "kappa, v) must be positive")
 
 
 @dataclass(frozen=True)

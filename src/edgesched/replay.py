@@ -1,18 +1,24 @@
-"""Experience replay with parameter-aware eviction and prioritised sampling.
+"""Experience replay: a FIFO store with prioritised sampling.
 
-A transition holds only what was observed: the raw channel gains, the
-search's placement label, the policy's squared parameter norm and the epoch
-at collection.  No encoded state is stored; the trainer encodes each sampled
-batch on read, in one call against the current encoder snapshot.
+A transition holds only what was observed: the raw channel gains and the
+search's placement label.  No encoded state is stored; the trainer encodes
+each sampled batch on read, in one call against the current encoder snapshot.
 
-The buffer owns the numbers it ranks by: norms and priorities sit in arrays
-in store order and shift with their transitions on eviction.  The ratio of
-the current norm to a sample's stamp measures how far the policy has drifted
-since; eviction removes the oldest sample whose ratio left the band
-(1/rho_max, rho_max), and falls back to plain FIFO when none has.  A new
-sample enters at the highest stored priority, a trained one takes its
-batch's loss improvement plus eps, and sampling weights are priorities
-raised to the power tau.
+The buffer owns its priorities: they sit in an array in store order and
+shift with their transitions when the oldest one is evicted.  A new sample
+enters at the highest stored priority, a trained one takes its batch's loss
+improvement plus eps, and sampling weights are priorities raised to the
+power tau.
+
+The paper's preserved replay (2p-ER) evicts the oldest sample whose
+collection-time parameter norm lies outside a band around the current one,
+and keeps fresher samples.  Here that rule is FIFO.  Across the buffer
+window the policy's squared norm only shrinks, apart from upticks far
+smaller than the band: the ratio now/then stayed in [0.44, 1.0003] on every
+eviction of the shipped configurations, against a band of (1/1.2, 1.2).  So
+the samples outside the band form a prefix of the store, or there are none
+and the rule falls back to FIFO; either way the victim is index 0.  The band
+test and the norms it needed are therefore gone.
 """
 
 from __future__ import annotations
@@ -25,15 +31,12 @@ import numpy as np
 @dataclass(frozen=True)
 class ReplayConfig:
     capacity: int = 1024
-    rho_max: float = 1.2
     tau: float = 0.6
     eps: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if self.rho_max <= 1.0:
-            raise ValueError("rho_max must exceed 1")
         if self.tau < 0 or self.eps <= 0:
             raise ValueError("tau must be >= 0 and eps > 0")
 
@@ -44,39 +47,23 @@ class Transition:
 
     raw: np.ndarray            # flat, unnormalised gain vector
     best_action: np.ndarray    # placement vector found by the search
-    theta_norm_sq: float       # policy ||theta||^2 when collected
-    collect_epoch: int
-
-
-def dissimilarity(theta_now_sq: float, theta_then_sq: float) -> float:
-    """Parameter drift ratio between now and a sample's collection time."""
-    if theta_then_sq <= 0 or theta_now_sq <= 0:
-        raise ValueError("parameter norms must be positive")
-    return theta_now_sq / theta_then_sq
 
 
 class ReplayBuffer:
     """Bounded transition store; see the module docstring for the policy."""
 
-    def __init__(self, cfg: ReplayConfig, preserve: bool = True):
+    def __init__(self, cfg: ReplayConfig):
         self.cfg = cfg
-        self.preserve = preserve
         self._store: list[Transition] = []
-        # theta_norm_sq and priority of each stored transition, in store order
-        self._norms = np.empty(cfg.capacity)
+        # priority of each stored transition, in store order
         self._priorities = np.empty(cfg.capacity)
         self.evictions = 0
-        self.preserve_hits = 0
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def reusable(self, rho):
-        """Strict band test: 1/rho_max < rho < rho_max, elementwise on arrays."""
-        return (1.0 / self.cfg.rho_max < rho) & (rho < self.cfg.rho_max)
-
-    def append(self, transition: Transition, theta_norm_now: float) -> None:
-        """Insert a transition, evicting per the preserve policy when full.
+    def append(self, transition: Transition) -> None:
+        """Insert a transition, evicting the oldest one when full.
 
         The new sample enters at the maximum current priority so it is seen
         at least as eagerly as anything already stored.
@@ -84,34 +71,12 @@ class ReplayBuffer:
         size = len(self._store)
         priority = self._priorities[:size].max() if size else 1.0
         if size >= self.cfg.capacity:
-            victim = self._victim(theta_norm_now) if self.preserve else 0
-            if victim != 0:
-                self.preserve_hits += 1
-            self._store.pop(victim)
-            for col in (self._norms, self._priorities):
-                col[victim:size - 1] = col[victim + 1:size]
+            self._store.pop(0)
+            self._priorities[:size - 1] = self._priorities[1:size]
             self.evictions += 1
             size -= 1
         self._store.append(transition)
-        self._norms[size] = transition.theta_norm_sq
         self._priorities[size] = priority
-
-    def _victim(self, theta_norm_now: float) -> int:
-        """Oldest sample outside the reuse band, else 0 (plain FIFO).
-
-        Equivalent to scanning the store in order with ``dissimilarity`` and
-        ``reusable``, including the ValueError for a non-positive norm met
-        before the victim.
-        """
-        norms = self._norms[:len(self._store)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = theta_norm_now / norms
-        drifted = (norms <= 0) | (theta_norm_now <= 0) | ~self.reusable(rho)
-        if not drifted.any():
-            return 0
-        victim = int(np.argmax(drifted))
-        dissimilarity(theta_norm_now, float(norms[victim]))  # raises if <= 0
-        return victim
 
     def sample_probs(self) -> np.ndarray:
         weights = self._priorities[:len(self._store)] ** self.cfg.tau
@@ -136,5 +101,4 @@ class ReplayBuffer:
             "size": pri.size,
             "mean_priority": float(np.mean(pri)) if pri.size else 0.0,
             "evictions": self.evictions,
-            "preserve_hits": self.preserve_hits,
         }

@@ -188,8 +188,8 @@ def test_05_annealer_finds_toy_optima():
 def test_06_priority_sampling_law():
     t0 = time.perf_counter()
     buf = ReplayBuffer(ReplayConfig(capacity=4, tau=1.0))
-    buf.append(make_transition(0), 1.0)
-    buf.append(make_transition(1), 1.0)
+    buf.append(make_transition(0))
+    buf.append(make_transition(1))
     buf._priorities[0] = 1.0
     buf._priorities[1] = 3.0
     _, idx = buf.sample(100_000, np.random.default_rng(0))
@@ -198,7 +198,7 @@ def test_06_priority_sampling_law():
 
     flat = ReplayBuffer(ReplayConfig(capacity=8, tau=0.0))
     for e in range(5):
-        flat.append(make_transition(e), 1.0)
+        flat.append(make_transition(e))
         flat._priorities[e] = float(1 + 100 * e)
     _, idx = flat.sample(100_000, np.random.default_rng(1))
     _, p_value = sps.chisquare(np.bincount(idx, minlength=5))

@@ -156,11 +156,10 @@ class RawEncoder:
 
 
 def fill_buffer(buf, rng, n=2, m=1, count=6):
-    for e in range(count):
+    for _ in range(count):
         raw = rng.uniform(0.0, 1.0, size=n * m)
         action = rng.integers(0, m + 1, size=n)
-        buf.append(Transition(raw=raw, best_action=action,
-                              theta_norm_sq=1.0, collect_epoch=e + 1), 1.0)
+        buf.append(Transition(raw=raw, best_action=action))
 
 
 class TestTrainStep:
@@ -172,8 +171,8 @@ class TestTrainStep:
         adam = Adam(net, lr=1e-2)
         loss = None
         for _ in range(1500):
-            loss, _, _ = train_step(net, adam, buf, batch=8, lam=0.0, rng=rng,
-                                    encoder=RawEncoder(), prev_loss=loss)
+            loss, _ = train_step(net, adam, buf, batch=8, lam=0.0, rng=rng,
+                                 encoder=RawEncoder(), prev_loss=loss)
         assert loss < 0.01
         # the learned policy reproduces every stored label
         for t in buf._store:
@@ -186,10 +185,9 @@ class TestTrainStep:
         fill_buffer(buf, rng)
         net = Network(mlp_specs([2, 8, 4]), rng=rng)
         adam = Adam(net)
-        loss, delta, theta = train_step(net, adam, buf, 4, 0.02, rng,
-                                        RawEncoder(), prev_loss=None)
+        _, delta = train_step(net, adam, buf, 4, 0.02, rng, RawEncoder(),
+                              prev_loss=None)
         assert delta == 0.0
-        assert theta == pytest.approx(net.l2_norm_sq())
 
     def test_delta_is_improvement(self):
         rng = np.random.default_rng(7)
@@ -198,8 +196,8 @@ class TestTrainStep:
         net = Network(mlp_specs([2, 8, 4]), rng=rng)
         adam = Adam(net)
         enc = RawEncoder()
-        l1, _, _ = train_step(net, adam, buf, 4, 0.02, rng, enc, prev_loss=None)
-        l2, d2, _ = train_step(net, adam, buf, 4, 0.02, rng, enc, prev_loss=l1)
+        l1, _ = train_step(net, adam, buf, 4, 0.02, rng, enc, prev_loss=None)
+        l2, d2 = train_step(net, adam, buf, 4, 0.02, rng, enc, prev_loss=l1)
         assert d2 == pytest.approx(l1 - l2)
 
     def test_priorities_updated(self):
@@ -207,8 +205,8 @@ class TestTrainStep:
         buf = ReplayBuffer(ReplayConfig(capacity=8, eps=1e-3))
         fill_buffer(buf, rng, count=3)
         net = Network(mlp_specs([2, 8, 4]), rng=rng)
-        _, delta, _ = train_step(net, Adam(net), buf, 8, 0.0, rng,
-                                 RawEncoder(), prev_loss=5.0)
+        _, delta = train_step(net, Adam(net), buf, 8, 0.0, rng, RawEncoder(),
+                              prev_loss=5.0)
         touched = [p for p in buf._priorities[:len(buf)] if p != 1.0]
         assert touched
         assert touched[0] == pytest.approx(abs(delta) + 1e-3)
@@ -238,8 +236,7 @@ class TestTrainStep:
         buf = ReplayBuffer(ReplayConfig(capacity=8))
         for e in range(1, 7):
             buf.append(Transition(raw=sample_channel_state(scen, 10 + e).gains.ravel(),
-                                  best_action=rng.integers(0, m + 1, size=n),
-                                  theta_norm_sq=1.0, collect_epoch=e), 1.0)
+                                  best_action=rng.integers(0, m + 1, size=n)))
         raws = np.stack([t.raw for t in buf._store])
         before = comp.encode_raw(raws)
         # wider bounds and a refreshed net, published by the sync
@@ -251,8 +248,8 @@ class TestTrainStep:
         net = Network(mlp_specs([4, 8, n * (m + 1)]), rng=rng)
         twin = copy.deepcopy(net)
         picked, _ = buf.sample(4, np.random.default_rng(3))
-        loss, _, _ = train_step(net, Adam(net), buf, 4, 0.02,
-                                np.random.default_rng(3), comp)
+        loss, _ = train_step(net, Adam(net), buf, 4, 0.02,
+                             np.random.default_rng(3), comp)
         states = comp.encode_raw(np.stack([t.raw for t in picked]))
         targets = one_hot_target(np.stack([t.best_action for t in picked]), m)
         assert loss == policy_loss(twin, states, targets, 0.02)

@@ -4,7 +4,8 @@ import pytest
 from edgesched.autoencoder import (AutoencoderConfig, ChannelCompressor,
                                    Rasterizer, compression_ratio,
                                    default_dims, reconstruction_loss_grads)
-from edgesched.mec import random_scenario, sample_channel_state
+from edgesched.mec import (ChannelState, random_scenario,
+                           sample_channel_state)
 from edgesched.neural import Network, mlp_specs
 
 from test_neural import assert_grads_close, fd_gradients
@@ -102,21 +103,33 @@ class TestMemory:
         return ChannelCompressor(cfg, 2, 2, rng=np.random.default_rng(0))
 
     def test_fifo_capacity(self):
-        comp = self.make(memory=3, threshold=-1.0)  # admits every sample
+        comp = self.make(memory=3)
+        comp.raster.observe(np.array([[1e-9, 1e-1]]))  # fixed bounds
         for k in range(5):
-            assert comp._admit(np.full(4, float(k)))
+            gains = np.full((2, 2), 10.0 ** -(k + 2))
+            assert comp.observe_and_admit(ChannelState(gains, k))
         assert len(comp.memory) == 3
-        np.testing.assert_array_equal(np.stack(comp.memory)[:, 0],
-                                      [2.0, 3.0, 4.0])
+        np.testing.assert_allclose(np.stack(comp.memory)[:, 0],
+                                   [0.625, 0.5, 0.375])
 
-    def test_admission_threshold(self):
-        x = np.random.default_rng(1).uniform(0.2, 0.8, size=4)
-        err = rms_errors(self.make().net, x[None])[0]
-        comp = self.make(threshold=err - 1e-9)
-        assert comp._admit(x)
-        comp.cfg.threshold = err + 1e-9
-        assert not comp._admit(x)
-        assert len(comp.memory) == 1
+    def test_every_observed_channel_enters_in_order(self):
+        # each channel is stored as rasterized under the bounds seen so far
+        comp = self.make(memory=4)
+        scen = random_scenario(2, 2, rng_seed=3)
+        twin = Rasterizer()
+        expect = []
+        for e in range(1, 8):
+            ch = sample_channel_state(scen, e)
+            assert comp.observe_and_admit(ch)
+            twin.observe(ch.gains)
+            expect.append(twin.transform(ch.gains))
+        np.testing.assert_array_equal(np.stack(comp.memory), expect[-4:])
+
+    def test_identity_compressor_keeps_no_memory(self):
+        comp = ChannelCompressor(AutoencoderConfig(dims=[4]), 2, 2)
+        ch = sample_channel_state(random_scenario(2, 2, rng_seed=3), 1)
+        assert not comp.observe_and_admit(ch)
+        assert len(comp.memory) == 0 and comp.raster.lo is not None
 
 
 class TestLoss:

@@ -254,6 +254,13 @@ class TestLoader:
         with pytest.raises(ValueError, match=msg):
             config_from_dict(nest(path, {"bogus": 1}))
 
+    @pytest.mark.parametrize("path, key", [("replay", "rho_max"),
+                                           ("sae", "threshold")])
+    def test_removed_keys_fail_loudly(self, path, key):
+        msg = re.escape(f"unknown {path} keys: ['{key}']")
+        with pytest.raises(ValueError, match=msg):
+            config_from_dict(nest(path, {key: 1.2}))
+
     @pytest.mark.parametrize("key", ["data_bits", "cycles"])
     def test_task_sizes_only_under_task(self, key):
         with pytest.raises(ValueError,
@@ -294,13 +301,13 @@ ACCEPTED_KEYS = {
     "scenario.radio": ["bandwidth_hz", "noise_w", "beta0", "min_distance_m",
                        "fading"],
     "sae": ["dims", "out_dim", "gamma1", "gamma2", "t_sae", "memory",
-            "threshold", "batch", "lr", "activation", "sync_period",
-            "refresh_iters", "pretrain_samples"],
+            "batch", "lr", "activation", "sync_period", "refresh_iters",
+            "pretrain_samples"],
     "drl": ["dims", "lambda_reg", "lambda", "t_drl", "phi", "batch", "lr",
             "hidden_activation", "weight_shift_epoch", "search",
             "replay_mode", "epsilon_greedy", "checkpoint_interval"],
     "asa": ["t0", "phi_cool", "t_sa_init", "t_sa", "epsilon", "t_sa_max"],
-    "replay": ["capacity", "rho_max", "tau", "eps"],
+    "replay": ["capacity", "tau", "eps"],
     "bench": ["n_channels", "asa_budget", "with_oracle", "pso"],
     "bench.pso": ["particles", "iters", "inertia", "cognitive", "social"],
     "dynamic": ["mec_counts", "nrr_stride", "out_dim", "accuracy_samples"],

@@ -21,6 +21,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Task(data_bits=1e5, cycles=-1.0)
 
+    @pytest.mark.parametrize("v", [0.0, -1.0])
+    def test_ue_rejects_nonpositive_power_exponent(self, v):
+        with pytest.raises(ValueError, match="v\\) must be positive"):
+            UeSpec(position=(0.0, 0.0), task=Task(1e5, 1e9), v=v)
+
     def test_position_outside_area_rejected(self):
         ue = UeSpec(position=(60.0, 10.0), task=Task(1e5, 1e9))
         mec = MecSpec(position=(25.0, 25.0))
