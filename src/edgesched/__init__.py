@@ -3,8 +3,8 @@
 The package splits into a physical layer (scenarios, channels, the convex
 resource allocator), a learning stack (manual-backprop networks, the channel
 autoencoder, prioritized replay, the scheduling agent) and an evaluation
-layer (adaptive annealing search, baselines, swarm oracle, experiment
-drivers).
+layer (adaptive annealing search, baselines, an exact branch-and-bound
+oracle, experiment drivers).
 
 Importing the package caps OpenBLAS and OpenMP at one thread each, unless
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set: the arrays
@@ -26,8 +26,8 @@ from .annealing import (AnnealConfig, BudgetState, SearchResult, adapt_budget,
                         mutate, random_search, search)
 from .autoencoder import (AutoencoderConfig, ChannelCompressor, EncodedState,
                           Rasterizer, compression_ratio, default_dims)
-from .bench import (BenchReport, PsoConfig, StrategyStats, exhaustive_best,
-                    greedy_baseline, nrr, pso_oracle, random_baseline,
+from .bench import (BenchReport, OracleResult, StrategyStats, exact_oracle,
+                    exhaustive_best, greedy_baseline, nrr, random_baseline,
                     run_benchmark)
 from .config import (ExperimentConfig, ScenarioConfig, build_scenario,
                      dump_scenario, load_config, load_scenario)
@@ -47,17 +47,18 @@ __all__ = [
     "Adam", "AgentConfig", "Allocation", "AnnealConfig", "AutoencoderConfig",
     "BenchReport", "BudgetState", "ChannelCompressor", "ChannelState",
     "EncodedState", "EpochLog", "Evaluator", "ExperimentConfig", "LayerSpec",
-    "MecSpec", "Network", "OffloadDecision", "PsoConfig", "RadioParams",
+    "MecSpec", "Network", "OffloadDecision", "OracleResult", "RadioParams",
     "Rasterizer", "ReplayBuffer", "ReplayConfig", "RunResult", "Scenario",
     "ScenarioConfig", "SearchResult", "SeedBundle",
     "StrategyStats", "Task", "Transition", "UeSpec", "adapt_budget",
     "allocate_frequencies", "bench_experiment",
     "build_scenario", "channel_gain", "compression_ratio", "data_rate",
     "decide", "default_dims", "dump_scenario",
-    "dynamic_experiment", "evaluate", "exhaustive_best", "greedy_baseline",
+    "dynamic_experiment", "evaluate", "exact_oracle", "exhaustive_best",
+    "greedy_baseline",
     "load_checkpoint", "load_config", "load_scenario", "local_capacity",
     "max_power_assignment", "mlp_specs", "mutate", "nrr", "policy_loss_grads",
-    "pso_oracle", "random_baseline", "random_scenario", "random_search",
+    "random_baseline", "random_scenario", "random_search",
     "reweighted", "run", "run_benchmark", "sample_channel_state",
     "save_checkpoint", "search", "train_experiment", "train_step",
     "weighted_latency",

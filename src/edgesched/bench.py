@@ -1,15 +1,19 @@
-"""Baseline strategies, a swarm-search oracle, and benchmark reports.
+"""Baseline strategies, an exact branch-and-bound oracle, and benchmark reports.
 
-The oracle is a discrete particle swarm over placement vectors (continuous
-positions decoded by round-and-clamp).  It exists to normalise rewards:
 NRR, the normalised reward ratio, divides a strategy's reward by the oracle
-reward on the same channel draw.  Baselines are scored on identical draws so
-comparisons isolate the decision quality.
+reward on the same channel draw.  The oracle, ``exact_oracle``, starts from
+the placements it normalises, so an NRR above 1 is an error.  Its search
+proves the optimum unless it reaches ``NODE_LIMIT``.  Every measured draw
+of the default desk scenario and of the dynamic sweep's 10xM scenarios was
+proven; at 30x5, and on most 20x3 draws, the limit binds and the result is
+the best placement found, unproven (README, "The oracle", has the
+measurements).  Callers keep only the placement and its latency, so an NRR
+does not say which of the two it was taken against.  Baselines are scored
+on identical draws so comparisons isolate the decision quality.
 """
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +26,6 @@ from .annealing import AnnealConfig, BudgetState, SearchResult, search
 from .autoencoder import ChannelCompressor
 from .mec import ChannelState, OffloadDecision, Scenario, sample_channel_state
 from .neural import Network, write_csv
-
-logger = logging.getLogger(__name__)
 
 # Bench channel draws live on epoch indices far above any training run so the
 # two never share fading realisations.
@@ -74,78 +76,172 @@ def asa_only(scenario: Scenario, channel: ChannelState, cfg: AnnealConfig,
                   evaluator=evaluator)
 
 
+# Search nodes one oracle call may bound; past it the best placement found so
+# far comes back unproven.  The measured 10x2 draws were proven far below it.
+NODE_LIMIT = 2000
+# Frank-Wolfe steps per node bound; each step's bound is certified.
+_FW_ITERS = 10
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    """The oracle's placement and how far its search got.
+
+    Callers use ``decision`` and ``latency``; ``nodes`` and ``exact`` are
+    diagnostics, read by the tests that check where the search proves the
+    optimum.
+    """
+
+    decision: OffloadDecision
+    latency: float           # Evaluator.latency_of(decision.assign)
+    nodes: int               # search nodes bounded
+    exact: bool              # the search finished: latency is the optimum
+
+
+def exact_oracle(ev: Evaluator, incumbent: np.ndarray) -> OracleResult:
+    """Optimal placement by depth-first branch-and-bound.
+
+    UEs are placed largest load ``sqrt(w*F)`` first, each node's children
+    cheapest marginal cost first, and the search starts from
+    ``incumbent``'s latency.  A child is cut when its fixed cost plus every
+    undecided UE's cheapest marginal cost at the current loads reaches the
+    incumbent (MEC cost is convex in its load, so UEs that share a server
+    never cost less than alone), else when a certified Frank-Wolfe bound on
+    the undecided UEs' continuous relaxation does, as in
+    ``perfbench/checks.relaxation_bound``.  At most ``NODE_LIMIT`` nodes
+    are bounded.  Deterministic; draws nothing.
+    """
+    n, m = ev.n, ev.m
+    order = np.argsort(-ev.s, kind="stable")
+    cost, s = ev.cost[order], ev.s[order]
+    inv_f = 1.0 / ev.f_mec
+    # undecided UE i joining MEC j at load L costs solo[i, j-1] + 2 s_i L / f_j
+    solo = cost[:, 1:] + (s * s)[:, None] * inv_f
+    two_s = 2.0 * s[:, None]
+    # row j: the loads a child adds by placing the next UE on option j
+    step = np.vstack([np.zeros(m), np.eye(m)])
+    best = np.asarray(incumbent, dtype=np.int64).copy()
+    best_f = ev.latency_of(best)
+    path = np.zeros(n, dtype=np.int64)
+    nodes, stopped = 0, False
+
+    def relaxation_cut(k: int, loads: np.ndarray, fixed: float,
+                       x: np.ndarray) -> bool:
+        # Frank-Wolfe on UEs k.. from the relaxed placement x, updated in
+        # place.  At total loads t every placement costs at least
+        # fixed - L.L/f + sum_j (2 t_j L_j - t_j^2)/f_j + sum_i min_j grad_ij,
+        # which is the iterate's value minus its duality gap.
+        c, rows = cost[k:], np.arange(n - k)
+        base = fixed - loads @ (loads * inv_f)
+        grad = c.copy()
+        for _ in range(_FW_ITERS):
+            t = loads + s[k:] @ x[:, 1:]
+            tf = t * inv_f
+            x_c = np.vdot(c, x)
+            value = base + x_c + t @ tf
+            if value < best_f:
+                return False        # the relaxation's optimum is below too
+            grad[:, 1:] = c[:, 1:] + two_s[k:] * tf
+            e = grad.argmin(axis=1)
+            g = grad[rows, e].sum()
+            gap = x_c + 2.0 * (tf @ (t - loads)) - g
+            if value - gap >= best_f:
+                return True
+            d = -x
+            d[rows, e] += 1.0
+            d_s = s[k:] @ d[:, 1:]
+            curv = d_s @ (d_s * inv_f)
+            x += (1.0 if curv <= 0 else min(1.0, gap / (2.0 * curv))) * d
+        return False
+
+    def expand(k: int, loads: np.ndarray, fixed: float, x: np.ndarray) -> None:
+        # x: the node's relaxed placement of UEs k.., its children's start
+        nonlocal best, best_f, nodes, stopped
+        marg = np.concatenate([cost[k, :1], solo[k] + two_s[k] * (loads * inv_f)])
+        child_fixed = fixed + marg
+        if k + 1 == n:
+            j = int(marg.argmin())
+            if child_fixed[j] < best_f:
+                path[k] = j
+                cand = np.empty(n, dtype=np.int64)
+                cand[order] = path
+                f = ev.latency_of(cand)
+                if f < best_f:
+                    best, best_f = cand, f
+            return
+        child_loads = loads + s[k] * step
+        tail = solo[k + 1:] + two_s[None, k + 1:] * (child_loads * inv_f)[:, None]
+        bound = child_fixed + np.minimum(cost[k + 1:, 0], tail.min(axis=2)).sum(axis=1)
+        for j in np.argsort(marg, kind="stable"):
+            if bound[j] >= best_f:
+                continue
+            if stopped or nodes >= NODE_LIMIT:
+                stopped = True
+                return
+            nodes += 1
+            child_x = x[1:].copy()
+            if not relaxation_cut(k + 1, child_loads[j], child_fixed[j], child_x):
+                path[k] = j
+                expand(k + 1, child_loads[j], child_fixed[j], child_x)
+
+    start = np.zeros((n, m + 1))
+    start[np.arange(n), np.column_stack([cost[:, 0], solo]).argmin(axis=1)] = 1.0
+    expand(0, np.zeros(m), 0.0, start)
+    return OracleResult(decision=OffloadDecision(assign=best, n_mecs=m),
+                        latency=best_f, nodes=nodes, exact=not stopped)
+
+
+# PsoConfig and pso_oracle stay until the benchmark's pending edit: perfbench
+# passes ``pso_cfg=PsoConfig()`` to run_benchmark and times ``pso_oracle`` by
+# name.  The config is a field-less marker for "with oracle", the function a
+# thin adapter over ``exact_oracle``.
 @dataclass(frozen=True)
 class PsoConfig:
-    particles: int = 50
-    iters: int = 300
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
+    """Marker: ``run_benchmark(pso_cfg=PsoConfig())`` runs the oracle."""
 
 
-def pso_oracle(scenario: Scenario, channel: ChannelState, cfg: PsoConfig,
-               rng: np.random.Generator,
-               evaluator: Evaluator | None = None) -> tuple[OffloadDecision, float]:
-    """Discrete swarm search; returns the best placement and its latency."""
-    ev = evaluator if evaluator is not None else Evaluator(scenario, channel)
-    n, m = ev.n, ev.m
-    x = rng.uniform(0.0, float(m), size=(cfg.particles, n))
-    vel = rng.uniform(-1.0, 1.0, size=(cfg.particles, n))
-
-    def decoded(pos: np.ndarray) -> np.ndarray:
-        return np.clip(np.rint(pos), 0, m).astype(np.int64)
-
-    fit = ev.latencies(decoded(x))
-    pbest_x = x.copy()
-    pbest_f = fit.copy()
-    g = int(np.argmin(fit))
-    gbest_x, gbest_f = x[g].copy(), float(fit[g])
-    for _ in range(cfg.iters):
-        r1 = rng.random((cfg.particles, n))
-        r2 = rng.random((cfg.particles, n))
-        vel = (cfg.inertia * vel
-               + cfg.cognitive * r1 * (pbest_x - x)
-               + cfg.social * r2 * (gbest_x - x))
-        vel = np.clip(vel, -float(m), float(m))
-        x = np.clip(x + vel, 0.0, float(m))
-        fit = ev.latencies(decoded(x))
-        better = fit < pbest_f
-        pbest_x[better] = x[better]
-        pbest_f[better] = fit[better]
-        g = int(np.argmin(pbest_f))
-        if pbest_f[g] < gbest_f:
-            gbest_f = float(pbest_f[g])
-            gbest_x = pbest_x[g].copy()
-    return OffloadDecision(assign=decoded(gbest_x), n_mecs=m), gbest_f
+def pso_oracle(ev: Evaluator,
+               incumbent: np.ndarray) -> tuple[OffloadDecision, float]:
+    """``exact_oracle``'s placement and latency."""
+    res = exact_oracle(ev, incumbent)
+    return res.decision, res.latency
 
 
 def exhaustive_best(scenario: Scenario, channel: ChannelState,
                     evaluator: Evaluator | None = None) -> tuple[np.ndarray, float]:
-    """Enumerate all (M+1)^N placements; intended for toy sizes only."""
+    """Enumerate all (M+1)^N placements; intended for toy sizes only.
+
+    Placements are scored in blocks of codes, UE 0 the leading base-(M+1)
+    digit, so memory stays flat; the first minimum in code order wins.
+    """
     ev = evaluator if evaluator is not None else Evaluator(scenario, channel)
     n, m = ev.n, ev.m
     total = (m + 1) ** n
     if total > 2_000_000:
         raise ValueError("decision space too large to enumerate")
-    assigns = np.indices((m + 1,) * n).reshape(n, -1).T
-    lat = np.concatenate([ev.latencies(assigns[start:start + 65536])
-                          for start in range(0, total, 65536)])
-    k = int(np.argmin(lat))
-    return assigns[k].copy(), float(lat[k])
+    place = (m + 1) ** np.arange(n - 1, -1, -1)
+    best_code, best_f = 0, np.inf
+    for start in range(0, total, 4096):
+        codes = np.arange(start, min(start + 4096, total))
+        lat = ev.latencies(codes[:, None] // place % (m + 1))
+        k = int(np.argmin(lat))
+        if lat[k] < best_f:
+            best_code, best_f = start + k, float(lat[k])
+    return best_code // place % (m + 1), best_f
 
 
 def nrr(inferred_reward: float, optimal_reward: float) -> float:
-    """Normalised reward ratio, clamped to [0, 1.0001].
+    """Normalised reward ratio, in [0, 1].
 
-    Ratios above 1 mean the oracle lost to the strategy under comparison;
-    they are reported as the clamp ceiling and logged.
+    The oracle starts from every compared placement, so a ratio above 1
+    means it lost to one of them: that is a bug, and raises.
     """
     if optimal_reward <= 0:
         raise ValueError("oracle reward must be positive")
     ratio = inferred_reward / optimal_reward
     if ratio > 1.0:
-        logger.warning("NRR %.6f above 1: oracle weaker than the strategy", ratio)
-        return 1.0001
+        raise ValueError(f"NRR {ratio!r} above 1: the oracle lost to a "
+                         "strategy it started from")
     return max(ratio, 0.0)
 
 
@@ -202,9 +298,10 @@ def run_benchmark(scenario: Scenario, policy: Network | None,
     """Score the trained policy and the baselines on shared channel draws.
 
     Per draw, each strategy is timed while producing its placement and then
-    scored by the exact allocator.  With ``pso_cfg`` set, the oracle also
-    runs per draw and NRR statistics are attached.  ``policy=None`` drops
-    the policy row and benchmarks only the baselines.
+    scored by the exact allocator.  With ``pso_cfg`` set (any ``PsoConfig``),
+    ``exact_oracle`` also runs per draw, from the draw's best placement, and
+    NRR statistics are attached.  ``policy=None`` drops the policy row and
+    benchmarks only the baselines.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     n, m = scenario.n_ues, scenario.n_mecs
@@ -223,20 +320,24 @@ def run_benchmark(scenario: Scenario, policy: Network | None,
     for k in range(n_channels):
         channel = sample_channel_state(scenario, epoch_base + k, channel_seed)
         ev = Evaluator(scenario, channel)
+        placed = {}
         if with_policy:
-            dec = timed("policy", lambda: decide(
+            placed["policy"] = timed("policy", lambda: decide(
                 policy, compressor.encode_channel(channel).vector, n, m))
-            lat["policy"].append(ev.latency_of(dec.assign))
-        dec = timed("greedy", greedy_baseline, scenario, channel)
-        lat["greedy"].append(ev.latency_of(dec.assign))
-        dec = timed("random", random_baseline, scenario, channel, rng)
-        lat["random"].append(ev.latency_of(dec.assign))
+        placed["greedy"] = timed("greedy", greedy_baseline, scenario, channel)
+        placed["random"] = timed("random", random_baseline, scenario, channel,
+                                 rng)
+        for name, dec in placed.items():
+            lat[name].append(ev.latency_of(dec.assign))
         res = timed("asa", asa_only, scenario, channel, asa_cfg, asa_budget,
                     rng, evaluator=ev)
+        placed["asa"] = res.decision
         lat["asa"].append(res.objective)
         if pso_cfg is not None:
-            _, f_opt = timed("oracle", pso_oracle, scenario, channel, pso_cfg,
-                             rng, evaluator=ev)
+            # the oracle starts from the draw's best placement, so no
+            # strategy can beat it
+            first = min(names, key=lambda name: lat[name][-1])
+            _, f_opt = timed("oracle", pso_oracle, ev, placed[first].assign)
             lat["oracle"].append(f_opt)
             for name in names:
                 ratio[name].append(nrr(1.0 / lat[name][-1], 1.0 / f_opt))

@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("path", help="output YAML file")
         if name == "bench":
             p.add_argument("--oracle", action="store_true",
-                           help="include the swarm oracle and NRR columns")
+                           help="include the exact oracle and NRR columns")
 
     p = sub.add_parser("inspect-checkpoint", help="summarise a checkpoint")
     p.add_argument("path", help="checkpoint JSON file")

@@ -29,7 +29,6 @@ import yaml
 from .agent import AgentConfig
 from .annealing import AnnealConfig
 from .autoencoder import AutoencoderConfig
-from .bench import PsoConfig
 from .mec import (MecSpec, RadioParams, Scenario, Task, UeSpec,
                   default_mec_positions, random_scenario)
 from .neural import write_atomic
@@ -271,7 +270,6 @@ class BenchSection:
     n_channels: int = 100
     asa_budget: int = 200
     with_oracle: bool = False
-    pso: PsoConfig = field(default_factory=PsoConfig)
 
     def __post_init__(self) -> None:
         _at_least_one(self, "n_channels", "asa_budget")

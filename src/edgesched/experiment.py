@@ -19,8 +19,10 @@ import numpy as np
 
 from .agent import (AgentConfig, RunResult, SeedBundle, run, write_epoch_csv,
                     write_timings_csv)
+from .allocator import Evaluator
 from .autoencoder import ChannelCompressor, default_dims
-from .bench import BenchReport, PsoConfig, nrr, pso_oracle, run_benchmark, write_bench_csv
+from .bench import (BenchReport, PsoConfig, exact_oracle, nrr, run_benchmark,
+                    write_bench_csv)
 from .config import (ExperimentConfig, build_scenario, dump_scenario,
                      load_scenario)
 from .mec import Scenario, sample_channel_state
@@ -153,7 +155,7 @@ def bench_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
         cfg.asa,
         n_channels=cfg.bench.n_channels, asa_budget=cfg.bench.asa_budget,
         rng=np.random.default_rng(artifacts.seeds.bench),
-        pso_cfg=cfg.bench.pso if cfg.bench.with_oracle else None,
+        pso_cfg=PsoConfig() if cfg.bench.with_oracle else None,
         channel_seed=artifacts.seeds.channel)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -162,14 +164,14 @@ def bench_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
 
 
 def nrr_samples(result: RunResult, scenario_pre: Scenario,
-                seeds: SeedBundle, pso_cfg: PsoConfig, stride: int,
-                rng: np.random.Generator) -> tuple[list[float], list[float]]:
+                seeds: SeedBundle, stride: int) -> tuple[list[float], list[float]]:
     """NRR of the online decision at every ``stride``-th epoch.
 
     Channels are regenerated from the epoch indices; evaluation uses the
-    weights active at that epoch (pre- or post-shift scenario).  Returns the
-    pre-shift and post-shift sample lists; without a shift everything lands
-    in the first list.
+    weights active at that epoch (pre- or post-shift scenario), and the
+    oracle starts from the logged decision.  Returns the pre-shift and
+    post-shift sample lists; without a shift everything lands in the first
+    list.
     """
     shift = result.shift_epoch or (len(result.logs) + 1)
     pre: list[float] = []
@@ -179,8 +181,8 @@ def nrr_samples(result: RunResult, scenario_pre: Scenario,
             continue
         scen = scenario_pre if row.epoch < shift else result.scenario_final
         channel = sample_channel_state(scen, row.epoch, seeds.channel)
-        _, f_opt = pso_oracle(scen, channel, pso_cfg, rng)
-        value = nrr(row.reward, 1.0 / f_opt)
+        best = exact_oracle(Evaluator(scen, channel), row.decision)
+        value = nrr(row.reward, 1.0 / best.latency)
         (pre if row.epoch < shift else post).append(value)
     return pre, post
 
@@ -206,10 +208,8 @@ def _dynamic_row(sub: ExperimentConfig) -> dict:
     comp = art.compressor
     acc = heldout_accuracy(comp, art.scenario, art.seeds,
                            sub.dynamic.accuracy_samples)
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(art.seeds.bench, spawn_key=(m,))))
     pre, post = nrr_samples(art.result, art.scenario, art.seeds,
-                            sub.bench.pso, sub.dynamic.nrr_stride, rng)
+                            sub.dynamic.nrr_stride)
     return {
         "m": m,
         "accuracy": acc,

@@ -198,7 +198,7 @@ class OffloadDecision:
         a = np.asarray(self.assign, dtype=np.int64)
         if a.ndim != 1:
             raise ValueError("assign must be a length-N vector")
-        if np.any(a < 0) or np.any(a > self.n_mecs):
+        if a.size and (a.min() < 0 or a.max() > self.n_mecs):
             raise ValueError("assignments must lie in {0..M}")
         object.__setattr__(self, "assign", a)
 

@@ -254,8 +254,7 @@ def test_09_policy_decision_speedup(desk_run):
 
 def test_10_nrr_floor_and_shift_recovery(desk_run):
     cfg, art, _ = desk_run
-    pre, post = nrr_samples(art.result, art.scenario, art.seeds,
-                            cfg.bench.pso, 100, np.random.default_rng(9))
+    pre, post = nrr_samples(art.result, art.scenario, art.seeds, 100)
     best = max(pre + post)
     f_avg, s_avg = float(np.mean(pre)), float(np.mean(post))
     ok = best >= 0.95 and s_avg >= f_avg

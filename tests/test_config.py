@@ -196,9 +196,10 @@ class TestExperimentConfig:
         assert cfg.asa.t_sa_init == 33
 
     def test_pso_section(self):
-        cfg = config_from_dict({"bench": {"pso": {"particles": 10}}})
-        assert cfg.bench.pso.particles == 10
-        assert cfg.bench.pso.iters == 300
+        # the swarm oracle and its settings are gone; with_oracle is the switch
+        with pytest.raises(ValueError,
+                           match=re.escape("unknown bench keys: ['pso']")):
+            config_from_dict({"bench": {"pso": {"particles": 10}}})
 
     def test_load_config_none_is_default(self):
         assert load_config(None).seed == 1
@@ -238,7 +239,7 @@ def section_defaults(path: str) -> dict:
 
 
 SECTIONS = ["scenario", "scenario.task", "scenario.radio", "sae", "drl",
-            "asa", "replay", "bench", "bench.pso", "dynamic"]
+            "asa", "replay", "bench", "dynamic"]
 
 
 class TestLoader:
@@ -269,7 +270,7 @@ class TestLoader:
 
     @pytest.mark.parametrize("path, alias", [
         ("asa", "lambda"), ("sae", "lambda"), ("replay", "lambda"),
-        ("drl", "t_sa"), ("bench", "t_sa"), ("bench.pso", "t_sa")])
+        ("drl", "t_sa"), ("bench", "t_sa")])
     def test_alias_only_in_its_own_section(self, path, alias):
         msg = re.escape(f"unknown {path} keys: ['{alias}']")
         with pytest.raises(ValueError, match=msg):
@@ -308,8 +309,7 @@ ACCEPTED_KEYS = {
             "replay_mode", "epsilon_greedy", "checkpoint_interval"],
     "asa": ["t0", "phi_cool", "t_sa_init", "t_sa", "epsilon", "t_sa_max"],
     "replay": ["capacity", "tau", "eps"],
-    "bench": ["n_channels", "asa_budget", "with_oracle", "pso"],
-    "bench.pso": ["particles", "iters", "inertia", "cognitive", "social"],
+    "bench": ["n_channels", "asa_budget", "with_oracle"],
     "dynamic": ["mec_counts", "nrr_stride", "out_dim", "accuracy_samples"],
 }
 # a valid value for the keys that are no field of their section
@@ -410,7 +410,7 @@ class TestStringValues:
         ({"scenario": {"task": {"data_bits": "8.0e5"}}}, "scenario.data_bits"),
         ({"drl": {"lr": "1e-3"}}, "drl.lr"),
         ({"drl": {"weight_shift_epoch": "1500"}}, "drl.weight_shift_epoch"),
-        ({"bench": {"pso": {"iters": "300"}}}, "bench.pso.iters")])
+        ({"bench": {"n_channels": "100"}}, "bench.n_channels")])
     def test_string_number_names_its_key(self, doc, key):
         with pytest.raises(ValueError, match=re.escape(key) + ".*4.0e\\+9"):
             config_from_dict(doc)

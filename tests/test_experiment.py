@@ -25,8 +25,7 @@ def tiny_config(**extra):
         "sae": {"t_sae": 40, "pretrain_samples": 60},
         "drl": {"t_drl": 20, "phi": 5},
         "asa": {"t_sa": 4},
-        "bench": {"n_channels": 4, "asa_budget": 30,
-                  "pso": {"particles": 10, "iters": 20}},
+        "bench": {"n_channels": 4, "asa_budget": 30},
         "dynamic": {"mec_counts": [1, 2], "nrr_stride": 5,
                     "accuracy_samples": 20},
     }

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,20 @@ class TestConstruction:
             OffloadDecision(assign=np.array([0, 3]), n_mecs=2)
         with pytest.raises(ValueError):
             OffloadDecision(assign=np.array([-1, 0]), n_mecs=2)
+
+    @pytest.mark.parametrize("assign, message", [
+        ([0, 2, -1], "in {0..M}"),
+        ([3, 0, 1], "in {0..M}"),
+        ([[0, 1], [2, 0]], "length-N vector")])
+    def test_decision_rejects(self, assign, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OffloadDecision(assign=np.array(assign), n_mecs=2)
+
+    @pytest.mark.parametrize("assign", [[], [0, 2, 1], [2, 2]])
+    def test_decision_accepts(self, assign):
+        dec = OffloadDecision(assign=np.array(assign, dtype=int), n_mecs=2)
+        assert dec.assign.dtype == np.int64
+        np.testing.assert_array_equal(dec.assign, assign)
 
 
 class TestGeometry:
