@@ -12,7 +12,7 @@ from its own generator, so ablations do not perturb each other's streams.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +73,6 @@ class AgentConfig:
     hidden_activation: str = "relu"
     weight_shift_epoch: int | None = None
     search: str = "asa"               # "asa" | "random" (ablation)
-    replay_mode: str = "prioritized"  # "prioritized" | "uniform" (ablation)
     epsilon_greedy: float = 0.0
     checkpoint_interval: int = 0
 
@@ -91,8 +90,6 @@ class AgentConfig:
                              f"1..t_drl = 1..{self.t_drl}")
         if self.search not in ("asa", "random"):
             raise ValueError(f"unknown search mode {self.search!r}")
-        if self.replay_mode not in ("prioritized", "uniform"):
-            raise ValueError(f"unknown replay_mode {self.replay_mode!r}")
         if not 0.0 <= self.epsilon_greedy <= 1.0:
             raise ValueError("epsilon_greedy must lie in [0, 1]")
 
@@ -220,8 +217,6 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
     if policy.in_dim != compressor.out_dim or policy.out_dim != n * (m + 1):
         raise ValueError("policy dimensions do not match compressor/scenario")
     adam = Adam(policy, lr=cfg.lr)
-    if cfg.replay_mode == "uniform":
-        replay_cfg = replace(replay_cfg, tau=0.0)
     buffer = ReplayBuffer(replay_cfg)
     rng_asa = np.random.default_rng(seeds.asa)
     rng_replay = np.random.default_rng(seeds.replay)

@@ -23,7 +23,6 @@ network checkpoint layout of ``neural``.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,7 +32,7 @@ import numpy as np
 
 from .mec import ChannelState
 from .neural import (Adam, Gradients, Network, checkpoint_dict, mlp_specs,
-                     network_from_dict, write_json)
+                     network_from_dict, read_json, write_json)
 
 SAE_FORMAT = "edgesched-sae-v1"
 
@@ -128,6 +127,8 @@ class Rasterizer:
     """
 
     def __init__(self, lo: float | None = None, hi: float | None = None):
+        if not np.isfinite([b for b in (lo, hi) if b is not None]).all():
+            raise ValueError(f"non-finite raster bounds [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
 
@@ -212,7 +213,9 @@ class ChannelCompressor:
     """
 
     def __init__(self, cfg: AutoencoderConfig, n_ues: int, n_mecs: int,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None,
+                 net: Network | None = None):
+        """``net`` is a trained autoencoder to adopt; else ``rng`` inits one."""
         dims = list(cfg.dims or default_dims(n_ues, n_mecs, cfg.out_dim))
         cfg = replace(cfg, dims=dims, out_dim=dims[-1])
         if cfg.dims[0] != n_ues * n_mecs:
@@ -223,16 +226,18 @@ class ChannelCompressor:
         self.n_mecs = n_mecs
         self.raster = Rasterizer()
         self.memory: deque[np.ndarray] = deque(maxlen=cfg.memory)
-        if cfg.identity:
-            self.net = None
-            self.adam = None
+        full_dims = cfg.dims + cfg.dims[-2::-1]
+        if net is not None and net.dims != full_dims:
+            raise ValueError(f"autoencoder layers {net.dims} do not mirror "
+                             f"the encoder dims {cfg.dims}")
+        if cfg.identity or net is not None:
+            self.net = net
+        elif rng is None:
+            raise ValueError("need an rng to initialise the autoencoder")
         else:
-            full_dims = cfg.dims + cfg.dims[-2::-1]
-            specs = mlp_specs(full_dims, hidden=cfg.activation, output="sigmoid")
-            if rng is None:
-                raise ValueError("need an rng to initialise the autoencoder")
-            self.net = Network(specs, rng=rng)
-            self.adam = Adam(self.net, lr=cfg.lr)
+            self.net = Network(mlp_specs(full_dims, hidden=cfg.activation,
+                                         output="sigmoid"), rng=rng)
+        self.adam = None if self.net is None else Adam(self.net, lr=cfg.lr)
         self._encoder: Network | None = None
         self._online_raster = Rasterizer()
         self.sync()
@@ -361,18 +366,22 @@ class ChannelCompressor:
         write_json(path, doc)
 
     @classmethod
-    def load(cls, path: str | Path, cfg: AutoencoderConfig | None = None) -> "ChannelCompressor":
-        doc = json.loads(Path(path).read_text())
-        if doc.get("format") != SAE_FORMAT:
-            raise ValueError(f"not a compressor checkpoint: {path}")
-        cfg = cfg or AutoencoderConfig(dims=list(doc["dims"]))
-        rng = np.random.default_rng(0)
-        comp = cls(cfg, doc["n_ues"], doc["n_mecs"], rng=rng)
-        if comp.cfg.dims != list(doc["dims"]):
-            raise ValueError("checkpoint dims disagree with the configuration")
-        comp.raster = Rasterizer(doc["lo"], doc["hi"])
-        if doc["net"] is not None:
-            comp.net = network_from_dict(doc["net"])
-            comp.adam = Adam(comp.net, lr=cfg.lr)
+    def load(cls, path: str | Path) -> tuple["ChannelCompressor", dict]:
+        """Load a compressor checkpoint.
+
+        Returns the compressor and the metadata (seed, epoch) of its
+        network checkpoint, empty for the identity compressor.  Parameters
+        that do not fit ``dims`` or are not finite, and non-finite bounds,
+        raise a ``ValueError`` naming ``path``.
+        """
+        doc = read_json(path, SAE_FORMAT)
+        meta = doc["net"] or {}
+        net = network_from_dict(meta, path) if meta else None
+        try:
+            comp = cls(AutoencoderConfig(dims=list(doc["dims"])),
+                       doc["n_ues"], doc["n_mecs"], net=net)
+            comp.raster = Rasterizer(doc["lo"], doc["hi"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         comp.sync()
-        return comp
+        return comp, meta

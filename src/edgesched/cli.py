@@ -22,10 +22,10 @@ import numpy as np
 
 from . import experiment
 from .agent import SeedBundle
-from .autoencoder import SAE_FORMAT
+from .autoencoder import SAE_FORMAT, ChannelCompressor
 from .bench import format_report
 from .config import build_scenario, dump_scenario, load_config, override
-from .neural import CHECKPOINT_FORMAT, Network, network_from_dict
+from .neural import CHECKPOINT_FORMAT, load_checkpoint
 
 logger = logging.getLogger("edgesched")
 
@@ -127,29 +127,23 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dims(net: Network) -> list[int]:
-    return [net.in_dim] + [s.out_dim for s in net.specs]
-
-
 def cmd_inspect(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.path).read_text())
-    fmt = doc.get("format", "?")
+    fmt = json.loads(Path(args.path).read_text()).get("format", "?")
     print(f"format: {fmt}")
     if fmt == SAE_FORMAT:
-        identity = doc["net"] is None
-        print(f"dims: {doc['dims']}  identity: {identity}")
-        if not identity:
-            print(f"network dims: {_dims(network_from_dict(doc['net']))}")
-        print(f"raster bounds: [{doc['lo']}, {doc['hi']}]")
+        comp, meta = ChannelCompressor.load(args.path)
+        print(f"dims: {comp.cfg.dims}  identity: {comp.net is None}")
+        if comp.net is not None:
+            print(f"network dims: {comp.net.dims}")
+        print(f"raster bounds: [{comp.raster.lo}, {comp.raster.hi}]")
     elif fmt == CHECKPOINT_FORMAT:
-        net = network_from_dict(doc)
-        print(f"dims: {_dims(net)}")
+        net, meta = load_checkpoint(args.path)
+        print(f"dims: {net.dims}")
         print(f"activations: {[s.activation for s in net.specs]}")
         print(f"parameters: {net.n_params()}")
     else:
         print("unrecognised format")
         return 1
-    meta = doc if fmt == CHECKPOINT_FORMAT else (doc.get("net") or {})
     for key in ("seed", "epoch"):
         if key in meta:
             print(f"{key}: {meta[key]}")

@@ -2,24 +2,20 @@
 
 A config file holds one mapping with optional sections ``scenario``, ``sae``,
 ``drl``, ``asa``, ``replay``, ``bench`` and ``dynamic`` plus top-level
-``seed`` and ``out``.  Every key of a section is a field of the dataclass it
-loads into, and one loader (``_load``) reads them all; the only aliases are
-``drl.lambda`` for ``lambda_reg`` and ``asa.t_sa`` for ``t_sa_init``, each
-valid in its own section only.  ``sae`` and ``drl`` load straight into the
-runtime ``AutoencoderConfig`` and ``AgentConfig``.  ``scenario`` also accepts
-``task``, ``radio`` and ``mecs`` sub-mappings that flatten into its fields.
-Unknown keys raise immediately: a typo in a knob name should never silently
-fall back to a default.  So does a string given to a field that takes no
-string, and so does a value that a section's own checks reject, with the
-section's name in front of the message.  Scenario files written by
-``gen-scenario`` pin every UE explicitly, load back bit-identically and
-reject unknown keys in every entry; a missing top-level, ``ues[i]`` or
-``mecs[i]`` key is named in a ``ValueError`` too.
+``seed`` and ``out``.  One loader (``_load``) reads every section into its
+dataclass, whose field names are exactly the section's keys: every setting
+has one spelling.  ``sae`` and ``drl`` load straight into the runtime
+``AutoencoderConfig`` and ``AgentConfig``.  An unknown key, a string where
+a field takes none, a value the section's own checks reject, and keys that
+would silently override one another all raise a ``ValueError`` at load that
+names the section and keys.  Scenario files written by ``gen-scenario`` pin
+every UE explicitly, load back bit-identically and reject unknown and
+missing keys in every entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import UnionType
 from typing import Any, get_args, get_type_hints
@@ -33,9 +29,6 @@ from .mec import (MecSpec, RadioParams, Scenario, Task, UeSpec,
                   default_mec_positions, random_scenario)
 from .neural import write_atomic
 from .replay import ReplayConfig
-
-# config key -> field name, per section
-_ALIASES = {"drl": {"lambda": "lambda_reg"}, "asa": {"t_sa": "t_sa_init"}}
 
 
 def _check_keys(section: str, data: dict, allowed: set[str],
@@ -78,24 +71,26 @@ def _check_strings(cls, section: str, data: dict) -> None:
 def _load(cls, section: str, data: dict):
     """Build dataclass ``cls`` from one config section.
 
-    The allowed keys are the fields of ``cls`` plus the section's aliases.  A
-    field whose default is itself a dataclass loads recursively as
-    ``section.key``.  The section's own checks run on construction.
+    The allowed keys are the fields of ``cls``.  The section's own checks
+    run on construction.
     """
-    data = dict(data)
-    for alias, name in _ALIASES.get(section, {}).items():
-        if alias in data:
-            data[name] = data.pop(alias)
     _check_keys(section, data, _names(cls))
     _check_strings(cls, section, data)
-    for f in fields(cls):
-        if f.name in data and is_dataclass(f.default_factory):
-            data[f.name] = _load(f.default_factory, f"{section}.{f.name}",
-                                 data[f.name])
     try:
         return cls(**data)
     except ValueError as exc:
         raise ValueError(f"{section}: {exc}") from exc
+
+
+def _default(f):
+    return f.default if f.default_factory is MISSING else f.default_factory()
+
+
+# the keys of one UE entry, in a config section and in a scenario file
+_UE_KEYS = _names(UeSpec) - {"task"} | _names(Task)
+# the UeSpec fields an entry gives as plain numbers
+_UE_NUMBERS = [f.name for f in fields(UeSpec)
+               if f.name not in ("position", "task")]
 
 
 @dataclass
@@ -104,13 +99,15 @@ class ScenarioConfig:
 
     ``weights`` accepts a number (same weight everywhere), a list with one
     entry per UE, or a {low, high} mapping for a uniform draw from the
-    scenario seed; ``cycles`` under ``task`` accepts the same scalar or
-    {low, high} forms.  The defaults describe the desk-scale profile used
-    across the bundled experiments.
+    scenario seed; ``cycles`` accepts a number or a {low, high} mapping, and
+    per-UE cycles go in ``ues`` entries.  ``n_ues`` and ``n_mecs`` default to
+    the lengths of ``ues`` and ``mec_positions`` where those are given, else
+    to the desk-scale 10 and 2, and must agree with them.  ``file`` names a
+    scenario written by ``dump_scenario`` and takes no other key.
     """
 
-    n_ues: int = 10
-    n_mecs: int = 2
+    n_ues: int | None = None
+    n_mecs: int | None = None
     area_m: float = 50.0
     mec_positions: list | None = None
     bandwidth_hz: float = 1e6
@@ -130,39 +127,29 @@ class ScenarioConfig:
     ues: list | None = None
     file: str | None = None
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        """Load the ``scenario`` section, flattening ``task``/``radio``/``mecs``.
-
-        Task sizes are set only under ``task``.  ``mecs`` lists positions
-        with one shared ``f_max``; per-MEC budgets need a ``scenario.file``.
-        """
-        data = dict(data)
-        _check_keys("scenario", data,
-                    _names(cls) - _names(Task) | {"task", "radio", "mecs"})
-        task = data.pop("task", None)
-        if task is not None:
-            _check_keys("scenario.task", task, _names(Task))
-            data.update(task)
-        radio = data.pop("radio", None)
-        if radio is not None:
-            _check_keys("scenario.radio", radio, _names(RadioParams))
-            data.update(radio)
-        mecs = data.pop("mecs", None)
-        if mecs is not None:
-            for m in mecs:
-                _check_keys("scenario.mecs", m, _names(MecSpec))
-            budgets = [m.get("f_max", data.get("f_mec_max", cls.f_mec_max))
-                       for m in mecs]
-            if len(set(budgets)) > 1:
-                raise ValueError(
-                    f"scenario.mecs f_max values differ ({budgets}); per-MEC "
-                    "budgets need a scenario.file")
-            data["mec_positions"] = [list(m["position"]) for m in mecs]
-            data["f_mec_max"] = budgets[0]
-            data["n_mecs"] = len(mecs)
-        _check_strings(cls, "scenario", data)
-        return cls(**data)
+    def __post_init__(self) -> None:
+        if self.file is not None:
+            given = [f.name for f in fields(self) if f.name != "file"
+                     and getattr(self, f.name) != _default(f)]
+            if given:
+                raise ValueError("file fixes the whole scenario, so it "
+                                 f"takes no other key; drop {given}")
+            return
+        for count, items, desk in (("n_ues", "ues", 10),
+                                   ("n_mecs", "mec_positions", 2)):
+            n, listed = getattr(self, count), getattr(self, items)
+            if listed is None:
+                setattr(self, count, desk if n is None else n)
+            elif n is None:
+                setattr(self, count, len(listed))
+            elif n != len(listed):
+                raise ValueError(f"{count} {n} disagrees with the "
+                                 f"{len(listed)} entries of {items}")
+        if isinstance(self.cycles, list):
+            raise ValueError("cycles takes a number or a {low, high} range, "
+                             "not a list; give per-UE cycles in ues entries")
+        for u in self.ues or ():
+            _check_keys("ues", u, _UE_KEYS)
 
 
 def build_scenario(cfg: ScenarioConfig, fallback_seed: int = 0) -> Scenario:
@@ -175,8 +162,6 @@ def build_scenario(cfg: ScenarioConfig, fallback_seed: int = 0) -> Scenario:
         defaults = {"data_bits": cfg.data_bits, "cycles": cfg.cycles,
                     "weight": 1.0, "f_local_max": cfg.f_local_max,
                     "p_max": cfg.p_ue_max_w, "kappa": cfg.kappa, "v": cfg.v}
-        for u in cfg.ues:
-            _check_keys("scenario.ues", u, _UE_KEYS)
         ues = tuple(_ue_from_dict(u, defaults) for u in cfg.ues)
         positions = cfg.mec_positions or default_mec_positions(cfg.n_mecs,
                                                                cfg.area_m)
@@ -184,30 +169,22 @@ def build_scenario(cfg: ScenarioConfig, fallback_seed: int = 0) -> Scenario:
                      for x, y in positions)
         return Scenario(ues=ues, mecs=mecs, radio=radio, area_m=cfg.area_m,
                         rng_seed=seed)
-    weights: Any = cfg.weights
-    if isinstance(weights, dict):
-        weights = (float(weights["low"]), float(weights["high"]))
-    elif isinstance(weights, list):
-        weights = list(map(float, weights))
-    cycles_range = None
-    template_cycles = cfg.cycles
-    if isinstance(cfg.cycles, dict):
-        cycles_range = (float(cfg.cycles["low"]), float(cfg.cycles["high"]))
-        template_cycles = cycles_range[0]
+    weights, cycles = (_range(v) for v in (cfg.weights, cfg.cycles))
+    ranged = isinstance(cycles, tuple)
     return random_scenario(
         cfg.n_ues, cfg.n_mecs, area_m=cfg.area_m, rng_seed=seed,
         mec_positions=cfg.mec_positions, radio=radio,
-        task=Task(data_bits=cfg.data_bits, cycles=float(template_cycles)),
-        weights=weights, cycles_range=cycles_range,
+        task=Task(data_bits=cfg.data_bits,
+                  cycles=float(cycles[0] if ranged else cycles)),
+        weights=weights, cycles_range=cycles if ranged else None,
         f_local_max=cfg.f_local_max, p_max=cfg.p_ue_max_w,
         f_mec_max=cfg.f_mec_max, kappa=cfg.kappa, v=cfg.v)
 
 
-# the keys of one UE entry, in a config section and in a scenario file
-_UE_KEYS = _names(UeSpec) - {"task"} | _names(Task)
-# the UeSpec fields an entry gives as plain numbers
-_UE_NUMBERS = [f.name for f in fields(UeSpec)
-               if f.name not in ("position", "task")]
+def _range(value):
+    """A {low, high} mapping as the (low, high) tuple ``random_scenario`` takes."""
+    return ((float(value["low"]), float(value["high"]))
+            if isinstance(value, dict) else value)
 
 
 def _ue_from_dict(u: dict, defaults: dict) -> UeSpec:
@@ -279,7 +256,6 @@ class BenchSection:
 class DynamicSection:
     mec_counts: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
     nrr_stride: int = 50
-    out_dim: int | None = None
     accuracy_samples: int = 200
 
     def __post_init__(self) -> None:
@@ -301,17 +277,29 @@ class ExperimentConfig:
     bench: BenchSection = field(default_factory=BenchSection)
     dynamic: DynamicSection = field(default_factory=DynamicSection)
 
+    def __post_init__(self) -> None:
+        # a dynamic section away from the defaults marks a sweep config
+        if self.dynamic != DynamicSection():
+            self.check_sweep()
+
+    def check_sweep(self) -> None:
+        """Reject the keys the ``dynamic`` sweep would override per row."""
+        given = [key for key, value in (
+            ("scenario.file", self.scenario.file),
+            ("scenario.mec_positions", self.scenario.mec_positions),
+            ("sae.dims", self.sae.dims)) if value is not None]
+        if given:
+            raise ValueError("the dynamic sweep sets the server count, server "
+                             f"layout and encoder per row; drop {given}")
+
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     _check_keys("config", data, _names(ExperimentConfig))
     sections = {f.name: _load(f.default_factory, f.name, data[f.name])
                 for f in fields(ExperimentConfig)
-                if f.name in data and f.name not in ("seed", "out", "scenario")}
-    return ExperimentConfig(
-        seed=int(data.get("seed", 1)),
-        out=data.get("out"),
-        scenario=ScenarioConfig.from_dict(data.get("scenario", {})),
-        **sections)
+                if f.name in data and f.name not in ("seed", "out")}
+    return ExperimentConfig(seed=int(data.get("seed", 1)),
+                            out=data.get("out"), **sections)
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:

@@ -133,7 +133,7 @@ def load_artifacts(cfg: ExperimentConfig, out: Path) -> TrainArtifacts | None:
     if not all(p.exists() for p in needed):
         return None
     scenario = load_scenario(out / "scenario_resolved.yaml")
-    comp = ChannelCompressor.load(out / "sae.json")
+    comp, _ = ChannelCompressor.load(out / "sae.json")
     policy, _ = load_checkpoint(out / "policy.json")
     return TrainArtifacts(scenario=scenario, compressor=comp, policy=policy,
                           seeds=SeedBundle.from_master(cfg.seed))
@@ -188,11 +188,14 @@ def nrr_samples(result: RunResult, scenario_pre: Scenario,
 
 
 def _dynamic_config(cfg: ExperimentConfig, m: int) -> ExperimentConfig:
-    """The sweep's config for M = ``m``, after ``drl.dims`` is checked on it."""
+    """The sweep's config for M = ``m``, after ``drl.dims`` is checked on it.
+
+    The encoder's output width is ``sae.out_dim``, N when that is unset.
+    """
     n = cfg.scenario.n_ues
-    out_dim = cfg.dynamic.out_dim if cfg.dynamic.out_dim is not None else n
-    scen_cfg = replace(cfg.scenario, n_mecs=m, mec_positions=None)
-    sae_cfg = replace(cfg.sae, dims=None, out_dim=out_dim)
+    out_dim = cfg.sae.out_dim if cfg.sae.out_dim is not None else n
+    scen_cfg = replace(cfg.scenario, n_mecs=m)
+    sae_cfg = replace(cfg.sae, out_dim=out_dim)
     drl_cfg = replace(cfg.drl,
                       weight_shift_epoch=cfg.drl.weight_shift_epoch
                       or max(1, cfg.drl.t_drl // 2))
@@ -224,6 +227,7 @@ def _dynamic_row(sub: ExperimentConfig) -> dict:
 def dynamic_experiment(cfg: ExperimentConfig,
                        out_dir: str | Path | None = None) -> list[dict]:
     """Per-M summary rows of a MEC-count sweep; all rows are checked first."""
+    cfg.check_sweep()
     subs = [_dynamic_config(cfg, m) for m in cfg.dynamic.mec_counts]
     rows = [_dynamic_row(sub) for sub in subs]
     if out_dir is not None:

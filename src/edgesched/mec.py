@@ -332,7 +332,8 @@ def random_scenario(n_ues: int, n_mecs: int, *, area_m: float = 50.0,
     """Build a scenario with uniformly placed UEs.
 
     ``weights`` accepts a scalar (every UE), an explicit length-N sequence, or
-    a (low, high) pair sampled uniformly from the scenario seed.  With
+    a (low, high) tuple sampled uniformly from the scenario seed; only a
+    tuple is a range, so a length-2 list or array is two weights.  With
     ``cycles_range`` set, per-UE task sizes are drawn the same way and the
     template's ``cycles`` is ignored.
     """
@@ -340,8 +341,8 @@ def random_scenario(n_ues: int, n_mecs: int, *, area_m: float = 50.0,
     pos = rng.uniform(0.0, area_m, size=(n_ues, 2))
     if isinstance(weights, (int, float)):
         w = np.full(n_ues, float(weights))
-    elif len(tuple(weights)) == 2 and not isinstance(weights, list):
-        lo, hi = weights  # type: ignore[misc]
+    elif isinstance(weights, tuple):
+        lo, hi = weights
         w = rng.uniform(float(lo), float(hi), size=n_ues)
     else:
         w = np.asarray(list(weights), dtype=float)

@@ -4,8 +4,9 @@ Everything the package trains (the channel autoencoder and the scheduling
 policy) runs through this module: float64 numpy parameters, explicit forward
 caches, analytic gradients and Adam steps.  Checkpoints are
 canonical JSON so that save -> load -> save is byte-identical;
-``network_from_dict`` is the one reader of their layer list and weights, and
-``write_json`` the one writer, for networks and autoencoders alike.  Every
+``read_json`` checks their format, ``network_from_dict`` is the one reader
+of their layer list and weights, which must fit the layers and be finite,
+and ``write_json`` the one writer, for networks and autoencoders alike.  Every
 artifact, CSV traces included, is replaced in one rename by
 ``write_atomic``.
 """
@@ -91,9 +92,15 @@ class Network:
         for prev, nxt in zip(self.specs[:-1], self.specs[1:]):
             if prev.out_dim != nxt.in_dim:
                 raise ValueError("adjacent layer dimensions do not chain")
-        if weights is not None and biases is not None:
+        if weights is not None or biases is not None:
             self.weights = [np.array(w, dtype=float) for w in weights]
             self.biases = [np.array(b, dtype=float) for b in biases]
+            want = [((s.out_dim, s.in_dim), (s.out_dim,)) for s in self.specs]
+            got = [(w.shape, b.shape) for w, b in zip(self.weights,
+                                                        self.biases)]
+            if len(self.weights) != len(self.biases) or got != want:
+                raise ValueError(f"weight and bias shapes {got} do not fit "
+                                 f"the layers {want}")
         else:
             if rng is None:
                 raise ValueError("need an rng to initialise parameters")
@@ -112,6 +119,11 @@ class Network:
     @property
     def out_dim(self) -> int:
         return self.specs[-1].out_dim
+
+    @property
+    def dims(self) -> list[int]:
+        """Every layer size, input first."""
+        return [self.in_dim] + [s.out_dim for s in self.specs]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Map (B, in_dim) or (in_dim,) inputs to outputs (the cache dropped)."""
@@ -206,8 +218,7 @@ class Adam:
             self.net.biases[idx] -= self.lr * (mb / b1c) / (np.sqrt(vb / b2c) + self.eps)
 
 
-def checkpoint_dict(net: Network, seed: int | None, epoch: int,
-                    extra: dict | None = None) -> dict:
+def checkpoint_dict(net: Network, seed: int | None, epoch: int) -> dict:
     return {
         "format": CHECKPOINT_FORMAT,
         "seed": seed,
@@ -218,17 +229,34 @@ def checkpoint_dict(net: Network, seed: int | None, epoch: int,
         ],
         "weights": [w.ravel().tolist() for w in net.weights],  # row-major
         "biases": [b.tolist() for b in net.biases],
-        "extra": extra or {},
+        "extra": {},
     }
 
 
-def network_from_dict(doc: dict) -> Network:
-    """Rebuild the network stored in a ``checkpoint_dict`` document."""
+def network_from_dict(doc: dict, path: str | Path) -> Network:
+    """Rebuild the network of a ``checkpoint_dict`` document read from ``path``.
+
+    Parameters that do not fit the layer list, or are not finite, raise a
+    ``ValueError`` naming ``path``.
+    """
     specs = [LayerSpec(d["in"], d["out"], d["activation"]) for d in doc["layers"]]
-    weights = [np.array(flat, dtype=float).reshape(s.out_dim, s.in_dim)
-               for flat, s in zip(doc["weights"], specs)]
-    biases = [np.array(b, dtype=float) for b in doc["biases"]]
-    return Network(specs, weights=weights, biases=biases)
+    try:
+        net = Network(specs, weights=[np.reshape(w, (s.out_dim, s.in_dim))
+                                      for w, s in zip(doc["weights"], specs)],
+                      biases=doc["biases"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases)):
+        raise ValueError(f"{path}: non-finite parameters")
+    return net
+
+
+def read_json(path: str | Path, fmt: str) -> dict:
+    """The JSON document at ``path``, which must declare format ``fmt``."""
+    doc = json.loads(Path(path).read_text())
+    if doc.get("format") != fmt:
+        raise ValueError(f"not a {fmt} file: {path}")
+    return doc
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -267,14 +295,12 @@ def write_csv(path: str | Path, header: Sequence,
 
 
 def save_checkpoint(net: Network, path: str | Path, *, seed: int | None = None,
-                    epoch: int = 0, extra: dict | None = None) -> None:
+                    epoch: int = 0) -> None:
     """Write the network as a canonical JSON checkpoint (see ``write_json``)."""
-    write_json(path, checkpoint_dict(net, seed, epoch, extra))
+    write_json(path, checkpoint_dict(net, seed, epoch))
 
 
 def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     """Load a checkpoint; returns the network and the full metadata dict."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a recognised checkpoint: {path}")
-    return network_from_dict(doc), doc
+    doc = read_json(path, CHECKPOINT_FORMAT)
+    return network_from_dict(doc, path), doc

@@ -8,7 +8,7 @@ The buffer owns its priorities: they sit in an array in store order and
 shift with their transitions when the oldest one is evicted.  A new sample
 enters at the highest stored priority, a trained one takes its batch's loss
 improvement plus eps, and sampling weights are priorities raised to the
-power tau.
+power tau, so ``tau = 0`` is uniform replay.
 
 The paper's preserved replay (2p-ER) evicts the oldest sample whose
 collection-time parameter norm lies outside a band around the current one,

@@ -128,7 +128,7 @@ def test_03_reward_is_reciprocal_latency(tmp_path):
         "scenario": {"n_ues": 4, "n_mecs": 2},
         "sae": {"t_sae": 30, "pretrain_samples": 40},
         "drl": {"t_drl": 20, "phi": 5},
-        "asa": {"t_sa": 4},
+        "asa": {"t_sa_init": 4},
         "bench": {"n_channels": 5, "asa_budget": 25},
     })
     artifacts = train_experiment(cfg, tmp_path)

@@ -27,13 +27,14 @@ def identity_compressor(n, m):
     return ChannelCompressor(AutoencoderConfig(dims=[n * m]), n, m)
 
 
-def quick_run(n=4, m=2, t_drl=25, master=9, **cfg_kw):
+def quick_run(n=4, m=2, t_drl=25, master=9, replay=ReplayConfig(capacity=64),
+              **cfg_kw):
     scen = random_scenario(n, m, rng_seed=3, weights=(0.5, 2.0))
     seeds = SeedBundle.from_master(master)
     cfg = AgentConfig(dims=[n * m, 16, n * (m + 1)], t_drl=t_drl, phi=5,
                       batch=8, **cfg_kw)
     res = run(scen, identity_compressor(n, m), cfg, AnnealConfig(t_sa_init=4),
-              ReplayConfig(capacity=64), seeds)
+              replay, seeds)
     return scen, res
 
 
@@ -329,14 +330,13 @@ class TestRun:
             assert row.asa_best_objective <= row.latency + 1e-12
 
     def test_uniform_replay_mode_runs(self):
-        _, res = quick_run(t_drl=10, replay_mode="uniform")
+        # tau = 0 weighs every priority alike: uniform replay
+        _, res = quick_run(t_drl=10, replay=ReplayConfig(capacity=64, tau=0.0))
         assert len(res.logs) == 10
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AgentConfig(search="hillclimb")
-        with pytest.raises(ValueError):
-            AgentConfig(replay_mode="none")
         with pytest.raises(ValueError):
             AgentConfig(epsilon_greedy=1.5)
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -350,7 +353,7 @@ class TestCompressor:
         comp.pretrain(mats, rng)
         p = tmp_path / "sae.json"
         comp.save(p, seed=0, epoch=9)
-        loaded = ChannelCompressor.load(p)
+        loaded, _ = ChannelCompressor.load(p)
         ch = sample_channel_state(scen, 33)
         np.testing.assert_allclose(loaded.encode_channel(ch).vector,
                                    comp.encode_channel(ch).vector)
@@ -359,6 +362,32 @@ class TestCompressor:
         loaded.save(p2, seed=0, epoch=9)
         assert p.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("key", ["net", "lo"])
+    def test_load_rejects_non_finite_values(self, tmp_path, key):
+        comp, scen, rng = self.make()
+        comp.pretrain([sample_channel_state(scen, e).gains
+                       for e in range(1, 20)], rng)
+        p = tmp_path / "sae.json"
+        comp.save(p)
+        doc = json.loads(p.read_text())
+        if key == "net":
+            doc["net"]["biases"][0][0] = float("inf")
+        else:
+            doc["lo"] = float("nan")
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{p}: non-finite")):
+            ChannelCompressor.load(p)
+
+    def test_load_rejects_a_net_that_does_not_mirror_dims(self, tmp_path):
+        comp, scen, rng = self.make()
+        p = tmp_path / "sae.json"
+        comp.save(p)
+        doc = json.loads(p.read_text())
+        doc["dims"] = [8, 3]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="do not mirror"):
+            ChannelCompressor.load(p)
+
     def test_save_load_identity(self, tmp_path):
         comp, scen, _ = self.make(m=1, dims=[4])
         ch = sample_channel_state(scen, 1)
@@ -366,6 +395,6 @@ class TestCompressor:
         comp.sync()
         p = tmp_path / "ident.json"
         comp.save(p)
-        loaded = ChannelCompressor.load(p)
+        loaded, _ = ChannelCompressor.load(p)
         np.testing.assert_array_equal(loaded.encode_channel(ch).vector,
                                       comp.encode_channel(ch).vector)

@@ -1,10 +1,8 @@
 import os
 import re
 from dataclasses import asdict, fields
-from operator import attrgetter
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
@@ -18,6 +16,11 @@ from edgesched.mec import RadioParams, Task, random_scenario
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def scenario(**keys) -> ScenarioConfig:
+    """What a config's ``scenario`` section with ``keys`` loads into."""
+    return config_from_dict({"scenario": keys}).scenario
+
+
 class TestScenarioConfig:
     def test_desk_defaults(self):
         cfg = ScenarioConfig()
@@ -28,40 +31,62 @@ class TestScenarioConfig:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            ScenarioConfig.from_dict({"n_ue": 5})
+            scenario(n_ue=5)
 
     def test_task_subdict(self):
-        cfg = ScenarioConfig.from_dict({"task": {"data_bits": 4e5}})
+        # the task sizes are plain scenario keys; the task mapping is gone
+        cfg = scenario(data_bits=4e5)
         assert cfg.data_bits == 4e5
         assert cfg.cycles == {"low": 2e8, "high": 4e9}  # untouched default
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown scenario keys: ['task']")):
+            scenario(task={"data_bits": 4e5})
 
     def test_task_cycles_scalar_and_range(self):
-        cfg = ScenarioConfig.from_dict({"task": {"cycles": 2e9}})
+        cfg = scenario(cycles=2e9)
         assert cfg.cycles == 2e9
         scen = build_scenario(cfg, fallback_seed=1)
         assert all(u.task.cycles == 2e9 for u in scen.ues)
 
-        rng_cfg = ScenarioConfig.from_dict(
-            {"task": {"cycles": {"low": 1e9, "high": 3e9}}})
+        rng_cfg = scenario(cycles={"low": 1e9, "high": 3e9})
         scen = build_scenario(rng_cfg, fallback_seed=1)
         cyc = [u.task.cycles for u in scen.ues]
         assert all(1e9 <= c <= 3e9 for c in cyc)
         assert len(set(cyc)) > 1
 
+    def test_cycles_list_rejected(self):
+        # a list once reached build_scenario and raised a bare TypeError
+        with pytest.raises(ValueError,
+                           match=r"^scenario: cycles .* ues entries"):
+            scenario(n_ues=2, cycles=[1e9, 2e9])
+
     def test_radio_subdict(self):
-        cfg = ScenarioConfig.from_dict({"radio": {"noise_w": 1e-10,
-                                                  "fading": "deterministic"}})
-        assert cfg.noise_w == 1e-10
-        assert cfg.fading == "deterministic"
+        # the radio fields are plain scenario keys; the radio mapping is gone
+        cfg = scenario(noise_w=1e-10, fading="deterministic")
+        radio = build_scenario(cfg).radio
+        assert radio.noise_w == 1e-10 and radio.fading == "deterministic"
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown scenario keys: ['radio']")):
+            scenario(radio={"noise_w": 1e-10})
 
     def test_mecs_subdict(self):
-        cfg = ScenarioConfig.from_dict({"mecs": [
-            {"position": [5, 5], "f_max": 2e10},
-            {"position": [45, 45], "f_max": 2e10},
-        ]})
-        assert cfg.n_mecs == 2
-        assert cfg.mec_positions == [[5, 5], [45, 45]]
-        assert cfg.f_mec_max == 2e10
+        # servers are placed by mec_positions, which sets n_mecs when it is
+        # left out; the mecs list is gone
+        cfg = scenario(mec_positions=[[5, 5], [45, 45], [25, 25]],
+                       f_mec_max=2e10)
+        assert cfg.n_mecs == 3
+        mecs = build_scenario(cfg).mecs
+        assert [m.position for m in mecs] == [(5, 5), (45, 45), (25, 25)]
+        assert all(m.f_max == 2e10 for m in mecs)
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown scenario keys: ['mecs']")):
+            scenario(mecs=[{"position": [5, 5]}])
+
+    def test_list_without_its_count_loads(self):
+        cfg = scenario(cycles=1e9, ues=[{"position": [1, 1]},
+                                        {"position": [2, 2]}])
+        assert cfg.n_ues == 2 and cfg.n_mecs == 2
+        assert build_scenario(cfg).n_ues == 2
 
 
 class TestBuildScenario:
@@ -81,12 +106,10 @@ class TestBuildScenario:
         assert a != c
 
     def test_explicit_ues(self):
-        cfg = ScenarioConfig.from_dict({
-            "n_mecs": 1,
-            "task": {"cycles": 1e9},
-            "ues": [{"position": [1, 1]},
-                    {"position": [2, 2], "weight": 3.0, "cycles": 2e9}],
-        })
+        cfg = scenario(n_mecs=1, cycles=1e9,
+                       ues=[{"position": [1, 1]},
+                            {"position": [2, 2], "weight": 3.0,
+                             "cycles": 2e9}])
         scen = build_scenario(cfg)
         assert scen.n_ues == 2
         assert scen.ues[0].weight == 1.0
@@ -96,7 +119,7 @@ class TestBuildScenario:
         assert scen.ues[0].task.data_bits == cfg.data_bits
 
     def test_explicit_ue_needs_cycles_under_range_default(self):
-        cfg = ScenarioConfig.from_dict({"ues": [{"position": [1, 1]}]})
+        cfg = scenario(ues=[{"position": [1, 1]}])
         with pytest.raises(ValueError, match="pin cycles"):
             build_scenario(cfg)
 
@@ -188,12 +211,20 @@ class TestExperimentConfig:
             config_from_dict({"asa": {"temp": 1.0}})
 
     def test_lambda_alias(self):
-        cfg = config_from_dict({"drl": {"lambda": 0.05}})
+        # lambda_reg is the one spelling; the former alias is unknown
+        cfg = config_from_dict({"drl": {"lambda_reg": 0.05}})
         assert cfg.drl.lambda_reg == 0.05
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown drl keys: ['lambda']")):
+            config_from_dict({"drl": {"lambda": 0.05}})
 
     def test_t_sa_alias(self):
-        cfg = config_from_dict({"asa": {"t_sa": 33}})
+        # t_sa_init is the one spelling; the former alias is unknown
+        cfg = config_from_dict({"asa": {"t_sa_init": 33}})
         assert cfg.asa.t_sa_init == 33
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown asa keys: ['t_sa']")):
+            config_from_dict({"asa": {"t_sa": 33}})
 
     def test_pso_section(self):
         # the swarm oracle and its settings are gone; with_oracle is the switch
@@ -226,28 +257,42 @@ def nest(path: str, value):
     return value
 
 
+# the sections of a config file, each loading into one dataclass
+SECTIONS = ["scenario", "sae", "drl", "asa", "replay", "bench", "dynamic"]
+# model dataclasses whose every field is a plain scenario key
+FLAT_IN_SCENARIO = {"scenario.task": Task, "scenario.radio": RadioParams}
+# spellings that once loaded and now are keys of no section
+REMOVED = [("scenario", "task"), ("scenario", "radio"), ("scenario", "mecs"),
+           ("drl", "lambda"), ("drl", "replay_mode"), ("asa", "t_sa"),
+           ("dynamic", "out_dim"), ("replay", "rho_max"),
+           ("sae", "threshold")]
+
+
+def section_class(section: str):
+    return type(getattr(ExperimentConfig(), section))
+
+
 def section_defaults(path: str) -> dict:
-    """Every key a config section accepts, at its default value."""
-    scen = ScenarioConfig()
-    if path == "scenario":
-        return {k: v for k, v in asdict(scen).items()
-                if k not in ("data_bits", "cycles")}
-    if path in ("scenario.task", "scenario.radio"):
-        cls = Task if path == "scenario.task" else RadioParams
-        return {f.name: getattr(scen, f.name) for f in fields(cls)}
-    return asdict(attrgetter(path)(ExperimentConfig()))
+    """Every field of a section at its default; for a FLAT_IN_SCENARIO path,
+    every field of that class at the scenario section's default."""
+    if path in FLAT_IN_SCENARIO:
+        scen = ScenarioConfig()
+        return {f.name: getattr(scen, f.name)
+                for f in fields(FLAT_IN_SCENARIO[path])}
+    return asdict(getattr(ExperimentConfig(), path))
 
 
-SECTIONS = ["scenario", "scenario.task", "scenario.radio", "sae", "drl",
-            "asa", "replay", "bench", "dynamic"]
+def readme_example() -> str:
+    return re.search(r"```yaml\n(.*?)```", README.read_text(), re.S).group(1)
 
 
 class TestLoader:
-    @pytest.mark.parametrize("path", SECTIONS)
+    @pytest.mark.parametrize("path", [*SECTIONS, *FLAT_IN_SCENARIO])
     def test_every_field_is_a_key(self, path):
         doc = section_defaults(path)
         assert doc
-        assert config_from_dict(nest(path, doc)) == ExperimentConfig()
+        section = path.split(".")[0]
+        assert config_from_dict({section: doc}) == ExperimentConfig()
 
     @pytest.mark.parametrize("path", SECTIONS)
     def test_unknown_key_names_its_section(self, path):
@@ -255,19 +300,13 @@ class TestLoader:
         with pytest.raises(ValueError, match=msg):
             config_from_dict(nest(path, {"bogus": 1}))
 
-    @pytest.mark.parametrize("path, key", [("replay", "rho_max"),
-                                           ("sae", "threshold")])
+    @pytest.mark.parametrize("path, key", REMOVED)
     def test_removed_keys_fail_loudly(self, path, key):
         msg = re.escape(f"unknown {path} keys: ['{key}']")
         with pytest.raises(ValueError, match=msg):
             config_from_dict(nest(path, {key: 1.2}))
 
-    @pytest.mark.parametrize("key", ["data_bits", "cycles"])
-    def test_task_sizes_only_under_task(self, key):
-        with pytest.raises(ValueError,
-                           match=re.escape(f"unknown scenario keys: ['{key}']")):
-            config_from_dict({"scenario": {key: 1e6}})
-
+    # lambda and t_sa, once aliases within drl and asa, are keys of no section
     @pytest.mark.parametrize("path, alias", [
         ("asa", "lambda"), ("sae", "lambda"), ("replay", "lambda"),
         ("drl", "t_sa"), ("bench", "t_sa")])
@@ -277,10 +316,8 @@ class TestLoader:
             config_from_dict(nest(path, {alias: 1}))
 
     def test_readme_example_loads(self, tmp_path):
-        example = re.search(r"```yaml\n(.*?)```", README.read_text(),
-                            re.S).group(1)
         p = tmp_path / "readme.yaml"
-        p.write_text(example)
+        p.write_text(readme_example())
         cfg = load_config(p)
         assert cfg.seed == 7 and cfg.out == "runs/desk"
         assert cfg.drl.lambda_reg == 0.02 and cfg.asa.t_sa_init == 20
@@ -289,46 +326,38 @@ class TestLoader:
         assert scen.ues[0].task.data_bits == 8e5
         assert scen.mecs[0].f_max == 4e9
 
-
-# The keys each section accepts, written out so that a renamed, added or
-# dropped dataclass field shows up as a changed config key.
-ACCEPTED_KEYS = {
-    "scenario": ["n_ues", "n_mecs", "area_m", "mec_positions",
-                 "bandwidth_hz", "noise_w", "beta0", "p_ue_max_w",
-                 "min_distance_m", "fading", "weights", "f_local_max",
-                 "f_mec_max", "kappa", "v", "rng_seed", "ues", "file",
-                 "task", "radio", "mecs"],
-    "scenario.task": ["data_bits", "cycles"],
-    "scenario.radio": ["bandwidth_hz", "noise_w", "beta0", "min_distance_m",
-                       "fading"],
-    "sae": ["dims", "out_dim", "gamma1", "gamma2", "t_sae", "memory",
-            "batch", "lr", "activation", "sync_period", "refresh_iters",
-            "pretrain_samples"],
-    "drl": ["dims", "lambda_reg", "lambda", "t_drl", "phi", "batch", "lr",
-            "hidden_activation", "weight_shift_epoch", "search",
-            "replay_mode", "epsilon_greedy", "checkpoint_interval"],
-    "asa": ["t0", "phi_cool", "t_sa_init", "t_sa", "epsilon", "t_sa_max"],
-    "replay": ["capacity", "tau", "eps"],
-    "bench": ["n_channels", "asa_budget", "with_oracle"],
-    "dynamic": ["mec_counts", "nrr_stride", "out_dim", "accuracy_samples"],
-}
-# a valid value for the keys that are no field of their section
-NON_FIELD_VALUES = {"drl.lambda": 0.02, "asa.t_sa": 20, "scenario.task": {},
-                    "scenario.radio": {},
-                    "scenario.mecs": [{"position": [5, 5]}]}
+    @pytest.mark.parametrize("source", ["default", "readme"])
+    def test_asdict_round_trip(self, source):
+        cfg = (ExperimentConfig() if source == "default"
+               else config_from_dict(yaml.safe_load(readme_example())))
+        assert config_from_dict(asdict(cfg)) == cfg
 
 
 class TestAcceptedKeys:
     def test_pinned_sections_are_all_sections(self):
-        assert sorted(ACCEPTED_KEYS) == sorted(SECTIONS)
+        assert SECTIONS == [f.name for f in fields(ExperimentConfig)
+                            if f.name not in ("seed", "out")]
 
-    @pytest.mark.parametrize("path", sorted(ACCEPTED_KEYS))
+    @pytest.mark.parametrize("path", SECTIONS)
     def test_section_accepts_exactly_its_pinned_keys(self, path):
-        defaults = section_defaults(path)
-        for key in ACCEPTED_KEYS[path]:
-            value = NON_FIELD_VALUES.get(f"{path}.{key}", defaults.get(key))
-            config_from_dict(nest(path, {key: value}))
-        assert set(defaults) <= set(ACCEPTED_KEYS[path])
+        # every section's keys are exactly its dataclass's fields: each
+        # field loads, and no key of another section or removed spelling does
+        own = section_defaults(path)
+        assert set(own) == {f.name for f in fields(section_class(path))}
+        candidates = set(own).union(
+            *(section_defaults(other) for other in SECTIONS),
+            (key for _, key in REMOVED))
+        for key in sorted(candidates):
+            doc = {path: {key: own.get(key, 1)}}
+            if key in own:
+                config_from_dict(doc)
+            else:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"unknown {path} keys: ['{key}']")):
+                    config_from_dict(doc)
+
+    def test_accepted_key_count(self):
+        assert sum(len(fields(section_class(s))) for s in SECTIONS) == 57
 
     def test_runtime_configs_are_the_sections(self):
         cfg = ExperimentConfig()
@@ -340,10 +369,57 @@ class TestAcceptedKeys:
         assert loaded.sae == AutoencoderConfig(out_dim=5)
 
 
+# Configs where one key silently overrode another, each with the keys its
+# error must name.
+OVERRIDES = {
+    "file-with-n_ues": ({"scenario": {"file": "s.yaml", "n_ues": 30}},
+                        ["file", "n_ues"]),
+    "n_ues-vs-ues": ({"scenario": {"n_ues": 10, "cycles": 1e9,
+                                   "ues": [{"position": [1, 1]}] * 3}},
+                     ["n_ues", "ues"]),
+    "n_mecs-vs-mec_positions": (
+        {"scenario": {"n_mecs": 3, "mec_positions": [[5, 5], [45, 45]]}},
+        ["n_mecs", "mec_positions"]),
+    "mecs-over-n_mecs": ({"scenario": {"n_mecs": 3, "mecs": [
+        {"position": [5, 5]}]}}, ["mecs"]),
+    "radio-over-noise_w": ({"scenario": {"noise_w": 3e-9, "radio": {
+        "noise_w": 1e-10}}}, ["radio"]),
+    "lambda-over-lambda_reg": ({"drl": {"lambda": 0.1, "lambda_reg": 0.5}},
+                               ["lambda"]),
+    "t_sa-over-t_sa_init": ({"asa": {"t_sa": 5, "t_sa_init": 30}}, ["t_sa"]),
+    "dynamic-with-file": ({"scenario": {"file": "s.yaml"},
+                           "dynamic": {"mec_counts": [1, 2]}},
+                          ["scenario.file"]),
+    "dynamic-with-mec_positions": (
+        {"scenario": {"mec_positions": [[5, 5], [45, 45]]},
+         "dynamic": {"nrr_stride": 10}}, ["scenario.mec_positions"]),
+    "dynamic-with-sae.dims": ({"sae": {"dims": [20, 10]},
+                               "dynamic": {"mec_counts": [2]}},
+                              ["sae.dims"]),
+    "dynamic-with-sae.out_dim": ({"dynamic": {"out_dim": 5}},
+                                 ["out_dim"]),
+}
+
+
+@pytest.mark.parametrize("name", OVERRIDES)
+def test_silent_override_fails_at_load(name):
+    doc, keys = OVERRIDES[name]
+    with pytest.raises(ValueError) as exc:
+        config_from_dict(doc)
+    for key in keys:
+        assert re.search(rf"\b{re.escape(key)}\b", str(exc.value)), key
+
+
+def test_file_with_default_keys_loads(tmp_path):
+    cfg = config_from_dict(asdict(ExperimentConfig(
+        scenario=ScenarioConfig(file=str(tmp_path / "s.yaml")))))
+    assert cfg.scenario.file == str(tmp_path / "s.yaml")
+
+
 class TestBadValues:
     @pytest.mark.parametrize("doc, key", [
         ({"drl": {"search": "hillclimb"}}, "search"),
-        ({"drl": {"replay_mode": "none"}}, "replay_mode"),
+        ({"scenario": {"cycles": [1e9, 2e9]}}, "cycles"),
         ({"drl": {"t_drl": 0}}, "t_drl"),
         ({"drl": {"phi": 0}}, "phi"),
         ({"drl": {"batch": 0}}, "batch"),
@@ -353,7 +429,7 @@ class TestBadValues:
         ({"drl": {"weight_shift_epoch": 0}}, "weight_shift_epoch"),
         ({"sae": {"dims": [10, 12]}}, "dims"),
         ({"sae": {"memory": 0}}, "memory"),
-        ({"asa": {"t_sa": 300}}, "t_sa_init"),
+        ({"asa": {"t_sa_init": 0}}, "t_sa_init"),
         ({"asa": {"t_sa_init": 101}}, "t_sa_init"),
         ({"bench": {"n_channels": 0}}, "n_channels"),
         ({"bench": {"asa_budget": 0}}, "asa_budget"),
@@ -368,7 +444,7 @@ class TestBadValues:
             config_from_dict(doc)
 
     def test_budget_may_start_at_its_cap(self):
-        cfg = config_from_dict({"asa": {"t_sa": 100, "t_sa_max": 100}})
+        cfg = config_from_dict({"asa": {"t_sa_init": 100, "t_sa_max": 100}})
         assert cfg.asa.t_sa_init == cfg.asa.t_sa_max == 100
 
     def test_shift_may_fall_on_the_last_epoch(self):
@@ -379,35 +455,20 @@ class TestBadValues:
 
 class TestScenarioEntries:
     def test_ue_typo_rejected(self):
-        cfg = ScenarioConfig.from_dict({
-            "n_mecs": 1, "task": {"cycles": 1e9},
-            "ues": [{"position": [1, 1], "wieght": 2.0}]})
-        with pytest.raises(ValueError,
-                           match=re.escape("unknown scenario.ues keys: ['wieght']")):
-            build_scenario(cfg)
-
-    def test_mec_typo_rejected(self):
-        with pytest.raises(ValueError,
-                           match=re.escape("unknown scenario.mecs keys: ['fmax']")):
-            ScenarioConfig.from_dict({"mecs": [{"position": [5, 5],
-                                                "fmax": 9e9}]})
-
-    def test_differing_mec_budgets_rejected(self):
-        with pytest.raises(ValueError, match="scenario.file"):
-            ScenarioConfig.from_dict({"mecs": [
-                {"position": [5, 5], "f_max": 4e9},
-                {"position": [45, 45], "f_max": 9e9}]})
+        with pytest.raises(ValueError, match=re.escape(
+                "scenario: unknown ues keys: ['wieght']")):
+            scenario(n_mecs=1, cycles=1e9,
+                     ues=[{"position": [1, 1], "wieght": 2.0}])
 
     def test_mecs_without_f_max_keep_the_section_budget(self):
-        cfg = ScenarioConfig.from_dict({"f_mec_max": 8e9,
-                                        "mecs": [{"position": [5, 5]}]})
-        assert cfg.f_mec_max == 8e9
+        cfg = scenario(f_mec_max=8e9, mec_positions=[[5, 5]])
+        assert [m.f_max for m in build_scenario(cfg).mecs] == [8e9]
 
 
 class TestStringValues:
     @pytest.mark.parametrize("doc, key", [
         ({"scenario": {"f_mec_max": "4.0e9"}}, "scenario.f_mec_max"),
-        ({"scenario": {"task": {"data_bits": "8.0e5"}}}, "scenario.data_bits"),
+        ({"scenario": {"data_bits": "8.0e5"}}, "scenario.data_bits"),
         ({"drl": {"lr": "1e-3"}}, "drl.lr"),
         ({"drl": {"weight_shift_epoch": "1500"}}, "drl.weight_shift_epoch"),
         ({"bench": {"n_channels": "100"}}, "bench.n_channels")])
@@ -416,12 +477,12 @@ class TestStringValues:
             config_from_dict(doc)
 
     def test_string_fields_still_take_strings(self, tmp_path):
-        cfg = config_from_dict({
-            "scenario": {"fading": "rayleigh", "file": str(tmp_path / "s.yaml")},
-            "drl": {"search": "random"}})
+        cfg = config_from_dict({"scenario": {"fading": "rayleigh"},
+                                "drl": {"search": "random"}})
         assert cfg.scenario.fading == "rayleigh"
-        assert cfg.scenario.file == str(tmp_path / "s.yaml")
         assert cfg.drl.search == "random"
+        cfg = config_from_dict({"scenario": {"file": str(tmp_path / "s.yaml")}})
+        assert cfg.scenario.file == str(tmp_path / "s.yaml")
 
 
 def test_dump_scenario_is_atomic(tmp_path, monkeypatch):

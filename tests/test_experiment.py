@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,12 @@ import pytest
 import edgesched
 from edgesched import experiment
 from edgesched.cli import main as cli_main
-from edgesched.config import config_from_dict
+from edgesched.config import config_from_dict, dump_scenario
 from edgesched.experiment import (HELDOUT_EPOCH_BASE, PRETRAIN_EPOCH_BASE,
                                   bench_experiment, dynamic_experiment,
                                   heldout_accuracy, load_artifacts,
                                   pretrain_compressor, train_experiment)
+from edgesched.mec import random_scenario
 
 
 def tiny_config(**extra):
@@ -24,7 +26,7 @@ def tiny_config(**extra):
         "scenario": {"n_ues": 4, "n_mecs": 2},
         "sae": {"t_sae": 40, "pretrain_samples": 60},
         "drl": {"t_drl": 20, "phi": 5},
-        "asa": {"t_sa": 4},
+        "asa": {"t_sa_init": 4},
         "bench": {"n_channels": 4, "asa_budget": 30},
         "dynamic": {"mec_counts": [1, 2], "nrr_stride": 5,
                     "accuracy_samples": 20},
@@ -153,6 +155,27 @@ class TestDynamic:
                            r"from the encoded state size 4 to the policy head 12"):
             dynamic_experiment(cfg)
 
+    def test_sweep_reads_sae_out_dim(self):
+        cfg = tiny_config(sae={"t_sae": 40, "pretrain_samples": 60,
+                               "out_dim": 2},
+                          dynamic={"mec_counts": [2, 4], "nrr_stride": 5,
+                                   "accuracy_samples": 20})
+        rows = dynamic_experiment(cfg)
+        # 4 UEs: 8 -> 2 channel entries at M = 2, 16 -> 2 at M = 4
+        assert [r["compression_ratio"] for r in rows] == [0.75, 0.875]
+
+    def test_sweep_rejects_a_scenario_file(self, tmp_path, monkeypatch):
+        # without a dynamic section the config loads; the sweep still refuses
+        def no_training(*args, **kwargs):
+            raise AssertionError("a row trained")
+        monkeypatch.setattr(experiment, "train_experiment", no_training)
+        path = tmp_path / "s.yaml"
+        dump_scenario(random_scenario(4, 2, rng_seed=1), path)
+        cfg = config_from_dict({"scenario": {"file": str(path)}})
+        with pytest.raises(ValueError, match=re.escape(
+                "drop ['scenario.file']")):
+            dynamic_experiment(cfg)
+
 
 class TestCli:
     def test_gen_scenario(self, tmp_path, capsys):
@@ -169,7 +192,7 @@ class TestCli:
             "scenario: {n_ues: 3, n_mecs: 2}\n"
             "sae: {t_sae: 20, pretrain_samples: 30}\n"
             "drl: {t_drl: 8, phi: 4}\n"
-            "asa: {t_sa: 3}\n")
+            "asa: {t_sa_init: 3}\n")
         rc = cli_main(["train", "--config", str(cfg), "--out",
                        str(tmp_path / "run"), "--quiet"])
         assert rc == 0
@@ -206,7 +229,7 @@ class TestCli:
             "scenario: {n_ues: 3, n_mecs: 2}\n"
             "sae: {t_sae: 20, pretrain_samples: 30}\n"
             "drl: {t_drl: 8, phi: 4}\n"
-            "asa: {t_sa: 3}\n"
+            "asa: {t_sa_init: 3}\n"
             "bench: {n_channels: 3, asa_budget: 20}\n")
         rc = cli_main(["bench", "--config", str(cfg), "--out",
                        str(tmp_path / "run"), "--quiet"])
@@ -218,7 +241,7 @@ class TestCli:
         good = ("seed: 5\n"
                 "scenario: {n_ues: 3, n_mecs: 2}\n"
                 "sae: {t_sae: 20, pretrain_samples: 30}\n"
-                "asa: {t_sa: 3}\n"
+                "asa: {t_sa_init: 3}\n"
                 "bench: {n_channels: 3, asa_budget: 20}\n")
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(good + "drl: {t_drl: 8, phi: 4}\n")

@@ -220,6 +220,13 @@ class TestScenarioFactory:
         ranged = make_scenario(weights=(0.5, 2.0))
         assert all(0.5 <= u.weight <= 2.0 for u in ranged.ues)
 
+    @pytest.mark.parametrize("weights", [np.array([1.0, 3.0]), [1.0, 3.0]],
+                             ids=["array", "list"])
+    def test_only_a_tuple_is_a_range(self, weights):
+        # a two-element array was once drawn from as a (low, high) range
+        scen = random_scenario(2, 1, weights=weights)
+        assert [u.weight for u in scen.ues] == [1.0, 3.0]
+
     def test_explicit_weights_length_checked(self):
         with pytest.raises(ValueError):
             make_scenario(weights=[1.0, 2.0, 3.0])

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -195,10 +197,10 @@ class TestCheckpoints:
         rng = np.random.default_rng(11)
         net = Network(mlp_specs([3, 5, 2], hidden="relu"), rng=rng)
         p = tmp_path / "net.json"
-        save_checkpoint(net, p, seed=11, epoch=42, extra={"note": "x"})
+        save_checkpoint(net, p, seed=11, epoch=42)
         loaded, doc = load_checkpoint(p)
         assert doc["seed"] == 11 and doc["epoch"] == 42
-        assert doc["extra"] == {"note": "x"}
+        assert doc["extra"] == {}
         for wa, wb in zip(net.weights, loaded.weights):
             np.testing.assert_array_equal(wa, wb)
         x = rng.normal(size=(2, 3))
@@ -239,6 +241,49 @@ class TestCheckpoints:
         assert doc["epoch"] == 1
         np.testing.assert_array_equal(loaded.weights[0], net.weights[0])
         assert [q.name for q in tmp_path.iterdir()] == ["policy.json"]
+
+    @staticmethod
+    def tampered(tmp_path, edit):
+        """A saved [3, 5, 4, 2] policy checkpoint after ``edit(doc)``."""
+        net = Network(mlp_specs([3, 5, 4, 2]), rng=np.random.default_rng(14))
+        p = tmp_path / "policy.json"
+        save_checkpoint(net, p, seed=1, epoch=1)
+        doc = json.loads(p.read_text())
+        edit(doc)
+        p.write_text(json.dumps(doc))
+        return p
+
+    def test_rejects_missing_layer_parameters(self, tmp_path):
+        # loaded as a truncated [3, 5, 4] net, output width 4 instead of 2
+        def drop_last(doc):
+            del doc["weights"][-1], doc["biases"][-1]
+        p = self.tampered(tmp_path, drop_last)
+        with pytest.raises(ValueError, match=re.escape(str(p))):
+            load_checkpoint(p)
+
+    def test_rejects_broadcast_bias(self, tmp_path):
+        def one_entry(doc):
+            doc["biases"][0] = [0.5]
+        p = self.tampered(tmp_path, one_entry)
+        with pytest.raises(ValueError, match="do not fit the layers"):
+            load_checkpoint(p)
+
+    def test_rejects_non_finite_weight(self, tmp_path):
+        def nan(doc):
+            doc["weights"][1][3] = float("nan")
+        p = self.tampered(tmp_path, nan)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{p}: non-finite parameters")):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("weights, biases", [
+        ([np.eye(2)], [np.zeros(2), np.zeros(2)]),
+        ([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)]),
+        ([np.ones((2, 3))], [np.zeros(2)]),
+        ([np.eye(2)], [np.zeros(1)])])
+    def test_parameters_must_fit_the_layers(self, weights, biases):
+        with pytest.raises(ValueError, match="do not fit the layers"):
+            Network([LayerSpec(2, 2)], weights=weights, biases=biases)
 
     def test_l2_norm(self):
         net = Network([LayerSpec(2, 1, "linear")],
