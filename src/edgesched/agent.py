@@ -140,11 +140,10 @@ def decide(policy: Network, state: np.ndarray, n_ues: int,
     row-wise argmax picks the placement, ties resolving to the lowest index
     (local first).  Feasibility never depends on the parameter values.
     """
-    out = policy.forward(state)
-    if out.shape[-1] != n_ues * (n_mecs + 1):
+    if policy.out_dim != n_ues * (n_mecs + 1):
         raise ValueError("policy head does not match N * (M + 1)")
-    scores = out.reshape(n_ues, n_mecs + 1)
-    return OffloadDecision(assign=np.argmax(scores, axis=1), n_mecs=n_mecs)
+    scores = policy.forward(state).reshape(n_ues, n_mecs + 1)
+    return OffloadDecision(assign=scores.argmax(axis=1), n_mecs=n_mecs)
 
 
 def one_hot_target(decision: np.ndarray, n_mecs: int) -> np.ndarray:

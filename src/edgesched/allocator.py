@@ -45,17 +45,16 @@ def allocate_frequencies(decision: OffloadDecision, scenario: Scenario) -> np.nd
 
     Local tasks run at the local capacity.  On each MEC the budget splits
     proportionally to sqrt(w_i * F_i), which equalises the marginal weighted
-    latency across served tasks and uses the budget exactly.
+    latency across served tasks and uses the budget exactly.  The per-MEC
+    loads come from one ``bincount``, as in ``Evaluator``; a served UE's
+    load is never 0, and a local UE's quotient is computed but not used.
     """
     assign = decision.assign
     arr = scenario.arrays
-    freqs = np.where(assign == 0, arr.local_cap, 0.0)
-    for j, f_max in enumerate(arr.f_mec, start=1):
-        members = np.flatnonzero(assign == j)
-        if members.size:
-            s = arr.sqrt_wf[members]
-            freqs[members] = f_max * s / s.sum()
-    return freqs
+    loads = np.bincount(assign, weights=arr.sqrt_wf,
+                        minlength=scenario.n_mecs + 1)
+    return np.where(assign == 0, arr.local_cap,
+                    arr.f_mec[assign - 1] * arr.sqrt_wf / loads[assign])
 
 
 def evaluate(decision: OffloadDecision, scenario: Scenario,

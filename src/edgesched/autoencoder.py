@@ -5,8 +5,8 @@ channel gain matrix.  Gains span several orders of magnitude, so raster
 vectors are log10-transformed and min-max scaled to [0, 1] against running
 dataset bounds.  Training minimises a reconstruction loss with two extra
 terms: a per-row relative-shape term (each UE row divided by its row maximum,
-so the loss also preserves which MEC looks best relative to the others) and
-an L2 weight penalty.
+so the loss also preserves which MEC looks best relative to the others; with
+one MEC every shape is 1 and the term is skipped) and an L2 weight penalty.
 
 Every observed channel enters a bounded FIFO memory that training draws
 from.  The paper admits only samples the current autoencoder reconstructs
@@ -139,13 +139,21 @@ class Rasterizer:
         self.hi = hi if self.hi is None else max(self.hi, hi)
 
     def transform(self, gains: np.ndarray) -> np.ndarray:
+        """The flattened, normalised float gains, as a new array.
+
+        The result owns its data: ``log10`` of the flattened input is the
+        one new buffer, scaled and clipped in place.  (``log10`` first and
+        ``ravel`` after would return a view that keeps a temporary alive.)
+        """
         if self.lo is None:
             raise RuntimeError("no bounds observed yet")
-        flat = np.log10(np.asarray(gains, dtype=float)).ravel()
+        flat = np.log10(np.ravel(gains))
         span = self.hi - self.lo
         if span <= 0:
             return np.full(flat.shape, 0.5)
-        return np.clip((flat - self.lo) / span, 0.0, 1.0)
+        flat -= self.lo
+        flat /= span
+        return flat.clip(0.0, 1.0, out=flat)
 
     def copy(self) -> "Rasterizer":
         return Rasterizer(self.lo, self.hi)
@@ -179,7 +187,10 @@ def reconstruction_loss_grads(net: Network, batch: np.ndarray, n_rows: int,
     loss = float(np.mean(diff * diff))
     grad_y = 2.0 * diff / diff.size
 
-    if gamma1 != 0.0:
+    # With one server (n_cols == 1) every row's shape is 1 and the term is
+    # 0; its input row is 0 where the gain is the smallest observed, and
+    # would divide by 0.
+    if gamma1 != 0.0 and n_cols > 1:
         u, _ = _row_shapes(x, n_rows, n_cols)
         yr = y.reshape(b, n_rows, n_cols)
         maxima = yr.max(axis=2, keepdims=True)

@@ -24,7 +24,8 @@ from .agent import EpochLog, decide
 from .allocator import Evaluator
 from .annealing import AnnealConfig, BudgetState, SearchResult, search
 from .autoencoder import ChannelCompressor
-from .mec import ChannelState, OffloadDecision, Scenario, sample_channel_state
+from .mec import (ChannelState, OffloadDecision, Scenario, data_rate,
+                  sample_channel_state)
 from .neural import Network, write_csv
 
 # Bench channel draws live on epoch indices far above any training run so the
@@ -37,25 +38,28 @@ def greedy_baseline(scenario: Scenario, channel: ChannelState) -> OffloadDecisio
 
     Every UE first picks its closest MEC.  Per MEC, while an equal split of
     the frequency budget would leave any served UE slower than it would be
-    locally, the UE with the largest cycle demand is moved to local
-    execution.  Channel gains only enter through the upload time at max
-    power; weights cancel out of the per-UE comparison.
+    locally, the UE with the largest cycle demand (the lowest index among
+    equals) is moved to local execution.  MECs do not interact, so each
+    round moves one UE off every MEC that still has a slow member.  Channel
+    gains only enter through the upload time at max power; weights cancel
+    out of the per-UE comparison.
     """
-    arr = scenario.arrays
-    rates = Evaluator(scenario, channel).rates
+    arr, radio = scenario.arrays, scenario.radio
     assign = arr.distances.argmin(axis=1) + 1
-    for j, f_max in enumerate(arr.f_mec, start=1):
-        members = list(np.flatnonzero(assign == j))
-        while members:
-            cycles = arr.cycles[members]
-            remote = (arr.data_bits[members] / rates[members, j - 1]
-                      + cycles / (f_max / len(members)))
-            if np.all(remote <= cycles / arr.local_cap[members]):
-                break
-            worst = members[int(np.argmax(cycles))]
-            assign[worst] = 0
-            members.remove(worst)
-    return OffloadDecision(assign=assign, n_mecs=scenario.n_mecs)
+    rates = data_rate(radio.bandwidth_hz, arr.p_max, channel.gains[
+        np.arange(scenario.n_ues), assign - 1], radio.noise_w)
+    upload = arr.data_bits / rates
+    local = arr.cycles / arr.local_cap
+    while True:
+        # a local UE's entry is computed but masked; count[0] > 0 then
+        count = np.bincount(assign, minlength=scenario.n_mecs + 1)
+        remote = upload + arr.cycles / (arr.f_mec[assign - 1] / count[assign])
+        slow = (assign > 0) & ~(remote <= local)
+        if not slow.any():
+            return OffloadDecision(assign=assign, n_mecs=scenario.n_mecs)
+        for j in np.unique(assign[slow]):
+            members = np.flatnonzero(assign == j)
+            assign[members[arr.cycles[members].argmax()]] = 0
 
 
 def random_baseline(scenario: Scenario, channel: ChannelState,

@@ -93,6 +93,10 @@ _UE_NUMBERS = [f.name for f in fields(UeSpec)
                if f.name not in ("position", "task")]
 
 
+# the default weight draw of a sampled scenario
+_WEIGHT_RANGE = {"low": 0.5, "high": 2.0}
+
+
 @dataclass
 class ScenarioConfig:
     """Synthesis parameters for a scenario, or a pointer to an explicit one.
@@ -100,10 +104,14 @@ class ScenarioConfig:
     ``weights`` accepts a number (same weight everywhere), a list with one
     entry per UE, or a {low, high} mapping for a uniform draw from the
     scenario seed; ``cycles`` accepts a number or a {low, high} mapping, and
-    per-UE cycles go in ``ues`` entries.  ``n_ues`` and ``n_mecs`` default to
-    the lengths of ``ues`` and ``mec_positions`` where those are given, else
-    to the desk-scale 10 and 2, and must agree with them.  ``file`` names a
-    scenario written by ``dump_scenario`` and takes no other key.
+    per-UE cycles go in ``ues`` entries.  Beside ``ues``, a number in
+    ``weights`` is the default of entries that give no ``weight``, as
+    ``cycles`` is theirs; without one the default is 1.0, and a list or
+    range other than the default range is rejected.  ``n_ues`` and
+    ``n_mecs`` default to the lengths of ``ues`` and ``mec_positions`` where
+    those are given, else to the desk-scale 10 and 2, and must agree with
+    them.  ``file`` names a scenario written by ``dump_scenario`` and takes
+    no other key.
     """
 
     n_ues: int | None = None
@@ -118,7 +126,7 @@ class ScenarioConfig:
     fading: str = "exponential"
     data_bits: float = 8e5
     cycles: Any = field(default_factory=lambda: {"low": 2e8, "high": 4e9})
-    weights: Any = field(default_factory=lambda: {"low": 0.5, "high": 2.0})
+    weights: Any = field(default_factory=lambda: dict(_WEIGHT_RANGE))
     f_local_max: float = 2.5e8
     f_mec_max: float = 4e9
     kappa: float = 1e-27
@@ -148,6 +156,11 @@ class ScenarioConfig:
         if isinstance(self.cycles, list):
             raise ValueError("cycles takes a number or a {low, high} range, "
                              "not a list; give per-UE cycles in ues entries")
+        if (self.ues is not None and not isinstance(self.weights, (int, float))
+                and self.weights != _WEIGHT_RANGE):
+            raise ValueError("weights beside ues takes one number, the "
+                             "entries' default weight; give per-UE weights "
+                             "in ues entries")
         for u in self.ues or ():
             _check_keys("ues", u, _UE_KEYS)
 
@@ -159,8 +172,9 @@ def build_scenario(cfg: ScenarioConfig, fallback_seed: int = 0) -> Scenario:
     seed = cfg.rng_seed if cfg.rng_seed is not None else fallback_seed
     radio = RadioParams(**{k: getattr(cfg, k) for k in _names(RadioParams)})
     if cfg.ues is not None:
+        weight = cfg.weights if isinstance(cfg.weights, (int, float)) else 1.0
         defaults = {"data_bits": cfg.data_bits, "cycles": cfg.cycles,
-                    "weight": 1.0, "f_local_max": cfg.f_local_max,
+                    "weight": weight, "f_local_max": cfg.f_local_max,
                     "p_max": cfg.p_ue_max_w, "kappa": cfg.kappa, "v": cfg.v}
         ues = tuple(_ue_from_dict(u, defaults) for u in cfg.ues)
         positions = cfg.mec_positions or default_mec_positions(cfg.n_mecs,

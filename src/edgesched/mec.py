@@ -198,7 +198,8 @@ class OffloadDecision:
         a = np.asarray(self.assign, dtype=np.int64)
         if a.ndim != 1:
             raise ValueError("assign must be a length-N vector")
-        if a.size and (a.min() < 0 or a.max() > self.n_mecs):
+        # Python ints compare faster than numpy scalars
+        if a.size and not (0 <= int(a.min()) and int(a.max()) <= self.n_mecs):
             raise ValueError("assignments must lie in {0..M}")
         object.__setattr__(self, "assign", a)
 

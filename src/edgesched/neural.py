@@ -52,18 +52,28 @@ def mlp_specs(dims: Sequence[int], hidden: str = "sigmoid",
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, so exp never overflows
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, so exp never overflows;
+    # copysign gives -|z| in one call, and e is reused for 1 + e
+    e = np.copysign(z, -1.0)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _apply(act: str, z: np.ndarray) -> np.ndarray:
+    """The activation of ``z``; relu and linear reuse ``z``'s buffer.
+
+    relu overwrites ``z`` in place, which leaves the sign mask
+    ``_derivative`` reads from it unchanged.
+    """
     if act == "sigmoid":
         return _sigmoid(z)
     if act == "tanh":
         return np.tanh(z)
     if act == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     return z
 
 
@@ -125,21 +135,33 @@ class Network:
         """Every layer size, input first."""
         return [self.in_dim] + [s.out_dim for s in self.specs]
 
+    def _layers(self, a: np.ndarray):
+        """The one forward kernel: per layer, (input, pre-activation, output).
+
+        ``a`` is a float (B, in_dim) array; a relu layer's pre-activation
+        is its output (see ``_apply``).
+        """
+        for spec, w, b in zip(self.specs, self.weights, self.biases):
+            z = a @ w.T
+            z += b
+            out = _apply(spec.activation, z)
+            yield a, z, out
+            a = out
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Map (B, in_dim) or (in_dim,) inputs to outputs (the cache dropped)."""
-        out, _ = self.forward_cached(x)
-        return out[0] if np.ndim(x) == 1 else out
+        """Map a float (B, in_dim) or (in_dim,) array to outputs; no cache.
+
+        A single vector runs as a (1, in_dim) row, as in ``forward_cached``,
+        so both give the same bits.
+        """
+        for _, _, out in self._layers(x[None] if x.ndim == 1 else x):
+            pass
+        return out[0] if x.ndim == 1 else out
 
     def forward_cached(self, x: np.ndarray):
-        """Forward pass keeping per-layer inputs and pre-activations."""
-        a = np.atleast_2d(np.asarray(x, dtype=float))
-        cache = []
-        for spec, w, b in zip(self.specs, self.weights, self.biases):
-            z = a @ w.T + b
-            out = _apply(spec.activation, z)
-            cache.append((a, z, out))
-            a = out
-        return a, cache
+        """Forward pass keeping every layer's triple from ``_layers``."""
+        cache = list(self._layers(np.atleast_2d(np.asarray(x, dtype=float))))
+        return cache[-1][2], cache
 
     def backward(self, cache, grad_out: np.ndarray) -> Gradients:
         """Backpropagate dLoss/dOutput through the cached forward pass.

@@ -1,4 +1,4 @@
-"""Numeric reference for the per-MEC CPU-frequency split.
+"""Reference implementations the tests use as oracles.
 
 ``allocate_frequencies_oracle`` re-solves the frequency program that
 ``edgesched.allocator.allocate_frequencies`` solves in closed form: a
@@ -8,6 +8,10 @@ form beyond the objective, so it is an independent check of it.  It is
 deliberately slow and needs scipy, and no run uses it, so it lives beside
 the tests that use it as an oracle (``test_allocator.py`` and acceptance
 criterion 01) rather than in the package.
+
+``allocate_frequencies_loop`` and ``greedy_baseline_loop`` are the plain
+per-MEC loops that ``allocate_frequencies`` and ``bench.greedy_baseline``
+replace with whole-array steps; they pin the vectorised forms.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from edgesched.allocator import local_capacity
-from edgesched.mec import OffloadDecision, Scenario
+from edgesched.mec import ChannelState, OffloadDecision, Scenario, data_rate
 
 
 def _project_simplex(y: np.ndarray, total: float) -> np.ndarray:
@@ -135,3 +139,38 @@ def allocate_frequencies_oracle(decision: OffloadDecision, scenario: Scenario,
             continue
         freqs[members] = _numeric_split(c[members], mec.f_max, tol, max_iter)
     return freqs
+
+
+def allocate_frequencies_loop(decision: OffloadDecision,
+                              scenario: Scenario) -> np.ndarray:
+    """The closed-form split, one MEC at a time: f_j * s_i / sum of s."""
+    assign = decision.assign
+    arr = scenario.arrays
+    freqs = np.where(assign == 0, arr.local_cap, 0.0)
+    for j, f_max in enumerate(arr.f_mec, start=1):
+        members = np.flatnonzero(assign == j)
+        if members.size:
+            s = arr.sqrt_wf[members]
+            freqs[members] = f_max * s / s.sum()
+    return freqs
+
+
+def greedy_baseline_loop(scenario: Scenario,
+                         channel: ChannelState) -> np.ndarray:
+    """Greedy placement, one MEC at a time, one UE moved local per step."""
+    arr, radio = scenario.arrays, scenario.radio
+    rates = data_rate(radio.bandwidth_hz, arr.p_max[:, None], channel.gains,
+                      radio.noise_w)
+    assign = arr.distances.argmin(axis=1) + 1
+    for j, f_max in enumerate(arr.f_mec, start=1):
+        members = list(np.flatnonzero(assign == j))
+        while members:
+            cycles = arr.cycles[members]
+            remote = (arr.data_bits[members] / rates[members, j - 1]
+                      + cycles / (f_max / len(members)))
+            if np.all(remote <= cycles / arr.local_cap[members]):
+                break
+            worst = members[int(np.argmax(cycles))]
+            assign[worst] = 0
+            members.remove(worst)
+    return assign

@@ -78,6 +78,25 @@ class TestDecide:
         dec = decide(net, state, n_ues=2, n_mecs=2)
         np.testing.assert_array_equal(dec.assign, [1, 0])
 
+    @pytest.mark.parametrize("n, m", [(10, 2), (30, 5)])
+    def test_argmax_of_forward_cached_on_draws(self, n, m):
+        # an untrained policy on rasterized draws, whose decisions vary
+        scen = random_scenario(n, m, rng_seed=5, weights=(0.5, 2.0))
+        rng = np.random.default_rng(6)
+        comp = identity_compressor(n, m)
+        comp.pretrain([sample_channel_state(scen, e).gains
+                       for e in range(1, 21)], rng)
+        net = build_policy(comp.out_dim, n, m, AgentConfig(), rng)
+        seen = set()
+        for e in range(100, 300):
+            state = comp.encode_channel(sample_channel_state(scen, e)).vector
+            scores, _ = net.forward_cached(state)
+            assign = decide(net, state, n, m).assign
+            np.testing.assert_array_equal(
+                assign, scores.reshape(n, m + 1).argmax(axis=1))
+            seen.add(assign.tobytes())
+        assert len(seen) > 10
+
     def test_tie_prefers_local(self):
         net = Network([LayerSpec(3, 3, "linear")],
                       weights=[np.eye(3)], biases=[np.zeros(3)])

@@ -8,7 +8,7 @@ from edgesched.allocator import (Allocation, Evaluator, allocate_frequencies,
 from edgesched.mec import (OffloadDecision, Task, UeSpec, random_scenario,
                            reweighted, sample_channel_state, weighted_latency)
 
-from reference import allocate_frequencies_oracle
+from reference import allocate_frequencies_loop, allocate_frequencies_oracle
 
 
 def fuzz_case(rng, n_max=8, m_max=3):
@@ -86,6 +86,48 @@ class TestClosedForm:
         dec = OffloadDecision(assign=np.array([1, 1, 2, 2, 1]), n_mecs=2)
         np.testing.assert_allclose(allocate_frequencies(dec, base),
                                    allocate_frequencies(dec, scaled))
+
+
+class TestMatchesPerMecLoop:
+    """The one-``bincount`` split against the per-MEC loop it replaced.
+
+    The two sum a MEC's loads in a different order once it serves 8 or more
+    UEs (numpy's pairwise sum against bincount's sequential one), so they
+    agree to 1e-15 relative there and bit for bit below.
+    """
+
+    # (N, M, placement): an empty MEC, all local, all remote, 12 UEs on one
+    CASES = {
+        "empty-mec": (6, 3, [1, 1, 0, 3, 3, 1]),
+        "all-local": (5, 2, [0, 0, 0, 0, 0]),
+        "all-remote": (4, 2, [1, 2, 2, 1]),
+        "twelve-on-one": (14, 2, [2] * 12 + [0, 1]),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_named_case(self, name):
+        n, m, assign = self.CASES[name]
+        scen = random_scenario(n, m, rng_seed=4, weights=(0.3, 3.0),
+                               cycles_range=(1e8, 4e9))
+        dec = OffloadDecision(assign=np.array(assign), n_mecs=m)
+        freqs = allocate_frequencies(dec, scen)
+        ref = allocate_frequencies_loop(dec, scen)
+        np.testing.assert_allclose(freqs, ref, rtol=1e-15, atol=0)
+        for j, mec in enumerate(scen.mecs, start=1):
+            members = dec.assign == j
+            if members.any():
+                assert freqs[members].sum() == pytest.approx(mec.f_max,
+                                                             rel=1e-14)
+            if members.sum() < 8:
+                np.testing.assert_array_equal(freqs[members], ref[members])
+
+    def test_fuzz(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            scen, dec = fuzz_case(rng, n_max=40, m_max=5)
+            np.testing.assert_allclose(allocate_frequencies(dec, scen),
+                                       allocate_frequencies_loop(dec, scen),
+                                       rtol=1e-15, atol=0)
 
 
 class TestOracleAgreement:

@@ -95,6 +95,14 @@ class TestRasterizer:
         np.testing.assert_array_equal(r.transform(np.array([[1e-5, 1e-5]])),
                                       [0.5, 0.5])
 
+    @pytest.mark.parametrize("lo, hi", [(-8.0, -4.0), (-5.0, -5.0)])
+    @pytest.mark.parametrize("shape", [(3, 2), (6,), (4, 6)])
+    def test_result_owns_its_data(self, lo, hi, shape):
+        # a view would keep the log10 temporary alive in every memory entry
+        out = Rasterizer(lo, hi).transform(np.full(shape, 1e-6))
+        assert out.base is None and out.flags.owndata
+        assert out.shape == (int(np.prod(shape)),)
+
     def test_requires_observation(self):
         with pytest.raises(RuntimeError):
             Rasterizer().transform(np.ones((1, 1)))
@@ -127,6 +135,16 @@ class TestMemory:
             twin.observe(ch.gains)
             expect.append(twin.transform(ch.gains))
         np.testing.assert_array_equal(np.stack(comp.memory), expect[-4:])
+
+    def test_entries_own_their_data(self):
+        comp = self.make(memory=4)
+        scen = random_scenario(2, 2, rng_seed=3)
+        comp.pretrain([sample_channel_state(scen, e).gains for e in (1, 2)],
+                      np.random.default_rng(0))
+        for e in range(3, 6):
+            comp.observe_and_admit(sample_channel_state(scen, e))
+        assert len(comp.memory) == 4
+        assert all(x.base is None and x.flags.owndata for x in comp.memory)
 
     def test_identity_compressor_keeps_no_memory(self):
         comp = ChannelCompressor(AutoencoderConfig(dims=[4]), 2, 2)
@@ -202,6 +220,20 @@ class TestLoss:
         batch[0, 3:] = 0.0  # the second of two input rows is all zero
         with pytest.raises(ValueError):
             reconstruction_loss_grads(net, batch, 2, 3, 0.5, 0.0)
+
+    def test_one_server_rows_carry_no_shape_term(self):
+        # with one column a row's shape is 1, so the term is 0 and skipped,
+        # even where a rasterized row is 0 and has no maximum to divide by
+        net = self.tiny_net(dims=(3, 2, 3))
+        batch = np.array([[0.0, 0.4, 1.0], [0.7, 0.0, 0.2]])
+        for gamma2 in (0.0, 0.08):
+            with_shape = reconstruction_loss_grads(net, batch, 3, 1, 0.5,
+                                                   gamma2)
+            without = reconstruction_loss_grads(net, batch, 3, 1, 0.0, gamma2)
+            assert with_shape[0] == without[0]
+            for (aw, ab), (bw, bb) in zip(with_shape[1], without[1]):
+                np.testing.assert_array_equal(aw, bw)
+                np.testing.assert_array_equal(ab, bb)
 
     def test_batch_width_checked(self):
         net = self.tiny_net()

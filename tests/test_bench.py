@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from edgesched.bench import (BENCH_EPOCH_BASE, NODE_LIMIT, PsoConfig,
 from edgesched.config import ExperimentConfig, build_scenario
 from edgesched.mec import (MecSpec, RadioParams, Scenario, Task, UeSpec,
                            random_scenario, sample_channel_state)
+
+from reference import greedy_baseline_loop
 
 
 def toy(n=4, m=2, seed=0, **kw):
@@ -52,6 +56,28 @@ class TestGreedy:
         remote = ev.cost[0, 1] / ue.weight + ue.task.cycles / 1e10
         local = ue.task.cycles / local_capacity(ue)
         assert (dec.assign[0] == 1) == (remote <= local)
+
+
+    # (N, M, MEC budget, task cycles, UEs moved local over the draws): the
+    # default desk scenario moves none, the weaker budgets several per MEC
+    # and draw, and equal cycles make every move a tie
+    @pytest.mark.parametrize("n, m, f_mec, cycles, moves", [
+        (10, 2, 4e9, None, 0), (10, 2, 1e9, None, 240),
+        (30, 5, 1e9, None, 902), (50, 3, 6e8, None, 2640),
+        (12, 1, 3e8, None, 662), (12, 2, 1e9, 1e9, 360)])
+    def test_matches_per_mec_loop(self, n, m, f_mec, cycles, moves):
+        cfg = ExperimentConfig().scenario
+        cfg = replace(cfg, n_ues=n, n_mecs=m, f_mec_max=f_mec,
+                      cycles=cycles or cfg.cycles)
+        scen = build_scenario(cfg, fallback_seed=1)
+        moved = 0
+        for e in range(1, 61):
+            ch = sample_channel_state(scen, e)
+            ref = greedy_baseline_loop(scen, ch)
+            np.testing.assert_array_equal(greedy_baseline(scen, ch).assign,
+                                          ref)
+            moved += int((ref == 0).sum())
+        assert moved == moves
 
 
 class TestRandom:

@@ -14,6 +14,7 @@ from edgesched.config import (ExperimentConfig, ScenarioConfig, build_scenario,
 from edgesched.mec import RadioParams, Task, random_scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+TOOL_CONFIGS = Path(__file__).resolve().parent.parent / "tools" / "configs"
 
 
 def scenario(**keys) -> ScenarioConfig:
@@ -117,6 +118,12 @@ class TestBuildScenario:
         assert scen.ues[0].task.cycles == 1e9
         assert scen.ues[1].task.cycles == 2e9
         assert scen.ues[0].task.data_bits == cfg.data_bits
+
+    def test_scalar_weights_are_the_entries_default(self):
+        cfg = scenario(weights=2.5, cycles=1.0e9,
+                       ues=[{"position": [1, 1]},
+                            {"position": [2, 2], "weight": 0.5}])
+        assert [u.weight for u in build_scenario(cfg).ues] == [2.5, 0.5]
 
     def test_explicit_ue_needs_cycles_under_range_default(self):
         cfg = scenario(ues=[{"position": [1, 1]}])
@@ -234,6 +241,14 @@ class TestExperimentConfig:
 
     def test_load_config_none_is_default(self):
         assert load_config(None).seed == 1
+
+    def test_reference_configs_load(self):
+        # the configurations tools/artifact_hashes.py trains
+        cfgs = {p.stem: load_config(p)
+                for p in sorted(TOOL_CONFIGS.glob("*.yaml"))}
+        assert sorted(cfgs) == ["default", "identity_6x1", "seed7_shift",
+                                "wide_30x5"]
+        assert cfgs["default"] == ExperimentConfig()
 
     def test_load_config_file(self, tmp_path):
         p = tmp_path / "cfg.yaml"
@@ -387,6 +402,14 @@ OVERRIDES = {
     "lambda-over-lambda_reg": ({"drl": {"lambda": 0.1, "lambda_reg": 0.5}},
                                ["lambda"]),
     "t_sa-over-t_sa_init": ({"asa": {"t_sa": 5, "t_sa_init": 30}}, ["t_sa"]),
+    "weights-list-beside-ues": (
+        {"scenario": {"weights": [1.0, 2.0], "cycles": 1e9,
+                      "ues": [{"position": [1, 1]}, {"position": [2, 2]}]}},
+        ["weights", "ues"]),
+    "weights-range-beside-ues": (
+        {"scenario": {"weights": {"low": 1.0, "high": 3.0}, "cycles": 1e9,
+                      "ues": [{"position": [1, 1]}, {"position": [2, 2]}]}},
+        ["weights", "ues"]),
     "dynamic-with-file": ({"scenario": {"file": "s.yaml"},
                            "dynamic": {"mec_counts": [1, 2]}},
                           ["scenario.file"]),

@@ -62,6 +62,18 @@ class TestTrain:
                      "scenario_resolved.yaml"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_compressing_autoencoder_at_one_server(self, tmp_path):
+        # pretraining and the refresh at epoch 200 both train the
+        # autoencoder on rows of one entry, the smallest of which is 0
+        cfg = config_from_dict({
+            "scenario": {"n_ues": 4, "n_mecs": 1},
+            "sae": {"out_dim": 2, "t_sae": 40, "pretrain_samples": 60},
+            "drl": {"t_drl": 200}})
+        art = train_experiment(cfg, tmp_path)
+        assert art.compressor.cfg.dims == [4, 3, 2]
+        assert len(art.sae_trace) == 40 and np.isfinite(art.sae_trace).all()
+        assert len(art.result.logs) == 200
+
     def test_pretrain_uses_dedicated_stream(self):
         cfg = tiny_config()
         from edgesched.agent import SeedBundle

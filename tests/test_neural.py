@@ -82,6 +82,20 @@ class TestForward:
         for i in range(4):
             np.testing.assert_allclose(net.forward(x[i]), batch[i])
 
+    @pytest.mark.parametrize("hidden", ACTIVATIONS)
+    @pytest.mark.parametrize("output", ACTIVATIONS)
+    def test_forward_is_forward_cached_bit_for_bit(self, hidden, output):
+        rng = np.random.default_rng(3)
+        net = Network(mlp_specs([5, 7, 6, 4], hidden=hidden, output=output),
+                      rng=rng)
+        x = rng.normal(size=(9, 5))
+        batch, _ = net.forward_cached(x)
+        np.testing.assert_array_equal(net.forward(x), batch)
+        for row in x:
+            single, _ = net.forward_cached(row)
+            assert single.shape == (1, 4)
+            np.testing.assert_array_equal(net.forward(row), single[0])
+
     def test_extreme_logits_stay_finite(self):
         net = Network([LayerSpec(1, 1, "sigmoid")],
                       weights=[np.array([[1.0]])], biases=[np.array([0.0])])

@@ -1,0 +1,48 @@
+"""Train reference configurations and print the sha256 of every artifact.
+
+    python3 tools/artifact_hashes.py              # every tools/configs/*.yaml
+    python3 tools/artifact_hashes.py tools/configs/default.yaml
+    python3 tools/artifact_hashes.py --src ../other/src   # another checkout
+
+Each config runs the same pipeline as ``edgesched train --config FILE``
+into a temporary directory, one at a time in this process.  One line per
+artifact: config name, file name, sha256.  A refactor that promises
+byte-identical outputs runs this on both checkouts and compares the lines.
+``timings.csv`` holds wall-clock values and is left out.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ARTIFACTS = ("epochs.csv", "policy.json", "sae.json", "scenario_resolved.yaml")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("configs", nargs="*", type=Path, default=sorted(
+        (ROOT / "tools" / "configs").glob("*.yaml")))
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="directory holding the edgesched package")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    from edgesched.config import load_config, override
+    from edgesched.experiment import train_experiment
+
+    for path in args.configs:
+        with tempfile.TemporaryDirectory() as out:
+            train_experiment(override(load_config(path), out=out), out)
+            for name in ARTIFACTS:
+                digest = hashlib.sha256((Path(out) / name).read_bytes())
+                print(f"{path.stem:<14} {name:<24} {digest.hexdigest()}",
+                      flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
