@@ -21,7 +21,9 @@ Only a candidate that beats the best is scored with ``latency_of``.
 
 Contract: one seed gives one decision, objective, trace and generator state;
 the decision never scores worse than the start; the objective and every
-trace entry are exact ``Evaluator.latency_of`` values.  Exact ties (cloned
+trace entry are exact ``Evaluator.latency_of`` values (the result keeps
+only the iterations that improved the best, and ``SearchResult.trace``
+expands them).  Exact ties (cloned
 UEs on cloned channels) may go either way, as the running score is off by
 rounding; no loop with per-iteration draws is kept as a reference.
 """
@@ -62,11 +64,29 @@ class BudgetState:
     budget: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchResult:
+    """The best placement a search visited, and when its best improved.
+
+    ``improvements`` holds (iteration, best objective) pairs: the start at
+    iteration 0, then one pair per iteration that found a new best.
+    """
+
     decision: OffloadDecision
     objective: float
-    trace: tuple[float, ...]  # best objective after each iteration
+    improvements: tuple[tuple[int, float], ...]
+    steps: int                   # iterations run
+
+    @property
+    def trace(self) -> tuple[float, ...]:
+        """Best objective after each iteration, the start first: ``steps + 1``
+        entries."""
+        marks = self.improvements
+        ends = [it for it, _ in marks[1:]] + [self.steps + 1]
+        trace: list[float] = []
+        for (it, value), end in zip(marks, ends):
+            trace += [value] * (end - it)
+        return tuple(trace)
 
 
 def keep_table(gains: np.ndarray) -> np.ndarray:
@@ -145,8 +165,9 @@ def search(initial: OffloadDecision, scenario: Scenario, channel: ChannelState,
     loads = np.bincount(a, weights=s, minlength=m + 1).tolist()  # [0]: local
     best, f_best = a, ev.latency_of(initial.assign)
     f_cur, temperature = f_best, cfg.t0
-    trace = [f_best]
-    for u, vals, pick, draw in zip(keep_u, redraws, picks, boltzmann):
+    improvements = [(0, f_best)]
+    for it, (u, vals, pick, draw) in enumerate(
+            zip(keep_u, redraws, picks, boltzmann), 1):
         changes = [(i, vals[i]) for i in range(n)
                    if u[i] > keep_p[i][a[i]] and vals[i] != a[i]]
         if not changes:
@@ -163,13 +184,14 @@ def search(initial: OffloadDecision, scenario: Scenario, channel: ChannelState,
             exact = ev.latency_of(np.array(cand))
             if exact < f_best:
                 best, f_best = cand, exact
+                improvements.append((it, exact))
         delta = f_cand - f_cur
         if delta <= 0 or math.exp(-delta / temperature) > draw:
             a, run_sum, loads, f_cur = cand, cand_sum, cand_loads, f_cand
         temperature *= cfg.phi_cool
-        trace.append(f_best)
     return SearchResult(decision=OffloadDecision(assign=best, n_mecs=m),
-                        objective=f_best, trace=tuple(trace))
+                        objective=f_best, improvements=tuple(improvements),
+                        steps=budget)
 
 
 def random_search(initial: OffloadDecision, scenario: Scenario,
@@ -181,6 +203,10 @@ def random_search(initial: OffloadDecision, scenario: Scenario,
                                          for _ in range(budget)])
     lat = ev.latencies(cands)
     k = int(np.argmin(lat))
+    best = np.minimum.accumulate(lat)
+    its = np.flatnonzero(best[1:] < best[:-1]) + 1
     return SearchResult(decision=OffloadDecision(assign=cands[k], n_mecs=ev.m),
                         objective=float(lat[k]),
-                        trace=tuple(np.minimum.accumulate(lat).tolist()))
+                        improvements=((0, float(lat[0])),
+                                      *zip(its.tolist(), lat[its].tolist())),
+                        steps=budget)

@@ -132,11 +132,14 @@ class Rasterizer:
         self.lo = lo
         self.hi = hi
 
-    def observe(self, gains: np.ndarray) -> None:
-        logg = np.log10(gains)
-        lo, hi = float(logg.min()), float(logg.max())
+    def observe(self, gains: np.ndarray) -> np.ndarray:
+        """Widen the bounds to the gains; returns their flattened ``log10``,
+        a new array that ``scale`` may normalise in place."""
+        flat = np.log10(np.ravel(gains))
+        lo, hi = float(flat.min()), float(flat.max())
         self.lo = lo if self.lo is None else min(self.lo, lo)
         self.hi = hi if self.hi is None else max(self.hi, hi)
+        return flat
 
     def transform(self, gains: np.ndarray) -> np.ndarray:
         """The flattened, normalised float gains, as a new array.
@@ -145,9 +148,12 @@ class Rasterizer:
         one new buffer, scaled and clipped in place.  (``log10`` first and
         ``ravel`` after would return a view that keeps a temporary alive.)
         """
+        return self.scale(np.log10(np.ravel(gains)))
+
+    def scale(self, flat: np.ndarray) -> np.ndarray:
+        """Min-max normalise flattened ``log10`` gains in place; returns them."""
         if self.lo is None:
             raise RuntimeError("no bounds observed yet")
-        flat = np.log10(np.ravel(gains))
         span = self.hi - self.lo
         if span <= 0:
             return np.full(flat.shape, 0.5)
@@ -270,10 +276,10 @@ class ChannelCompressor:
 
     def observe_and_admit(self, channel: ChannelState) -> bool:
         """Update bounds and append the sample to the memory; False if no net."""
-        self.raster.observe(channel.gains)
+        logs = self.raster.observe(channel.gains)
         if self.net is None:
             return False
-        self.memory.append(self.raster.transform(channel.gains))
+        self.memory.append(self.raster.scale(logs))
         return True
 
     def pretrain(self, gain_mats: Iterable[np.ndarray],
@@ -284,11 +290,10 @@ class ChannelCompressor:
         rasterized, so the memory is not polluted by early, badly scaled
         vectors.
         """
-        mats = [np.asarray(g, dtype=float) for g in gain_mats]
-        for g in mats:
-            self.raster.observe(g)
+        logs = [self.raster.observe(np.asarray(g, dtype=float))
+                for g in gain_mats]
         if self.net is not None:
-            self.memory.extend(self.raster.transform(g) for g in mats)
+            self.memory.extend(self.raster.scale(x) for x in logs)
         trace = self._train(rng, self.cfg.t_sae)
         self.sync()
         return trace

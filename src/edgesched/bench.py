@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +88,7 @@ NODE_LIMIT = 2000
 _FW_ITERS = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleResult:
     """The oracle's placement and how far its search got.
 
@@ -102,6 +103,18 @@ class OracleResult:
     exact: bool              # the search finished: latency is the optimum
 
 
+def _checked_incumbent(incumbent, n: int, m: int) -> np.ndarray:
+    """The incumbent as N int64 placements in 0..M, else ``ValueError``."""
+    try:
+        assign = OffloadDecision(assign=incumbent, n_mecs=m).assign
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"incumbent {incumbent!r}: {exc}") from None
+    if assign.shape[0] != n or not np.array_equal(assign, incumbent):
+        raise ValueError(f"incumbent {incumbent!r} is not {n} integers "
+                         f"in 0..{m}")
+    return assign.copy()
+
+
 def exact_oracle(ev: Evaluator, incumbent: np.ndarray) -> OracleResult:
     """Optimal placement by depth-first branch-and-bound.
 
@@ -114,57 +127,98 @@ def exact_oracle(ev: Evaluator, incumbent: np.ndarray) -> OracleResult:
     the undecided UEs' continuous relaxation does, as in
     ``perfbench/checks.relaxation_bound``.  At most ``NODE_LIMIT`` nodes
     are bounded.  Deterministic; draws nothing.
+
+    The arrays are at most N x (M+1), so the nodes work on lists of Python
+    floats, one list per placement option (column 0 local), with the UEs
+    in search order; only leaves are scored with ``ev.latency_of``.
     """
     n, m = ev.n, ev.m
-    order = np.argsort(-ev.s, kind="stable")
-    cost, s = ev.cost[order], ev.s[order]
-    inv_f = 1.0 / ev.f_mec
-    # undecided UE i joining MEC j at load L costs solo[i, j-1] + 2 s_i L / f_j
-    solo = cost[:, 1:] + (s * s)[:, None] * inv_f
-    two_s = 2.0 * s[:, None]
-    # row j: the loads a child adds by placing the next UE on option j
-    step = np.vstack([np.zeros(m), np.eye(m)])
-    best = np.asarray(incumbent, dtype=np.int64).copy()
+    best = _checked_incumbent(incumbent, n, m)
     best_f = ev.latency_of(best)
-    path = np.zeros(n, dtype=np.int64)
+    order = np.argsort(-ev.s, kind="stable")
+    cost = ev.cost[order].T.tolist()
+    s = ev.s[order].tolist()
+    inv_f = (1.0 / ev.f_mec).tolist()
+    two_s = [2.0 * v for v in s]
+    # undecided UE i joining MEC j at load L costs solo[j-1][i] + 2 s_i L / f_j
+    solo = [[c + v * v * fi for c, v in zip(col, s)]
+            for col, fi in zip(cost[1:], inv_f)]
+    # what the nodes at depth k read of the UEs k..
+    rows = list(zip(zip(*cost), two_s, s))   # (costs, 2 s_i, s_i) per UE
+    tails = [(s[k:], two_s[k:], [col[k:] for col in cost], rows[k:],
+              [col[k:] for col in solo]) for k in range(n + 1)]
+    mecs = range(1, m + 1)
+    path = [0] * n
     nodes, stopped = 0, False
 
-    def relaxation_cut(k: int, loads: np.ndarray, fixed: float,
-                       x: np.ndarray) -> bool:
-        # Frank-Wolfe on UEs k.. from the relaxed placement x, updated in
-        # place.  At total loads t every placement costs at least
+    def relaxation_cut(k: int, loads: list[float], fixed: float,
+                       x: list[list[float]]) -> bool:
+        # Frank-Wolfe on UEs k.. from the relaxed placement x (one column
+        # per option).  At total loads t every placement costs at least
         # fixed - L.L/f + sum_j (2 t_j L_j - t_j^2)/f_j + sum_i min_j grad_ij,
-        # which is the iterate's value minus its duality gap.
-        c, rows = cost[k:], np.arange(n - k)
-        base = fixed - loads @ (loads * inv_f)
-        grad = c.copy()
+        # for any t: at the iterate that is its value minus its duality gap.
+        # The iterate is carried as s @ x and c . x, which each step moves
+        # linearly; x itself is stepped only for a node that is not cut.
+        s_k, _, c, rows, _ = tails[k]
+        base = fixed - sum(map(mul, loads, map(mul, loads, inv_f)))
+        sx = [sum(map(mul, s_k, col)) for col in x[1:]]
+        x_c = sum([sum(map(mul, cj, xj)) for cj, xj in zip(c, x)])
+        steps = []
         for _ in range(_FW_ITERS):
-            t = loads + s[k:] @ x[:, 1:]
-            tf = t * inv_f
-            x_c = np.vdot(c, x)
-            value = base + x_c + t @ tf
+            # tf = t / f at total loads t = loads + s @ x; t.tf and tf.loads
+            tf, t_tf, tf_loads = [], 0.0, 0.0
+            for v, w, fi in zip(loads, sx, inv_f):
+                t = v + w
+                f = t * fi
+                tf.append(f)
+                t_tf += t * f
+                tf_loads += f * v
+            value = base + x_c + t_tf
             if value < best_f:
-                return False        # the relaxation's optimum is below too
-            grad[:, 1:] = c[:, 1:] + two_s[k:] * tf
-            e = grad.argmin(axis=1)
-            g = grad[rows, e].sum()
-            gap = x_c + 2.0 * (tf @ (t - loads)) - g
-            if value - gap >= best_f:
+                break               # the relaxation's optimum is below too
+            # each UE's cheapest option under the gradient, first on ties,
+            # and s @ onehot(e) for the step towards them
+            g, e, pull = 0.0, [], [0.0] * (m + 1)
+            opts = list(zip(mecs, tf))
+            for row, w, v in rows:
+                j, low = 0, row[0]
+                for i, f in opts:
+                    grad = row[i] + w * f
+                    if grad < low:
+                        j, low = i, grad
+                g += low
+                e.append(j)
+                pull[j] += v
+            cert = base + g + 2.0 * tf_loads - t_tf
+            if cert >= best_f:
                 return True
-            d = -x
-            d[rows, e] += 1.0
-            d_s = s[k:] @ d[:, 1:]
-            curv = d_s @ (d_s * inv_f)
-            x += (1.0 if curv <= 0 else min(1.0, gap / (2.0 * curv))) * d
+            # the step d = onehot(e) - x: s @ d, its curvature, and tf.pull
+            d_s, curv, tf_pull = [], 0.0, 0.0
+            for p, v, f, fi in zip(pull[1:], sx, tf, inv_f):
+                d = p - v
+                d_s.append(d)
+                curv += d * (d * fi)
+                tf_pull += f * p
+            gap = value - cert
+            step = 1.0 if curv <= 0 else min(1.0, gap / (2.0 * curv))
+            steps.append((step, e))
+            sx = [v + step * d for v, d in zip(sx, d_s)]
+            # c . onehot(e) is g less the load terms of the gradient
+            x_c += step * (g - 2.0 * tf_pull - x_c)
+        for step, e in steps:
+            x[:] = [[v + step * (1.0 - v) if i == j else v - step * v
+                     for v, i in zip(col, e)] for j, col in enumerate(x)]
         return False
 
-    def expand(k: int, loads: np.ndarray, fixed: float, x: np.ndarray) -> None:
+    def expand(k: int, loads: list[float], fixed: float,
+               x: list[list[float]]) -> None:
         # x: the node's relaxed placement of UEs k.., its children's start
         nonlocal best, best_f, nodes, stopped
-        marg = np.concatenate([cost[k, :1], solo[k] + two_s[k] * (loads * inv_f)])
-        child_fixed = fixed + marg
+        lf = list(map(mul, loads, inv_f))
+        marg = [cost[0][k]] + [col[k] + two_s[k] * v for col, v in zip(solo, lf)]
+        child_fixed = list(map(fixed.__add__, marg))
         if k + 1 == n:
-            j = int(marg.argmin())
+            j = marg.index(min(marg))
             if child_fixed[j] < best_f:
                 path[k] = j
                 cand = np.empty(n, dtype=np.int64)
@@ -173,24 +227,37 @@ def exact_oracle(ev: Evaluator, incumbent: np.ndarray) -> OracleResult:
                 if f < best_f:
                     best, best_f = cand, f
             return
-        child_loads = loads + s[k] * step
-        tail = solo[k + 1:] + two_s[None, k + 1:] * (child_loads * inv_f)[:, None]
-        bound = child_fixed + np.minimum(cost[k + 1:, 0], tail.min(axis=2)).sum(axis=1)
-        for j in np.argsort(marg, kind="stable"):
+        # a child's loads are the node's, with s_k added on its MEC; each
+        # undecided UE's cheapest marginal cost at them bounds its share
+        _, two_s_rest, c_rest, _, solo_rest = tails[k + 1]
+        here = [[v + w * g for v, w in zip(col, two_s_rest)]
+                for col, g in zip(solo_rest, lf)]
+        child_loads = [loads]
+        bound = [child_fixed[0] + sum(map(min, c_rest[0], *here))]
+        for j in range(m):
+            cl = loads.copy()
+            cl[j] += s[k]
+            g = cl[j] * inv_f[j]
+            moved = [v + w * g for v, w in zip(solo_rest[j], two_s_rest)]
+            child_loads.append(cl)
+            bound.append(child_fixed[j + 1] + sum(map(
+                min, c_rest[0], *here[:j], moved, *here[j + 1:])))
+        for j in sorted(range(m + 1), key=marg.__getitem__):
             if bound[j] >= best_f:
                 continue
             if stopped or nodes >= NODE_LIMIT:
                 stopped = True
                 return
             nodes += 1
-            child_x = x[1:].copy()
+            child_x = [col[1:] for col in x]
             if not relaxation_cut(k + 1, child_loads[j], child_fixed[j], child_x):
                 path[k] = j
                 expand(k + 1, child_loads[j], child_fixed[j], child_x)
 
-    start = np.zeros((n, m + 1))
-    start[np.arange(n), np.column_stack([cost[:, 0], solo]).argmin(axis=1)] = 1.0
-    expand(0, np.zeros(m), 0.0, start)
+    # start: each UE on its cheapest option at zero load
+    first = [row.index(min(row)) for row in zip(cost[0], *solo)]
+    start = [[1.0 if i == j else 0.0 for i in first] for j in range(m + 1)]
+    expand(0, [0.0] * m, 0.0, start)
     return OracleResult(decision=OffloadDecision(assign=best, n_mecs=m),
                         latency=best_f, nodes=nodes, exact=not stopped)
 

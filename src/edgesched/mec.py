@@ -171,7 +171,7 @@ class Scenario:
         return arrays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelState:
     """Channel power gains for one epoch, shape (N, M)."""
 
@@ -187,7 +187,7 @@ class ChannelState:
         object.__setattr__(self, "gains", g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OffloadDecision:
     """Placement vector: entry i is 0 for local execution, j in 1..M for MEC j."""
 

@@ -12,6 +12,11 @@ criterion 01) rather than in the package.
 ``allocate_frequencies_loop`` and ``greedy_baseline_loop`` are the plain
 per-MEC loops that ``allocate_frequencies`` and ``bench.greedy_baseline``
 replace with whole-array steps; they pin the vectorised forms.
+
+``exact_oracle_numpy`` is ``bench.exact_oracle``'s branch-and-bound with
+every node's bounds taken in whole-array numpy steps; the package runs the
+same search on lists of Python floats, and the tests require the same
+placements and latencies from both.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import warnings
 import numpy as np
 from scipy.optimize import minimize
 
-from edgesched.allocator import local_capacity
+from edgesched import bench
+from edgesched.allocator import Evaluator, local_capacity
 from edgesched.mec import ChannelState, OffloadDecision, Scenario, data_rate
 
 
@@ -174,3 +180,80 @@ def greedy_baseline_loop(scenario: Scenario,
             assign[worst] = 0
             members.remove(worst)
     return assign
+
+
+def exact_oracle_numpy(ev: Evaluator, incumbent: np.ndarray) -> bench.OracleResult:
+    """``bench.exact_oracle`` on numpy arrays; reads ``bench.NODE_LIMIT``."""
+    n, m = ev.n, ev.m
+    order = np.argsort(-ev.s, kind="stable")
+    cost, s = ev.cost[order], ev.s[order]
+    inv_f = 1.0 / ev.f_mec
+    # undecided UE i joining MEC j at load L costs solo[i, j-1] + 2 s_i L / f_j
+    solo = cost[:, 1:] + (s * s)[:, None] * inv_f
+    two_s = 2.0 * s[:, None]
+    # row j: the loads a child adds by placing the next UE on option j
+    step = np.vstack([np.zeros(m), np.eye(m)])
+    best = np.asarray(incumbent, dtype=np.int64).copy()
+    best_f = ev.latency_of(best)
+    path = np.zeros(n, dtype=np.int64)
+    nodes, stopped = 0, False
+
+    def relaxation_cut(k: int, loads: np.ndarray, fixed: float,
+                       x: np.ndarray) -> bool:
+        c, rows = cost[k:], np.arange(n - k)
+        base = fixed - loads @ (loads * inv_f)
+        grad = c.copy()
+        for _ in range(bench._FW_ITERS):
+            t = loads + s[k:] @ x[:, 1:]
+            tf = t * inv_f
+            x_c = np.vdot(c, x)
+            value = base + x_c + t @ tf
+            if value < best_f:
+                return False
+            grad[:, 1:] = c[:, 1:] + two_s[k:] * tf
+            e = grad.argmin(axis=1)
+            g = grad[rows, e].sum()
+            gap = x_c + 2.0 * (tf @ (t - loads)) - g
+            if value - gap >= best_f:
+                return True
+            d = -x
+            d[rows, e] += 1.0
+            d_s = s[k:] @ d[:, 1:]
+            curv = d_s @ (d_s * inv_f)
+            x += (1.0 if curv <= 0 else min(1.0, gap / (2.0 * curv))) * d
+        return False
+
+    def expand(k: int, loads: np.ndarray, fixed: float, x: np.ndarray) -> None:
+        nonlocal best, best_f, nodes, stopped
+        marg = np.concatenate([cost[k, :1], solo[k] + two_s[k] * (loads * inv_f)])
+        child_fixed = fixed + marg
+        if k + 1 == n:
+            j = int(marg.argmin())
+            if child_fixed[j] < best_f:
+                path[k] = j
+                cand = np.empty(n, dtype=np.int64)
+                cand[order] = path
+                f = ev.latency_of(cand)
+                if f < best_f:
+                    best, best_f = cand, f
+            return
+        child_loads = loads + s[k] * step
+        tail = solo[k + 1:] + two_s[None, k + 1:] * (child_loads * inv_f)[:, None]
+        bound = child_fixed + np.minimum(cost[k + 1:, 0], tail.min(axis=2)).sum(axis=1)
+        for j in np.argsort(marg, kind="stable"):
+            if bound[j] >= best_f:
+                continue
+            if stopped or nodes >= bench.NODE_LIMIT:
+                stopped = True
+                return
+            nodes += 1
+            child_x = x[1:].copy()
+            if not relaxation_cut(k + 1, child_loads[j], child_fixed[j], child_x):
+                path[k] = j
+                expand(k + 1, child_loads[j], child_fixed[j], child_x)
+
+    start = np.zeros((n, m + 1))
+    start[np.arange(n), np.column_stack([cost[:, 0], solo]).argmin(axis=1)] = 1.0
+    expand(0, np.zeros(m), 0.0, start)
+    return bench.OracleResult(decision=OffloadDecision(assign=best, n_mecs=m),
+                              latency=best_f, nodes=nodes, exact=not stopped)

@@ -35,7 +35,10 @@ def reference_search(initial, scenario, channel, cfg, state, rng,
                      evaluator=None):
     """The annealing chain on ``search``'s four blocks, step by step: every
     candidate is built with ``mutation_probs`` and scored with
-    ``latency_of``, and every acceptance uses the exact difference."""
+    ``latency_of``, and every acceptance uses the exact difference.
+
+    Returns the result and, beside it, the best objective after every
+    iteration as a list."""
     ev = evaluator if evaluator is not None else Evaluator(scenario, channel)
     m = ev.m
     keep_u, redraws, picks, boltzmann = draw_blocks(rng, ev.n, m,
@@ -44,7 +47,7 @@ def reference_search(initial, scenario, channel, cfg, state, rng,
     f_cur = ev.latency_of(current)
     best, f_best = current.copy(), f_cur
     temperature = cfg.t0
-    trace = [f_best]
+    trace, improvements = [f_best], [(0, f_best)]
     for t in range(state.budget):
         cand = current.copy()
         redraw = keep_u[t] > mutation_probs(current, channel.gains)
@@ -55,13 +58,15 @@ def reference_search(initial, scenario, channel, cfg, state, rng,
         f_cand = ev.latency_of(cand)
         if f_cand < f_best:
             best, f_best = cand.copy(), f_cand
+            improvements.append((t + 1, f_best))
         delta = f_cand - f_cur
         if delta <= 0 or math.exp(-delta / temperature) > boltzmann[t]:
             current, f_cur = cand, f_cand
         temperature *= cfg.phi_cool
         trace.append(f_best)
     return SearchResult(decision=OffloadDecision(assign=best, n_mecs=m),
-                        objective=f_best, trace=tuple(trace))
+                        objective=f_best, improvements=tuple(improvements),
+                        steps=state.budget), trace
 
 
 class TestMutation:
@@ -175,6 +180,19 @@ class TestSearch:
         assert len(res.trace) == 26
         assert all(a >= b for a, b in zip(res.trace, res.trace[1:]))
 
+    def test_result_keeps_one_entry_per_improvement(self):
+        scen, ch = toy(n=10, m=2, seed=11)
+        initial = OffloadDecision(assign=np.zeros(10, dtype=int), n_mecs=2)
+        for res in (search(initial, scen, ch, AnnealConfig(), BudgetState(200),
+                           np.random.default_rng(11)),
+                    random_search(initial, scen, ch, 200,
+                                  np.random.default_rng(11))):
+            trace = res.trace
+            drops = [t for t in range(1, 201) if trace[t] < trace[t - 1]]
+            assert res.steps == 200 and len(trace) == 201 and drops
+            assert res.improvements == ((0, trace[0]),
+                                        *((t, trace[t]) for t in drops))
+
     def test_finds_toy_optimum_with_budget(self):
         hits = 0
         for trial in range(30):
@@ -254,14 +272,15 @@ class TestSearchMatchesReference:
         cfg, state = AnnealConfig(t0=t0, phi_cool=phi), BudgetState(budget)
         rng_ref = np.random.default_rng(seed)
         rng_new = np.random.default_rng(seed)
-        ref = reference_search(initial, scen, ch, cfg, state, rng_ref,
-                               evaluator=ev)
+        ref, ref_trace = reference_search(initial, scen, ch, cfg, state,
+                                          rng_ref, evaluator=ev)
         got = search(initial, scen, ch, cfg, state, rng_new, evaluator=ev)
         np.testing.assert_array_equal(got.decision.assign,
                                       ref.decision.assign)
         assert got.decision.assign.dtype == ref.decision.assign.dtype
         assert got.objective == ref.objective
-        assert got.trace == ref.trace
+        assert got.trace == tuple(ref_trace)
+        assert got.improvements == ref.improvements
         assert rng_new.random() == rng_ref.random()
 
     def test_exact_ties(self):
@@ -311,5 +330,6 @@ class TestSearchMatchesReference:
             return path.read_bytes()
 
         fast = desk_run(tmp_path / "search.csv")
-        monkeypatch.setattr(agent, "_anneal_search", reference_search)
+        monkeypatch.setattr(agent, "_anneal_search",
+                            lambda *a, **k: reference_search(*a, **k)[0])
         assert desk_run(tmp_path / "reference.csv") == fast

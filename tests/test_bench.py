@@ -15,10 +15,10 @@ from edgesched.bench import (BENCH_EPOCH_BASE, NODE_LIMIT, PsoConfig,
                              random_baseline, run_benchmark, window_rewards,
                              write_bench_csv)
 from edgesched.config import ExperimentConfig, build_scenario
-from edgesched.mec import (MecSpec, RadioParams, Scenario, Task, UeSpec,
-                           random_scenario, sample_channel_state)
+from edgesched.mec import (MecSpec, OffloadDecision, RadioParams, Scenario,
+                           Task, UeSpec, random_scenario, sample_channel_state)
 
-from reference import greedy_baseline_loop
+from reference import exact_oracle_numpy, greedy_baseline_loop
 
 
 def toy(n=4, m=2, seed=0, **kw):
@@ -155,6 +155,15 @@ class TestOracles:
         assert not res.exact and res.nodes == NODE_LIMIT
         assert res.latency < asa.objective
 
+    @pytest.mark.parametrize("incumbent", [
+        np.zeros(9, dtype=int), np.zeros(11, dtype=int), np.full(10, 3),
+        np.array([-1] + [0] * 9), np.full(10, 1.7)],
+        ids=["short", "long", "above-m", "negative", "fractional"])
+    def test_rejects_malformed_incumbent(self, incumbent):
+        scen, ch = toy(n=10, m=2, seed=16)
+        with pytest.raises(ValueError, match="incumbent"):
+            exact_oracle(Evaluator(scen, ch), incumbent)
+
     def test_exhaustive_small_space(self):
         scen, ch = toy(n=2, m=1, seed=3)
         ev = Evaluator(scen, ch)
@@ -173,6 +182,56 @@ class TestOracles:
         scen, ch = toy(seed=4)
         res = asa_only(scen, ch, AnnealConfig(), 37, np.random.default_rng(0))
         assert len(res.trace) == 38
+
+
+class TestOracleMatchesNumpy:
+    """The Python-float search returns the placements and latencies of the
+    whole-array numpy search it replaced."""
+
+    @staticmethod
+    def assert_same(ev, start):
+        got, ref = exact_oracle(ev, start), exact_oracle_numpy(ev, start)
+        np.testing.assert_array_equal(got.decision.assign, ref.decision.assign)
+        assert got.latency == ref.latency
+        assert got.exact == ref.exact
+        return got
+
+    def test_default_desk_draws(self):
+        scen = build_scenario(ExperimentConfig().scenario, fallback_seed=1)
+        for k in range(60):
+            ch = sample_channel_state(scen, BENCH_EPOCH_BASE + k, 1)
+            start = (greedy_baseline(scen, ch).assign if k % 2 else
+                     np.random.default_rng(k).integers(0, 3, size=10))
+            assert self.assert_same(Evaluator(scen, ch), start).exact
+
+    def test_ten_by_three_draws(self):
+        cfg = replace(ExperimentConfig().scenario, n_mecs=3)
+        scen = build_scenario(cfg, fallback_seed=1)
+        for k in range(12):
+            ch = sample_channel_state(scen, BENCH_EPOCH_BASE + k, 1)
+            assert self.assert_same(Evaluator(scen, ch),
+                                    greedy_baseline(scen, ch).assign).exact
+
+    def test_node_limited_wide_draw(self, monkeypatch):
+        monkeypatch.setattr(bench, "NODE_LIMIT", 200)
+        scen = random_scenario(30, 5, rng_seed=1)
+        ch = sample_channel_state(scen, 100)
+        ev = Evaluator(scen, ch)
+        res = self.assert_same(ev, greedy_baseline(scen, ch).assign)
+        assert not res.exact and res.nodes == 200
+
+
+def test_result_classes_have_no_instance_dict():
+    scen, ch = toy(n=6, seed=17)
+    ev = Evaluator(scen, ch)
+    results = (ch, OffloadDecision(assign=np.zeros(6, dtype=int), n_mecs=2),
+               asa_only(scen, ch, AnnealConfig(), 20, np.random.default_rng(1),
+                        evaluator=ev),
+               exact_oracle(ev, np.zeros(6, dtype=int)))
+    assert [type(r).__name__ for r in results] == [
+        "ChannelState", "OffloadDecision", "SearchResult", "OracleResult"]
+    for r in results:
+        assert not hasattr(r, "__dict__")
 
 
 class TestNrr:
