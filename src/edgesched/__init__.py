@@ -23,7 +23,7 @@ from .agent import (AgentConfig, EpochLog, RunResult, SeedBundle, decide,
 from .allocator import (Allocation, Evaluator, allocate_frequencies,
                         evaluate, local_capacity, max_power_assignment)
 from .annealing import (AnnealConfig, BudgetState, SearchResult, adapt_budget,
-                        mutate, random_search, search)
+                        mutate, search)
 from .autoencoder import (AutoencoderConfig, ChannelCompressor, EncodedState,
                           Rasterizer, compression_ratio, default_dims)
 from .bench import (BenchReport, OracleResult, StrategyStats, exact_oracle,
@@ -58,7 +58,7 @@ __all__ = [
     "greedy_baseline",
     "load_checkpoint", "load_config", "load_scenario", "local_capacity",
     "max_power_assignment", "mlp_specs", "mutate", "nrr", "policy_loss_grads",
-    "random_baseline", "random_scenario", "random_search",
+    "random_baseline", "random_scenario",
     "reweighted", "run", "run_benchmark", "sample_channel_state",
     "save_checkpoint", "search", "train_experiment", "train_step",
     "weighted_latency",

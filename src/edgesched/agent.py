@@ -5,8 +5,10 @@ the policy network, then lets the annealing search improve that placement
 under the current iteration budget.  The searched placement becomes the
 training label; every ``phi`` epochs the policy takes one Adam
 step of sigmoid cross-entropy towards a replayed batch of such labels.  The
-loop is deterministic given a master seed: every stochastic component draws
-from its own generator, so ablations do not perturb each other's streams.
+loop is deterministic given a master seed: every stochastic component (the
+channel, the autoencoder, the policy's initial weights, the search, replay
+sampling and the workload shift) draws from its own generator, seeded from
+``SeedBundle``, so a change to how many draws one takes moves no other.
 """
 
 from __future__ import annotations
@@ -18,13 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .allocator import Evaluator
-from .annealing import AnnealConfig, BudgetState, SearchResult, adapt_budget
-from .annealing import random_search as _random_search
+from .annealing import AnnealConfig, BudgetState, adapt_budget
 from .annealing import search as _anneal_search
 from .autoencoder import ChannelCompressor
 from .mec import OffloadDecision, Scenario, reweighted, sample_channel_state
-from .neural import (Adam, Gradients, Network, mlp_specs, save_checkpoint,
-                     write_csv)
+from .neural import Adam, Gradients, Network, mlp_specs, write_csv
 from .replay import ReplayBuffer, ReplayConfig, Transition
 
 _CLAMP = 1e-12
@@ -32,7 +32,13 @@ _CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class SeedBundle:
-    """Independent per-component seeds fanned out from one master seed."""
+    """Independent per-component seeds fanned out from one master seed.
+
+    The seeds are the first six and the eighth of eight values drawn from
+    the master's ``SeedSequence``.  The seventh is skipped rather than
+    dropped, so every seed, and with it every artifact of a given master
+    seed, keeps its value.
+    """
 
     master: int
     channel: int
@@ -41,14 +47,13 @@ class SeedBundle:
     asa: int
     replay: int
     shift: int
-    explore: int
     bench: int
 
     @classmethod
     def from_master(cls, master: int) -> "SeedBundle":
         state = np.random.SeedSequence(master).generate_state(8, dtype=np.uint64)
         vals = [int(v) for v in state]
-        return cls(master, *vals)
+        return cls(master, *vals[:6], vals[7])
 
 
 # hidden layer sizes of a policy whose dims are left unset
@@ -61,7 +66,7 @@ class AgentConfig:
 
     ``dims`` is the full policy layer list, from the encoded state size to
     the N * (M + 1) head; ``None`` puts ``DEFAULT_HIDDEN`` between the two.
-    The policy trains every ``phi`` epochs.
+    Hidden layers are relu.  The policy trains every ``phi`` epochs.
     """
 
     dims: list[int] | None = None
@@ -70,11 +75,7 @@ class AgentConfig:
     phi: int = 10
     batch: int = 64
     lr: float = 1e-3
-    hidden_activation: str = "relu"
     weight_shift_epoch: int | None = None
-    search: str = "asa"               # "asa" | "random" (ablation)
-    epsilon_greedy: float = 0.0
-    checkpoint_interval: int = 0
 
     def __post_init__(self) -> None:
         for key in ("t_drl", "phi", "batch"):
@@ -88,10 +89,6 @@ class AgentConfig:
         if shift is not None and not 1 <= shift <= self.t_drl:
             raise ValueError(f"weight_shift_epoch {shift} must lie in "
                              f"1..t_drl = 1..{self.t_drl}")
-        if self.search not in ("asa", "random"):
-            raise ValueError(f"unknown search mode {self.search!r}")
-        if not 0.0 <= self.epsilon_greedy <= 1.0:
-            raise ValueError("epsilon_greedy must lie in [0, 1]")
 
 
 @dataclass
@@ -126,10 +123,10 @@ class RunResult:
 
 def build_policy(state_dim: int, n_ues: int, n_mecs: int, cfg: AgentConfig,
                  rng: np.random.Generator) -> Network:
-    """Fresh policy MLP: encoded state in, one sigmoid score per placement out."""
+    """Fresh policy MLP: encoded state in, relu hidden layers, one sigmoid
+    score per placement out."""
     dims = cfg.dims or [state_dim, *DEFAULT_HIDDEN, n_ues * (n_mecs + 1)]
-    return Network(mlp_specs(dims, hidden=cfg.hidden_activation,
-                             output="sigmoid"), rng=rng)
+    return Network(mlp_specs(dims, hidden="relu", output="sigmoid"), rng=rng)
 
 
 def decide(policy: Network, state: np.ndarray, n_ues: int,
@@ -199,8 +196,7 @@ def train_step(policy: Network, adam: Adam, buffer: ReplayBuffer, batch: int,
 
 def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
         asa_cfg: AnnealConfig, replay_cfg: ReplayConfig, seeds: SeedBundle,
-        policy: Network | None = None, sae_rng: np.random.Generator | None = None,
-        out_dir: str | Path | None = None) -> RunResult:
+        sae_rng: np.random.Generator | None = None) -> RunResult:
     """Main online loop; see the module docstring.
 
     ``sae_rng`` continues the stream used for pretraining so incremental
@@ -210,9 +206,8 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
     n, m = scenario.n_ues, scenario.n_mecs
     if compressor.n_ues != n or compressor.n_mecs != m:
         raise ValueError("compressor shape does not match the scenario")
-    if policy is None:
-        policy = build_policy(compressor.out_dim, n, m, cfg,
-                              np.random.default_rng(seeds.policy))
+    policy = build_policy(compressor.out_dim, n, m, cfg,
+                          np.random.default_rng(seeds.policy))
     if policy.in_dim != compressor.out_dim or policy.out_dim != n * (m + 1):
         raise ValueError("policy dimensions do not match compressor/scenario")
     adam = Adam(policy, lr=cfg.lr)
@@ -220,16 +215,11 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
     rng_asa = np.random.default_rng(seeds.asa)
     rng_replay = np.random.default_rng(seeds.replay)
     rng_shift = np.random.default_rng(seeds.shift)
-    rng_explore = np.random.default_rng(seeds.explore)
     sae_rng = sae_rng or np.random.default_rng(seeds.sae)
     budget = BudgetState(asa_cfg.t_sa_init)
     prev_loss: float | None = None
     active = scenario
     logs: list[EpochLog] = []
-    ckpt_dir = None
-    if out_dir is not None and cfg.checkpoint_interval > 0:
-        ckpt_dir = Path(out_dir) / "checkpoints"
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     for t in range(1, cfg.t_drl + 1):
         if cfg.weight_shift_epoch is not None and t == cfg.weight_shift_epoch:
@@ -244,22 +234,14 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
         tic = time.perf_counter()
         state = compressor.encode_channel(channel)
         decision = decide(policy, state.vector, n, m)
-        if cfg.epsilon_greedy > 0.0 and rng_explore.random() < cfg.epsilon_greedy:
-            decision = OffloadDecision(
-                assign=rng_explore.integers(0, m + 1, size=n), n_mecs=m)
         ev = Evaluator(active, channel)
         online_latency = ev.latency_of(decision.assign)
         decision_ms = (time.perf_counter() - tic) * 1e3
 
         used_budget = budget.budget
         tic = time.perf_counter()
-        if cfg.search == "asa":
-            result: SearchResult = _anneal_search(decision, active, channel,
-                                                  asa_cfg, budget, rng_asa,
-                                                  evaluator=ev)
-        else:
-            result = _random_search(decision, active, channel, used_budget,
-                                    rng_asa, evaluator=ev)
+        result = _anneal_search(decision, active, channel, asa_cfg, budget,
+                                rng_asa, evaluator=ev)
         asa_ms = (time.perf_counter() - tic) * 1e3
 
         buffer.append(Transition(raw=channel.gains.ravel().copy(),
@@ -288,9 +270,6 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
                              evictions=st["evictions"],
                              decision_ms=decision_ms, asa_ms=asa_ms,
                              decision=decision.assign.copy()))
-        if ckpt_dir is not None and t % cfg.checkpoint_interval == 0:
-            save_checkpoint(policy, ckpt_dir / f"policy_{t:06d}.json",
-                            seed=seeds.master, epoch=t)
 
     return RunResult(policy=policy, logs=logs, scenario_final=active,
                      shift_epoch=cfg.weight_shift_epoch)

@@ -193,20 +193,3 @@ def search(initial: OffloadDecision, scenario: Scenario, channel: ChannelState,
                         objective=f_best, improvements=tuple(improvements),
                         steps=budget)
 
-
-def random_search(initial: OffloadDecision, scenario: Scenario,
-                  channel: ChannelState, budget: int, rng: np.random.Generator,
-                  evaluator: Evaluator | None = None) -> SearchResult:
-    """Ablation baseline: same budget, uniform redraws scored in one batch."""
-    ev = evaluator if evaluator is not None else Evaluator(scenario, channel)
-    cands = np.stack([initial.assign] + [rng.integers(0, ev.m + 1, size=ev.n)
-                                         for _ in range(budget)])
-    lat = ev.latencies(cands)
-    k = int(np.argmin(lat))
-    best = np.minimum.accumulate(lat)
-    its = np.flatnonzero(best[1:] < best[:-1]) + 1
-    return SearchResult(decision=OffloadDecision(assign=cands[k], n_mecs=ev.m),
-                        objective=float(lat[k]),
-                        improvements=((0, float(lat[0])),
-                                      *zip(its.tolist(), lat[its].tolist())),
-                        steps=budget)

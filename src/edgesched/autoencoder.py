@@ -59,7 +59,6 @@ class AutoencoderConfig:
     memory: int = 4096
     batch: int = 32
     lr: float = 1e-3
-    activation: str = "sigmoid"
     sync_period: int = 200
     refresh_iters: int = 20
     pretrain_samples: int = 2000
@@ -252,7 +251,7 @@ class ChannelCompressor:
         elif rng is None:
             raise ValueError("need an rng to initialise the autoencoder")
         else:
-            self.net = Network(mlp_specs(full_dims, hidden=cfg.activation,
+            self.net = Network(mlp_specs(full_dims, hidden="sigmoid",
                                          output="sigmoid"), rng=rng)
         self.adam = None if self.net is None else Adam(self.net, lr=cfg.lr)
         self._encoder: Network | None = None

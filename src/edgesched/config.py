@@ -153,6 +153,17 @@ class ScenarioConfig:
             elif n != len(listed):
                 raise ValueError(f"{count} {n} disagrees with the "
                                  f"{len(listed)} entries of {items}")
+        _at_least_one(self, "n_ues", "n_mecs")
+        if self.area_m <= 0:
+            raise ValueError(f"area_m must be positive, got {self.area_m}")
+        self.radio_params()  # runs the radio's own checks
+        for key in ("cycles", "weights"):
+            value = getattr(self, key)
+            if isinstance(value, dict):
+                _check_keys(key, value, {"low", "high"}, complete=True)
+                if float(value["low"]) > float(value["high"]):
+                    raise ValueError(f"{key} range {value} has low above "
+                                     "high")
         if isinstance(self.cycles, list):
             raise ValueError("cycles takes a number or a {low, high} range, "
                              "not a list; give per-UE cycles in ues entries")
@@ -164,13 +175,16 @@ class ScenarioConfig:
         for u in self.ues or ():
             _check_keys("ues", u, _UE_KEYS)
 
+    def radio_params(self) -> RadioParams:
+        return RadioParams(**{k: getattr(self, k) for k in _names(RadioParams)})
+
 
 def build_scenario(cfg: ScenarioConfig, fallback_seed: int = 0) -> Scenario:
     """Materialise a scenario: from file, from explicit UEs, or sampled."""
     if cfg.file is not None:
         return load_scenario(cfg.file)
     seed = cfg.rng_seed if cfg.rng_seed is not None else fallback_seed
-    radio = RadioParams(**{k: getattr(cfg, k) for k in _names(RadioParams)})
+    radio = cfg.radio_params()
     if cfg.ues is not None:
         weight = cfg.weights if isinstance(cfg.weights, (int, float)) else 1.0
         defaults = {"data_bits": cfg.data_bits, "cycles": cfg.cycles,

@@ -102,7 +102,7 @@ def train_experiment(cfg: ExperimentConfig,
     drl_cfg = agent_config(cfg.drl, comp.out_dim, scenario.n_ues,
                            scenario.n_mecs)
     result = run(scenario, comp, drl_cfg, cfg.asa, cfg.replay, seeds,
-                 sae_rng=sae_rng, out_dir=out_dir)
+                 sae_rng=sae_rng)
     tail = result.logs[-min(200, len(result.logs)):]
     logger.info("run finished: mean reward over last %d epochs %.5f",
                 len(tail), float(np.mean([r.reward for r in tail])))

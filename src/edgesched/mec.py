@@ -86,10 +86,10 @@ class RadioParams:
     fading: str = "exponential"
 
     def __post_init__(self) -> None:
-        if min(self.bandwidth_hz, self.noise_w, self.beta0) <= 0:
-            raise ValueError("radio parameters must be positive")
-        if self.min_distance_m <= 0:
-            raise ValueError("min_distance_m must be positive")
+        for key in ("bandwidth_hz", "noise_w", "beta0", "min_distance_m"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, got "
+                                 f"{getattr(self, key)}")
         if self.fading not in ("exponential", "deterministic"):
             raise ValueError(f"unknown fading mode {self.fading!r}")
 

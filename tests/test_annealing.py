@@ -11,7 +11,7 @@ from edgesched import agent
 from edgesched.allocator import Evaluator
 from edgesched.annealing import (AnnealConfig, BudgetState, SearchResult,
                                  adapt_budget, keep_table, mutate,
-                                 mutation_probs, random_search, search)
+                                 mutation_probs, search)
 from edgesched.bench import exhaustive_best
 from edgesched.mec import (ChannelState, OffloadDecision, random_scenario,
                            sample_channel_state)
@@ -183,15 +183,13 @@ class TestSearch:
     def test_result_keeps_one_entry_per_improvement(self):
         scen, ch = toy(n=10, m=2, seed=11)
         initial = OffloadDecision(assign=np.zeros(10, dtype=int), n_mecs=2)
-        for res in (search(initial, scen, ch, AnnealConfig(), BudgetState(200),
-                           np.random.default_rng(11)),
-                    random_search(initial, scen, ch, 200,
-                                  np.random.default_rng(11))):
-            trace = res.trace
-            drops = [t for t in range(1, 201) if trace[t] < trace[t - 1]]
-            assert res.steps == 200 and len(trace) == 201 and drops
-            assert res.improvements == ((0, trace[0]),
-                                        *((t, trace[t]) for t in drops))
+        res = search(initial, scen, ch, AnnealConfig(), BudgetState(200),
+                     np.random.default_rng(11))
+        trace = res.trace
+        drops = [t for t in range(1, 201) if trace[t] < trace[t - 1]]
+        assert res.steps == 200 and len(trace) == 201 and drops
+        assert res.improvements == ((0, trace[0]),
+                                    *((t, trace[t]) for t in drops))
 
     def test_finds_toy_optimum_with_budget(self):
         hits = 0
@@ -205,34 +203,6 @@ class TestSearch:
                          rng)
             hits += abs(res.objective - f_opt) < 1e-9
         assert hits >= 29
-
-    def test_random_search_baseline(self):
-        scen, ch = toy(seed=8)
-        rng = np.random.default_rng(8)
-        initial = OffloadDecision(assign=np.zeros(4, dtype=int), n_mecs=2)
-        res = random_search(initial, scen, ch, 60, rng)
-        ev = Evaluator(scen, ch)
-        assert res.objective <= ev.latency_of(initial.assign)
-        assert len(res.trace) == 61
-
-    @pytest.mark.parametrize("budget", [0, 1, 60])
-    def test_random_search_matches_loop(self, budget):
-        # one batch scoring equals the draw-and-score loop, bit for bit
-        scen, ch = toy(n=7, m=3, seed=9)
-        ev = Evaluator(scen, ch)
-        initial = OffloadDecision(assign=np.full(7, 2), n_mecs=3)
-        rng, loop_rng = np.random.default_rng(4), np.random.default_rng(4)
-        res = random_search(initial, scen, ch, budget, rng)
-        best, f_best = initial.assign, ev.latency_of(initial.assign)
-        trace = [f_best]
-        for _ in range(budget):
-            cand = loop_rng.integers(0, 4, size=7)
-            if ev.latency_of(cand) < f_best:
-                best, f_best = cand, ev.latency_of(cand)
-            trace.append(f_best)
-        np.testing.assert_array_equal(res.decision.assign, best)
-        assert res.objective == f_best and res.trace == tuple(trace)
-        assert rng.random() == loop_rng.random()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -280,7 +280,9 @@ FLAT_IN_SCENARIO = {"scenario.task": Task, "scenario.radio": RadioParams}
 REMOVED = [("scenario", "task"), ("scenario", "radio"), ("scenario", "mecs"),
            ("drl", "lambda"), ("drl", "replay_mode"), ("asa", "t_sa"),
            ("dynamic", "out_dim"), ("replay", "rho_max"),
-           ("sae", "threshold")]
+           ("sae", "threshold"), ("drl", "epsilon_greedy"), ("drl", "search"),
+           ("drl", "checkpoint_interval"), ("drl", "hidden_activation"),
+           ("sae", "activation")]
 
 
 def section_class(section: str):
@@ -372,7 +374,7 @@ class TestAcceptedKeys:
                     config_from_dict(doc)
 
     def test_accepted_key_count(self):
-        assert sum(len(fields(section_class(s))) for s in SECTIONS) == 57
+        assert sum(len(fields(section_class(s))) for s in SECTIONS) == 52
 
     def test_runtime_configs_are_the_sections(self):
         cfg = ExperimentConfig()
@@ -441,7 +443,7 @@ def test_file_with_default_keys_loads(tmp_path):
 
 class TestBadValues:
     @pytest.mark.parametrize("doc, key", [
-        ({"drl": {"search": "hillclimb"}}, "search"),
+        ({"drl": {"dims": [8, 0]}}, "dims"),
         ({"scenario": {"cycles": [1e9, 2e9]}}, "cycles"),
         ({"drl": {"t_drl": 0}}, "t_drl"),
         ({"drl": {"phi": 0}}, "phi"),
@@ -460,7 +462,15 @@ class TestBadValues:
         ({"dynamic": {"accuracy_samples": 0}}, "accuracy_samples"),
         ({"dynamic": {"mec_counts": []}}, "mec_counts"),
         ({"dynamic": {"mec_counts": [2, 0]}}, "mec_counts"),
-        ({"sae": {"dims": [20, 10], "out_dim": 5}}, "out_dim")])
+        ({"sae": {"dims": [20, 10], "out_dim": 5}}, "out_dim"),
+        ({"scenario": {"fading": "rayleigh"}}, "fading"),
+        ({"scenario": {"noise_w": -1}}, "noise_w"),
+        ({"scenario": {"min_distance_m": 0}}, "min_distance_m"),
+        ({"scenario": {"n_ues": 0}}, "n_ues"),
+        ({"scenario": {"area_m": -5}}, "area_m"),
+        ({"scenario": {"cycles": {"low": 4e9, "high": 2e8}}}, "cycles"),
+        ({"scenario": {"weights": {"low": 2.0, "high": 0.5}}}, "weights"),
+        ({"scenario": {"cycles": {"low": 2e8}}}, "cycles")])
     def test_bad_value_names_its_section_and_key(self, doc, key):
         section = next(iter(doc))
         with pytest.raises(ValueError, match=rf"^{section}: .*\b{key}\b"):
@@ -500,10 +510,8 @@ class TestStringValues:
             config_from_dict(doc)
 
     def test_string_fields_still_take_strings(self, tmp_path):
-        cfg = config_from_dict({"scenario": {"fading": "rayleigh"},
-                                "drl": {"search": "random"}})
-        assert cfg.scenario.fading == "rayleigh"
-        assert cfg.drl.search == "random"
+        cfg = config_from_dict({"scenario": {"fading": "deterministic"}})
+        assert cfg.scenario.fading == "deterministic"
         cfg = config_from_dict({"scenario": {"file": str(tmp_path / "s.yaml")}})
         assert cfg.scenario.file == str(tmp_path / "s.yaml")
 

@@ -261,7 +261,7 @@ class TestCli:
         assert cli_main(["train", "--config", str(cfg), "--out", str(run),
                          "--quiet"]) == 0
         bad = tmp_path / "bad.yaml"
-        bad.write_text(good + "drl: {t_drl: 8, phi: 4, search: hillclimb}\n")
+        bad.write_text(good + "drl: {t_drl: 8, phi: 0}\n")
         # bench on a complete artifact set trains nothing, so only loading
         # the config can catch the bad value
         src = Path(edgesched.__file__).resolve().parent.parent
@@ -272,7 +272,7 @@ class TestCli:
              str(bad), "--out", str(run), "--quiet"],
             env=env, capture_output=True, text=True)
         assert proc.returncode != 0
-        assert "drl: unknown search mode 'hillclimb'" in proc.stderr
+        assert "drl: phi must be at least 1, got 0" in proc.stderr
         assert not (run / "bench.csv").exists()
 
     def test_inspect_rejects_unknown(self, tmp_path, capsys):

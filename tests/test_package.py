@@ -1,5 +1,5 @@
 import ast
-import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -140,3 +140,19 @@ def test_benchmark_tracer_wraps_live_names(monkeypatch):
     comp.pretrain([edgesched.sample_channel_state(scen, e).gains
                    for e in range(1, 20)], rng)
     assert len(comp.memory) > 0 and len(calls) == cfg.t_sae
+
+
+def test_artifact_hashes_prints_one_digest_per_artifact(monkeypatch, capsys):
+    """``tools/artifact_hashes.py``, which every byte-identical refactor is
+    checked with, prints one sha256 line per artifact of a config."""
+    spec = importlib.util.spec_from_file_location(
+        "artifact_hashes", ROOT / "tools" / "artifact_hashes.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends --src
+    config = ROOT / "tools" / "configs" / "identity_6x1.yaml"
+    assert tool.main([str(config)]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[:2] for line in lines] == [[config.stem, name]
+                                            for name in tool.ARTIFACTS]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line[2]) for line in lines)
