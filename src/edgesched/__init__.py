@@ -21,7 +21,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 from .agent import (AgentConfig, EpochLog, RunResult, SeedBundle, decide,
                     policy_loss_grads, run, train_step)
 from .allocator import (Allocation, Evaluator, allocate_frequencies,
-                        evaluate, local_capacity, max_power_assignment)
+                        evaluate, max_power_assignment)
 from .annealing import (AnnealConfig, BudgetState, SearchResult, adapt_budget,
                         mutate, search)
 from .autoencoder import (AutoencoderConfig, ChannelCompressor, EncodedState,
@@ -35,8 +35,8 @@ from .experiment import (bench_experiment, dynamic_experiment,
                          train_experiment)
 from .mec import (ChannelState, MecSpec, OffloadDecision, RadioParams,
                   Scenario, Task, UeSpec, channel_gain, data_rate,
-                  random_scenario, reweighted, sample_channel_state,
-                  weighted_latency)
+                  local_capacity, random_scenario, reweighted,
+                  sample_channel_state, weighted_latency)
 from .neural import (Adam, LayerSpec, Network, load_checkpoint, mlp_specs,
                      save_checkpoint)
 from .replay import ReplayBuffer, ReplayConfig, Transition

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mec import ChannelState, OffloadDecision, Scenario, data_rate, weighted_latency
-from .mec import local_capacity  # noqa: F401  (re-exported for the tests' oracle)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ has one spelling.  ``sae`` and ``drl`` load straight into the runtime
 ``AutoencoderConfig`` and ``AgentConfig``.  An unknown key, a string where
 a field takes none, a value the section's own checks reject, and keys that
 would silently override one another all raise a ``ValueError`` at load that
-names the section and keys.  Scenario files written by ``gen-scenario`` pin
-every UE explicitly, load back bit-identically and reject unknown and
-missing keys in every entry.
+names the section and keys.  The ``scenario`` section only samples;
+scenario files written by ``gen-scenario`` are the one way to pin UEs and
+servers, load back bit-identically and reject unknown and missing keys in
+every entry.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .agent import AgentConfig
 from .annealing import AnnealConfig
 from .autoencoder import AutoencoderConfig
 from .mec import (MecSpec, RadioParams, Scenario, Task, UeSpec,
-                  default_mec_positions, random_scenario)
+                  random_scenario)
 from .neural import write_atomic
 from .replay import ReplayConfig
 
@@ -86,38 +87,31 @@ def _default(f):
     return f.default if f.default_factory is MISSING else f.default_factory()
 
 
-# the keys of one UE entry, in a config section and in a scenario file
+# the keys of one UE entry in a scenario file
 _UE_KEYS = _names(UeSpec) - {"task"} | _names(Task)
 # the UeSpec fields an entry gives as plain numbers
 _UE_NUMBERS = [f.name for f in fields(UeSpec)
                if f.name not in ("position", "task")]
-
-
-# the default weight draw of a sampled scenario
-_WEIGHT_RANGE = {"low": 0.5, "high": 2.0}
+# the scenario keys that take a positive number or a range above zero
+_POSITIVE = ("area_m", "data_bits", "cycles", "weights", "f_local_max",
+             "f_mec_max", "p_ue_max_w", "kappa", "v")
 
 
 @dataclass
 class ScenarioConfig:
-    """Synthesis parameters for a scenario, or a pointer to an explicit one.
+    """Synthesis parameters for a sampled scenario, or a pointer to a file.
 
-    ``weights`` accepts a number (same weight everywhere), a list with one
-    entry per UE, or a {low, high} mapping for a uniform draw from the
-    scenario seed; ``cycles`` accepts a number or a {low, high} mapping, and
-    per-UE cycles go in ``ues`` entries.  Beside ``ues``, a number in
-    ``weights`` is the default of entries that give no ``weight``, as
-    ``cycles`` is theirs; without one the default is 1.0, and a list or
-    range other than the default range is rejected.  ``n_ues`` and
-    ``n_mecs`` default to the lengths of ``ues`` and ``mec_positions`` where
-    those are given, else to the desk-scale 10 and 2, and must agree with
-    them.  ``file`` names a scenario written by ``dump_scenario`` and takes
-    no other key.
+    The section samples: ``n_ues`` UEs placed uniformly, ``n_mecs`` servers
+    in the default layout (10 and 2 when left out).  ``weights`` and
+    ``cycles`` each take a number (the same for every UE) or a {low, high}
+    mapping for a uniform draw from the scenario seed.  ``file`` names a
+    scenario written by ``dump_scenario``, the one way to pin UEs and
+    servers, and takes no other key.
     """
 
     n_ues: int | None = None
     n_mecs: int | None = None
     area_m: float = 50.0
-    mec_positions: list | None = None
     bandwidth_hz: float = 1e6
     noise_w: float = 3e-9
     beta0: float = 1e-3
@@ -125,14 +119,15 @@ class ScenarioConfig:
     min_distance_m: float = 1.0
     fading: str = "exponential"
     data_bits: float = 8e5
-    cycles: Any = field(default_factory=lambda: {"low": 2e8, "high": 4e9})
-    weights: Any = field(default_factory=lambda: dict(_WEIGHT_RANGE))
+    cycles: float | dict = field(
+        default_factory=lambda: {"low": 2e8, "high": 4e9})
+    weights: float | dict = field(
+        default_factory=lambda: {"low": 0.5, "high": 2.0})
     f_local_max: float = 2.5e8
     f_mec_max: float = 4e9
     kappa: float = 1e-27
     v: float = 3.0
     rng_seed: int | None = None
-    ues: list | None = None
     file: str | None = None
 
     def __post_init__(self) -> None:
@@ -143,19 +138,9 @@ class ScenarioConfig:
                 raise ValueError("file fixes the whole scenario, so it "
                                  f"takes no other key; drop {given}")
             return
-        for count, items, desk in (("n_ues", "ues", 10),
-                                   ("n_mecs", "mec_positions", 2)):
-            n, listed = getattr(self, count), getattr(self, items)
-            if listed is None:
-                setattr(self, count, desk if n is None else n)
-            elif n is None:
-                setattr(self, count, len(listed))
-            elif n != len(listed):
-                raise ValueError(f"{count} {n} disagrees with the "
-                                 f"{len(listed)} entries of {items}")
+        self.n_ues = 10 if self.n_ues is None else self.n_ues
+        self.n_mecs = 2 if self.n_mecs is None else self.n_mecs
         _at_least_one(self, "n_ues", "n_mecs")
-        if self.area_m <= 0:
-            raise ValueError(f"area_m must be positive, got {self.area_m}")
         self.radio_params()  # runs the radio's own checks
         for key in ("cycles", "weights"):
             value = getattr(self, key)
@@ -164,47 +149,31 @@ class ScenarioConfig:
                 if float(value["low"]) > float(value["high"]):
                     raise ValueError(f"{key} range {value} has low above "
                                      "high")
-        if isinstance(self.cycles, list):
-            raise ValueError("cycles takes a number or a {low, high} range, "
-                             "not a list; give per-UE cycles in ues entries")
-        if (self.ues is not None and not isinstance(self.weights, (int, float))
-                and self.weights != _WEIGHT_RANGE):
-            raise ValueError("weights beside ues takes one number, the "
-                             "entries' default weight; give per-UE weights "
-                             "in ues entries")
-        for u in self.ues or ():
-            _check_keys("ues", u, _UE_KEYS)
+            elif not isinstance(value, (int, float)):
+                raise ValueError(
+                    f"{key} takes a number or a {{low, high}} range, not "
+                    f"{value!r}; pin per-UE values in a scenario file "
+                    "(scenario.file)")
+        for key in _POSITIVE:
+            value = getattr(self, key)
+            # a range is checked at its low end, not at what a seed draws
+            value = float(value["low"]) if isinstance(value, dict) else value
+            if value <= 0:
+                raise ValueError(f"{key} must be positive, got {value}")
 
     def radio_params(self) -> RadioParams:
         return RadioParams(**{k: getattr(self, k) for k in _names(RadioParams)})
 
 
 def build_scenario(cfg: ScenarioConfig, fallback_seed: int = 0) -> Scenario:
-    """Materialise a scenario: from file, from explicit UEs, or sampled."""
+    """Materialise a scenario: loaded from its file, or sampled."""
     if cfg.file is not None:
         return load_scenario(cfg.file)
-    seed = cfg.rng_seed if cfg.rng_seed is not None else fallback_seed
-    radio = cfg.radio_params()
-    if cfg.ues is not None:
-        weight = cfg.weights if isinstance(cfg.weights, (int, float)) else 1.0
-        defaults = {"data_bits": cfg.data_bits, "cycles": cfg.cycles,
-                    "weight": weight, "f_local_max": cfg.f_local_max,
-                    "p_max": cfg.p_ue_max_w, "kappa": cfg.kappa, "v": cfg.v}
-        ues = tuple(_ue_from_dict(u, defaults) for u in cfg.ues)
-        positions = cfg.mec_positions or default_mec_positions(cfg.n_mecs,
-                                                               cfg.area_m)
-        mecs = tuple(MecSpec(position=(float(x), float(y)), f_max=cfg.f_mec_max)
-                     for x, y in positions)
-        return Scenario(ues=ues, mecs=mecs, radio=radio, area_m=cfg.area_m,
-                        rng_seed=seed)
-    weights, cycles = (_range(v) for v in (cfg.weights, cfg.cycles))
-    ranged = isinstance(cycles, tuple)
     return random_scenario(
-        cfg.n_ues, cfg.n_mecs, area_m=cfg.area_m, rng_seed=seed,
-        mec_positions=cfg.mec_positions, radio=radio,
-        task=Task(data_bits=cfg.data_bits,
-                  cycles=float(cycles[0] if ranged else cycles)),
-        weights=weights, cycles_range=cycles if ranged else None,
+        cfg.n_ues, cfg.n_mecs, area_m=cfg.area_m,
+        rng_seed=cfg.rng_seed if cfg.rng_seed is not None else fallback_seed,
+        radio=cfg.radio_params(), data_bits=cfg.data_bits,
+        cycles=_range(cfg.cycles), weights=_range(cfg.weights),
         f_local_max=cfg.f_local_max, p_max=cfg.p_ue_max_w,
         f_mec_max=cfg.f_mec_max, kappa=cfg.kappa, v=cfg.v)
 
@@ -213,17 +182,6 @@ def _range(value):
     """A {low, high} mapping as the (low, high) tuple ``random_scenario`` takes."""
     return ((float(value["low"]), float(value["high"]))
             if isinstance(value, dict) else value)
-
-
-def _ue_from_dict(u: dict, defaults: dict) -> UeSpec:
-    """One UE entry; a key the entry leaves out takes its ``defaults`` value."""
-    u = {**defaults, **u}
-    if isinstance(u["cycles"], dict):
-        raise ValueError("explicit UEs must pin cycles when the scenario "
-                         "default is a range")
-    return UeSpec(position=tuple(map(float, u["position"])),
-                  task=Task(**{k: float(u[k]) for k in _names(Task)}),
-                  **{k: float(u[k]) for k in _UE_NUMBERS})
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -257,7 +215,10 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     radio = RadioParams(**data["radio"])
     mecs = tuple(MecSpec(position=tuple(map(float, m["position"])),
                          f_max=float(m["f_max"])) for m in data["mecs"])
-    ues = tuple(_ue_from_dict(u, {}) for u in data["ues"])
+    ues = tuple(UeSpec(position=tuple(map(float, u["position"])),
+                       task=Task(**{k: float(u[k]) for k in _names(Task)}),
+                       **{k: float(u[k]) for k in _UE_NUMBERS})
+                for u in data["ues"])
     return Scenario(ues=ues, mecs=mecs, radio=radio,
                     area_m=float(data["area_m"]),
                     rng_seed=int(data["rng_seed"]))
@@ -314,7 +275,6 @@ class ExperimentConfig:
         """Reject the keys the ``dynamic`` sweep would override per row."""
         given = [key for key, value in (
             ("scenario.file", self.scenario.file),
-            ("scenario.mec_positions", self.scenario.mec_positions),
             ("sae.dims", self.sae.dims)) if value is not None]
         if given:
             raise ValueError("the dynamic sweep sets the server count, server "

@@ -203,20 +203,6 @@ class OffloadDecision:
             raise ValueError("assignments must lie in {0..M}")
         object.__setattr__(self, "assign", a)
 
-    def to_matrix(self) -> np.ndarray:
-        """Binary placement matrix of shape (N, M+1); row i one-hot at assign[i]."""
-        n = self.assign.shape[0]
-        mat = np.zeros((n, self.n_mecs + 1), dtype=np.int64)
-        mat[np.arange(n), self.assign] = 1
-        return mat
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray) -> "OffloadDecision":
-        mat = np.asarray(mat)
-        if mat.ndim != 2 or not np.all(mat.sum(axis=1) == 1):
-            raise ValueError("each row must contain exactly one placement")
-        return cls(assign=np.argmax(mat, axis=1), n_mecs=mat.shape[1] - 1)
-
 
 def sample_fading(shape: tuple[int, ...], rng: np.random.Generator,
                   mode: str = "exponential") -> np.ndarray:
@@ -320,59 +306,61 @@ def default_mec_positions(n_mecs: int, area_m: float = 50.0) -> tuple[tuple[floa
     return tuple((float(c + r * np.cos(a)), float(c + r * np.sin(a))) for a in angles)
 
 
+def _per_ue(name: str, value, n_ues: int,
+            rng: np.random.Generator) -> np.ndarray:
+    """One value per UE: a scalar for all, an explicit length-N sequence, or
+    a (low, high) tuple drawn uniformly from ``rng``."""
+    if isinstance(value, (int, float)):
+        return np.full(n_ues, float(value))
+    if isinstance(value, tuple):
+        lo, hi = value
+        return rng.uniform(float(lo), float(hi), size=n_ues)
+    out = np.asarray(list(value), dtype=float)
+    if out.shape[0] != n_ues:
+        raise ValueError(f"explicit {name} must have one entry per UE")
+    return out
+
+
 def random_scenario(n_ues: int, n_mecs: int, *, area_m: float = 50.0,
-                    rng_seed: int = 0,
-                    mec_positions: Sequence[tuple[float, float]] | None = None,
-                    radio: RadioParams = RadioParams(),
-                    task: Task = Task(data_bits=8e5, cycles=1e9),
+                    rng_seed: int = 0, radio: RadioParams = RadioParams(),
+                    data_bits: float = 8e5,
+                    cycles: Sequence[float] | tuple[float, float] | float = 1e9,
                     weights: Sequence[float] | tuple[float, float] | float = 1.0,
-                    cycles_range: tuple[float, float] | None = None,
                     f_local_max: float = 1e9, p_max: float = 1.0,
                     f_mec_max: float = 5e10, kappa: float = 1e-27,
                     v: float = 3.0) -> Scenario:
-    """Build a scenario with uniformly placed UEs.
+    """Build a scenario with uniformly placed UEs and the default server layout.
 
-    ``weights`` accepts a scalar (every UE), an explicit length-N sequence, or
-    a (low, high) tuple sampled uniformly from the scenario seed; only a
-    tuple is a range, so a length-2 list or array is two weights.  With
-    ``cycles_range`` set, per-UE task sizes are drawn the same way and the
-    template's ``cycles`` is ignored.
+    ``weights`` and ``cycles`` each accept a scalar (every UE), an explicit
+    length-N sequence, or a (low, high) tuple sampled uniformly from the
+    scenario seed; only a tuple is a range, so a length-2 list or array is
+    two values.  The seed's draws come in a fixed order: positions, then
+    weights, then cycles.
     """
     rng = _epoch_rng(rng_seed, 0, namespace=0x5C)
     pos = rng.uniform(0.0, area_m, size=(n_ues, 2))
-    if isinstance(weights, (int, float)):
-        w = np.full(n_ues, float(weights))
-    elif isinstance(weights, tuple):
-        lo, hi = weights
-        w = rng.uniform(float(lo), float(hi), size=n_ues)
-    else:
-        w = np.asarray(list(weights), dtype=float)
-        if w.shape[0] != n_ues:
-            raise ValueError("explicit weights must have one entry per UE")
-    if cycles_range is not None:
-        cyc = rng.uniform(float(cycles_range[0]), float(cycles_range[1]),
-                          size=n_ues)
-        tasks = [replace(task, cycles=float(c)) for c in cyc]
-    else:
-        tasks = [task] * n_ues
-    if mec_positions is None:
-        mec_positions = default_mec_positions(n_mecs, area_m)
+    w = _per_ue("weights", weights, n_ues, rng)
+    cyc = _per_ue("cycles", cycles, n_ues, rng)
     ues = tuple(
-        UeSpec(position=(float(pos[i, 0]), float(pos[i, 1])), task=tasks[i],
+        UeSpec(position=(float(pos[i, 0]), float(pos[i, 1])),
+               task=Task(data_bits=data_bits, cycles=float(cyc[i])),
                weight=float(w[i]), f_local_max=f_local_max, p_max=p_max,
                kappa=kappa, v=v)
         for i in range(n_ues)
     )
     mecs = tuple(MecSpec(position=(float(x), float(y)), f_max=f_mec_max)
-                 for x, y in mec_positions)
+                 for x, y in default_mec_positions(n_mecs, area_m))
     return Scenario(ues=ues, mecs=mecs, radio=radio, area_m=area_m,
                     rng_seed=rng_seed)
 
 
-def reweighted(scenario: Scenario, rng: np.random.Generator,
-               low: float = 0.5, high: float = 2.0) -> Scenario:
+# the range a weight shift redraws every UE's weight from
+_SHIFT_WEIGHTS = (0.5, 2.0)
+
+
+def reweighted(scenario: Scenario, rng: np.random.Generator) -> Scenario:
     """Copy of the scenario with freshly drawn UE weights (dynamic workloads)."""
-    new_w = rng.uniform(low, high, size=scenario.n_ues)
+    new_w = rng.uniform(*_SHIFT_WEIGHTS, size=scenario.n_ues)
     ues = tuple(replace(u, weight=float(new_w[i]))
                 for i, u in enumerate(scenario.ues))
     return replace(scenario, ues=ues)

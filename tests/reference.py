@@ -27,8 +27,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from edgesched import bench
-from edgesched.allocator import Evaluator, local_capacity
-from edgesched.mec import ChannelState, OffloadDecision, Scenario, data_rate
+from edgesched.allocator import Evaluator
+from edgesched.mec import (ChannelState, OffloadDecision, Scenario, data_rate,
+                           local_capacity)
 
 
 def _project_simplex(y: np.ndarray, total: float) -> np.ndarray:

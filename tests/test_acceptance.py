@@ -42,7 +42,7 @@ def _report(num, name, ok, detail):
 def _desk_profile_scenario(n, m, rng_seed):
     # same texture as the shipped desk defaults, capacity scaled with N
     return random_scenario(n, m, rng_seed=rng_seed, weights=(0.5, 2.0),
-                           cycles_range=(2e8, 4e9), f_local_max=2.5e8,
+                           cycles=(2e8, 4e9), f_local_max=2.5e8,
                            f_mec_max=4e9 * n / 10)
 
 

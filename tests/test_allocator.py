@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from edgesched.allocator import (Allocation, Evaluator, allocate_frequencies,
-                                 evaluate, local_capacity, max_power_assignment)
-from edgesched.mec import (OffloadDecision, Task, UeSpec, random_scenario,
-                           reweighted, sample_channel_state, weighted_latency)
+                                 evaluate, max_power_assignment)
+from edgesched.mec import (OffloadDecision, Task, UeSpec, local_capacity,
+                           random_scenario, reweighted, sample_channel_state,
+                           weighted_latency)
 
 from reference import allocate_frequencies_loop, allocate_frequencies_oracle
 
@@ -18,8 +19,8 @@ def fuzz_case(rng, n_max=8, m_max=3):
     scen = random_scenario(
         n, m, rng_seed=int(rng.integers(0, 2**31)),
         weights=[float(w) for w in rng.uniform(0.2, 5.0, size=n)],
-        task=Task(data_bits=float(rng.uniform(1e5, 2e6)),
-                  cycles=float(rng.uniform(1e8, 5e9))))
+        data_bits=float(rng.uniform(1e5, 2e6)),
+        cycles=float(rng.uniform(1e8, 5e9)))
     assign = rng.integers(0, m + 1, size=n)
     return scen, OffloadDecision(assign=assign, n_mecs=m)
 
@@ -108,7 +109,7 @@ class TestMatchesPerMecLoop:
     def test_named_case(self, name):
         n, m, assign = self.CASES[name]
         scen = random_scenario(n, m, rng_seed=4, weights=(0.3, 3.0),
-                               cycles_range=(1e8, 4e9))
+                               cycles=(1e8, 4e9))
         dec = OffloadDecision(assign=np.array(assign), n_mecs=m)
         freqs = allocate_frequencies(dec, scen)
         ref = allocate_frequencies_loop(dec, scen)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesched.agent import SeedBundle
-from edgesched.allocator import Evaluator, local_capacity
+from edgesched.allocator import Evaluator
 from edgesched import bench
 from edgesched.annealing import AnnealConfig
 from edgesched.bench import (BENCH_EPOCH_BASE, NODE_LIMIT, PsoConfig,
@@ -16,7 +16,8 @@ from edgesched.bench import (BENCH_EPOCH_BASE, NODE_LIMIT, PsoConfig,
                              write_bench_csv)
 from edgesched.config import ExperimentConfig, build_scenario
 from edgesched.mec import (MecSpec, OffloadDecision, RadioParams, Scenario,
-                           Task, UeSpec, random_scenario, sample_channel_state)
+                           Task, UeSpec, local_capacity, random_scenario,
+                           sample_channel_state)
 
 from reference import exact_oracle_numpy, greedy_baseline_loop
 

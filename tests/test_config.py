@@ -11,7 +11,8 @@ from edgesched.autoencoder import AutoencoderConfig
 from edgesched.config import (ExperimentConfig, ScenarioConfig, build_scenario,
                               config_from_dict, dump_scenario, load_config,
                               load_scenario, override, scenario_to_dict)
-from edgesched.mec import RadioParams, Task, random_scenario
+from edgesched.mec import (MecSpec, RadioParams, Task, default_mec_positions,
+                           random_scenario)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TOOL_CONFIGS = Path(__file__).resolve().parent.parent / "tools" / "configs"
@@ -56,9 +57,10 @@ class TestScenarioConfig:
         assert len(set(cyc)) > 1
 
     def test_cycles_list_rejected(self):
-        # a list once reached build_scenario and raised a bare TypeError
+        # a list once reached build_scenario and raised a bare TypeError;
+        # per-UE values are pinned in a scenario file
         with pytest.raises(ValueError,
-                           match=r"^scenario: cycles .* ues entries"):
+                           match=r"^scenario: cycles .* scenario file"):
             scenario(n_ues=2, cycles=[1e9, 2e9])
 
     def test_radio_subdict(self):
@@ -71,23 +73,15 @@ class TestScenarioConfig:
             scenario(radio={"noise_w": 1e-10})
 
     def test_mecs_subdict(self):
-        # servers are placed by mec_positions, which sets n_mecs when it is
-        # left out; the mecs list is gone
-        cfg = scenario(mec_positions=[[5, 5], [45, 45], [25, 25]],
-                       f_mec_max=2e10)
-        assert cfg.n_mecs == 3
+        # the section lays out n_mecs servers with one shared budget; the
+        # mecs list is gone, and a scenario file pins positions and budgets
+        cfg = scenario(n_mecs=3, f_mec_max=2e10)
         mecs = build_scenario(cfg).mecs
-        assert [m.position for m in mecs] == [(5, 5), (45, 45), (25, 25)]
+        assert [m.position for m in mecs] == list(default_mec_positions(3))
         assert all(m.f_max == 2e10 for m in mecs)
         with pytest.raises(ValueError, match=re.escape(
                 "unknown scenario keys: ['mecs']")):
             scenario(mecs=[{"position": [5, 5]}])
-
-    def test_list_without_its_count_loads(self):
-        cfg = scenario(cycles=1e9, ues=[{"position": [1, 1]},
-                                        {"position": [2, 2]}])
-        assert cfg.n_ues == 2 and cfg.n_mecs == 2
-        assert build_scenario(cfg).n_ues == 2
 
 
 class TestBuildScenario:
@@ -106,35 +100,25 @@ class TestBuildScenario:
         assert a == b
         assert a != c
 
-    def test_explicit_ues(self):
-        cfg = scenario(n_mecs=1, cycles=1e9,
-                       ues=[{"position": [1, 1]},
-                            {"position": [2, 2], "weight": 3.0,
-                             "cycles": 2e9}])
-        scen = build_scenario(cfg)
-        assert scen.n_ues == 2
-        assert scen.ues[0].weight == 1.0
-        assert scen.ues[1].weight == 3.0
-        assert scen.ues[0].task.cycles == 1e9
-        assert scen.ues[1].task.cycles == 2e9
-        assert scen.ues[0].task.data_bits == cfg.data_bits
-
-    def test_scalar_weights_are_the_entries_default(self):
-        cfg = scenario(weights=2.5, cycles=1.0e9,
-                       ues=[{"position": [1, 1]},
-                            {"position": [2, 2], "weight": 0.5}])
-        assert [u.weight for u in build_scenario(cfg).ues] == [2.5, 0.5]
-
-    def test_explicit_ue_needs_cycles_under_range_default(self):
-        cfg = scenario(ues=[{"position": [1, 1]}])
-        with pytest.raises(ValueError, match="pin cycles"):
-            build_scenario(cfg)
+    def test_explicit_ues(self, tmp_path):
+        # explicit UEs are pinned in a scenario file, entry by entry
+        doc = scenario_to_dict(build_scenario(scenario(n_ues=2, n_mecs=1)))
+        doc["ues"][0].update(position=[1.0, 1.0], weight=3.0, cycles=2e9)
+        doc["ues"][1].update(data_bits=4e5, f_local_max=5e8)
+        p = tmp_path / "pinned.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        scen = build_scenario(scenario(file=str(p)))
+        assert scen.ues[0].position == (1.0, 1.0)
+        assert scen.ues[0].weight == 3.0 and scen.ues[0].task.cycles == 2e9
+        assert scen.ues[1].task.data_bits == 4e5
+        assert scen.ues[1].f_local_max == 5e8
 
     def test_scalar_and_list_weights(self):
         scal = build_scenario(ScenarioConfig(n_ues=3, weights=2.5))
         assert all(u.weight == 2.5 for u in scal.ues)
-        lst = build_scenario(ScenarioConfig(n_ues=3, weights=[1.0, 2.0, 3.0]))
-        assert [u.weight for u in lst.ues] == [1.0, 2.0, 3.0]
+        # per-UE weights are pinned in a scenario file
+        with pytest.raises(ValueError, match=r"^weights .* scenario file"):
+            ScenarioConfig(n_ues=3, weights=[1.0, 2.0, 3.0])
 
 
 class TestScenarioFiles:
@@ -155,6 +139,16 @@ class TestScenarioFiles:
         dump_scenario(scen, p)
         cfg = ScenarioConfig(file=str(p))
         assert build_scenario(cfg) == scen
+        # a server moved and given its own budget, which the section
+        # cannot express, loads through the same pointer unchanged
+        doc = yaml.safe_load(p.read_text())
+        doc["mecs"][1].update(position=[30.0, 20.0], f_max=9e9)
+        p.write_text(yaml.safe_dump(doc))
+        edited = build_scenario(cfg)
+        assert edited.mecs[0] == scen.mecs[0]
+        assert edited.mecs[1] == MecSpec(position=(30.0, 20.0), f_max=9e9)
+        assert edited.ues == scen.ues
+        assert scenario_to_dict(edited) == doc
 
     def test_unknown_file_key_rejected(self, tmp_path):
         scen = random_scenario(3, 1, rng_seed=1)
@@ -246,8 +240,8 @@ class TestExperimentConfig:
         # the configurations tools/artifact_hashes.py trains
         cfgs = {p.stem: load_config(p)
                 for p in sorted(TOOL_CONFIGS.glob("*.yaml"))}
-        assert sorted(cfgs) == ["default", "identity_6x1", "seed7_shift",
-                                "wide_30x5"]
+        assert sorted(cfgs) == ["default", "identity_6x1", "scalar_3mec",
+                                "seed7_shift", "wide_30x5"]
         assert cfgs["default"] == ExperimentConfig()
 
     def test_load_config_file(self, tmp_path):
@@ -278,6 +272,7 @@ SECTIONS = ["scenario", "sae", "drl", "asa", "replay", "bench", "dynamic"]
 FLAT_IN_SCENARIO = {"scenario.task": Task, "scenario.radio": RadioParams}
 # spellings that once loaded and now are keys of no section
 REMOVED = [("scenario", "task"), ("scenario", "radio"), ("scenario", "mecs"),
+           ("scenario", "ues"), ("scenario", "mec_positions"),
            ("drl", "lambda"), ("drl", "replay_mode"), ("asa", "t_sa"),
            ("dynamic", "out_dim"), ("replay", "rho_max"),
            ("sae", "threshold"), ("drl", "epsilon_greedy"), ("drl", "search"),
@@ -374,7 +369,7 @@ class TestAcceptedKeys:
                     config_from_dict(doc)
 
     def test_accepted_key_count(self):
-        assert sum(len(fields(section_class(s))) for s in SECTIONS) == 52
+        assert sum(len(fields(section_class(s))) for s in SECTIONS) == 50
 
     def test_runtime_configs_are_the_sections(self):
         cfg = ExperimentConfig()
@@ -393,10 +388,10 @@ OVERRIDES = {
                         ["file", "n_ues"]),
     "n_ues-vs-ues": ({"scenario": {"n_ues": 10, "cycles": 1e9,
                                    "ues": [{"position": [1, 1]}] * 3}},
-                     ["n_ues", "ues"]),
+                     ["ues"]),
     "n_mecs-vs-mec_positions": (
         {"scenario": {"n_mecs": 3, "mec_positions": [[5, 5], [45, 45]]}},
-        ["n_mecs", "mec_positions"]),
+        ["mec_positions"]),
     "mecs-over-n_mecs": ({"scenario": {"n_mecs": 3, "mecs": [
         {"position": [5, 5]}]}}, ["mecs"]),
     "radio-over-noise_w": ({"scenario": {"noise_w": 3e-9, "radio": {
@@ -407,17 +402,17 @@ OVERRIDES = {
     "weights-list-beside-ues": (
         {"scenario": {"weights": [1.0, 2.0], "cycles": 1e9,
                       "ues": [{"position": [1, 1]}, {"position": [2, 2]}]}},
-        ["weights", "ues"]),
+        ["ues"]),
     "weights-range-beside-ues": (
         {"scenario": {"weights": {"low": 1.0, "high": 3.0}, "cycles": 1e9,
                       "ues": [{"position": [1, 1]}, {"position": [2, 2]}]}},
-        ["weights", "ues"]),
+        ["ues"]),
     "dynamic-with-file": ({"scenario": {"file": "s.yaml"},
                            "dynamic": {"mec_counts": [1, 2]}},
                           ["scenario.file"]),
     "dynamic-with-mec_positions": (
         {"scenario": {"mec_positions": [[5, 5], [45, 45]]},
-         "dynamic": {"nrr_stride": 10}}, ["scenario.mec_positions"]),
+         "dynamic": {"nrr_stride": 10}}, ["mec_positions"]),
     "dynamic-with-sae.dims": ({"sae": {"dims": [20, 10]},
                                "dynamic": {"mec_counts": [2]}},
                               ["sae.dims"]),
@@ -470,7 +465,18 @@ class TestBadValues:
         ({"scenario": {"area_m": -5}}, "area_m"),
         ({"scenario": {"cycles": {"low": 4e9, "high": 2e8}}}, "cycles"),
         ({"scenario": {"weights": {"low": 2.0, "high": 0.5}}}, "weights"),
-        ({"scenario": {"cycles": {"low": 2e8}}}, "cycles")])
+        ({"scenario": {"cycles": {"low": 2e8}}}, "cycles"),
+        ({"scenario": {"data_bits": 0}}, "data_bits"),
+        ({"scenario": {"cycles": 0}}, "cycles"),
+        ({"scenario": {"weights": 0}}, "weights"),
+        ({"scenario": {"f_mec_max": 0}}, "f_mec_max"),
+        ({"scenario": {"f_local_max": 0}}, "f_local_max"),
+        ({"scenario": {"p_ue_max_w": 0}}, "p_ue_max_w"),
+        ({"scenario": {"kappa": -1}}, "kappa"),
+        ({"scenario": {"v": 0}}, "v"),
+        ({"scenario": {"weights": {"low": -1, "high": 2}}}, "weights"),
+        ({"scenario": {"cycles": {"low": -1, "high": 2}}}, "cycles"),
+        ({"scenario": {"weights": [1.0, 2.0]}}, "weights")])
     def test_bad_value_names_its_section_and_key(self, doc, key):
         section = next(iter(doc))
         with pytest.raises(ValueError, match=rf"^{section}: .*\b{key}\b"):
@@ -487,14 +493,8 @@ class TestBadValues:
 
 
 class TestScenarioEntries:
-    def test_ue_typo_rejected(self):
-        with pytest.raises(ValueError, match=re.escape(
-                "scenario: unknown ues keys: ['wieght']")):
-            scenario(n_mecs=1, cycles=1e9,
-                     ues=[{"position": [1, 1], "wieght": 2.0}])
-
     def test_mecs_without_f_max_keep_the_section_budget(self):
-        cfg = scenario(f_mec_max=8e9, mec_positions=[[5, 5]])
+        cfg = scenario(f_mec_max=8e9, n_mecs=1)
         assert [m.f_max for m in build_scenario(cfg).mecs] == [8e9]
 
 

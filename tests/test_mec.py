@@ -2,8 +2,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from edgesched.mec import (ChannelState, MecSpec, OffloadDecision, RadioParams,
                            Scenario, Task, UeSpec, channel_gain, data_rate,
@@ -149,20 +147,6 @@ class TestChannel:
         assert np.all(np.diff(r) > 0)
 
 
-@given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_decision_matrix_round_trip(n, m, seed):
-    rng = np.random.default_rng(seed)
-    assign = rng.integers(0, m + 1, size=n)
-    dec = OffloadDecision(assign=assign, n_mecs=m)
-    mat = dec.to_matrix()
-    assert mat.shape == (n, m + 1)
-    assert np.all(mat.sum(axis=1) == 1)
-    back = OffloadDecision.from_matrix(mat)
-    np.testing.assert_array_equal(back.assign, assign)
-    assert back.n_mecs == m
-
-
 class TestWeightedLatency:
     def test_hand_computed_local_only(self):
         scen = make_scenario(2, 1)
@@ -227,9 +211,35 @@ class TestScenarioFactory:
         scen = random_scenario(2, 1, weights=weights)
         assert [u.weight for u in scen.ues] == [1.0, 3.0]
 
+    def test_cycle_modes(self):
+        # cycles take what weights take
+        scalar = make_scenario(cycles=2e9)
+        assert all(u.task.cycles == 2e9 for u in scalar.ues)
+        explicit = make_scenario(cycles=[1e9, 2e9, 3e9, 4e9])
+        assert [u.task.cycles for u in explicit.ues] == [1e9, 2e9, 3e9, 4e9]
+        ranged = make_scenario(cycles=(1e8, 4e9))
+        assert all(1e8 <= u.task.cycles <= 4e9 for u in ranged.ues)
+        assert len({u.task.cycles for u in ranged.ues}) > 1
+
+    def test_draw_order_positions_weights_cycles(self):
+        # scenario_resolved.yaml depends on this order: cycles draw last, so
+        # ranging them leaves positions and weights as they were, while
+        # ranging the weights shifts the cycle draw
+        base = make_scenario(weights=(0.5, 2.0), cycles=1e9)
+        both = make_scenario(weights=(0.5, 2.0), cycles=(1e8, 4e9))
+        assert ([(u.position, u.weight) for u in both.ues]
+                == [(u.position, u.weight) for u in base.ues])
+        fixed_w = make_scenario(weights=1.0, cycles=(1e8, 4e9))
+        assert ([u.position for u in fixed_w.ues]
+                == [u.position for u in both.ues])
+        assert all(a.task.cycles != b.task.cycles
+                   for a, b in zip(fixed_w.ues, both.ues))
+
     def test_explicit_weights_length_checked(self):
         with pytest.raises(ValueError):
             make_scenario(weights=[1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="explicit cycles"):
+            make_scenario(cycles=[1e9, 2e9, 3e9])
 
     def test_reproducible(self):
         a = make_scenario(seed=5)

@@ -156,3 +156,13 @@ def test_artifact_hashes_prints_one_digest_per_artifact(monkeypatch, capsys):
     assert [line[:2] for line in lines] == [[config.stem, name]
                                             for name in tool.ARTIFACTS]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line[2]) for line in lines)
+
+
+def test_readme_library_use_runs(capsys):
+    """README's "Library use" block runs as written, so a changed signature
+    cannot leave it stale."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme,
+                      re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) > 0
