@@ -6,12 +6,12 @@ A config file holds one mapping with optional sections ``scenario``, ``sae``,
 dataclass, whose field names are exactly the section's keys: every setting
 has one spelling.  ``sae`` and ``drl`` load straight into the runtime
 ``AutoencoderConfig`` and ``AgentConfig``.  An unknown key, a string where
-a field takes none, a value the section's own checks reject, and keys that
-would silently override one another all raise a ``ValueError`` at load that
-names the section and keys.  The ``scenario`` section only samples;
-scenario files written by ``gen-scenario`` are the one way to pin UEs and
-servers, load back bit-identically and reject unknown and missing keys in
-every entry.
+a field takes none, a float or bool where it takes an integer, a value the
+section's own checks reject, and keys that would silently override one
+another all raise a ``ValueError`` at load that names the section and keys.
+The ``scenario`` section only samples; scenario files written by
+``gen-scenario`` are the one way to pin UEs and servers, load back
+bit-identically and reject unknown and missing keys in every entry.
 """
 
 from __future__ import annotations
@@ -47,26 +47,32 @@ def _names(cls) -> set[str]:
     return {f.name for f in fields(cls)}
 
 
-def _admits_str(hint) -> bool:
-    if isinstance(hint, UnionType):
-        return any(map(_admits_str, get_args(hint)))
-    return hint in (str, Any)
+def _hint_types(hint) -> set:
+    return set(get_args(hint)) if isinstance(hint, UnionType) else {hint}
 
 
-def _check_strings(cls, section: str, data: dict) -> None:
-    """Reject a string where the field of ``cls`` takes no string.
+def _check_types(cls, section: str, data: dict) -> None:
+    """Reject a value the type hint of its field in ``cls`` does not admit.
 
-    PyYAML reads a float with no dot or no sign in its exponent (``4.0e9``,
-    ``1e-3``) as a string, which would otherwise load silently and fail far
-    from its key.
+    A string where the field takes none: PyYAML reads a float with no dot or
+    no sign in its exponent (``4.0e9``, ``1e-3``) as a string, which would
+    otherwise load silently and fail far from its key.  A float or a bool
+    where the field takes an integer: ``4.0``, ``10.5`` and ``true`` would
+    load, then size an array or a loop far from their key.  A float field
+    takes an integer as it is.
     """
     hints = get_type_hints(cls)
     for key, value in data.items():
-        if isinstance(value, str) and not _admits_str(hints[key]):
+        types = _hint_types(hints[key])
+        if isinstance(value, str) and not types & {str, Any}:
             raise ValueError(
                 f"{section}.{key} is the string {value!r} but takes no "
                 "string (PyYAML reads 4.0e9 and 1e-3 as strings: write "
                 "4.0e+9 and 1.0e-3)")
+        if (int in types and not (value is None and type(None) in types)
+                and (isinstance(value, bool) or not isinstance(value, int))):
+            raise ValueError(f"{section}.{key} takes an integer, got "
+                             f"{value!r}")
 
 
 def _load(cls, section: str, data: dict):
@@ -76,7 +82,7 @@ def _load(cls, section: str, data: dict):
     run on construction.
     """
     _check_keys(section, data, _names(cls))
-    _check_strings(cls, section, data)
+    _check_types(cls, section, data)
     try:
         return cls(**data)
     except ValueError as exc:

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesched import agent
+from edgesched import agent, annealing
 from edgesched.allocator import Evaluator
 from edgesched.annealing import (AnnealConfig, BudgetState, SearchResult,
                                  adapt_budget, keep_table, mutate,
                                  mutation_probs, search)
-from edgesched.bench import exhaustive_best
+from edgesched.bench import BENCH_EPOCH_BASE, asa_only, exhaustive_best
+from edgesched.config import ExperimentConfig
+from edgesched.experiment import train_experiment
 from edgesched.mec import (ChannelState, OffloadDecision, random_scenario,
                            sample_channel_state)
 from edgesched.replay import ReplayConfig
@@ -67,6 +69,27 @@ def reference_search(initial, scenario, channel, cfg, state, rng,
     return SearchResult(decision=OffloadDecision(assign=best, n_mecs=m),
                         objective=f_best, improvements=tuple(improvements),
                         steps=state.budget), trace
+
+
+SCORERS = ("_loop_search", "_batch_search")
+
+
+def scorer_search(name):
+    """``search``'s signature on one private scorer, whatever the density."""
+    def run(initial, scenario, channel, cfg, state, rng, evaluator=None):
+        ev = (evaluator if evaluator is not None
+              else Evaluator(scenario, channel))
+        return getattr(annealing, name)(initial, ev, keep_table(channel.gains),
+                                        cfg, state.budget, rng)
+    return run
+
+
+def assert_same_result(got, ref, ref_trace):
+    np.testing.assert_array_equal(got.decision.assign, ref.decision.assign)
+    assert got.decision.assign.dtype == ref.decision.assign.dtype
+    assert got.objective == ref.objective
+    assert got.trace == tuple(ref_trace)
+    assert got.improvements == ref.improvements
 
 
 class TestMutation:
@@ -228,30 +251,42 @@ def instance(n, m, seed, clones):
     return scen, ch, Evaluator(scen, ch), initial
 
 
+# the draws every check against ``reference_search`` takes
+reference_cases = given(
+    n=st.integers(1, 30), m=st.integers(1, 5), budget=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1), t0=st.sampled_from([1e-3, 1.0, 100.0]),
+    phi=st.sampled_from([0.8, 0.95, 1.0]))
+
+
 class TestSearchMatchesReference:
     """``search`` is the step-by-step chain on the same four blocks, bit for
     bit, wherever no two placements tie exactly."""
 
-    @given(n=st.integers(1, 30), m=st.integers(1, 5),
-           budget=st.integers(1, 120), seed=st.integers(0, 2**32 - 1),
-           t0=st.sampled_from([1e-3, 1.0, 100.0]),
-           phi=st.sampled_from([0.8, 0.95, 1.0]))
-    @settings(max_examples=60, deadline=None)
-    def test_same_result_and_stream(self, n, m, budget, seed, t0, phi):
+    @staticmethod
+    def check_matches_reference(run, n, m, budget, seed, t0, phi):
         scen, ch, ev, initial = instance(n, m, seed, clones=False)
         cfg, state = AnnealConfig(t0=t0, phi_cool=phi), BudgetState(budget)
         rng_ref = np.random.default_rng(seed)
         rng_new = np.random.default_rng(seed)
         ref, ref_trace = reference_search(initial, scen, ch, cfg, state,
                                           rng_ref, evaluator=ev)
-        got = search(initial, scen, ch, cfg, state, rng_new, evaluator=ev)
-        np.testing.assert_array_equal(got.decision.assign,
-                                      ref.decision.assign)
-        assert got.decision.assign.dtype == ref.decision.assign.dtype
-        assert got.objective == ref.objective
-        assert got.trace == tuple(ref_trace)
-        assert got.improvements == ref.improvements
+        got = run(initial, scen, ch, cfg, state, rng_new, evaluator=ev)
+        assert_same_result(got, ref, ref_trace)
         assert rng_new.random() == rng_ref.random()
+
+    @reference_cases
+    @settings(max_examples=60, deadline=None)
+    def test_same_result_and_stream(self, n, m, budget, seed, t0, phi):
+        self.check_matches_reference(search, n, m, budget, seed, t0, phi)
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    @reference_cases
+    @settings(max_examples=60, deadline=None)
+    def test_each_scorer_same_result_and_stream(self, scorer, n, m, budget,
+                                                seed, t0, phi):
+        """Both scorers, whichever the density rule would pick."""
+        self.check_matches_reference(scorer_search(scorer), n, m, budget,
+                                     seed, t0, phi)
 
     def test_exact_ties(self):
         """Where placements tie, ``search`` keeps its contract instead."""
@@ -275,6 +310,14 @@ class TestSearchMatchesReference:
             assert res.trace[0] == ev.latency_of(initial.assign)
             assert all(a >= b for a, b in zip(res.trace, res.trace[1:]))
             assert res.trace[-1] == res.objective
+            # the batch scorer accepts on exact latencies, as the chain does
+            ref, ref_trace = reference_search(
+                initial, scen, ch, AnnealConfig(), BudgetState(budget),
+                np.random.default_rng(seed), evaluator=ev)
+            got = scorer_search("_batch_search")(
+                initial, scen, ch, AnnealConfig(), BudgetState(budget),
+                np.random.default_rng(seed), evaluator=ev)
+            assert_same_result(got, ref, ref_trace)
 
     @given(n=st.integers(1, 4), m=st.integers(1, 5),
            seed=st.integers(0, 2**32 - 1))
@@ -303,3 +346,52 @@ class TestSearchMatchesReference:
         monkeypatch.setattr(agent, "_anneal_search",
                             lambda *a, **k: reference_search(*a, **k)[0])
         assert desk_run(tmp_path / "reference.csv") == fast
+
+
+class TestScorers:
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_result_owns_its_placement(self, scorer):
+        """A result holds no view of a candidate block or of its start."""
+        run = scorer_search(scorer)
+        for seed in range(10):
+            scen, ch, ev, initial = instance(30, 5, seed, clones=False)
+            start = OffloadDecision(assign=np.vstack([initial.assign] * 2)[0],
+                                    n_mecs=5)
+            assert not start.assign.flags.owndata
+            res = run(start, scen, ch, AnnealConfig(), BudgetState(100),
+                      np.random.default_rng(seed), evaluator=ev)
+            assert res.decision.assign.flags.owndata
+        # a start no move beats comes back as a copy
+        scen, ch = toy(n=2, m=1, seed=3)
+        optimum = OffloadDecision(assign=exhaustive_best(scen, ch)[0],
+                                  n_mecs=1)
+        res = run(optimum, scen, ch, AnnealConfig(), BudgetState(5),
+                  np.random.default_rng(3))
+        assert len(res.improvements) == 1
+        assert res.decision.assign.flags.owndata
+        assert not np.shares_memory(res.decision.assign, optimum.assign)
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = dict.fromkeys(SCORERS, 0)
+        for name in SCORERS:
+            def counted(*a, _name=name, _scorer=getattr(annealing, name),
+                        **k):
+                calls[_name] += 1
+                return _scorer(*a, **k)
+            monkeypatch.setattr(annealing, name, counted)
+        return calls
+
+    def test_default_desk_run_takes_the_loop(self, monkeypatch, tmp_path):
+        calls = self.count_calls(monkeypatch)
+        cfg = ExperimentConfig(out=str(tmp_path))
+        train_experiment(cfg, tmp_path)
+        assert calls == {"_loop_search": cfg.drl.t_drl, "_batch_search": 0}
+
+    def test_wide_asa_200_takes_the_batch_scorer(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        scen = random_scenario(30, 5, rng_seed=1)
+        for k in range(20):
+            ch = sample_channel_state(scen, BENCH_EPOCH_BASE + k, 1)
+            asa_only(scen, ch, AnnealConfig(), 200, np.random.default_rng(k))
+        assert calls == {"_loop_search": 0, "_batch_search": 20}

@@ -482,6 +482,25 @@ class TestBadValues:
         with pytest.raises(ValueError, match=rf"^{section}: .*\b{key}\b"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"scenario": {"n_ues": 4.0}}, "scenario.n_ues"),
+        ({"drl": {"t_drl": 10.5}}, "drl.t_drl"),
+        ({"drl": {"t_drl": True}}, "drl.t_drl"),
+        ({"bench": {"asa_budget": 2.5}}, "bench.asa_budget"),
+        ({"replay": {"capacity": 3.0}}, "replay.capacity"),
+        ({"sae": {"memory": 10.5}}, "sae.memory")])
+    def test_float_or_bool_for_an_integer_names_its_key(self, doc, key):
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(key)} takes an integer, got"):
+            config_from_dict(doc)
+
+    def test_float_fields_take_integers(self):
+        cfg = config_from_dict({"scenario": {"f_mec_max": 4_000_000_000,
+                                             "cycles": 1_000_000_000},
+                                "asa": {"t0": 2}})
+        assert cfg.scenario.f_mec_max == 4e9 and cfg.asa.t0 == 2
+        assert cfg.scenario.cycles == 1e9
+
     def test_budget_may_start_at_its_cap(self):
         cfg = config_from_dict({"asa": {"t_sa_init": 100, "t_sa_max": 100}})
         assert cfg.asa.t_sa_init == cfg.asa.t_sa_max == 100

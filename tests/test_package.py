@@ -158,6 +158,26 @@ def test_artifact_hashes_prints_one_digest_per_artifact(monkeypatch, capsys):
     assert all(re.fullmatch(r"[0-9a-f]{64}", line[2]) for line in lines)
 
 
+
+def test_search_hashes_prints_one_line_per_set(monkeypatch, capsys):
+    """``tools/search_hashes.py``, which a change promising identical search
+    results is checked with, prints a digest, the share of calls the batch
+    scorer took and a time per draw set."""
+    spec = importlib.util.spec_from_file_location(
+        "search_hashes", ROOT / "tools" / "search_hashes.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends --src
+    assert tool.main([]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[0] for line in lines] == ["desk", "desk-g", "10x5", "20x3",
+                                           "30x5", "50x5"]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line[1]) for line in lines)
+    shares = {line[0]: line[3] for line in lines}
+    assert shares["desk"] == shares["desk-g"] == "0.00"
+    assert shares["30x5"] == shares["50x5"] == "1.00"
+    assert all(line[2] == "batch" and line[5] == "us/call" for line in lines)
+
 def test_readme_library_use_runs(capsys):
     """README's "Library use" block runs as written, so a changed signature
     cannot leave it stale."""

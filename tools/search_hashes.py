@@ -1,0 +1,108 @@
+"""Run the annealing search over fixed draw sets and print what it returned.
+
+    python3 tools/search_hashes.py
+    python3 tools/search_hashes.py --src ../other/src   # another checkout
+
+The sets, each a pure function of its seeds:
+
+- ``desk``: 200 draws of the default 10x2 scenario, each an ASA-200 search
+  from a random start (``bench.asa_only``, generator seeded with the draw
+  index);
+- ``desk-g``: the same 200 draws, a budget-50 search from the greedy
+  placement;
+- ``10x5``, ``20x3``, ``30x5`` and ``50x5``: 50 draws of
+  ``random_scenario(N, M, rng_seed=1)``, each an ASA-200 search from a
+  random start.
+
+One line per set: the sha256 of every result's placement, objective,
+improvements and steps and of the generator's next draw after the call; the
+share of calls that took the batch scorer (``-`` on a checkout without
+one); and the mean wall time per search call in us (the evaluator build is
+not timed).  A change that promises identical search results runs this on
+both checkouts and compares the digests.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import struct
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def draw_sets():
+    """(name, scenario, channels, run) per set; run maps (k, scen, ch, ev, rng)."""
+    from edgesched.annealing import AnnealConfig, BudgetState, search
+    from edgesched.bench import BENCH_EPOCH_BASE, asa_only, greedy_baseline
+    from edgesched.config import ExperimentConfig, build_scenario
+    from edgesched.mec import random_scenario, sample_channel_state
+
+    def channels(scen, count):
+        return [sample_channel_state(scen, BENCH_EPOCH_BASE + k, 1)
+                for k in range(count)]
+
+    def asa_200(scen, ch, ev, rng):
+        return asa_only(scen, ch, AnnealConfig(), 200, rng, evaluator=ev)
+
+    def greedy_50(scen, ch, ev, rng):
+        return search(greedy_baseline(scen, ch), scen, ch, AnnealConfig(),
+                      BudgetState(50), rng, evaluator=ev)
+
+    desk = build_scenario(ExperimentConfig().scenario, fallback_seed=1)
+    yield "desk", desk, channels(desk, 200), asa_200
+    yield "desk-g", desk, channels(desk, 200), greedy_50
+    for n, m in ((10, 5), (20, 3), (30, 5), (50, 5)):
+        scen = random_scenario(n, m, rng_seed=1)
+        yield f"{n}x{m}", scen, channels(scen, 50), asa_200
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="directory holding the edgesched package")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    import numpy as np
+
+    from edgesched import annealing
+    from edgesched.allocator import Evaluator
+
+    batched = []
+    batch_search = getattr(annealing, "_batch_search", None)
+    if batch_search is not None:
+        def counted(*a, **k):
+            batched.append(1)
+            return batch_search(*a, **k)
+        annealing._batch_search = counted
+    try:
+        for name, scen, chans, run in draw_sets():
+            digest = hashlib.sha256()
+            batched.clear()
+            spent = 0.0
+            for k, ch in enumerate(chans):
+                ev = Evaluator(scen, ch)
+                rng = np.random.default_rng(k)
+                tic = time.perf_counter()
+                res = run(scen, ch, ev, rng)
+                spent += time.perf_counter() - tic
+                digest.update(res.decision.assign.astype(np.int64).tobytes())
+                digest.update(struct.pack("<dq", res.objective, res.steps))
+                for it, value in res.improvements:
+                    digest.update(struct.pack("<qd", it, value))
+                digest.update(struct.pack("<d", rng.random()))
+            share = ("-" if batch_search is None
+                     else f"{len(batched) / len(chans):.2f}")
+            print(f"{name:<6} {digest.hexdigest()} batch {share} "
+                  f"{spent / len(chans) * 1e6:.0f} us/call", flush=True)
+    finally:
+        if batch_search is not None:
+            annealing._batch_search = batch_search
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
