@@ -14,7 +14,7 @@ sampling and the workload shift) draws from its own generator, seeded from
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,20 +56,16 @@ class SeedBundle:
         return cls(master, *vals[:6], vals[7])
 
 
-# hidden layer sizes of a policy whose dims are left unset
-DEFAULT_HIDDEN = (120, 80)
-
-
 @dataclass
 class AgentConfig:
     """Policy architecture and training-loop knobs.
 
-    ``dims`` is the full policy layer list, from the encoded state size to
-    the N * (M + 1) head; ``None`` puts ``DEFAULT_HIDDEN`` between the two.
-    Hidden layers are relu.  The policy trains every ``phi`` epochs.
+    ``hidden`` lists the widths of the relu layers between the encoded
+    state and the N * (M + 1) head, which the compressor and the scenario
+    fix; it may be empty.  The policy trains every ``phi`` epochs.
     """
 
-    dims: list[int] | None = None
+    hidden: list[int] = field(default_factory=lambda: [120, 80])
     lambda_reg: float = 0.02
     t_drl: int = 3000
     phi: int = 10
@@ -82,9 +78,13 @@ class AgentConfig:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got "
                                  f"{getattr(self, key)}")
-        if self.dims is not None and (len(self.dims) < 2 or min(self.dims) < 1):
-            raise ValueError(f"dims {self.dims} must list at least two "
-                             "positive layer sizes")
+        if min(self.hidden, default=1) < 1:
+            raise ValueError(f"hidden widths {self.hidden} must be at least 1")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not self.lambda_reg >= 0:
+            raise ValueError(f"lambda_reg must not be negative, got "
+                             f"{self.lambda_reg}")
         shift = self.weight_shift_epoch
         if shift is not None and not 1 <= shift <= self.t_drl:
             raise ValueError(f"weight_shift_epoch {shift} must lie in "
@@ -125,7 +125,7 @@ def build_policy(state_dim: int, n_ues: int, n_mecs: int, cfg: AgentConfig,
                  rng: np.random.Generator) -> Network:
     """Fresh policy MLP: encoded state in, relu hidden layers, one sigmoid
     score per placement out."""
-    dims = cfg.dims or [state_dim, *DEFAULT_HIDDEN, n_ues * (n_mecs + 1)]
+    dims = [state_dim, *cfg.hidden, n_ues * (n_mecs + 1)]
     return Network(mlp_specs(dims, hidden="relu", output="sigmoid"), rng=rng)
 
 
@@ -208,8 +208,6 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
         raise ValueError("compressor shape does not match the scenario")
     policy = build_policy(compressor.out_dim, n, m, cfg,
                           np.random.default_rng(seeds.policy))
-    if policy.in_dim != compressor.out_dim or policy.out_dim != n * (m + 1):
-        raise ValueError("policy dimensions do not match compressor/scenario")
     adam = Adam(policy, lr=cfg.lr)
     buffer = ReplayBuffer(replay_cfg)
     rng_asa = np.random.default_rng(seeds.asa)

@@ -41,17 +41,16 @@ _DIVERGED = "autoencoder loss diverged to a non-finite value"
 
 @dataclass
 class AutoencoderConfig:
-    """Encoder layer sizes plus training and memory knobs.
+    """Encoder output width plus training and memory knobs.
 
-    ``dims`` lists the encoder sizes input-first, e.g. [60, 45, 30]; the
-    decoder mirrors them.  A single-entry list means no compression at all:
-    the compressor becomes an identity map over the normalised raster vector.
-    ``None`` leaves the layout to ``default_dims`` with output ``out_dim``,
-    resolved by the compressor once it knows N and M.  Given both, ``out_dim``
-    must equal ``dims[-1]``.
+    ``out_dim`` is the one width setting: the compressor lays the encoder
+    out with ``default_dims`` once it knows N and M, and the decoder mirrors
+    it.  ``None`` halves the N * M input; an ``out_dim`` of at least N * M
+    means no compression at all, an identity map over the normalised raster
+    vector.  Zero steps, samples or sync period skip that step; zero
+    penalties switch the term off.
     """
 
-    dims: list[int] | None = None
     out_dim: int | None = None
     gamma1: float = 0.5
     gamma2: float = 0.08
@@ -64,37 +63,30 @@ class AutoencoderConfig:
     pretrain_samples: int = 2000
 
     def __post_init__(self) -> None:
-        if self.dims is not None:
-            if not self.dims:
-                raise ValueError("dims must not be empty")
-            if any(d <= 0 for d in self.dims):
-                raise ValueError(f"dims {self.dims}: layer sizes must be positive")
-            if len(self.dims) > 1 and self.dims[-1] >= self.dims[0]:
-                raise ValueError(f"dims {self.dims}: encoder output must be "
-                                 "smaller than its input")
-            if self.out_dim is not None and self.out_dim != self.dims[-1]:
-                raise ValueError(f"out_dim {self.out_dim} disagrees with the "
-                                 f"encoder output of dims {self.dims}")
-        if self.memory <= 0:
-            raise ValueError(f"memory capacity must be positive, got {self.memory}")
-
-    @property
-    def identity(self) -> bool:
-        return len(self.dims) == 1
+        for key in ("out_dim", "memory", "batch"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        for key in ("gamma1", "gamma2", "t_sae", "sync_period",
+                    "refresh_iters", "pretrain_samples"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must not be negative, got "
+                                 f"{getattr(self, key)}")
 
 
 def default_dims(n_ues: int, n_mecs: int, out_dim: int | None = None) -> list[int]:
-    """Sensible encoder sizes for a scenario.
+    """The encoder layout of a scenario.
 
     Halves the input by default, with one intermediate layer at the midpoint
     (30 UEs with 2 MECs gives 60-45-30).  When the requested output is not
     smaller than the input, the identity layout is returned.
     """
     in_dim = n_ues * n_mecs
-    out = in_dim // 2 if out_dim is None else int(out_dim)
+    out = in_dim // 2 if out_dim is None else out_dim
     if out >= in_dim or in_dim == 1:
         return [in_dim]
-    out = max(1, out)
     mid = (in_dim + out + 1) // 2
     if mid in (in_dim, out):
         return [in_dim, out]
@@ -232,21 +224,17 @@ class ChannelCompressor:
                  rng: np.random.Generator | None = None,
                  net: Network | None = None):
         """``net`` is a trained autoencoder to adopt; else ``rng`` inits one."""
-        dims = list(cfg.dims or default_dims(n_ues, n_mecs, cfg.out_dim))
-        cfg = replace(cfg, dims=dims, out_dim=dims[-1])
-        if cfg.dims[0] != n_ues * n_mecs:
-            raise ValueError(f"encoder dims {cfg.dims} do not start at "
-                             f"N * M = {n_ues * n_mecs}")
-        self.cfg = cfg
+        self.dims = default_dims(n_ues, n_mecs, cfg.out_dim)
+        self.cfg = replace(cfg, out_dim=self.dims[-1])
         self.n_ues = n_ues
         self.n_mecs = n_mecs
         self.raster = Rasterizer()
         self.memory: deque[np.ndarray] = deque(maxlen=cfg.memory)
-        full_dims = cfg.dims + cfg.dims[-2::-1]
+        full_dims = self.dims + self.dims[-2::-1]
         if net is not None and net.dims != full_dims:
             raise ValueError(f"autoencoder layers {net.dims} do not mirror "
-                             f"the encoder dims {cfg.dims}")
-        if cfg.identity or net is not None:
+                             f"the encoder dims {self.dims}")
+        if len(self.dims) == 1 or net is not None:
             self.net = net
         elif rng is None:
             raise ValueError("need an rng to initialise the autoencoder")
@@ -262,11 +250,11 @@ class ChannelCompressor:
 
     @property
     def in_dim(self) -> int:
-        return self.cfg.dims[0]
+        return self.dims[0]
 
     @property
     def out_dim(self) -> int:
-        return self.cfg.dims[-1]
+        return self.dims[-1]
 
     def compression_ratio(self) -> float:
         return compression_ratio(self.in_dim, self.out_dim)
@@ -339,7 +327,7 @@ class ChannelCompressor:
 
     def sync(self) -> None:
         """Publish the training-side encoder half and bounds to the encoder."""
-        k = len(self.cfg.dims) - 1
+        k = len(self.dims) - 1
         # Network copies the parameter arrays it is given
         self._encoder = None if self.net is None else Network(
             self.net.specs[:k], weights=self.net.weights[:k],
@@ -372,7 +360,7 @@ class ChannelCompressor:
             "format": SAE_FORMAT,
             "n_ues": self.n_ues,
             "n_mecs": self.n_mecs,
-            "dims": list(self.cfg.dims),
+            "dims": list(self.dims),
             "lo": self.raster.lo,
             "hi": self.raster.hi,
             "net": None if self.net is None
@@ -385,16 +373,23 @@ class ChannelCompressor:
         """Load a compressor checkpoint.
 
         Returns the compressor and the metadata (seed, epoch) of its
-        network checkpoint, empty for the identity compressor.  Parameters
-        that do not fit ``dims`` or are not finite, and non-finite bounds,
-        raise a ``ValueError`` naming ``path``.
+        network checkpoint, empty for the identity compressor.  ``dims``
+        other than ``default_dims``'s layout for the file's N, M and output
+        width, parameters that do not fit ``dims`` or are not finite, and
+        non-finite bounds raise a ``ValueError`` naming ``path``.
         """
         doc = read_json(path, SAE_FORMAT)
         meta = doc["net"] or {}
         net = network_from_dict(meta, path) if meta else None
         try:
-            comp = cls(AutoencoderConfig(dims=list(doc["dims"])),
-                       doc["n_ues"], doc["n_mecs"], net=net)
+            dims = doc["dims"]
+            cfg = AutoencoderConfig(out_dim=dims[-1] if dims else None)
+            layout = default_dims(doc["n_ues"], doc["n_mecs"], cfg.out_dim)
+            if dims != layout:
+                raise ValueError(f"encoder dims {dims} are not the layout "
+                                 f"{layout} of N = {doc['n_ues']}, "
+                                 f"M = {doc['n_mecs']}")
+            comp = cls(cfg, doc["n_ues"], doc["n_mecs"], net=net)
             comp.raster = Rasterizer(doc["lo"], doc["hi"])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc

@@ -132,7 +132,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     print(f"format: {fmt}")
     if fmt == SAE_FORMAT:
         comp, meta = ChannelCompressor.load(args.path)
-        print(f"dims: {comp.cfg.dims}  identity: {comp.net is None}")
+        print(f"dims: {comp.dims}  identity: {comp.net is None}")
         if comp.net is not None:
             print(f"network dims: {comp.net.dims}")
         print(f"raster bounds: [{comp.raster.lo}, {comp.raster.hi}]")

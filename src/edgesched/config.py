@@ -57,12 +57,18 @@ def _check_types(cls, section: str, data: dict) -> None:
     A string where the field takes none: PyYAML reads a float with no dot or
     no sign in its exponent (``4.0e9``, ``1e-3``) as a string, which would
     otherwise load silently and fail far from its key.  A float or a bool
-    where the field takes an integer: ``4.0``, ``10.5`` and ``true`` would
-    load, then size an array or a loop far from their key.  A float field
-    takes an integer as it is.
+    where the field takes an integer, or in a list of integers: ``4.0``,
+    ``10.5`` and ``true`` would load, then size an array or a loop far from
+    their key.  A float field takes an integer as it is.
     """
     hints = get_type_hints(cls)
     for key, value in data.items():
+        if hints[key] == list[int]:
+            if not (isinstance(value, list)
+                    and all(_is_int(v) for v in value)):
+                raise ValueError(f"{section}.{key} takes a list of integers, "
+                                 f"got {value!r}")
+            continue
         types = _hint_types(hints[key])
         if isinstance(value, str) and not types & {str, Any}:
             raise ValueError(
@@ -70,9 +76,13 @@ def _check_types(cls, section: str, data: dict) -> None:
                 "string (PyYAML reads 4.0e9 and 1e-3 as strings: write "
                 "4.0e+9 and 1.0e-3)")
         if (int in types and not (value is None and type(None) in types)
-                and (isinstance(value, bool) or not isinstance(value, int))):
+                and not _is_int(value)):
             raise ValueError(f"{section}.{key} takes an integer, got "
                              f"{value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _load(cls, section: str, data: dict):
@@ -278,13 +288,11 @@ class ExperimentConfig:
             self.check_sweep()
 
     def check_sweep(self) -> None:
-        """Reject the keys the ``dynamic`` sweep would override per row."""
-        given = [key for key, value in (
-            ("scenario.file", self.scenario.file),
-            ("sae.dims", self.sae.dims)) if value is not None]
-        if given:
-            raise ValueError("the dynamic sweep sets the server count, server "
-                             f"layout and encoder per row; drop {given}")
+        """Reject a scenario file, whose servers the ``dynamic`` sweep would
+        override per row."""
+        if self.scenario.file is not None:
+            raise ValueError("the dynamic sweep sets the server count and "
+                             "layout per row; drop ['scenario.file']")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

@@ -20,7 +20,7 @@ import numpy as np
 from .agent import (AgentConfig, RunResult, SeedBundle, run, write_epoch_csv,
                     write_timings_csv)
 from .allocator import Evaluator
-from .autoencoder import ChannelCompressor, default_dims
+from .autoencoder import ChannelCompressor
 from .bench import (BenchReport, PsoConfig, exact_oracle, nrr, run_benchmark,
                     write_bench_csv)
 from .config import (ExperimentConfig, build_scenario, dump_scenario,
@@ -54,15 +54,12 @@ class TrainArtifacts:
     sae_trace: list[float] | None = None
 
 
+# agent_config stays until the benchmark's pending edit: perfbench calls it
+# by name.  The policy's end widths follow from the compressor and the
+# scenario, so it has nothing to check.
 def agent_config(drl: AgentConfig, state_dim: int, n_ues: int,
                  n_mecs: int) -> AgentConfig:
-    """``drl`` itself, once its ``dims`` fit the encoded state and the head."""
-    head = n_ues * (n_mecs + 1)
-    if drl.dims is not None and (drl.dims[0] != state_dim
-                                 or drl.dims[-1] != head):
-        raise ValueError(
-            f"drl dims {drl.dims} must run from the encoded state size "
-            f"{state_dim} to the policy head {head}")
+    """``drl`` itself."""
     return drl
 
 
@@ -99,9 +96,7 @@ def train_experiment(cfg: ExperimentConfig,
     if sae_trace:
         logger.info("autoencoder pretrained: loss %.5f -> %.5f",
                     sae_trace[0], sae_trace[-1])
-    drl_cfg = agent_config(cfg.drl, comp.out_dim, scenario.n_ues,
-                           scenario.n_mecs)
-    result = run(scenario, comp, drl_cfg, cfg.asa, cfg.replay, seeds,
+    result = run(scenario, comp, cfg.drl, cfg.asa, cfg.replay, seeds,
                  sae_rng=sae_rng)
     tail = result.logs[-min(200, len(result.logs)):]
     logger.info("run finished: mean reward over last %d epochs %.5f",
@@ -188,21 +183,17 @@ def nrr_samples(result: RunResult, scenario_pre: Scenario,
 
 
 def _dynamic_config(cfg: ExperimentConfig, m: int) -> ExperimentConfig:
-    """The sweep's config for M = ``m``, after ``drl.dims`` is checked on it.
+    """The sweep's config for M = ``m``.
 
     The encoder's output width is ``sae.out_dim``, N when that is unset.
     """
-    n = cfg.scenario.n_ues
-    out_dim = cfg.sae.out_dim if cfg.sae.out_dim is not None else n
-    scen_cfg = replace(cfg.scenario, n_mecs=m)
-    sae_cfg = replace(cfg.sae, out_dim=out_dim)
     drl_cfg = replace(cfg.drl,
                       weight_shift_epoch=cfg.drl.weight_shift_epoch
                       or max(1, cfg.drl.t_drl // 2))
-    scenario = build_scenario(scen_cfg, fallback_seed=cfg.seed)
-    state_dim = default_dims(scenario.n_ues, scenario.n_mecs, out_dim)[-1]
-    agent_config(drl_cfg, state_dim, scenario.n_ues, scenario.n_mecs)
-    return replace(cfg, scenario=scen_cfg, sae=sae_cfg, drl=drl_cfg)
+    return replace(cfg, scenario=replace(cfg.scenario, n_mecs=m),
+                   sae=replace(cfg.sae,
+                               out_dim=cfg.sae.out_dim or cfg.scenario.n_ues),
+                   drl=drl_cfg)
 
 
 def _dynamic_row(sub: ExperimentConfig) -> dict:
@@ -226,10 +217,10 @@ def _dynamic_row(sub: ExperimentConfig) -> dict:
 
 def dynamic_experiment(cfg: ExperimentConfig,
                        out_dir: str | Path | None = None) -> list[dict]:
-    """Per-M summary rows of a MEC-count sweep; all rows are checked first."""
+    """Per-M summary rows of a MEC-count sweep; the config is checked first."""
     cfg.check_sweep()
-    subs = [_dynamic_config(cfg, m) for m in cfg.dynamic.mec_counts]
-    rows = [_dynamic_row(sub) for sub in subs]
+    rows = [_dynamic_row(_dynamic_config(cfg, m))
+            for m in cfg.dynamic.mec_counts]
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ from edgesched.agent import policy_loss_grads
 from edgesched.allocator import Evaluator, allocate_frequencies
 from edgesched.annealing import AnnealConfig, BudgetState, adapt_budget
 from edgesched.autoencoder import (AutoencoderConfig, ChannelCompressor,
-                                   default_dims, reconstruction_loss_grads)
+                                   reconstruction_loss_grads)
 from edgesched.bench import asa_only, exhaustive_best, run_benchmark, window_rewards
 from edgesched.cli import main as cli_main
 from edgesched.config import config_from_dict
@@ -155,7 +155,7 @@ def test_04_compression_ratio_table():
     got = {}
     for m in range(1, 6):
         comp = ChannelCompressor(
-            AutoencoderConfig(dims=default_dims(30, m, out_dim=30)), 30, m,
+            AutoencoderConfig(out_dim=30), 30, m,
             rng=np.random.default_rng(0))
         assert comp.out_dim == 30
         got[m] = round(comp.compression_ratio(), 2)

@@ -24,15 +24,15 @@ def policy_loss(net, states, targets, lam):
 
 def identity_compressor(n, m):
     """Compressor that passes the normalised raster straight through."""
-    return ChannelCompressor(AutoencoderConfig(dims=[n * m]), n, m)
+    return ChannelCompressor(AutoencoderConfig(out_dim=n * m), n, m)
 
 
 def quick_run(n=4, m=2, t_drl=25, master=9, replay=ReplayConfig(capacity=64),
               **cfg_kw):
     scen = random_scenario(n, m, rng_seed=3, weights=(0.5, 2.0))
     seeds = SeedBundle.from_master(master)
-    cfg = AgentConfig(dims=[n * m, 16, n * (m + 1)], t_drl=t_drl, phi=5,
-                      batch=8, **cfg_kw)
+    cfg = AgentConfig(hidden=[16], t_drl=t_drl, phi=5, batch=8,
+                      **cfg_kw)
     res = run(scen, identity_compressor(n, m), cfg, AnnealConfig(t_sa_init=4),
               replay, seeds)
     return scen, res
@@ -252,7 +252,7 @@ class TestTrainStep:
     def test_states_follow_the_encoder_after_sync(self):
         n, m = 3, 2
         rng = np.random.default_rng(10)
-        comp = ChannelCompressor(AutoencoderConfig(dims=[6, 4]), n, m, rng=rng)
+        comp = ChannelCompressor(AutoencoderConfig(out_dim=4), n, m, rng=rng)
         scen = random_scenario(n, m, rng_seed=10)
         for e in range(1, 6):
             comp.observe_and_admit(sample_channel_state(scen, e))

@@ -334,8 +334,8 @@ class TestSearchMatchesReference:
         def desk_run(path):
             n, m = 10, 2
             scen = random_scenario(n, m, rng_seed=3, weights=(0.5, 2.0))
-            cfg = agent.AgentConfig(dims=[n * m, 32, n * (m + 1)], t_drl=300,
-                                    phi=10, batch=16)
+            cfg = agent.AgentConfig(hidden=[32], t_drl=300, phi=10,
+                                    batch=16)
             res = agent.run(scen, identity_compressor(n, m), cfg,
                             AnnealConfig(), ReplayConfig(capacity=128),
                             agent.SeedBundle.from_master(1))

@@ -45,32 +45,27 @@ class TestDims:
         assert dims[0] == 30 and dims[-1] == 10
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AutoencoderConfig(dims=[])
-        with pytest.raises(ValueError):
-            AutoencoderConfig(dims=[10, 12])
-        assert AutoencoderConfig(dims=[10]).identity
+        for out_dim in (0, -3):
+            with pytest.raises(ValueError, match="out_dim must be at least 1"):
+                AutoencoderConfig(out_dim=out_dim)
+        assert ChannelCompressor(AutoencoderConfig(out_dim=10), 10, 1).net is None
 
-    def test_out_dim_must_match_dims(self):
-        # dims decides the encoder, so a disagreeing out_dim was ignored
-        with pytest.raises(ValueError, match="out_dim 5"):
-            AutoencoderConfig(dims=[20, 10], out_dim=5)
-
+    # out_dim left unset halves the input; set, it lays the encoder out
     @pytest.mark.parametrize("cfg, dims", [
-        (AutoencoderConfig(dims=[20, 10]), [20, 10]),
-        (AutoencoderConfig(dims=[20, 10], out_dim=10), [20, 10]),
+        (AutoencoderConfig(), [20, 15, 10]),
+        (AutoencoderConfig(out_dim=19), [20, 19]),
         (AutoencoderConfig(out_dim=5), [20, 13, 5]),
         (AutoencoderConfig(out_dim=20), [20]),
         (AutoencoderConfig(out_dim=40), [20])])
     def test_either_size_setting_resolves(self, cfg, dims):
         comp = ChannelCompressor(cfg, 10, 2, rng=np.random.default_rng(0))
-        assert comp.cfg.dims == dims
+        assert comp.dims == dims
         assert comp.out_dim == comp.cfg.out_dim == dims[-1]
 
     def test_memory_capacity_must_be_positive(self):
         # a deque with maxlen 0 would drop every sample without a word
         with pytest.raises(ValueError):
-            AutoencoderConfig(dims=[8, 4], memory=0)
+            AutoencoderConfig(memory=0)
 
     def test_ratio_rejects_expansion(self):
         with pytest.raises(ValueError):
@@ -110,7 +105,7 @@ class TestRasterizer:
 
 class TestMemory:
     def make(self, **cfg_kw):
-        cfg = AutoencoderConfig(dims=[4, 2], **cfg_kw)
+        cfg = AutoencoderConfig(out_dim=2, **cfg_kw)
         return ChannelCompressor(cfg, 2, 2, rng=np.random.default_rng(0))
 
     def test_fifo_capacity(self):
@@ -147,7 +142,7 @@ class TestMemory:
         assert all(x.base is None and x.flags.owndata for x in comp.memory)
 
     def test_identity_compressor_keeps_no_memory(self):
-        comp = ChannelCompressor(AutoencoderConfig(dims=[4]), 2, 2)
+        comp = ChannelCompressor(AutoencoderConfig(out_dim=4), 2, 2)
         ch = sample_channel_state(random_scenario(2, 2, rng_seed=3), 1)
         assert not comp.observe_and_admit(ch)
         assert len(comp.memory) == 0 and comp.raster.lo is not None
@@ -243,7 +238,7 @@ class TestLoss:
 
 class TestTraining:
     def make(self, net_seed, capacity, **cfg_kw):
-        cfg = AutoencoderConfig(dims=[6, 4], memory=capacity, **cfg_kw)
+        cfg = AutoencoderConfig(out_dim=4, memory=capacity, **cfg_kw)
         return ChannelCompressor(cfg, 3, 2, rng=np.random.default_rng(net_seed))
 
     def test_memorizes_small_set(self):
@@ -278,25 +273,30 @@ class TestTraining:
         assert comp.refresh(np.random.default_rng(0)) == []
 
     def test_accuracy_identity_is_one(self):
-        comp = ChannelCompressor(AutoencoderConfig(dims=[4]), 4, 1)
+        comp = ChannelCompressor(AutoencoderConfig(out_dim=4), 4, 1)
         assert comp.accuracy([np.ones((4, 1))] * 3) == 1.0
 
 
 class TestCompressor:
     def make(self, n=4, m=2, seed=0, **cfg_kw):
-        cfg_kw.setdefault("dims", default_dims(n, m))
         cfg = AutoencoderConfig(**cfg_kw)
         rng = np.random.default_rng(seed)
         return (ChannelCompressor(cfg, n, m, rng=rng),
                 random_scenario(n, m, rng_seed=seed), rng)
 
-    def test_dims_must_match_scenario(self):
-        cfg = AutoencoderConfig(dims=[10, 4])
-        with pytest.raises(ValueError):
-            ChannelCompressor(cfg, 4, 2, rng=np.random.default_rng(0))
+    def test_dims_must_match_scenario(self, tmp_path):
+        comp, _, _ = self.make()
+        p = tmp_path / "sae.json"
+        comp.save(p)
+        doc = json.loads(p.read_text())
+        doc["n_ues"] = 5
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: encoder dims [8, 6, 4] are not the layout [10, 7, 4]")):
+            ChannelCompressor.load(p)
 
     def test_identity_mode_passes_raster_through(self):
-        comp, scen, _ = self.make(m=1, dims=[4])
+        comp, scen, _ = self.make(m=1, out_dim=4)
         ch = sample_channel_state(scen, 1)
         comp.observe_and_admit(ch)
         comp.sync()
@@ -354,9 +354,10 @@ class TestCompressor:
         two = comp.encode_raw(np.stack([ch.gains.ravel(), ch.gains.ravel()]))
         np.testing.assert_allclose(two[0], a)
 
-    @pytest.mark.parametrize("dims", [[8, 6], [8, 6, 4]])
+    @pytest.mark.parametrize("dims", [[8, 7], [8, 6, 4]])
     def test_encoding_is_the_encoder_half_of_the_net(self, dims):
-        comp, scen, rng = self.make(dims=dims)
+        comp, scen, rng = self.make(out_dim=dims[-1])
+        assert comp.dims == dims
         mats = [sample_channel_state(scen, e).gains for e in range(1, 20)]
         comp.pretrain(mats, rng)
         comp.refresh(rng, iters=5)
@@ -415,13 +416,26 @@ class TestCompressor:
         p = tmp_path / "sae.json"
         comp.save(p)
         doc = json.loads(p.read_text())
-        doc["dims"] = [8, 3]
+        doc["dims"] = [8, 6, 3]
         p.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="do not mirror"):
             ChannelCompressor.load(p)
 
+    @pytest.mark.parametrize("dims", [[8, 4], []])
+    def test_load_rejects_dims_off_the_default_layout(self, tmp_path, dims):
+        # only default_dims lays an encoder out, so no other layout loads
+        comp, _, _ = self.make()
+        p = tmp_path / "sae.json"
+        comp.save(p)
+        doc = json.loads(p.read_text())
+        doc["dims"] = dims
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: encoder dims {dims} are not the layout [8, 6, 4]")):
+            ChannelCompressor.load(p)
+
     def test_save_load_identity(self, tmp_path):
-        comp, scen, _ = self.make(m=1, dims=[4])
+        comp, scen, _ = self.make(m=1, out_dim=4)
         ch = sample_channel_state(scen, 1)
         comp.observe_and_admit(ch)
         comp.sync()

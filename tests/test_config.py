@@ -240,9 +240,10 @@ class TestExperimentConfig:
         # the configurations tools/artifact_hashes.py trains
         cfgs = {p.stem: load_config(p)
                 for p in sorted(TOOL_CONFIGS.glob("*.yaml"))}
-        assert sorted(cfgs) == ["default", "identity_6x1", "scalar_3mec",
-                                "seed7_shift", "wide_30x5"]
+        assert sorted(cfgs) == ["default", "hidden_64", "identity_6x1",
+                                "scalar_3mec", "seed7_shift", "wide_30x5"]
         assert cfgs["default"] == ExperimentConfig()
+        assert cfgs["hidden_64"].drl.hidden == [64]
 
     def test_load_config_file(self, tmp_path):
         p = tmp_path / "cfg.yaml"
@@ -277,7 +278,7 @@ REMOVED = [("scenario", "task"), ("scenario", "radio"), ("scenario", "mecs"),
            ("dynamic", "out_dim"), ("replay", "rho_max"),
            ("sae", "threshold"), ("drl", "epsilon_greedy"), ("drl", "search"),
            ("drl", "checkpoint_interval"), ("drl", "hidden_activation"),
-           ("sae", "activation")]
+           ("sae", "activation"), ("drl", "dims"), ("sae", "dims")]
 
 
 def section_class(section: str):
@@ -369,15 +370,15 @@ class TestAcceptedKeys:
                     config_from_dict(doc)
 
     def test_accepted_key_count(self):
-        assert sum(len(fields(section_class(s))) for s in SECTIONS) == 50
+        assert sum(len(fields(section_class(s))) for s in SECTIONS) == 49
 
     def test_runtime_configs_are_the_sections(self):
         cfg = ExperimentConfig()
         assert type(cfg.drl) is AgentConfig
         assert type(cfg.sae) is AutoencoderConfig
-        loaded = config_from_dict({"drl": {"phi": 4, "dims": [8, 30, 12]},
+        loaded = config_from_dict({"drl": {"phi": 4, "hidden": [30]},
                                    "sae": {"out_dim": 5}})
-        assert loaded.drl == AgentConfig(phi=4, dims=[8, 30, 12])
+        assert loaded.drl == AgentConfig(phi=4, hidden=[30])
         assert loaded.sae == AutoencoderConfig(out_dim=5)
 
 
@@ -413,9 +414,6 @@ OVERRIDES = {
     "dynamic-with-mec_positions": (
         {"scenario": {"mec_positions": [[5, 5], [45, 45]]},
          "dynamic": {"nrr_stride": 10}}, ["mec_positions"]),
-    "dynamic-with-sae.dims": ({"sae": {"dims": [20, 10]},
-                               "dynamic": {"mec_counts": [2]}},
-                              ["sae.dims"]),
     "dynamic-with-sae.out_dim": ({"dynamic": {"out_dim": 5}},
                                  ["out_dim"]),
 }
@@ -438,16 +436,16 @@ def test_file_with_default_keys_loads(tmp_path):
 
 class TestBadValues:
     @pytest.mark.parametrize("doc, key", [
-        ({"drl": {"dims": [8, 0]}}, "dims"),
+        ({"drl": {"hidden": [8, 0]}}, "hidden"),
         ({"scenario": {"cycles": [1e9, 2e9]}}, "cycles"),
         ({"drl": {"t_drl": 0}}, "t_drl"),
         ({"drl": {"phi": 0}}, "phi"),
         ({"drl": {"batch": 0}}, "batch"),
-        ({"drl": {"dims": [8]}}, "dims"),
+        ({"drl": {"lr": 0}}, "lr"),
         ({"drl": {"t_drl": 40, "weight_shift_epoch": 500}},
          "weight_shift_epoch"),
         ({"drl": {"weight_shift_epoch": 0}}, "weight_shift_epoch"),
-        ({"sae": {"dims": [10, 12]}}, "dims"),
+        ({"sae": {"batch": 0}}, "batch"),
         ({"sae": {"memory": 0}}, "memory"),
         ({"asa": {"t_sa_init": 0}}, "t_sa_init"),
         ({"asa": {"t_sa_init": 101}}, "t_sa_init"),
@@ -457,7 +455,7 @@ class TestBadValues:
         ({"dynamic": {"accuracy_samples": 0}}, "accuracy_samples"),
         ({"dynamic": {"mec_counts": []}}, "mec_counts"),
         ({"dynamic": {"mec_counts": [2, 0]}}, "mec_counts"),
-        ({"sae": {"dims": [20, 10], "out_dim": 5}}, "out_dim"),
+        ({"sae": {"out_dim": 0}}, "out_dim"),
         ({"scenario": {"fading": "rayleigh"}}, "fading"),
         ({"scenario": {"noise_w": -1}}, "noise_w"),
         ({"scenario": {"min_distance_m": 0}}, "min_distance_m"),
@@ -476,7 +474,20 @@ class TestBadValues:
         ({"scenario": {"v": 0}}, "v"),
         ({"scenario": {"weights": {"low": -1, "high": 2}}}, "weights"),
         ({"scenario": {"cycles": {"low": -1, "high": 2}}}, "cycles"),
-        ({"scenario": {"weights": [1.0, 2.0]}}, "weights")])
+        ({"scenario": {"weights": [1.0, 2.0]}}, "weights"),
+        # learner settings that would train uphill, on empty batches or
+        # with an inverted penalty, or silently act as 0
+        ({"sae": {"out_dim": -3}}, "out_dim"),
+        ({"sae": {"lr": 0}}, "lr"),
+        ({"sae": {"lr": -1e-3}}, "lr"),
+        ({"drl": {"lr": -1}}, "lr"),
+        ({"sae": {"t_sae": -1}}, "t_sae"),
+        ({"sae": {"refresh_iters": -1}}, "refresh_iters"),
+        ({"sae": {"pretrain_samples": -1}}, "pretrain_samples"),
+        ({"sae": {"sync_period": -1}}, "sync_period"),
+        ({"sae": {"gamma1": -0.5}}, "gamma1"),
+        ({"sae": {"gamma2": -0.1}}, "gamma2"),
+        ({"drl": {"lambda_reg": -0.02}}, "lambda_reg")])
     def test_bad_value_names_its_section_and_key(self, doc, key):
         section = next(iter(doc))
         with pytest.raises(ValueError, match=rf"^{section}: .*\b{key}\b"):
@@ -493,6 +504,26 @@ class TestBadValues:
         with pytest.raises(ValueError,
                            match=rf"^{re.escape(key)} takes an integer, got"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"drl": {"hidden": [64.7]}}, "drl.hidden"),
+        ({"drl": {"hidden": [10, True]}}, "drl.hidden"),
+        ({"drl": {"hidden": 16}}, "drl.hidden"),
+        ({"drl": {"hidden": "16"}}, "drl.hidden"),
+        ({"dynamic": {"mec_counts": [1.5]}}, "dynamic.mec_counts"),
+        ({"dynamic": {"mec_counts": [True]}}, "dynamic.mec_counts")])
+    def test_non_integer_in_a_list_of_integers_names_its_key(self, doc, key):
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)} takes a "
+                           "list of integers, got"):
+            config_from_dict(doc)
+
+    def test_zero_counts_and_penalties_load(self):
+        cfg = config_from_dict({
+            "sae": {"t_sae": 0, "refresh_iters": 0, "pretrain_samples": 0,
+                    "sync_period": 0, "gamma1": 0, "gamma2": 0},
+            "drl": {"lambda_reg": 0, "hidden": []}})
+        assert cfg.sae.t_sae == cfg.sae.sync_period == cfg.sae.gamma2 == 0
+        assert cfg.drl.lambda_reg == 0 and cfg.drl.hidden == []
 
     def test_float_fields_take_integers(self):
         cfg = config_from_dict({"scenario": {"f_mec_max": 4_000_000_000,

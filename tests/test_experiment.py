@@ -70,7 +70,7 @@ class TestTrain:
             "sae": {"out_dim": 2, "t_sae": 40, "pretrain_samples": 60},
             "drl": {"t_drl": 200}})
         art = train_experiment(cfg, tmp_path)
-        assert art.compressor.cfg.dims == [4, 3, 2]
+        assert art.compressor.dims == [4, 3, 2]
         assert len(art.sae_trace) == 40 and np.isfinite(art.sae_trace).all()
         assert len(art.result.logs) == 200
 
@@ -157,15 +157,21 @@ class TestDynamic:
                             "s_best,s_avg")
         assert len(lines) == 3
 
-    def test_drl_dims_checked_on_every_row_before_training(self, monkeypatch):
-        # [4, 16, 8] fits M = 1 (head 4 * 2) but not M = 2 (head 12)
-        def no_training(*args, **kwargs):
-            raise AssertionError("a row trained before every row was checked")
-        monkeypatch.setattr(experiment, "train_experiment", no_training)
-        cfg = tiny_config(drl={"t_drl": 20, "phi": 5, "dims": [4, 16, 8]})
-        with pytest.raises(ValueError, match=r"drl dims \[4, 16, 8\] must run "
-                           r"from the encoded state size 4 to the policy head 12"):
-            dynamic_experiment(cfg)
+    def test_drl_hidden_trains_on_every_row(self, monkeypatch):
+        # one hidden width serves every server count: the ends follow M
+        trained = []
+        real_train = experiment.train_experiment
+
+        def train(sub):
+            trained.append(real_train(sub))
+            return trained[-1]
+
+        monkeypatch.setattr(experiment, "train_experiment", train)
+        cfg = tiny_config(drl={"t_drl": 20, "phi": 5, "hidden": [16]})
+        rows = dynamic_experiment(cfg)
+        assert [r["m"] for r in rows] == [1, 2]
+        assert [art.policy.dims for art in trained] == [[4, 16, 8],
+                                                        [4, 16, 12]]
 
     def test_sweep_reads_sae_out_dim(self):
         cfg = tiny_config(sae={"t_sae": 40, "pretrain_samples": 60,
@@ -282,13 +288,11 @@ class TestCli:
 
 
 def test_agent_config_hidden_layers():
-    from edgesched.agent import DEFAULT_HIDDEN, AgentConfig, build_policy
+    from edgesched.agent import AgentConfig, build_policy
     from edgesched.experiment import agent_config
-    default = agent_config(AgentConfig(), 8, 4, 2)
-    net = build_policy(8, 4, 2, default, np.random.default_rng(0))
-    assert [s.out_dim for s in net.specs] == [*DEFAULT_HIDDEN, 12]
-    explicit = agent_config(AgentConfig(dims=[8, 30, 12]), 8, 4, 2)
-    net = build_policy(8, 4, 2, explicit, np.random.default_rng(0))
-    assert [s.out_dim for s in net.specs] == [30, 12]
-    with pytest.raises(ValueError, match="policy head 12"):
-        agent_config(AgentConfig(dims=[8, 30, 10]), 8, 4, 2)
+    for drl, dims in ((AgentConfig(), [8, 120, 80, 12]),
+                      (AgentConfig(hidden=[30]), [8, 30, 12]),
+                      (AgentConfig(hidden=[]), [8, 12])):
+        assert agent_config(drl, 8, 4, 2) is drl
+        net = build_policy(8, 4, 2, drl, np.random.default_rng(0))
+        assert net.dims == dims

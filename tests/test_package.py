@@ -133,13 +133,40 @@ def test_benchmark_tracer_wraps_live_names(monkeypatch):
     loss_grads = autoencoder.reconstruction_loss_grads
     monkeypatch.setattr(autoencoder, "reconstruction_loss_grads",
                         lambda *a, **k: calls.append(1) or loss_grads(*a, **k))
-    cfg = autoencoder.AutoencoderConfig(dims=[8, 6, 4], t_sae=7)
+    cfg = autoencoder.AutoencoderConfig(out_dim=4, t_sae=7)
     rng = np.random.default_rng(0)
     comp = autoencoder.ChannelCompressor(cfg, 4, 2, rng=rng)
     scen = edgesched.random_scenario(4, 2, rng_seed=0)
     comp.pretrain([edgesched.sample_channel_state(scen, e).gains
                    for e in range(1, 20)], rng)
     assert len(comp.memory) > 0 and len(calls) == cfg.t_sae
+
+
+def called_names(path):
+    """(module, attribute) of every attribute read on a module that ``path``
+    imports with ``from edgesched import ...``."""
+    tree = ast.parse(path.read_text())
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "edgesched" for alias in node.names}
+    return {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+
+
+def test_benchmark_calls_live_names():
+    """The benchmark also calls package names directly, such as
+    ``experiment.agent_config``, which only the benchmark calls; deleting
+    or renaming one of them fails here first."""
+    calls = called_names(ROOT / "perfbench" / "workload.py")
+    assert {("experiment", "agent_config"),
+            ("experiment", "pretrain_compressor"), ("bench", "PsoConfig"),
+            ("agent", "SeedBundle")} <= calls
+    missing = [(owner, name) for owner, name in sorted(calls)
+               if not hasattr(importlib.import_module(f"edgesched.{owner}"),
+                              name)]
+    assert missing == []
 
 
 def test_artifact_hashes_prints_one_digest_per_artifact(monkeypatch, capsys):
