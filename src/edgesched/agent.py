@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocator import Evaluator
 from .annealing import AnnealConfig, BudgetState, adapt_budget
 from .annealing import search as _anneal_search
 from .autoencoder import ChannelCompressor
@@ -146,9 +145,7 @@ def decide(policy: Network, state: np.ndarray, n_ues: int,
 def one_hot_target(decision: np.ndarray, n_mecs: int) -> np.ndarray:
     """0/1 policy-head target of a placement vector, or one per row of a stack."""
     decision = np.asarray(decision)
-    mat = np.zeros((*decision.shape, n_mecs + 1))
-    np.put_along_axis(mat, decision[..., None], 1.0, axis=-1)
-    return mat.reshape(*decision.shape[:-1], -1)
+    return np.eye(n_mecs + 1)[decision].reshape(*decision.shape[:-1], -1)
 
 
 def policy_loss_grads(net: Network, states: np.ndarray, targets: np.ndarray,
@@ -181,8 +178,8 @@ def train_step(policy: Network, adam: Adam, buffer: ReplayBuffer, batch: int,
     refreshed from the improvement.
     """
     picked, idx = buffer.sample(batch, rng)
-    states = encoder.encode_raw(np.stack([t.raw for t in picked]))
-    actions = np.stack([t.best_action for t in picked])
+    states = encoder.encode_raw(picked.raw)
+    actions = picked.best_action
     # the policy head holds M+1 scores per UE
     targets = one_hot_target(actions, policy.out_dim // actions.shape[1] - 1)
     loss, grads = policy_loss_grads(policy, states, targets, lam)
@@ -232,18 +229,18 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
         tic = time.perf_counter()
         state = compressor.encode_channel(channel)
         decision = decide(policy, state.vector, n, m)
-        ev = Evaluator(active, channel)
-        online_latency = ev.latency_of(decision.assign)
         decision_ms = (time.perf_counter() - tic) * 1e3
 
         used_budget = budget.budget
         tic = time.perf_counter()
         result = _anneal_search(decision, active, channel, asa_cfg, budget,
-                                rng_asa, evaluator=ev)
+                                rng_asa)
         asa_ms = (time.perf_counter() - tic) * 1e3
+        # the search scores its start, the decision, first
+        online_latency = result.improvements[0][1]
 
-        buffer.append(Transition(raw=channel.gains.ravel().copy(),
-                                 best_action=result.decision.assign.copy()))
+        buffer.append(Transition(raw=channel.gains.ravel(),
+                                 best_action=result.decision.assign))
 
         loss = delta_loss = None
         if t % cfg.phi == 0 and len(buffer) > 0:

@@ -73,29 +73,33 @@ class Evaluator:
     its weighted upload time w*D/r_j to MEC j.  Under the optimal split MEC j
     computes for load_j^2 / f_j, load_j the sum of its sqrt(w_i*F_i), so one
     kernel behind ``latency_of`` and ``latencies`` gathers from ``cost`` and
-    bincounts the loads.
+    bincounts the loads.  What the scenario fixes, the local column, w*D and
+    the kernel's index arrays, comes from ``Scenario.scoring``.
     """
 
     def __init__(self, scenario: Scenario, channel: ChannelState):
         arr, radio = scenario.arrays, scenario.radio
         self.n, self.m = scenario.n_ues, scenario.n_mecs
         self.s, self.f_mec = arr.sqrt_wf, arr.f_mec
+        self.scoring = setup = scenario.scoring
         self.rates = data_rate(radio.bandwidth_hz, arr.p_max[:, None],
                                channel.gains, radio.noise_w)
-        self.cost = np.column_stack([arr.weight * arr.cycles / arr.local_cap,
-                                     (arr.weight * arr.data_bits)[:, None]
-                                     / self.rates])
-        self._rows = np.arange(self.n)
+        self.cost = np.empty((self.n, self.m + 1))
+        self.cost[:, 0] = setup.local_cost
+        np.divide(setup.weighted_bits, self.rates, out=self.cost[:, 1:])
 
     def _score(self, assigns: np.ndarray) -> np.ndarray:
-        # row sums run pairwise over C-ordered rows, whatever the batch size
+        # row sums run pairwise over C-ordered rows, whatever the batch size;
+        # add.reduce is what ndarray.sum calls, without its Python wrapper
         assigns = np.ascontiguousarray(assigns)
-        b, width = assigns.shape[0], self.m + 1
-        total = self.cost[self._rows, assigns].sum(axis=1)
-        bins = (assigns + width * np.arange(b)[:, None]).ravel()
-        loads = np.bincount(bins, weights=np.tile(self.s, b),
-                            minlength=b * width).reshape(b, width)[:, 1:]
-        return total + (loads * loads / self.f_mec).sum(axis=1)
+        b, setup = assigns.shape[0], self.scoring
+        bin_offsets, weights = setup.rows(b)
+        total = np.add.reduce(self.cost.take(assigns + setup.cost_offsets),
+                              axis=1)
+        loads = np.bincount((assigns + bin_offsets).ravel(), weights=weights,
+                            minlength=b * setup.width)
+        loads = loads.reshape(b, setup.width)[:, 1:]
+        return total + np.add.reduce(loads * loads / self.f_mec, axis=1)
 
     def latency_of(self, assign: np.ndarray) -> float:
         """Weighted latency of one placement vector (length N, values 0..M)."""

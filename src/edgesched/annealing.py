@@ -152,11 +152,12 @@ def adapt_budget(state: BudgetState, delta_loss: float,
 
 
 # Mutation density from which ``search`` scores candidates in batches, and the
-# candidates one batch scores.  Batch against loop, on one Xeon core: replayed
-# training searches ran 3.4x faster at 30x5 (median density 10.05) and 2x
-# slower at 10x2 (at most 4.5).  ASA-200 from random starts: 2.0x at 30x5
-# (density 20), 1.3x at 20x3 (10.4), 1.06x at 30x2 (11.1); 0.86x at 10x5
-# (6.6), 0.71x at 15x2 (5.7), 0.61x at 10x2 (3.8).
+# candidates one batch scores.  Batch against loop, on one Xeon core, min of 5
+# per call: replayed training searches ran 2.5x faster at 30x5 (median density
+# 10.05) and 1.9x slower at 10x2 (at most 4.3).  ASA-200 from random starts
+# (60 draws per shape): 2.4-2.6x at 30x5 (density 20), 1.5x at 20x3 (10.4),
+# 1.2x at 30x2 (11.1), 1.03x at 10x5 (6.6); 0.92x at 10x3 (5.1), 0.83x at
+# 15x2 (5.7), 0.70x at 10x2 (3.8).
 BATCH_DENSITY = 6.0
 BATCH_WINDOW = 32
 
@@ -174,7 +175,8 @@ def search(initial: OffloadDecision, scenario: Scenario, channel: ChannelState,
     ev = evaluator if evaluator is not None else Evaluator(scenario, channel)
     n, m = ev.n, ev.m
     keep = keep_table(channel.gains)
-    density = (n - keep[np.arange(n), initial.assign].sum()) * m / (m + 1)
+    kept = keep.take(initial.assign + ev.scoring.cost_offsets).sum()
+    density = (n - kept) * m / (m + 1)
     scorer = _batch_search if density >= BATCH_DENSITY else _loop_search
     return scorer(initial, ev, keep, cfg, state.budget, rng)
 
@@ -241,7 +243,7 @@ def _batch_search(initial: OffloadDecision, ev: Evaluator, keep: np.ndarray,
     n, m = ev.n, ev.m
     keep_u, redraws, picks, boltzmann = _draw_blocks(rng, n, m, budget)
     boltzmann = boltzmann.tolist()
-    rows = np.arange(n)
+    offsets = ev.scoring.cost_offsets  # flat row starts of keep, as of cost
     a = best = initial.assign  # current placement
     f_cur = f_best = ev.latency_of(a)
     temperature = cfg.t0
@@ -249,9 +251,9 @@ def _batch_search(initial: OffloadDecision, ev: Evaluator, keep: np.ndarray,
     done = 0
     while done < budget:
         end = min(done + BATCH_WINDOW, budget)
-        cands = np.where(keep_u[done:end] > keep[rows, a],
+        cands = np.where(keep_u[done:end] > keep.take(a + offsets),
                          redraws[done:end], a)
-        same = np.flatnonzero((cands == a).all(axis=1))
+        same = (cands == a).all(axis=1).nonzero()[0]
         if same.size:  # the forced change, where no gene changed
             k, shift = np.divmod(picks[done + same], m)
             cands[same, k] = shift + (shift >= a[k])

@@ -4,7 +4,8 @@ A scenario fixes N user equipments (UEs), each holding one computation task,
 and M edge servers (MECs) in a square service area.  The channel between a UE
 and a MEC follows inverse-square path loss with optional small-scale fading,
 so channel states vary per epoch while the scenario itself stays immutable.
-``Scenario.arrays`` holds the latency model's inputs, built once per scenario.
+``Scenario.arrays`` holds the latency model's inputs and ``Scenario.scoring``
+what scoring placements needs beyond them, both built once per scenario.
 """
 
 from __future__ import annotations
@@ -120,6 +121,37 @@ class ModelArrays(NamedTuple):
     distances: np.ndarray    # (N, M) UE-to-MEC distances
 
 
+class ScoringSetup:
+    """What scoring placements needs from one scenario, whatever the channel.
+
+    The cost table's channel-free parts: each UE's weighted local latency
+    w*F/f_local (column 0) and its weighted input size w*D, which column j
+    divides by the rate to MEC j.  Then the scoring kernel's index arrays:
+    a placement's cost entries sit at flat offsets ``cost_offsets + a`` of
+    the (N, M+1) table, and its MEC loads are a ``bincount`` over bins
+    ``a + bin_offsets[row]`` weighted by the tiled sqrt(w*F).  ``rows``
+    slices the per-row arrays for a batch, and grows them, at least twofold,
+    when a larger batch arrives.
+    """
+
+    def __init__(self, arrays: ModelArrays, n_mecs: int):
+        self.width = n_mecs + 1
+        self.local_cost = arrays.weight * arrays.cycles / arrays.local_cap
+        self.weighted_bits = (arrays.weight * arrays.data_bits)[:, None]
+        self.cost_offsets = np.arange(arrays.weight.size) * self.width
+        self._sqrt_wf = arrays.sqrt_wf
+        self._bin_offsets = np.empty((0, 1), dtype=np.int64)
+        self._weights = np.empty(0)
+
+    def rows(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Bin offsets, shape (b, 1), and load weights, shape (b * N,)."""
+        if b > len(self._bin_offsets):
+            size = max(b, 2 * len(self._bin_offsets))
+            self._bin_offsets = np.arange(size)[:, None] * self.width
+            self._weights = np.tile(self._sqrt_wf, size)
+        return self._bin_offsets[:b], self._weights[:b * self._sqrt_wf.size]
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Immutable deployment: UEs, MECs, radio parameters and the service area."""
@@ -169,6 +201,11 @@ class Scenario:
         for a in arrays:
             a.flags.writeable = False
         return arrays
+
+    @cached_property
+    def scoring(self) -> ScoringSetup:
+        """Scoring set-up, built on first use and kept for this scenario."""
+        return ScoringSetup(self.arrays, self.n_mecs)
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,6 +14,7 @@ artifact, CSV traces included, is replaced in one rename by
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -297,13 +298,44 @@ def write_atomic(path: str | Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+@functools.cache
+def _scalar_list_encoder(pad: str) -> json.JSONEncoder:
+    return json.JSONEncoder(separators=(",\n" + pad, ": "))
+
+
+def _indented(obj, pad: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=1)`` for an ``obj`` nested
+    ``len(pad)`` deep, its dict keys strings.
+
+    ``indent`` would run the pure-Python encoder over every number.  Here a
+    list that starts with a scalar is one call to the C encoder, with the
+    line break and padding as its item separator, which writes the same
+    text; a list that holds a container is written item by item.
+    """
+    inner = pad + " "
+    if isinstance(obj, dict) and obj:
+        body = (",\n" + inner).join(
+            f"{json.dumps(key)}: {_indented(value, inner)}"
+            for key, value in sorted(obj.items()))
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        body = None
+        if not isinstance(obj[0], (dict, list, tuple)):
+            body = _scalar_list_encoder(inner).encode(obj)[1:-1]
+        if body is None or "[" in body or "{" in body:  # nested containers
+            body = (",\n" + inner).join(_indented(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
 def write_json(path: str | Path, doc: dict) -> None:
     """Write ``doc`` as canonical JSON: sorted keys, fixed layout, atomic.
 
-    Python floats round-trip exactly through repr, so loading a checkpoint
-    and saving it again reproduces the file byte for byte.
+    The text is ``json.dumps(doc, sort_keys=True, indent=1)``'s.  Python
+    floats round-trip exactly through repr, so loading a checkpoint and
+    saving it again reproduces the file byte for byte.
     """
-    write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    write_atomic(path, _indented(doc, "") + "\n")
 
 
 def write_csv(path: str | Path, header: Sequence,

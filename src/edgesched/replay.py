@@ -1,14 +1,16 @@
 """Experience replay: a FIFO store with prioritised sampling.
 
 A transition holds only what was observed: the raw channel gains and the
-search's placement label.  No encoded state is stored; the trainer encodes
-each sampled batch on read, in one call against the current encoder snapshot.
+search's placement label.  The buffer copies both into two preallocated ring
+arrays, and a sampled batch is one index into each.  No encoded state is
+stored; the trainer encodes each sampled batch on read, in one call against
+the current encoder snapshot.
 
 The buffer owns its priorities: they sit in an array in store order and
-shift with their transitions when the oldest one is evicted.  A new sample
-enters at the highest stored priority, a trained one takes its batch's loss
-improvement plus eps, and sampling weights are priorities raised to the
-power tau, so ``tau = 0`` is uniform replay.
+shift when the oldest transition is evicted.  A new sample enters at the
+highest stored priority, a trained one takes its batch's loss improvement
+plus eps, and sampling weights are priorities raised to the power tau, so
+``tau = 0`` is uniform replay.
 
 The paper's preserved replay (2p-ER) evicts the oldest sample whose
 collection-time parameter norm lies outside a band around the current one,
@@ -43,62 +45,93 @@ class ReplayConfig:
 
 @dataclass(frozen=True)
 class Transition:
-    """One scheduling experience: channel observation and its search label."""
+    """Scheduling experience: channel observation and its search label.
+
+    ``ReplayBuffer.append`` takes one; ``ReplayBuffer.sample`` returns a
+    batch as one, its fields stacked along a leading axis.
+    """
 
     raw: np.ndarray            # flat, unnormalised gain vector
     best_action: np.ndarray    # placement vector found by the search
 
 
 class ReplayBuffer:
-    """Bounded transition store; see the module docstring for the policy."""
+    """Bounded transition store; see the module docstring for the policy.
+
+    Raw channels and labels sit in two ring arrays of ``capacity`` rows,
+    allocated at the first append: store index k, 0 the oldest, lives in
+    row ``(head + k) % capacity``, so an eviction only moves ``head``.
+    """
 
     def __init__(self, cfg: ReplayConfig):
         self.cfg = cfg
-        self._store: list[Transition] = []
+        self._raw: np.ndarray | None = None
+        self._labels: np.ndarray | None = None
+        self._head = 0
+        self._size = 0
         # priority of each stored transition, in store order
         self._priorities = np.empty(cfg.capacity)
         self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self._store)
+        return self._size
 
     def append(self, transition: Transition) -> None:
-        """Insert a transition, evicting the oldest one when full.
+        """Copy a transition in, evicting the oldest one when full.
 
         The new sample enters at the maximum current priority so it is seen
         at least as eagerly as anything already stored.
         """
-        size = len(self._store)
+        cap, size = self.cfg.capacity, self._size
+        if self._raw is None:
+            raw = np.asarray(transition.raw)
+            label = np.asarray(transition.best_action)
+            self._raw = np.empty((cap, *raw.shape), raw.dtype)
+            self._labels = np.empty((cap, *label.shape), label.dtype)
         priority = self._priorities[:size].max() if size else 1.0
-        if size >= self.cfg.capacity:
-            self._store.pop(0)
+        if size == cap:
             self._priorities[:size - 1] = self._priorities[1:size]
+            self._head = (self._head + 1) % cap
             self.evictions += 1
             size -= 1
-        self._store.append(transition)
+        slot = (self._head + size) % cap
+        self._raw[slot] = transition.raw
+        self._labels[slot] = transition.best_action
         self._priorities[size] = priority
+        self._size = size + 1
+
+    def _rows(self, idx: np.ndarray) -> np.ndarray:
+        """Ring rows of store indices ``idx``."""
+        return (self._head + idx) % self.cfg.capacity
 
     def sample_probs(self) -> np.ndarray:
-        weights = self._priorities[:len(self._store)] ** self.cfg.tau
+        weights = self._priorities[:self._size] ** self.cfg.tau
         return weights / weights.sum()
 
     def sample(self, batch: int,
-               rng: np.random.Generator) -> tuple[list[Transition], np.ndarray]:
-        """Draw ``batch`` transitions with replacement by priority."""
-        if not self._store:
+               rng: np.random.Generator) -> tuple[Transition, np.ndarray]:
+        """Draw ``batch`` transitions with replacement by priority.
+
+        Returns them as one ``Transition`` of (batch, ...) arrays, with
+        their store indices.
+        """
+        if not self._size:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.choice(len(self._store), size=batch, replace=True,
+        idx = rng.choice(self._size, size=batch, replace=True,
                          p=self.sample_probs())
-        return [self._store[i] for i in idx], idx
+        rows = self._rows(idx)
+        return Transition(raw=self._raw[rows],
+                          best_action=self._labels[rows]), idx
 
     def update_stats(self, indices: np.ndarray, delta_loss: float) -> None:
         """Refresh priorities of just-trained samples from the loss change."""
         self._priorities[indices] = abs(delta_loss) + self.cfg.eps
 
     def stats(self) -> dict:
-        pri = self._priorities[:len(self._store)]
+        pri = self._priorities[:self._size]
         return {
             "size": pri.size,
-            "mean_priority": float(np.mean(pri)) if pri.size else 0.0,
+            # np.mean's sum and division, without its Python wrappers
+            "mean_priority": float(pri.sum() / pri.size) if pri.size else 0.0,
             "evictions": self.evictions,
         }

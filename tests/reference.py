@@ -17,6 +17,13 @@ replace with whole-array steps; they pin the vectorised forms.
 every node's bounds taken in whole-array numpy steps; the package runs the
 same search on lists of Python floats, and the tests require the same
 placements and latencies from both.
+
+``latencies_per_call`` is ``Evaluator``'s scoring kernel with its index
+arrays built on every call, as it was before ``Scenario.scoring`` kept them;
+the tests require the same bits from both.
+
+``stored`` reads a ``ReplayBuffer``'s ring arrays back in store order,
+oldest first, as the list of transitions the ring replaced held them.
 """
 
 from __future__ import annotations
@@ -258,3 +265,20 @@ def exact_oracle_numpy(ev: Evaluator, incumbent: np.ndarray) -> bench.OracleResu
     expand(0, np.zeros(m), 0.0, start)
     return bench.OracleResult(decision=OffloadDecision(assign=best, n_mecs=m),
                               latency=best_f, nodes=nodes, exact=not stopped)
+
+
+def stored(buf) -> tuple[np.ndarray, np.ndarray]:
+    """Raw channels and labels of ``buf``, oldest first."""
+    rows = buf._rows(np.arange(len(buf)))
+    return buf._raw[rows], buf._labels[rows]
+
+
+def latencies_per_call(ev: Evaluator, assigns: np.ndarray) -> np.ndarray:
+    """``ev.latencies(assigns)``, every index array built for this call."""
+    assigns = np.ascontiguousarray(assigns)
+    b, width = assigns.shape[0], ev.m + 1
+    total = ev.cost[np.arange(ev.n), assigns].sum(axis=1)
+    bins = (assigns + width * np.arange(b)[:, None]).ravel()
+    loads = np.bincount(bins, weights=np.tile(ev.s, b),
+                        minlength=b * width).reshape(b, width)[:, 1:]
+    return total + (loads * loads / ev.f_mec).sum(axis=1)

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from edgesched.agent import (AgentConfig, SeedBundle, build_policy, decide,
                              one_hot_target, policy_loss_grads, run,
                              train_step, write_epoch_csv, write_timings_csv)
+from edgesched.allocator import Evaluator
 from edgesched.annealing import AnnealConfig
 from edgesched.autoencoder import AutoencoderConfig, ChannelCompressor
 from edgesched.mec import random_scenario, sample_channel_state
 from edgesched.neural import Adam, LayerSpec, Network, mlp_specs
 from edgesched.replay import ReplayBuffer, ReplayConfig, Transition
 
+from reference import stored
 from test_neural import assert_grads_close, fd_gradients
 
 
@@ -113,6 +115,14 @@ class TestLoss:
         target = one_hot_target(np.array([0, 2]), n_mecs=2)
         np.testing.assert_array_equal(target, [1, 0, 0, 0, 0, 1])
 
+    def test_one_hot_matches_put_along_axis(self):
+        actions = np.random.default_rng(2).integers(0, 4, size=(64, 7))
+        mat = np.zeros((64, 7, 4))
+        np.put_along_axis(mat, actions[..., None], 1.0, axis=-1)
+        target = one_hot_target(actions, n_mecs=3)
+        assert target.dtype == np.float64
+        np.testing.assert_array_equal(target, mat.reshape(64, -1))
+
     def test_one_hot_batch_is_rowwise(self):
         actions = np.array([[0, 2], [1, 1], [2, 0]])
         np.testing.assert_array_equal(
@@ -199,9 +209,9 @@ class TestTrainStep:
                                  encoder=RawEncoder(), prev_loss=loss)
         assert loss < 0.01
         # the learned policy reproduces every stored label
-        for t in buf._store:
-            dec = decide(net, t.raw, n_ues=2, n_mecs=1)
-            np.testing.assert_array_equal(dec.assign, t.best_action)
+        for raw, action in zip(*stored(buf)):
+            dec = decide(net, raw, n_ues=2, n_mecs=1)
+            np.testing.assert_array_equal(dec.assign, action)
 
     def test_first_event_delta_is_zero(self):
         rng = np.random.default_rng(6)
@@ -237,17 +247,29 @@ class TestTrainStep:
 
     def test_one_encode_call_on_the_sampled_rows(self):
         rng = np.random.default_rng(11)
-        buf = ReplayBuffer(ReplayConfig(capacity=8))
-        fill_buffer(buf, rng)
+        buf = ReplayBuffer(ReplayConfig(capacity=4))
+        kept = []   # the transitions a FIFO list would hold
+        for _ in range(7):
+            t = Transition(raw=rng.uniform(0.0, 1.0, size=2),
+                           best_action=rng.integers(0, 2, size=2))
+            buf.append(t)
+            kept = (kept + [t])[-4:]
         net = Network(mlp_specs([2, 8, 4]), rng=rng)
+        twin = copy.deepcopy(net)
         adam = Adam(net)
         enc = RawEncoder()
         for step in range(3):
-            picked, _ = buf.sample(5, np.random.default_rng(step))
-            train_step(net, adam, buf, 5, 0.0, np.random.default_rng(step), enc)
+            _, idx = buf.sample(5, np.random.default_rng(step))
+            loss, _ = train_step(net, adam, buf, 5, 0.0,
+                                 np.random.default_rng(step), enc)
             assert len(enc.calls) == step + 1
-            np.testing.assert_array_equal(
-                enc.calls[-1], np.stack([t.raw for t in picked]))
+            # the batch the old list of transitions stacked
+            raws = np.stack([kept[i].raw for i in idx])
+            actions = np.stack([kept[i].best_action for i in idx])
+            np.testing.assert_array_equal(enc.calls[-1], raws)
+            if step == 0:
+                targets = np.stack([one_hot_target(a, 1) for a in actions])
+                assert loss == policy_loss(twin, raws, targets, 0.0)
 
     def test_states_follow_the_encoder_after_sync(self):
         n, m = 3, 2
@@ -261,7 +283,7 @@ class TestTrainStep:
         for e in range(1, 7):
             buf.append(Transition(raw=sample_channel_state(scen, 10 + e).gains.ravel(),
                                   best_action=rng.integers(0, m + 1, size=n)))
-        raws = np.stack([t.raw for t in buf._store])
+        raws = stored(buf)[0]
         before = comp.encode_raw(raws)
         # wider bounds and a refreshed net, published by the sync
         comp.observe_and_admit(sample_channel_state(scen, 99))
@@ -274,8 +296,8 @@ class TestTrainStep:
         picked, _ = buf.sample(4, np.random.default_rng(3))
         loss, _ = train_step(net, Adam(net), buf, 4, 0.02,
                              np.random.default_rng(3), comp)
-        states = comp.encode_raw(np.stack([t.raw for t in picked]))
-        targets = one_hot_target(np.stack([t.best_action for t in picked]), m)
+        states = comp.encode_raw(picked.raw)
+        targets = one_hot_target(picked.best_action, m)
         assert loss == policy_loss(twin, states, targets, 0.02)
 
     def test_nonfinite_loss_aborts(self):
@@ -298,6 +320,18 @@ class TestRun:
             assert row.asa_best_objective <= row.latency + 1e-12
             assert row.buffer_size >= 1
         assert res.shift_epoch is None
+
+    @pytest.mark.parametrize("shift", [None, 6])
+    def test_logged_latency_scores_the_logged_decision(self, shift):
+        scen, res = quick_run(t_drl=12, master=5, weight_shift_epoch=shift)
+        seeds = SeedBundle.from_master(5)
+        for row in res.logs:
+            active = (res.scenario_final if shift and row.epoch >= shift
+                      else scen)
+            channel = sample_channel_state(active, row.epoch, seeds.channel)
+            assert row.latency == Evaluator(active, channel).latency_of(
+                row.decision)
+            assert row.reward == 1.0 / row.latency
 
     def test_bit_reproducible(self):
         _, a = quick_run(master=11)

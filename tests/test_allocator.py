@@ -9,7 +9,8 @@ from edgesched.mec import (OffloadDecision, Task, UeSpec, local_capacity,
                            random_scenario, reweighted, sample_channel_state,
                            weighted_latency)
 
-from reference import allocate_frequencies_loop, allocate_frequencies_oracle
+from reference import (allocate_frequencies_loop, allocate_frequencies_oracle,
+                       latencies_per_call)
 
 
 def fuzz_case(rng, n_max=8, m_max=3):
@@ -236,6 +237,50 @@ class TestEvaluator:
         # a Fortran-ordered batch sums its rows in the same order
         np.testing.assert_array_equal(ev.latencies(np.asfortranarray(batch)),
                                       rows)
+
+
+class TestScoringSetup:
+    SIZES = [1, 7, 32, 33, 200, 5, 64]
+
+    @staticmethod
+    def check_sizes(ev, rng, b):
+        batch = rng.integers(0, ev.m + 1, size=(b, ev.n))
+        lat = ev.latencies(batch)
+        np.testing.assert_array_equal(lat, latencies_per_call(ev, batch))
+        for k in {0, b // 2, b - 1}:
+            one = ev.latency_of(batch[k])
+            assert one == ev.latencies(batch[k][None])[0] == lat[k]
+
+    def test_rows_grow_with_the_batch(self):
+        scen = random_scenario(9, 3, rng_seed=7, weights=(0.5, 2.0))
+        ev = Evaluator(scen, sample_channel_state(scen, 1))
+        rng = np.random.default_rng(1)
+        sizes = []
+        for b in self.SIZES:
+            self.check_sizes(ev, rng, b)
+            sizes.append(len(scen.scoring._bin_offsets))
+        # grown at least twofold when outgrown, sliced for smaller batches
+        assert sizes == [1, 7, 32, 64, 200, 200, 200]
+
+    def test_scenarios_never_share_a_setup(self):
+        a = random_scenario(9, 3, rng_seed=7, weights=(0.5, 2.0))
+        b = random_scenario(14, 2, rng_seed=8, weights=(0.2, 5.0))
+        c = reweighted(a, np.random.default_rng(3))
+        evs = [Evaluator(s, sample_channel_state(s, e))
+               for e in (1, 2) for s in (a, b, c)]
+        assert len({id(s.scoring) for s in (a, b, c)}) == 3
+        rng = np.random.default_rng(2)
+        for b_size in self.SIZES:
+            for ev in evs:
+                self.check_sizes(ev, rng, b_size)
+
+    def test_built_once_per_scenario(self):
+        scen = random_scenario(5, 2, rng_seed=3)
+        setup = scen.scoring
+        Evaluator(scen, sample_channel_state(scen, 1)).latencies(
+            np.zeros((40, 5), dtype=int))
+        assert scen.scoring is setup
+        assert setup.cost_offsets.tolist() == [0, 3, 6, 9, 12]
 
 
 class TestScenarioArrays:

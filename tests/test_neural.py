@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from edgesched.neural import (ACTIVATIONS, Adam, LayerSpec, Network,
-                              load_checkpoint, mlp_specs, save_checkpoint)
+                              checkpoint_dict, load_checkpoint, mlp_specs,
+                              save_checkpoint, write_json)
 
 
 def fd_gradients(net, x, loss_fn, h=1e-6):
@@ -229,6 +230,24 @@ class TestCheckpoints:
         loaded, _ = load_checkpoint(p1)
         save_checkpoint(loaded, p2, seed=1, epoch=1)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("doc", [
+        "policy",
+        {"b": [], "a": {}, "c": [[]], "d": [{}], "e": ({"z": 1, "y": [2]},)},
+        {"s": ["a, b", "[x]", "{y}", "\u00e9\n"], "t": (1, 2.5, None, True),
+         "f": [float("nan"), float("inf"), -0.0, np.float64(0.1), 10**20],
+         "mix": [1, [2, {"z": 1, "a": [3]}], "x"], "deep": [[[1.5]], [[]]]},
+    ], ids=["checkpoint", "empty-containers", "scalars-and-mixed-lists"])
+    def test_write_json_is_indented_dumps(self, tmp_path, doc):
+        """``write_json`` lays the document out itself; the text must be
+        ``json.dumps(doc, sort_keys=True, indent=1)``'s, byte for byte."""
+        if doc == "policy":
+            net = Network(mlp_specs([7, 12, 9, 6], hidden="relu"),
+                          rng=np.random.default_rng(15))
+            doc = checkpoint_dict(net, 3, 8)
+        p = tmp_path / "doc.json"
+        write_json(p, doc)
+        assert p.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
     def test_rejects_foreign_json(self, tmp_path):
         p = tmp_path / "bad.json"

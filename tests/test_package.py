@@ -198,11 +198,12 @@ def test_search_hashes_prints_one_line_per_set(monkeypatch, capsys):
     assert tool.main([]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [line[0] for line in lines] == ["desk", "desk-g", "10x5", "20x3",
-                                           "30x5", "50x5"]
+                                           "30x5", "50x5", "wide"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line[1]) for line in lines)
     shares = {line[0]: line[3] for line in lines}
     assert shares["desk"] == shares["desk-g"] == "0.00"
     assert shares["30x5"] == shares["50x5"] == "1.00"
+    assert float(shares["wide"]) >= 0.9
     assert all(line[2] == "batch" and line[5] == "us/call" for line in lines)
 
 def test_readme_library_use_runs(capsys):

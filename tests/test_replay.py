@@ -8,6 +8,8 @@ from scipy import stats as sps
 
 from edgesched.replay import ReplayBuffer, ReplayConfig, Transition
 
+from reference import stored
+
 
 def make_transition(epoch, dim=4):
     return Transition(raw=np.full(dim, float(epoch)),
@@ -15,7 +17,7 @@ def make_transition(epoch, dim=4):
 
 
 def epochs_of(buf):
-    return [int(t.raw[0]) for t in buf._store]
+    return [int(raw[0]) for raw in stored(buf)[0]]
 
 
 def test_transition_is_a_frozen_observation():
@@ -87,6 +89,50 @@ class TestFifoMatchesModel:
         assert buf.evictions == max(0, appends - capacity)
 
 
+class TestRing:
+    @pytest.mark.parametrize("capacity", [1, 3, 5])
+    def test_store_order_across_evictions(self, capacity):
+        rng = np.random.default_rng(capacity)
+        buf = ReplayBuffer(ReplayConfig(capacity=capacity))
+        kept = []   # the transitions a FIFO list would hold
+        for e in range(13):
+            t = Transition(raw=rng.normal(size=6),
+                           best_action=rng.integers(0, 4, size=3))
+            buf.append(t)
+            kept = (kept + [t])[-capacity:]
+            raws, labels = stored(buf)
+            np.testing.assert_array_equal(raws, [k.raw for k in kept])
+            np.testing.assert_array_equal(labels,
+                                          [k.best_action for k in kept])
+        # the rings replace the list: one row per slot, no more
+        assert buf._raw.shape == (capacity, 6)
+        assert buf._labels.shape == (capacity, 3)
+
+    def test_append_copies_its_arrays(self):
+        buf = ReplayBuffer(ReplayConfig(capacity=2))
+        raw, action = np.arange(4.0), np.array([1, 0])
+        buf.append(Transition(raw=raw, best_action=action))
+        raw[0], action[0] = -1.0, 7
+        raws, labels = stored(buf)
+        assert raws[0].tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert labels[0].tolist() == [1, 0]
+
+    def test_sample_equals_stacking_the_stored_transitions(self):
+        rng = np.random.default_rng(4)
+        buf = ReplayBuffer(ReplayConfig(capacity=5))
+        kept = []
+        for e in range(9):
+            t = Transition(raw=rng.normal(size=4),
+                           best_action=rng.integers(0, 3, size=2))
+            buf.append(t)
+            kept = (kept + [t])[-5:]
+        picked, idx = buf.sample(64, np.random.default_rng(1))
+        np.testing.assert_array_equal(
+            picked.raw, np.stack([kept[i].raw for i in idx]))
+        np.testing.assert_array_equal(
+            picked.best_action, np.stack([kept[i].best_action for i in idx]))
+
+
 class TestSampling:
     def test_empty_buffer_raises(self):
         buf = ReplayBuffer(ReplayConfig())
@@ -133,7 +179,8 @@ class TestSampling:
         buf = ReplayBuffer(ReplayConfig(capacity=4))
         buf.append(make_transition(0))
         picked, idx = buf.sample(16, np.random.default_rng(2))
-        assert len(picked) == 16
+        assert picked.raw.shape == (16, 4)
+        assert picked.best_action.shape == (16, 2)
         assert np.all(idx == 0)
 
 

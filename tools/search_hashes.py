@@ -12,7 +12,10 @@ The sets, each a pure function of its seeds:
   placement;
 - ``10x5``, ``20x3``, ``30x5`` and ``50x5``: 50 draws of
   ``random_scenario(N, M, rng_seed=1)``, each an ASA-200 search from a
-  random start.
+  random start;
+- ``wide``: 50 draws of the default scenario section at 30x5 (the dense
+  50 m area, seed 1), each a budget-55 search from the greedy placement,
+  the shape of a training search late in a 30x5 run.
 
 One line per set: the sha256 of every result's placement, objective,
 improvements and steps and of the generator's next draw after the call; the
@@ -36,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def draw_sets():
     """(name, scenario, channels, run) per set; run maps (k, scen, ch, ev, rng)."""
+    from dataclasses import replace
+
     from edgesched.annealing import AnnealConfig, BudgetState, search
     from edgesched.bench import BENCH_EPOCH_BASE, asa_only, greedy_baseline
     from edgesched.config import ExperimentConfig, build_scenario
@@ -48,16 +53,22 @@ def draw_sets():
     def asa_200(scen, ch, ev, rng):
         return asa_only(scen, ch, AnnealConfig(), 200, rng, evaluator=ev)
 
-    def greedy_50(scen, ch, ev, rng):
-        return search(greedy_baseline(scen, ch), scen, ch, AnnealConfig(),
-                      BudgetState(50), rng, evaluator=ev)
+    def from_greedy(budget):
+        def run(scen, ch, ev, rng):
+            return search(greedy_baseline(scen, ch), scen, ch, AnnealConfig(),
+                          BudgetState(budget), rng, evaluator=ev)
+        return run
 
-    desk = build_scenario(ExperimentConfig().scenario, fallback_seed=1)
+    section = ExperimentConfig().scenario
+    desk = build_scenario(section, fallback_seed=1)
     yield "desk", desk, channels(desk, 200), asa_200
-    yield "desk-g", desk, channels(desk, 200), greedy_50
+    yield "desk-g", desk, channels(desk, 200), from_greedy(50)
     for n, m in ((10, 5), (20, 3), (30, 5), (50, 5)):
         scen = random_scenario(n, m, rng_seed=1)
         yield f"{n}x{m}", scen, channels(scen, 50), asa_200
+    wide = build_scenario(replace(section, n_ues=30, n_mecs=5),
+                          fallback_seed=1)
+    yield "wide", wide, channels(wide, 50), from_greedy(55)
 
 
 def main(argv=None) -> int:
