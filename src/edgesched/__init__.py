@@ -25,7 +25,7 @@ from .allocator import (Allocation, Evaluator, allocate_frequencies,
 from .annealing import (AnnealConfig, BudgetState, SearchResult, adapt_budget,
                         mutate, search)
 from .autoencoder import (AutoencoderConfig, ChannelCompressor, EncodedState,
-                          Rasterizer, compression_ratio, default_dims)
+                          Rasterizer, default_dims)
 from .bench import (BenchReport, OracleResult, StrategyStats, exact_oracle,
                     exhaustive_best, greedy_baseline, nrr, random_baseline,
                     run_benchmark)
@@ -34,7 +34,7 @@ from .config import (ExperimentConfig, ScenarioConfig, build_scenario,
 from .experiment import (bench_experiment, dynamic_experiment,
                          train_experiment)
 from .mec import (ChannelState, MecSpec, OffloadDecision, RadioParams,
-                  Scenario, Task, UeSpec, channel_gain, data_rate,
+                  Scenario, Task, UeSpec, data_rate,
                   local_capacity, random_scenario, reweighted,
                   sample_channel_state, weighted_latency)
 from .neural import (Adam, LayerSpec, Network, load_checkpoint, mlp_specs,
@@ -52,7 +52,7 @@ __all__ = [
     "ScenarioConfig", "SearchResult", "SeedBundle",
     "StrategyStats", "Task", "Transition", "UeSpec", "adapt_budget",
     "allocate_frequencies", "bench_experiment",
-    "build_scenario", "channel_gain", "compression_ratio", "data_rate",
+    "build_scenario", "data_rate",
     "decide", "default_dims", "dump_scenario",
     "dynamic_experiment", "evaluate", "exact_oracle", "exhaustive_best",
     "greedy_baseline",

@@ -243,7 +243,7 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
                                  best_action=result.decision.assign))
 
         loss = delta_loss = None
-        if t % cfg.phi == 0 and len(buffer) > 0:
+        if t % cfg.phi == 0:
             loss, delta_loss = train_step(
                 policy, adam, buffer, cfg.batch, cfg.lambda_reg, rng_replay,
                 encoder=compressor, prev_loss=prev_loss)

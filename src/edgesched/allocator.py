@@ -19,18 +19,12 @@ from .mec import ChannelState, OffloadDecision, Scenario, data_rate, weighted_la
 
 @dataclass(frozen=True)
 class Allocation:
-    """Resource assignment for one decision: per-UE frequency, power, and cost."""
+    """Resource assignment for one decision: per-UE frequency, power, and
+    the weighted latency they give."""
 
     freqs: np.ndarray
     powers: np.ndarray
     latency: float
-    reward: float
-
-    @classmethod
-    def from_latency(cls, freqs: np.ndarray, powers: np.ndarray,
-                     latency: float) -> "Allocation":
-        return cls(freqs=freqs, powers=powers, latency=latency,
-                   reward=1.0 / latency)
 
 
 def max_power_assignment(scenario: Scenario, decision: OffloadDecision) -> np.ndarray:
@@ -58,11 +52,11 @@ def allocate_frequencies(decision: OffloadDecision, scenario: Scenario) -> np.nd
 
 def evaluate(decision: OffloadDecision, scenario: Scenario,
              channel: ChannelState) -> Allocation:
-    """Best-possible weighted latency (and reward) for a placement decision."""
+    """Best-possible weighted latency for a placement decision."""
     freqs = allocate_frequencies(decision, scenario)
     powers = max_power_assignment(scenario, decision)
-    latency = weighted_latency(scenario, decision, freqs, powers, channel)
-    return Allocation.from_latency(freqs, powers, latency)
+    return Allocation(freqs, powers,
+                      weighted_latency(scenario, decision, freqs, powers, channel))
 
 
 class Evaluator:

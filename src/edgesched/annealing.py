@@ -141,14 +141,10 @@ def mutate(assign: np.ndarray, gains: np.ndarray,
 
 def adapt_budget(state: BudgetState, delta_loss: float,
                  cfg: AnnealConfig) -> BudgetState:
-    """Grow the budget by one while the loss still falls fast, else shrink."""
-    if delta_loss >= cfg.epsilon:
-        budget = state.budget + 1
-    elif state.budget != 1:
-        budget = state.budget - 1
-    else:
-        budget = 1
-    return BudgetState(budget=min(max(budget, 1), cfg.t_sa_max))
+    """Grow the budget by one while the loss still falls fast, else shrink
+    it by one, within [1, ``t_sa_max``]."""
+    step = 1 if delta_loss >= cfg.epsilon else -1
+    return BudgetState(budget=min(max(state.budget + step, 1), cfg.t_sa_max))
 
 
 # Mutation density from which ``search`` scores candidates in batches, and the

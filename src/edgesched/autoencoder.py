@@ -93,21 +93,14 @@ def default_dims(n_ues: int, n_mecs: int, out_dim: int | None = None) -> list[in
     return [in_dim, mid, out]
 
 
-def compression_ratio(in_dim: int, out_dim: int) -> float:
-    """Fraction of channel entries removed by the encoder: 1 - out/in."""
-    if out_dim > in_dim:
-        raise ValueError("encoded dimension exceeds the input dimension")
-    if in_dim <= 0 or out_dim <= 0:
-        raise ValueError("dimensions must be positive")
-    return 1.0 - out_dim / in_dim
-
-
 @dataclass(frozen=True)
 class EncodedState:
-    """Compressed channel observation handed to the policy."""
+    """Compressed channel observation handed to the policy.
+
+    It wraps one vector; it stays while the benchmark reads ``.vector``.
+    """
 
     vector: np.ndarray
-    epoch: int
 
 
 class Rasterizer:
@@ -257,7 +250,8 @@ class ChannelCompressor:
         return self.dims[-1]
 
     def compression_ratio(self) -> float:
-        return compression_ratio(self.in_dim, self.out_dim)
+        """Fraction of channel entries the encoder removes: 1 - out/in."""
+        return 1.0 - self.out_dim / self.in_dim
 
     # --- training side --------------------------------------------------
 
@@ -347,7 +341,7 @@ class ChannelCompressor:
 
     def encode_channel(self, channel: ChannelState) -> EncodedState:
         vec = self._encode_normalised(self.rasterize(channel))
-        return EncodedState(vector=vec, epoch=channel.epoch)
+        return EncodedState(vector=vec)
 
     def _encode_normalised(self, x: np.ndarray) -> np.ndarray:
         return x if self._encoder is None else self._encoder.forward(x)

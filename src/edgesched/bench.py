@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import EpochLog, decide
+from .agent import decide
 from .allocator import Evaluator
 from .annealing import AnnealConfig, BudgetState, SearchResult, search
 from .autoencoder import ChannelCompressor
@@ -278,6 +278,12 @@ def pso_oracle(ev: Evaluator,
     return res.decision, res.latency
 
 
+# Codes ``exhaustive_best`` scores per ``latencies`` call.  The scenario's
+# scoring set-up keeps index arrays for the largest batch it has scored, as
+# long as the scenario lives: 88 KiB at 1024 rows of 10x2, 352 KiB at 4096.
+_BLOCK = 1024
+
+
 def exhaustive_best(scenario: Scenario, channel: ChannelState,
                     evaluator: Evaluator | None = None) -> tuple[np.ndarray, float]:
     """Enumerate all (M+1)^N placements; intended for toy sizes only.
@@ -292,8 +298,8 @@ def exhaustive_best(scenario: Scenario, channel: ChannelState,
         raise ValueError("decision space too large to enumerate")
     place = (m + 1) ** np.arange(n - 1, -1, -1)
     best_code, best_f = 0, np.inf
-    for start in range(0, total, 4096):
-        codes = np.arange(start, min(start + 4096, total))
+    for start in range(0, total, _BLOCK):
+        codes = np.arange(start, min(start + _BLOCK, total))
         lat = ev.latencies(codes[:, None] // place % (m + 1))
         k = int(np.argmin(lat))
         if lat[k] < best_f:
@@ -371,12 +377,17 @@ def run_benchmark(scenario: Scenario, policy: Network | None,
     Per draw, each strategy is timed while producing its placement and then
     scored by the exact allocator.  With ``pso_cfg`` set (any ``PsoConfig``),
     ``exact_oracle`` also runs per draw, from the draw's best placement, and
-    NRR statistics are attached.  ``policy=None`` drops the policy row and
-    benchmarks only the baselines.
+    NRR statistics are attached.  ``policy`` and ``compressor`` come
+    together: both add the policy row, neither benchmarks only the
+    baselines.
     """
+    if (policy is None) != (compressor is None):
+        missing = "compressor" if compressor is None else "policy"
+        raise ValueError(f"run_benchmark needs the {missing} too: pass the "
+                         "policy and its compressor together, or neither")
     rng = rng if rng is not None else np.random.default_rng(0)
     n, m = scenario.n_ues, scenario.n_mecs
-    with_policy = policy is not None and compressor is not None
+    with_policy = policy is not None
     names = (["policy"] if with_policy else []) + ["greedy", "random", "asa"]
     lat: dict[str, list[float]] = {k: [] for k in names + ["oracle"]}
     tim: dict[str, list[float]] = {k: [] for k in names + ["oracle"]}
@@ -419,31 +430,6 @@ def run_benchmark(scenario: Scenario, policy: Network | None,
     if pso_cfg is not None:
         stats.append(_aggregate("oracle", lat["oracle"], tim["oracle"], None))
     return BenchReport(stats=stats, n_channels=n_channels)
-
-
-def window_rewards(logs: list[EpochLog], scenario: Scenario,
-                   channel_seed: int, window: int,
-                   rng: np.random.Generator) -> dict[str, float]:
-    """Mean rewards over the last ``window`` logged epochs, all strategies.
-
-    The policy side reuses the online rewards already logged; greedy and
-    random are re-run on the identical channel draws (regenerated from the
-    epoch indices), so the comparison shares every fading realisation.
-    """
-    tail = logs[-window:]
-    rewards = {"policy": float(np.mean([row.reward for row in tail]))}
-    for name in ("greedy", "random"):
-        vals = []
-        for row in tail:
-            channel = sample_channel_state(scenario, row.epoch, channel_seed)
-            ev = Evaluator(scenario, channel)
-            if name == "greedy":
-                dec = greedy_baseline(scenario, channel)
-            else:
-                dec = random_baseline(scenario, channel, rng)
-            vals.append(1.0 / ev.latency_of(dec.assign))
-        rewards[name] = float(np.mean(vals))
-    return rewards
 
 
 _BENCH_COLUMNS = ("strategy", "decision_time_s", "decision_time_mean_s",

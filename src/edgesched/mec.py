@@ -219,7 +219,8 @@ class ChannelState:
         g = np.asarray(self.gains, dtype=float)
         if g.ndim != 2:
             raise ValueError("gains must be an N x M matrix")
-        if not np.all(np.isfinite(g)) or np.any(g <= 0):
+        # a NaN fails the min test, +inf the max test; an N x 0 matrix passes
+        if g.size and not (g.min() > 0 and np.isfinite(g.max())):
             raise ValueError("channel gains must be positive and finite")
         object.__setattr__(self, "gains", g)
 
@@ -241,27 +242,6 @@ class OffloadDecision:
         object.__setattr__(self, "assign", a)
 
 
-def sample_fading(shape: tuple[int, ...], rng: np.random.Generator,
-                  mode: str = "exponential") -> np.ndarray:
-    """Draw small-scale power gains: unit-mean exponential, or all ones."""
-    if mode == "deterministic":
-        return np.ones(shape)
-    if mode == "exponential":
-        return rng.exponential(scale=1.0, size=shape)
-    raise ValueError(f"unknown fading mode {mode!r}")
-
-
-def channel_gain(beta0: float, fading_l: float | np.ndarray,
-                 dist: float | np.ndarray, min_distance: float = 1.0) -> np.ndarray:
-    """Channel power gain beta0 * l / R**2 with the distance clamped below.
-
-    The clamp guards the inverse-square singularity when a UE sits on top of
-    a MEC.
-    """
-    r = np.maximum(np.asarray(dist, dtype=float), min_distance)
-    return beta0 * np.asarray(fading_l, dtype=float) / (r * r)
-
-
 def _epoch_rng(seed: int, epoch: int, namespace: int = _CHANNEL_NS) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(namespace, epoch))
     return np.random.Generator(np.random.PCG64(ss))
@@ -271,18 +251,24 @@ def sample_channel_state(scenario: Scenario, epoch: int,
                          seed: int | None = None) -> ChannelState:
     """Sample the (N, M) gain matrix for one epoch.
 
-    The draw is a pure function of (scenario, epoch, seed): the generator is
+    Each gain is beta0 * l / R**2: R the UE-to-MEC distance, clamped below
+    at ``min_distance_m``, and l the small-scale power gain, unit-mean
+    exponential (Rayleigh amplitude) or 1 under "deterministic" fading.  The
+    draw is a pure function of (scenario, epoch, seed): the generator is
     derived from the seed and the epoch index, never from call order, so any
     epoch's channel can be regenerated independently.  ``seed`` defaults to
     the scenario's own ``rng_seed``.
     """
     entropy = scenario.rng_seed if seed is None else seed
     rng = _epoch_rng(entropy, epoch)
-    dist = scenario.arrays.distances
-    fad = sample_fading(dist.shape, rng, scenario.radio.fading)
-    gains = channel_gain(scenario.radio.beta0, fad, dist,
-                         scenario.radio.min_distance_m)
-    return ChannelState(gains=gains, epoch=epoch)
+    radio, dist = scenario.radio, scenario.arrays.distances
+    if radio.fading == "deterministic":
+        fading = np.ones(dist.shape)
+    else:
+        fading = rng.exponential(scale=1.0, size=dist.shape)
+    # the clamp guards the inverse-square singularity of a UE on a MEC
+    r = np.maximum(dist, radio.min_distance_m)
+    return ChannelState(gains=radio.beta0 * fading / (r * r), epoch=epoch)
 
 
 def data_rate(bandwidth_hz: float, power_w: float | np.ndarray,

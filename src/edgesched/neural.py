@@ -206,16 +206,16 @@ class Network:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
 
-class Adam:
-    """Adam optimiser bound to one network, with the usual moment defaults."""
+# Adam's moment decay rates and denominator guard, the usual defaults
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, net: Network, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Adam optimiser bound to one network; ``lr`` is its one setting."""
+
+    def __init__(self, net: Network, lr: float = 1e-3):
         self.net = net
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [(np.zeros_like(w), np.zeros_like(b))
                   for w, b in zip(net.weights, net.biases)]
@@ -224,21 +224,21 @@ class Adam:
 
     def step(self, grads: Gradients) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - _BETA1 ** self.t
+        b2c = 1.0 - _BETA2 ** self.t
         for idx, (dw, db) in enumerate(grads):
             mw, mb = self.m[idx]
             vw, vb = self.v[idx]
-            mw *= self.beta1
-            mw += (1.0 - self.beta1) * dw
-            mb *= self.beta1
-            mb += (1.0 - self.beta1) * db
-            vw *= self.beta2
-            vw += (1.0 - self.beta2) * dw * dw
-            vb *= self.beta2
-            vb += (1.0 - self.beta2) * db * db
-            self.net.weights[idx] -= self.lr * (mw / b1c) / (np.sqrt(vw / b2c) + self.eps)
-            self.net.biases[idx] -= self.lr * (mb / b1c) / (np.sqrt(vb / b2c) + self.eps)
+            mw *= _BETA1
+            mw += (1.0 - _BETA1) * dw
+            mb *= _BETA1
+            mb += (1.0 - _BETA1) * db
+            vw *= _BETA2
+            vw += (1.0 - _BETA2) * dw * dw
+            vb *= _BETA2
+            vb += (1.0 - _BETA2) * db * db
+            self.net.weights[idx] -= self.lr * (mw / b1c) / (np.sqrt(vw / b2c) + _EPS)
+            self.net.biases[idx] -= self.lr * (mb / b1c) / (np.sqrt(vb / b2c) + _EPS)
 
 
 def checkpoint_dict(net: Network, seed: int | None, epoch: int) -> dict:

@@ -24,6 +24,10 @@ the tests require the same bits from both.
 
 ``stored`` reads a ``ReplayBuffer``'s ring arrays back in store order,
 oldest first, as the list of transitions the ring replaced held them.
+
+``window_rewards`` compares a training run's logged rewards with greedy and
+random on the same channel draws; acceptance criterion 08 reads it, and no
+run does.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from edgesched import bench
+from edgesched.agent import EpochLog
 from edgesched.allocator import Evaluator
+from edgesched.bench import greedy_baseline, random_baseline
 from edgesched.mec import (ChannelState, OffloadDecision, Scenario, data_rate,
-                           local_capacity)
+                           local_capacity, sample_channel_state)
 
 
 def _project_simplex(y: np.ndarray, total: float) -> np.ndarray:
@@ -282,3 +288,28 @@ def latencies_per_call(ev: Evaluator, assigns: np.ndarray) -> np.ndarray:
     loads = np.bincount(bins, weights=np.tile(ev.s, b),
                         minlength=b * width).reshape(b, width)[:, 1:]
     return total + (loads * loads / ev.f_mec).sum(axis=1)
+
+
+def window_rewards(logs: list[EpochLog], scenario: Scenario,
+                   channel_seed: int, window: int,
+                   rng: np.random.Generator) -> dict[str, float]:
+    """Mean rewards over the last ``window`` logged epochs, all strategies.
+
+    The policy side reuses the online rewards already logged; greedy and
+    random are re-run on the identical channel draws (regenerated from the
+    epoch indices), so the comparison shares every fading realisation.
+    """
+    tail = logs[-window:]
+    rewards = {"policy": float(np.mean([row.reward for row in tail]))}
+    for name in ("greedy", "random"):
+        vals = []
+        for row in tail:
+            channel = sample_channel_state(scenario, row.epoch, channel_seed)
+            ev = Evaluator(scenario, channel)
+            if name == "greedy":
+                dec = greedy_baseline(scenario, channel)
+            else:
+                dec = random_baseline(scenario, channel, rng)
+            vals.append(1.0 / ev.latency_of(dec.assign))
+        rewards[name] = float(np.mean(vals))
+    return rewards

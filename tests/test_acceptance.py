@@ -19,7 +19,7 @@ from edgesched.allocator import Evaluator, allocate_frequencies
 from edgesched.annealing import AnnealConfig, BudgetState, adapt_budget
 from edgesched.autoencoder import (AutoencoderConfig, ChannelCompressor,
                                    reconstruction_loss_grads)
-from edgesched.bench import asa_only, exhaustive_best, run_benchmark, window_rewards
+from edgesched.bench import asa_only, exhaustive_best, run_benchmark
 from edgesched.cli import main as cli_main
 from edgesched.config import config_from_dict
 from edgesched.experiment import (bench_experiment, nrr_samples,
@@ -28,7 +28,7 @@ from edgesched.mec import OffloadDecision, random_scenario, sample_channel_state
 from edgesched.neural import Network, mlp_specs
 from edgesched.replay import ReplayBuffer, ReplayConfig
 
-from reference import allocate_frequencies_oracle
+from reference import allocate_frequencies_oracle, window_rewards
 from test_neural import fd_gradients
 from test_replay import make_transition
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgesched.allocator import (Allocation, Evaluator, allocate_frequencies,
+from edgesched.allocator import (Evaluator, allocate_frequencies,
                                  evaluate, max_power_assignment)
 from edgesched.mec import (OffloadDecision, Task, UeSpec, local_capacity,
                            random_scenario, reweighted, sample_channel_state,
@@ -197,21 +197,6 @@ class TestOptimality:
             lat = weighted_latency(scen, dec, np.where(freqs > 0, freqs, 1.0),
                                    powers, ch)
             assert lat >= opt.latency - 1e-9
-
-
-class TestEvaluate:
-    def test_reward_latency_identity(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            scen, dec = fuzz_case(rng)
-            ch = sample_channel_state(scen, 1)
-            alloc = evaluate(dec, scen, ch)
-            assert alloc.reward * alloc.latency == pytest.approx(1.0,
-                                                                 abs=1e-12)
-
-    def test_from_latency(self):
-        alloc = Allocation.from_latency(np.ones(1), np.ones(1), 4.0)
-        assert alloc.reward == 0.25
 
 
 class TestEvaluator:

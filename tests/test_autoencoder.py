@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from edgesched.autoencoder import (AutoencoderConfig, ChannelCompressor,
-                                   Rasterizer, compression_ratio,
-                                   default_dims, reconstruction_loss_grads)
+                                   Rasterizer, default_dims,
+                                   reconstruction_loss_grads)
 from edgesched.mec import (ChannelState, random_scenario,
                            sample_channel_state)
 from edgesched.neural import Network, mlp_specs
@@ -28,8 +28,14 @@ class TestDims:
     def test_compression_ratio_by_mec_count(self):
         # 30 UEs, encoder output fixed at 30: ratios 0, .5, .67, .75, .8
         expect = {1: 0.0, 2: 0.5, 3: 0.67, 4: 0.75, 5: 0.80}
+        rng = np.random.default_rng(0)
         for m, val in expect.items():
-            assert round(compression_ratio(30 * m, 30), 2) == val
+            comp = ChannelCompressor(AutoencoderConfig(out_dim=30), 30, m,
+                                     rng=rng)
+            assert round(comp.compression_ratio(), 2) == val
+        # asking for more outputs than inputs keeps the raster: ratio 0
+        wide = ChannelCompressor(AutoencoderConfig(out_dim=60), 30, 1)
+        assert wide.compression_ratio() == 0.0
 
     def test_default_dims_midpoint(self):
         assert default_dims(30, 2) == [60, 45, 30]
@@ -66,10 +72,6 @@ class TestDims:
         # a deque with maxlen 0 would drop every sample without a word
         with pytest.raises(ValueError):
             AutoencoderConfig(memory=0)
-
-    def test_ratio_rejects_expansion(self):
-        with pytest.raises(ValueError):
-            compression_ratio(10, 11)
 
 
 class TestRasterizer:

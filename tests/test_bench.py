@@ -9,17 +9,18 @@ from edgesched.agent import SeedBundle
 from edgesched.allocator import Evaluator
 from edgesched import bench
 from edgesched.annealing import AnnealConfig
+from edgesched.autoencoder import AutoencoderConfig, ChannelCompressor
 from edgesched.bench import (BENCH_EPOCH_BASE, NODE_LIMIT, PsoConfig,
                              asa_only, exact_oracle, exhaustive_best,
                              format_report, greedy_baseline, nrr,
-                             random_baseline, run_benchmark, window_rewards,
-                             write_bench_csv)
+                             random_baseline, run_benchmark, write_bench_csv)
 from edgesched.config import ExperimentConfig, build_scenario
 from edgesched.mec import (MecSpec, OffloadDecision, RadioParams, Scenario,
                            Task, UeSpec, local_capacity, random_scenario,
                            sample_channel_state)
+from edgesched.neural import Network, mlp_specs
 
-from reference import exact_oracle_numpy, greedy_baseline_loop
+from reference import exact_oracle_numpy, greedy_baseline_loop, window_rewards
 
 
 def toy(n=4, m=2, seed=0, **kw):
@@ -260,6 +261,18 @@ class TestRunBenchmark:
         assert rep.n_channels == 4
         with pytest.raises(KeyError):
             rep.by_name("policy")
+
+    @pytest.mark.parametrize("given", ["policy", "compressor"])
+    def test_policy_needs_its_compressor(self, given):
+        scen, _ = toy(seed=5)
+        comp = ChannelCompressor(AutoencoderConfig(), 4, 2,
+                                 rng=np.random.default_rng(0))
+        policy = Network(mlp_specs([comp.out_dim, 12]),
+                         rng=np.random.default_rng(0))
+        args = (policy, None) if given == "policy" else (None, comp)
+        missing = "compressor" if given == "policy" else "policy"
+        with pytest.raises(ValueError, match=f"needs the {missing} too"):
+            run_benchmark(scen, *args, AnnealConfig(), n_channels=1)
 
     def test_reward_is_reciprocal_mean_latency(self):
         scen, _ = toy(seed=6)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from edgesched.mec import (ChannelState, MecSpec, OffloadDecision, RadioParams,
-                           Scenario, Task, UeSpec, channel_gain, data_rate,
+                           Scenario, Task, UeSpec, data_rate,
                            default_mec_positions, random_scenario,
-                           reweighted, sample_channel_state, sample_fading,
-                           weighted_latency)
+                           reweighted, sample_channel_state, weighted_latency)
 
 
 def make_scenario(n=4, m=2, seed=0, **kw):
@@ -43,6 +42,17 @@ class TestConstruction:
     def test_channel_state_rejects_nonpositive_gain(self):
         with pytest.raises(ValueError):
             ChannelState(gains=np.array([[1e-6, 0.0]]), epoch=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-6])
+    def test_channel_state_rejects_bad_gain(self, bad):
+        for at in ((0, 0), (1, 1), (2, 0)):
+            gains = np.full((3, 2), 1e-6)
+            gains[at] = bad
+            with pytest.raises(ValueError, match="positive and finite"):
+                ChannelState(gains=gains, epoch=1)
+
+    def test_channel_state_accepts_no_mecs(self):
+        assert ChannelState(gains=np.empty((3, 0)), epoch=1).gains.shape == (3, 0)
 
     def test_decision_bounds(self):
         with pytest.raises(ValueError):
@@ -90,27 +100,46 @@ class TestGeometry:
                 assert 0.0 <= x <= 50.0 and 0.0 <= y <= 50.0
 
 
+def on_a_line(offsets, fading="deterministic"):
+    """UEs east of one MEC at (25, 25), ``offsets`` metres away."""
+    ues = tuple(UeSpec(position=(25.0 + dx, 25.0),
+                       task=Task(data_bits=8e5, cycles=1e9)) for dx in offsets)
+    return Scenario(ues=ues, mecs=(MecSpec(position=(25.0, 25.0)),),
+                    radio=RadioParams(fading=fading))
+
+
 class TestChannel:
     def test_gain_inverse_square(self):
         # doubling the distance quarters the gain
-        g1 = channel_gain(1e-3, 1.0, 10.0)
-        g2 = channel_gain(1e-3, 1.0, 20.0)
+        scen = on_a_line([10.0, 20.0])
+        g1, g2 = sample_channel_state(scen, epoch=1).gains[:, 0]
         assert g1 == pytest.approx(4.0 * g2)
-        assert g1 == pytest.approx(1e-3 / 100.0)
+        assert g1 == 1e-3 / 100.0
 
     def test_gain_distance_clamp(self):
-        # below the minimum distance the gain stops growing
-        assert channel_gain(1e-3, 1.0, 0.01) == channel_gain(1e-3, 1.0, 1.0)
+        # below the minimum distance the gain stops growing, also on the MEC
+        scen = on_a_line([0.0, 0.01, 1.0])
+        gains = sample_channel_state(scen, epoch=1).gains[:, 0]
+        assert gains.tolist() == [1e-3] * 3
 
     def test_fading_unit_mean(self):
-        rng = np.random.default_rng(0)
-        draws = sample_fading((200_000,), rng)
+        # l = h * max(R, R_min)**2 / beta0, 5000 values per draw
+        scen = make_scenario(n=1000, m=5)
+        r = np.maximum(scen.arrays.distances, scen.radio.min_distance_m)
+        draws = np.stack([sample_channel_state(scen, e).gains * (r * r)
+                          / scen.radio.beta0 for e in range(40)])
+        assert draws.size == 200_000
         assert draws.mean() == pytest.approx(1.0, abs=5e-3)
-        assert np.all(draws >= 0)
+        assert np.all(draws > 0)
 
     def test_fading_deterministic(self):
-        rng = np.random.default_rng(0)
-        assert np.all(sample_fading((4, 4), rng, "deterministic") == 1.0)
+        # every gain is exactly beta0 / max(d, R_min)**2
+        scen = make_scenario(n=16, m=3, radio=RadioParams(
+            fading="deterministic", beta0=2e-3, min_distance_m=5.0))
+        r = np.maximum(scen.arrays.distances, 5.0)
+        for epoch in (1, 2):
+            np.testing.assert_array_equal(
+                sample_channel_state(scen, epoch).gains, 2e-3 / (r * r))
 
     def test_sample_is_pure_in_epoch_and_seed(self):
         scen = make_scenario()

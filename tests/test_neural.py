@@ -173,7 +173,7 @@ class TestOptimizers:
         """Two steps of Adam against values computed from the update rule."""
         net = Network([LayerSpec(1, 1, "linear")],
                       weights=[np.array([[1.0]])], biases=[np.array([0.0])])
-        opt = Adam(net, lr=0.5, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam(net, lr=0.5)
         g1, g2 = 2.0, -1.0
 
         m = v = 0.0

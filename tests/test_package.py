@@ -206,6 +206,31 @@ def test_search_hashes_prints_one_line_per_set(monkeypatch, capsys):
     assert float(shares["wide"]) >= 0.9
     assert all(line[2] == "batch" and line[5] == "us/call" for line in lines)
 
+
+def test_oracle_hashes_prints_one_line_per_set(monkeypatch, capsys):
+    """``tools/oracle_hashes.py``, which a change promising identical oracle
+    results is checked with, prints a digest, the proven share, node counts
+    and a time per draw set; here on each set's first draw only."""
+    spec = importlib.util.spec_from_file_location(
+        "oracle_hashes", ROOT / "tools" / "oracle_hashes.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends --src
+    full = tool.draw_sets
+    monkeypatch.setattr(tool, "draw_sets", lambda: (
+        (name, scen, chans[:1], start)
+        for name, scen, chans, start in full()))
+    assert tool.main([]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[0] for line in lines] == ["desk", "10x1", "10x2", "10x3",
+                                           "10x4", "10x5", "30x5", "20x3",
+                                           "wide"]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line[1]) for line in lines)
+    assert all(line[2] == "exact" and re.fullmatch(r"[01]/1", line[3])
+               and line[-1] == "ms/call" for line in lines)
+    assert lines[0][3] == "1/1"  # every desk draw is proven
+
+
 def test_readme_library_use_runs(capsys):
     """README's "Library use" block runs as written, so a changed signature
     cannot leave it stale."""

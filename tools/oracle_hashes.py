@@ -10,7 +10,10 @@ The sets, each a pure function of its seeds:
 - ``10xM``: 30 draws of the default scenario with M = 1..5 MECs, each
   started from the greedy placement;
 - ``30x5`` and ``20x3``: 5 draws of ``random_scenario(N, M, rng_seed=1)``,
-  started from greedy, where the node limit binds.
+  started from greedy, where the node limit binds;
+- ``wide``: 5 draws of the default scenario section at 30x5 (the dense
+  50 m area, seed 1), started from greedy: the scenario of the benchmark's
+  wide-train workload.
 
 One line per set: the sha256 of every returned placement and latency, the
 number of calls that proved the optimum, the median and maximum nodes
@@ -61,6 +64,9 @@ def draw_sets():
     for n, m in ((30, 5), (20, 3)):
         scen = random_scenario(n, m, rng_seed=1)
         yield f"{n}x{m}", scen, channels(scen, 5), greedy_start
+    wide = build_scenario(replace(desk_cfg, n_ues=30, n_mecs=5),
+                          fallback_seed=1)
+    yield "wide", wide, channels(wide, 5), greedy_start
 
 
 def main(argv=None) -> int:
