@@ -36,7 +36,7 @@ from .experiment import (bench_experiment, dynamic_experiment,
 from .mec import (ChannelState, MecSpec, OffloadDecision, RadioParams,
                   Scenario, Task, UeSpec, data_rate,
                   local_capacity, random_scenario, reweighted,
-                  sample_channel_state, weighted_latency)
+                  sample_channel_state)
 from .neural import (Adam, LayerSpec, Network, load_checkpoint, mlp_specs,
                      save_checkpoint)
 from .replay import ReplayBuffer, ReplayConfig, Transition
@@ -61,5 +61,4 @@ __all__ = [
     "random_baseline", "random_scenario",
     "reweighted", "run", "run_benchmark", "sample_channel_state",
     "save_checkpoint", "search", "train_experiment", "train_step",
-    "weighted_latency",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .annealing import AnnealConfig, BudgetState, adapt_budget
 from .annealing import search as _anneal_search
-from .autoencoder import ChannelCompressor
+from .autoencoder import SYNC_PERIOD, ChannelCompressor
 from .mec import OffloadDecision, Scenario, reweighted, sample_channel_state
 from .neural import Adam, Gradients, Network, mlp_specs, write_csv
 from .replay import ReplayBuffer, ReplayConfig, Transition
@@ -248,10 +248,9 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
                 policy, adam, buffer, cfg.batch, cfg.lambda_reg, rng_replay,
                 encoder=compressor, prev_loss=prev_loss)
             prev_loss = loss
-            budget = adapt_budget(budget, delta_loss, asa_cfg)
+            budget = adapt_budget(budget, delta_loss)
 
-        if (compressor.net is not None and compressor.cfg.sync_period > 0
-                and t % compressor.cfg.sync_period == 0):
+        if compressor.net is not None and t % SYNC_PERIOD == 0:
             compressor.refresh(sae_rng)
             compressor.sync()
 
@@ -275,14 +274,6 @@ _EPOCH_COLUMNS = ("epoch", "reward", "latency", "loss", "delta_loss", "t_sa",
                   "evictions", "preserve_hits")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_epoch_csv(logs: list[EpochLog], path: str | Path) -> None:
     """Deterministic per-epoch trace; byte-identical across identical runs.
 
@@ -290,11 +281,9 @@ def write_epoch_csv(logs: list[EpochLog], path: str | Path) -> None:
     go to the companion timings file instead.
     """
     write_csv(path, _EPOCH_COLUMNS,
-              ([_fmt(getattr(row, col)) for col in _EPOCH_COLUMNS]
-               for row in logs))
+              ([getattr(row, col) for col in _EPOCH_COLUMNS] for row in logs))
 
 
 def write_timings_csv(logs: list[EpochLog], path: str | Path) -> None:
     write_csv(path, ("epoch", "decision_ms", "asa_ms"),
-              ([row.epoch, _fmt(row.decision_ms), _fmt(row.asa_ms)]
-               for row in logs))
+              ([row.epoch, row.decision_ms, row.asa_ms] for row in logs))

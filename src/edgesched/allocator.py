@@ -5,7 +5,8 @@ convex and separable: transmit powers sit at their caps (no energy budget
 binds under the power model used here), and each MEC's budget is spent in
 full on its tasks, split by a closed-form KKT condition.  Inputs come from
 ``Scenario.arrays``; ``Evaluator`` scores placements under this allocation,
-and ``mec.weighted_latency`` is the per-UE reference.
+and ``evaluate`` takes its latency from there too, so the package scores a
+placement one way.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mec import ChannelState, OffloadDecision, Scenario, data_rate, weighted_latency
+from .mec import ChannelState, OffloadDecision, Scenario, data_rate
 
 
 @dataclass(frozen=True)
@@ -52,17 +53,20 @@ def allocate_frequencies(decision: OffloadDecision, scenario: Scenario) -> np.nd
 
 def evaluate(decision: OffloadDecision, scenario: Scenario,
              channel: ChannelState) -> Allocation:
-    """Best-possible weighted latency for a placement decision."""
-    freqs = allocate_frequencies(decision, scenario)
-    powers = max_power_assignment(scenario, decision)
-    return Allocation(freqs, powers,
-                      weighted_latency(scenario, decision, freqs, powers, channel))
+    """The optimal allocation for a placement decision and its weighted
+    latency, which is ``Evaluator.latency_of``'s."""
+    if (decision.assign.shape[0] != scenario.n_ues
+            or decision.n_mecs != scenario.n_mecs):
+        raise ValueError("decision does not match scenario shape")
+    return Allocation(allocate_frequencies(decision, scenario),
+                      max_power_assignment(scenario, decision),
+                      Evaluator(scenario, channel).latency_of(decision.assign))
 
 
 class Evaluator:
     """Vectorised decision scoring bound to one (scenario, channel) pair.
 
-    Built once per draw: ``rates`` at max power and the (N, M+1) ``cost``
+    Built once per draw from the rates at max power: the (N, M+1) ``cost``
     table, column 0 each UE's weighted local latency w*F/f_local and column j
     its weighted upload time w*D/r_j to MEC j.  Under the optimal split MEC j
     computes for load_j^2 / f_j, load_j the sum of its sqrt(w_i*F_i), so one
@@ -76,11 +80,11 @@ class Evaluator:
         self.n, self.m = scenario.n_ues, scenario.n_mecs
         self.s, self.f_mec = arr.sqrt_wf, arr.f_mec
         self.scoring = setup = scenario.scoring
-        self.rates = data_rate(radio.bandwidth_hz, arr.p_max[:, None],
-                               channel.gains, radio.noise_w)
+        rates = data_rate(radio.bandwidth_hz, arr.p_max[:, None],
+                          channel.gains, radio.noise_w)
         self.cost = np.empty((self.n, self.m + 1))
         self.cost[:, 0] = setup.local_cost
-        np.divide(setup.weighted_bits, self.rates, out=self.cost[:, 1:])
+        np.divide(setup.weighted_bits, rates, out=self.cost[:, 1:])
 
     def _score(self, assigns: np.ndarray) -> np.ndarray:
         # row sums run pairwise over C-ordered rows, whatever the batch size;

@@ -54,17 +54,13 @@ class AnnealConfig:
     t0: float = 1.0
     phi_cool: float = 0.95
     t_sa_init: int = 20
-    epsilon: float = 0.02
-    t_sa_max: int = 100
 
     def __post_init__(self) -> None:
         if self.t0 <= 0 or not 0 < self.phi_cool <= 1:
             raise ValueError("t0 must be positive and phi_cool lie in (0, 1]")
-        if self.t_sa_init < 1 or self.t_sa_max < 1:
-            raise ValueError("t_sa_init and t_sa_max must be at least 1")
-        if self.t_sa_init > self.t_sa_max:
-            raise ValueError(f"t_sa_init {self.t_sa_init} exceeds t_sa_max "
-                             f"{self.t_sa_max}")
+        if not 1 <= self.t_sa_init <= T_SA_MAX:
+            raise ValueError(f"t_sa_init {self.t_sa_init} must lie in "
+                             f"1..T_SA_MAX = 1..{T_SA_MAX}")
 
 
 @dataclass(frozen=True)
@@ -139,12 +135,17 @@ def mutate(assign: np.ndarray, gains: np.ndarray,
     return cand
 
 
-def adapt_budget(state: BudgetState, delta_loss: float,
-                 cfg: AnnealConfig) -> BudgetState:
-    """Grow the budget by one while the loss still falls fast, else shrink
-    it by one, within [1, ``t_sa_max``]."""
-    step = 1 if delta_loss >= cfg.epsilon else -1
-    return BudgetState(budget=min(max(state.budget + step, 1), cfg.t_sa_max))
+# The budget grows while a training event lowers the policy loss by at least
+# EPSILON, and never passes T_SA_MAX iterations.
+EPSILON = 0.02
+T_SA_MAX = 100
+
+
+def adapt_budget(state: BudgetState, delta_loss: float) -> BudgetState:
+    """Grow the budget by one while the loss falls by at least ``EPSILON``,
+    else shrink it by one, within [1, ``T_SA_MAX``]."""
+    step = 1 if delta_loss >= EPSILON else -1
+    return BudgetState(budget=min(max(state.budget + step, 1), T_SA_MAX))
 
 
 # Mutation density from which ``search`` scores candidates in batches, and the

@@ -14,7 +14,8 @@ worse than a threshold.  Here that threshold, 0.01 RMSE, lies below what
 any compressor reaches on i.i.d. fading (PCA at the same width leaves about
 0.05 on held-out draws), so every sample passed and the test is gone.
 
-The scheduler encodes against a periodically synced snapshot so online
+The scheduler encodes against a snapshot synced every ``SYNC_PERIOD``
+epochs, after ``REFRESH_ITERS`` training steps on the memory, so online
 encodings stay stable between refreshes.  The snapshot is the encoder half
 of the autoencoder copied into a network of its own, so encoding is a plain
 ``Network.forward``.  Compressor checkpoints embed the autoencoder in the
@@ -38,6 +39,10 @@ SAE_FORMAT = "edgesched-sae-v1"
 
 _DIVERGED = "autoencoder loss diverged to a non-finite value"
 
+# Epochs between two online refreshes, and the training steps of one.
+SYNC_PERIOD = 200
+REFRESH_ITERS = 20
+
 
 @dataclass
 class AutoencoderConfig:
@@ -47,8 +52,8 @@ class AutoencoderConfig:
     out with ``default_dims`` once it knows N and M, and the decoder mirrors
     it.  ``None`` halves the N * M input; an ``out_dim`` of at least N * M
     means no compression at all, an identity map over the normalised raster
-    vector.  Zero steps, samples or sync period skip that step; zero
-    penalties switch the term off.
+    vector.  Zero steps or samples skip that step; zero penalties switch
+    the term off.
     """
 
     out_dim: int | None = None
@@ -58,8 +63,6 @@ class AutoencoderConfig:
     memory: int = 4096
     batch: int = 32
     lr: float = 1e-3
-    sync_period: int = 200
-    refresh_iters: int = 20
     pretrain_samples: int = 2000
 
     def __post_init__(self) -> None:
@@ -69,8 +72,7 @@ class AutoencoderConfig:
                 raise ValueError(f"{key} must be at least 1, got {value}")
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        for key in ("gamma1", "gamma2", "t_sae", "sync_period",
-                    "refresh_iters", "pretrain_samples"):
+        for key in ("gamma1", "gamma2", "t_sae", "pretrain_samples"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} must not be negative, got "
                                  f"{getattr(self, key)}")
@@ -111,8 +113,13 @@ class Rasterizer:
     """
 
     def __init__(self, lo: float | None = None, hi: float | None = None):
-        if not np.isfinite([b for b in (lo, hi) if b is not None]).all():
+        """Both bounds unset, or both finite with ``lo <= hi``."""
+        if (lo is None) != (hi is None):
+            raise ValueError(f"raster bounds [{lo}, {hi}] set only one end")
+        if lo is not None and not np.isfinite([lo, hi]).all():
             raise ValueError(f"non-finite raster bounds [{lo}, {hi}]")
+        if lo is not None and lo > hi:
+            raise ValueError(f"raster bounds [{lo}, {hi}] have lo above hi")
         self.lo = lo
         self.hi = hi
 
@@ -279,9 +286,10 @@ class ChannelCompressor:
         self.sync()
         return trace
 
-    def refresh(self, rng: np.random.Generator, iters: int | None = None) -> list[float]:
+    def refresh(self, rng: np.random.Generator,
+                iters: int = REFRESH_ITERS) -> list[float]:
         """Continue training from the current memory (incremental learning)."""
-        return self._train(rng, self.cfg.refresh_iters if iters is None else iters)
+        return self._train(rng, iters)
 
     def _train(self, rng: np.random.Generator, iters: int) -> list[float]:
         """``iters`` Adam steps on mini-batches drawn from the memory."""
@@ -370,7 +378,8 @@ class ChannelCompressor:
         network checkpoint, empty for the identity compressor.  ``dims``
         other than ``default_dims``'s layout for the file's N, M and output
         width, parameters that do not fit ``dims`` or are not finite, and
-        non-finite bounds raise a ``ValueError`` naming ``path``.
+        bounds that are not both null or both finite numbers with
+        ``lo <= hi`` raise a ``ValueError`` naming ``path``.
         """
         doc = read_json(path, SAE_FORMAT)
         meta = doc["net"] or {}
@@ -385,7 +394,7 @@ class ChannelCompressor:
                                  f"M = {doc['n_mecs']}")
             comp = cls(cfg, doc["n_ues"], doc["n_mecs"], net=net)
             comp.raster = Rasterizer(doc["lo"], doc["hi"])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
         comp.sync()
         return comp, meta

@@ -439,10 +439,8 @@ _BENCH_COLUMNS = ("strategy", "decision_time_s", "decision_time_mean_s",
 
 def write_bench_csv(report: BenchReport, path: str | Path) -> None:
     write_csv(path, _BENCH_COLUMNS, (
-        [s.name, repr(s.decision_time_s), repr(s.decision_time_mean_s),
-         repr(s.latency_s), repr(s.reward), repr(s.mean_draw_reward),
-         "" if s.nrr_mean is None else repr(s.nrr_mean),
-         "" if s.nrr_best is None else repr(s.nrr_best)]
+        [s.name, s.decision_time_s, s.decision_time_mean_s, s.latency_s,
+         s.reward, s.mean_draw_reward, s.nrr_mean, s.nrr_best]
         for s in report.stats))
 
 

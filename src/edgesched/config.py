@@ -9,6 +9,8 @@ has one spelling.  ``sae`` and ``drl`` load straight into the runtime
 a field takes none, a float or bool where it takes an integer, a value the
 section's own checks reject, and keys that would silently override one
 another all raise a ``ValueError`` at load that names the section and keys.
+So do a bool anywhere but ``bench.with_oracle``, a ``seed`` that is not an
+integer and an ``out`` that is not a string or null.
 The ``scenario`` section only samples; scenario files written by
 ``gen-scenario`` are the one way to pin UEs and servers, load back
 bit-identically and reject unknown and missing keys in every entry.
@@ -51,7 +53,7 @@ def _hint_types(hint) -> set:
     return set(get_args(hint)) if isinstance(hint, UnionType) else {hint}
 
 
-def _check_types(cls, section: str, data: dict) -> None:
+def _check_types(cls, data: dict, prefix: str = "") -> None:
     """Reject a value the type hint of its field in ``cls`` does not admit.
 
     A string where the field takes none: PyYAML reads a float with no dot or
@@ -59,26 +61,34 @@ def _check_types(cls, section: str, data: dict) -> None:
     otherwise load silently and fail far from its key.  A float or a bool
     where the field takes an integer, or in a list of integers: ``4.0``,
     ``10.5`` and ``true`` would load, then size an array or a loop far from
-    their key.  A float field takes an integer as it is.
+    their key.  A bool anywhere else but a ``bool`` field (``true`` would
+    load as 1.0), and anything but a string where the field takes only a
+    string or null.  A float field takes an integer as it is.  Errors name
+    the key as ``prefix`` + key.
     """
     hints = get_type_hints(cls)
     for key, value in data.items():
+        name = prefix + key
         if hints[key] == list[int]:
             if not (isinstance(value, list)
                     and all(_is_int(v) for v in value)):
-                raise ValueError(f"{section}.{key} takes a list of integers, "
-                                 f"got {value!r}")
+                raise ValueError(f"{name} takes a list of integers, got "
+                                 f"{value!r}")
             continue
         types = _hint_types(hints[key])
         if isinstance(value, str) and not types & {str, Any}:
             raise ValueError(
-                f"{section}.{key} is the string {value!r} but takes no "
-                "string (PyYAML reads 4.0e9 and 1e-3 as strings: write "
-                "4.0e+9 and 1.0e-3)")
-        if (int in types and not (value is None and type(None) in types)
-                and not _is_int(value)):
-            raise ValueError(f"{section}.{key} takes an integer, got "
-                             f"{value!r}")
+                f"{name} is the string {value!r} but takes no string "
+                "(PyYAML reads 4.0e9 and 1e-3 as strings: write 4.0e+9 and "
+                "1.0e-3)")
+        if value is None and type(None) in types:
+            continue
+        if int in types and not _is_int(value):
+            raise ValueError(f"{name} takes an integer, got {value!r}")
+        if types <= {str, type(None)} and not isinstance(value, str):
+            raise ValueError(f"{name} takes a string, got {value!r}")
+        if isinstance(value, bool) and bool not in types:
+            raise ValueError(f"{name} takes no boolean, got {value!r}")
 
 
 def _is_int(value) -> bool:
@@ -91,8 +101,10 @@ def _load(cls, section: str, data: dict):
     The allowed keys are the fields of ``cls``.  The section's own checks
     run on construction.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} takes a mapping of keys, got {data!r}")
     _check_keys(section, data, _names(cls))
-    _check_types(cls, section, data)
+    _check_types(cls, data, f"{section}.")
     try:
         return cls(**data)
     except ValueError as exc:
@@ -297,11 +309,12 @@ class ExperimentConfig:
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     _check_keys("config", data, _names(ExperimentConfig))
+    top = {key: data[key] for key in ("seed", "out") if key in data}
+    _check_types(ExperimentConfig, top)
     sections = {f.name: _load(f.default_factory, f.name, data[f.name])
                 for f in fields(ExperimentConfig)
-                if f.name in data and f.name not in ("seed", "out")}
-    return ExperimentConfig(seed=int(data.get("seed", 1)),
-                            out=data.get("out"), **sections)
+                if f.name in data and f.name not in top}
+    return ExperimentConfig(**top, **sections)
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:

@@ -234,8 +234,7 @@ _TABLE_COLUMNS = ("m", "accuracy", "compression_ratio", "f_best", "f_avg",
 
 def write_table_csv(rows: list[dict], path: str | Path) -> None:
     write_csv(path, _TABLE_COLUMNS,
-              ([row["m"]] + [repr(float(row[c])) for c in _TABLE_COLUMNS[1:]]
-               for row in rows))
+              ([row[c] for c in _TABLE_COLUMNS] for row in rows))
 
 
 def format_table(rows: list[dict]) -> str:

@@ -5,7 +5,8 @@ and M edge servers (MECs) in a square service area.  The channel between a UE
 and a MEC follows inverse-square path loss with optional small-scale fading,
 so channel states vary per epoch while the scenario itself stays immutable.
 ``Scenario.arrays`` holds the latency model's inputs and ``Scenario.scoring``
-what scoring placements needs beyond them, both built once per scenario.
+what scoring placements needs beyond them, both built once per scenario;
+``allocator.Evaluator`` scores placements with them.
 """
 
 from __future__ import annotations
@@ -213,7 +214,6 @@ class ChannelState:
     """Channel power gains for one epoch, shape (N, M)."""
 
     gains: np.ndarray
-    epoch: int
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gains, dtype=float)
@@ -268,7 +268,7 @@ def sample_channel_state(scenario: Scenario, epoch: int,
         fading = rng.exponential(scale=1.0, size=dist.shape)
     # the clamp guards the inverse-square singularity of a UE on a MEC
     r = np.maximum(dist, radio.min_distance_m)
-    return ChannelState(gains=radio.beta0 * fading / (r * r), epoch=epoch)
+    return ChannelState(gains=radio.beta0 * fading / (r * r))
 
 
 def data_rate(bandwidth_hz: float, power_w: float | np.ndarray,
@@ -276,34 +276,6 @@ def data_rate(bandwidth_hz: float, power_w: float | np.ndarray,
     """Achievable uplink rate B * log2(1 + p*h/sigma^2) in bits/s."""
     snr = np.asarray(power_w, dtype=float) * np.asarray(gain, dtype=float) / noise_w
     return bandwidth_hz * np.log2(1.0 + snr)
-
-
-def weighted_latency(scenario: Scenario, decision: OffloadDecision,
-                     freqs: np.ndarray, powers: np.ndarray,
-                     channel: ChannelState) -> float:
-    """Total weighted task latency for a placement and a resource assignment.
-
-    Offloaded tasks pay upload time D/r plus remote computation F/f; local
-    tasks pay F/f only.  ``freqs`` holds the CPU frequency serving each UE
-    (local or remote), ``powers`` the transmit power used for offloading.
-    """
-    assign = decision.assign
-    if assign.shape[0] != scenario.n_ues or decision.n_mecs != scenario.n_mecs:
-        raise ValueError("decision does not match scenario shape")
-    freqs = np.asarray(freqs, dtype=float)
-    if np.any(freqs <= 0):
-        raise ValueError("every active placement needs a positive frequency")
-    total = 0.0
-    radio = scenario.radio
-    for i, ue in enumerate(scenario.ues):
-        j = assign[i]
-        lat = ue.task.cycles / freqs[i]
-        if j > 0:
-            rate = data_rate(radio.bandwidth_hz, powers[i],
-                            channel.gains[i, j - 1], radio.noise_w)
-            lat += ue.task.data_bits / float(rate)
-        total += ue.weight * lat
-    return float(total)
 
 
 # Canonical MEC layouts for 1..5 servers in a 50 m square, kept proportional

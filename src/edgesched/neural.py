@@ -26,7 +26,7 @@ import numpy as np
 
 CHECKPOINT_FORMAT = "edgesched-net-v1"
 
-ACTIVATIONS = ("sigmoid", "tanh", "relu", "linear")
+ACTIVATIONS = ("sigmoid", "relu")
 
 
 @dataclass(frozen=True)
@@ -64,29 +64,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _apply(act: str, z: np.ndarray) -> np.ndarray:
-    """The activation of ``z``; relu and linear reuse ``z``'s buffer.
+    """The activation of ``z``; relu reuses ``z``'s buffer.
 
     relu overwrites ``z`` in place, which leaves the sign mask
     ``_derivative`` reads from it unchanged.
     """
     if act == "sigmoid":
         return _sigmoid(z)
-    if act == "tanh":
-        return np.tanh(z)
-    if act == "relu":
-        return np.maximum(z, 0.0, out=z)
-    return z
+    return np.maximum(z, 0.0, out=z)
 
 
 def _derivative(act: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d(activation)/dz, reusing the post-activation value where cheaper."""
+    """d(activation)/dz; sigmoid's from its output."""
     if act == "sigmoid":
         return a * (1.0 - a)
-    if act == "tanh":
-        return 1.0 - a * a
-    if act == "relu":
-        return (z > 0.0).astype(z.dtype)
-    return np.ones_like(z)
+    return (z > 0.0).astype(z.dtype)
 
 
 Gradients = list[tuple[np.ndarray, np.ndarray]]
@@ -259,15 +251,19 @@ def checkpoint_dict(net: Network, seed: int | None, epoch: int) -> dict:
 def network_from_dict(doc: dict, path: str | Path) -> Network:
     """Rebuild the network of a ``checkpoint_dict`` document read from ``path``.
 
-    Parameters that do not fit the layer list, or are not finite, raise a
-    ``ValueError`` naming ``path``.
+    A missing key, a value of the wrong type, an unknown activation, a
+    width below 1, and parameters that do not fit the layer list or are not
+    finite raise a ``ValueError`` naming ``path``.
     """
-    specs = [LayerSpec(d["in"], d["out"], d["activation"]) for d in doc["layers"]]
     try:
+        specs = [LayerSpec(d["in"], d["out"], d["activation"])
+                 for d in doc["layers"]]
         net = Network(specs, weights=[np.reshape(w, (s.out_dim, s.in_dim))
                                       for w, s in zip(doc["weights"], specs)],
                       biases=doc["biases"])
-    except ValueError as exc:
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases)):
         raise ValueError(f"{path}: non-finite parameters")
@@ -338,13 +334,26 @@ def write_json(path: str | Path, doc: dict) -> None:
     write_atomic(path, _indented(doc, "") + "\n")
 
 
+def _cell(value) -> str:
+    """A CSV cell: empty for None, ``repr`` for a float (numpy's too, which
+    would otherwise print as ``np.float64(...)``), else ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
 def write_csv(path: str | Path, header: Sequence,
               rows: Iterable[Sequence]) -> None:
-    """Write a CSV table (CRLF line ends) in one rename, see ``write_atomic``."""
+    """Write a CSV table (CRLF line ends) in one rename, see ``write_atomic``.
+
+    Every cell is written by the one rule of ``_cell``.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([_cell(v) for v in row] for row in rows)
     write_atomic(path, buf.getvalue())
 
 

@@ -9,7 +9,7 @@ the current encoder snapshot.
 The buffer owns its priorities: they sit in an array in store order and
 shift when the oldest transition is evicted.  A new sample enters at the
 highest stored priority, a trained one takes its batch's loss improvement
-plus eps, and sampling weights are priorities raised to the power tau, so
+plus ``EPS``, and sampling weights are priorities raised to the power tau, so
 ``tau = 0`` is uniform replay.
 
 The paper's preserved replay (2p-ER) evicts the oldest sample whose
@@ -29,18 +29,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# added to a trained sample's loss improvement, so no priority is 0
+EPS = 1e-3
+
 
 @dataclass(frozen=True)
 class ReplayConfig:
     capacity: int = 1024
     tau: float = 0.6
-    eps: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if self.tau < 0 or self.eps <= 0:
-            raise ValueError("tau must be >= 0 and eps > 0")
+        if self.tau < 0:
+            raise ValueError("tau must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ class ReplayBuffer:
 
     def update_stats(self, indices: np.ndarray, delta_loss: float) -> None:
         """Refresh priorities of just-trained samples from the loss change."""
-        self._priorities[indices] = abs(delta_loss) + self.cfg.eps
+        self._priorities[indices] = abs(delta_loss) + EPS
 
     def stats(self) -> dict:
         pri = self._priorities[:self._size]

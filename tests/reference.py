@@ -9,6 +9,13 @@ deliberately slow and needs scipy, and no run uses it, so it lives beside
 the tests that use it as an oracle (``test_allocator.py`` and acceptance
 criterion 01) rather than in the package.
 
+``weighted_latency`` is the per-UE latency of a placement under any
+frequency and power assignment: a Python loop over the UEs that shares no
+code with ``Evaluator``'s gather-and-bincount kernel.  The optimality tests
+perturb the closed-form allocation through it, and the tests require
+``Evaluator`` (and with it ``evaluate``) to agree with it on the
+closed-form allocation.
+
 ``allocate_frequencies_loop`` and ``greedy_baseline_loop`` are the plain
 per-MEC loops that ``allocate_frequencies`` and ``bench.greedy_baseline``
 replace with whole-array steps; they pin the vectorised forms.
@@ -159,6 +166,34 @@ def allocate_frequencies_oracle(decision: OffloadDecision, scenario: Scenario,
             continue
         freqs[members] = _numeric_split(c[members], mec.f_max, tol, max_iter)
     return freqs
+
+
+def weighted_latency(scenario: Scenario, decision: OffloadDecision,
+                     freqs: np.ndarray, powers: np.ndarray,
+                     channel: ChannelState) -> float:
+    """Total weighted task latency for a placement and a resource assignment.
+
+    Offloaded tasks pay upload time D/r plus remote computation F/f; local
+    tasks pay F/f only.  ``freqs`` holds the CPU frequency serving each UE
+    (local or remote), ``powers`` the transmit power used for offloading.
+    """
+    assign = decision.assign
+    if assign.shape[0] != scenario.n_ues or decision.n_mecs != scenario.n_mecs:
+        raise ValueError("decision does not match scenario shape")
+    freqs = np.asarray(freqs, dtype=float)
+    if np.any(freqs <= 0):
+        raise ValueError("every active placement needs a positive frequency")
+    total = 0.0
+    radio = scenario.radio
+    for i, ue in enumerate(scenario.ues):
+        j = assign[i]
+        lat = ue.task.cycles / freqs[i]
+        if j > 0:
+            rate = data_rate(radio.bandwidth_hz, powers[i],
+                             channel.gains[i, j - 1], radio.noise_w)
+            lat += ue.task.data_bits / float(rate)
+        total += ue.weight * lat
+    return float(total)
 
 
 def allocate_frequencies_loop(decision: OffloadDecision,

@@ -210,15 +210,14 @@ def test_06_priority_sampling_law():
 
 
 def test_07_budget_decays_in_19_events():
-    cfg = AnnealConfig()
     state = BudgetState(20)
     events = 0
     seen = []
     while state.budget > 1 and events < 50:
-        state = adapt_budget(state, 0.0, cfg)
+        state = adapt_budget(state, 0.0)
         events += 1
         seen.append(state.budget)
-    stays = [adapt_budget(state, 0.0, cfg).budget for _ in range(3)]
+    stays = [adapt_budget(state, 0.0).budget for _ in range(3)]
     ok = events == 19 and seen == list(range(19, 0, -1)) and stays == [1, 1, 1]
     _report(7, "iteration budget decays 20 to 1 in exactly 19 events", ok,
             f"events={events}, tail stays at {set(stays)}")

@@ -77,8 +77,9 @@ class TestDecide:
             decide(net, np.zeros(3), n_ues=2, n_mecs=2)
 
     def test_argmax_rows(self):
-        # linear head passing the state through: scores are the state itself
-        net = Network([LayerSpec(6, 6, "linear")],
+        # a relu head with identity weights passes the non-negative state
+        # through: scores are the state itself
+        net = Network([LayerSpec(6, 6, "relu")],
                       weights=[np.eye(6)], biases=[np.zeros(6)])
         state = np.array([0.1, 0.9, 0.2, 0.8, 0.1, 0.1])
         dec = decide(net, state, n_ues=2, n_mecs=2)
@@ -104,7 +105,7 @@ class TestDecide:
         assert len(seen) > 10
 
     def test_tie_prefers_local(self):
-        net = Network([LayerSpec(3, 3, "linear")],
+        net = Network([LayerSpec(3, 3, "relu")],
                       weights=[np.eye(3)], biases=[np.zeros(3)])
         dec = decide(net, np.array([0.5, 0.5, 0.5]), n_ues=1, n_mecs=2)
         assert dec.assign[0] == 0
@@ -158,7 +159,7 @@ class TestLoss:
     @pytest.mark.parametrize("lam", [0.0, 0.02])
     def test_gradcheck(self, lam):
         rng = np.random.default_rng(4)
-        net = Network(mlp_specs([3, 5, 4], hidden="tanh"), rng=rng)
+        net = Network(mlp_specs([3, 5, 4], hidden="relu"), rng=rng)
         states = rng.normal(size=(3, 3))
         actions = rng.integers(0, 2, size=(3, 2))
         targets = np.stack([one_hot_target(a, 1) for a in actions])
@@ -236,7 +237,7 @@ class TestTrainStep:
 
     def test_priorities_updated(self):
         rng = np.random.default_rng(8)
-        buf = ReplayBuffer(ReplayConfig(capacity=8, eps=1e-3))
+        buf = ReplayBuffer(ReplayConfig(capacity=8))
         fill_buffer(buf, rng, count=3)
         net = Network(mlp_specs([2, 8, 4]), rng=rng)
         _, delta = train_step(net, Adam(net), buf, 8, 0.0, rng, RawEncoder(),

@@ -5,12 +5,18 @@ import pytest
 
 from edgesched.allocator import (Evaluator, allocate_frequencies,
                                  evaluate, max_power_assignment)
+from edgesched.config import ScenarioConfig, build_scenario
 from edgesched.mec import (OffloadDecision, Task, UeSpec, local_capacity,
-                           random_scenario, reweighted, sample_channel_state,
-                           weighted_latency)
+                           random_scenario, reweighted, sample_channel_state)
 
 from reference import (allocate_frequencies_loop, allocate_frequencies_oracle,
-                       latencies_per_call)
+                       latencies_per_call, weighted_latency)
+
+
+def reference_latency(dec, scen, ch):
+    """The per-UE reference latency under the closed-form allocation."""
+    return weighted_latency(scen, dec, allocate_frequencies(dec, scen),
+                            max_power_assignment(scen, dec), ch)
 
 
 def fuzz_case(rng, n_max=8, m_max=3):
@@ -206,9 +212,33 @@ class TestEvaluator:
             scen, dec = fuzz_case(rng)
             ch = sample_channel_state(scen, 1)
             ev = Evaluator(scen, ch)
-            direct = evaluate(dec, scen, ch)
-            assert ev.latency_of(dec.assign) == pytest.approx(direct.latency,
-                                                              rel=1e-12)
+            assert ev.latency_of(dec.assign) == pytest.approx(
+                reference_latency(dec, scen, ch), rel=1e-12)
+
+    @pytest.mark.parametrize("n, m", [(10, 2), (30, 5), (6, 3)])
+    def test_evaluate_scores_through_the_kernel(self, n, m):
+        """``evaluate`` takes its latency from ``Evaluator.latency_of``, bit
+        for bit, and both stay within 1e-12 of the per-UE reference."""
+        rng = np.random.default_rng(n * m)
+        for seed in range(5):
+            scen = build_scenario(ScenarioConfig(n_ues=n, n_mecs=m),
+                                  fallback_seed=seed)
+            for epoch in range(1, 41):
+                ch = sample_channel_state(scen, epoch, seed)
+                ev = Evaluator(scen, ch)
+                dec = OffloadDecision(rng.integers(0, m + 1, size=n), m)
+                lat = evaluate(dec, scen, ch).latency
+                assert lat == ev.latency_of(dec.assign)
+                assert lat == pytest.approx(reference_latency(dec, scen, ch),
+                                            rel=1e-12)
+
+    def test_evaluate_rejects_a_decision_of_another_shape(self):
+        scen = random_scenario(4, 2, rng_seed=1)
+        ch = sample_channel_state(scen, 1)
+        for dec in (OffloadDecision(np.zeros(3, dtype=int), 2),
+                    OffloadDecision(np.zeros(4, dtype=int), 3)):
+            with pytest.raises(ValueError, match="does not match"):
+                evaluate(dec, scen, ch)
 
     @pytest.mark.parametrize("n, m", [(6, 3), (10, 2), (30, 5)])
     def test_batch_matches_loop(self, n, m):
@@ -304,4 +334,4 @@ class TestScenarioArrays:
         for _ in range(20):
             dec = OffloadDecision(assign=rng.integers(0, 3, size=6), n_mecs=2)
             assert Evaluator(other, ch).latency_of(dec.assign) == \
-                pytest.approx(evaluate(dec, other, ch).latency, rel=1e-12)
+                pytest.approx(reference_latency(dec, other, ch), rel=1e-12)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from edgesched import agent, annealing
 from edgesched.allocator import Evaluator
-from edgesched.annealing import (AnnealConfig, BudgetState, SearchResult,
-                                 adapt_budget, keep_table, mutate,
-                                 mutation_probs, search)
+from edgesched.annealing import (EPSILON, T_SA_MAX, AnnealConfig,
+                                 BudgetState, SearchResult, adapt_budget,
+                                 keep_table, mutate, mutation_probs, search)
 from edgesched.bench import BENCH_EPOCH_BASE, asa_only, exhaustive_best
 from edgesched.config import ExperimentConfig
 from edgesched.experiment import train_experiment
@@ -146,30 +146,28 @@ class TestMutation:
 
 class TestBudget:
     def test_grow_on_fast_learning(self):
-        cfg = AnnealConfig(epsilon=0.02)
-        assert adapt_budget(BudgetState(5), 0.02, cfg).budget == 6
-        assert adapt_budget(BudgetState(5), 1.0, cfg).budget == 6
+        assert EPSILON == 0.02
+        assert adapt_budget(BudgetState(5), 0.02).budget == 6
+        assert adapt_budget(BudgetState(5), 1.0).budget == 6
 
     def test_shrink_on_plateau(self):
-        cfg = AnnealConfig(epsilon=0.02)
-        assert adapt_budget(BudgetState(5), 0.019, cfg).budget == 4
-        assert adapt_budget(BudgetState(5), 0.0, cfg).budget == 4
+        assert adapt_budget(BudgetState(5), 0.019).budget == 4
+        assert adapt_budget(BudgetState(5), 0.0).budget == 4
 
     def test_floor_at_one(self):
-        cfg = AnnealConfig(epsilon=0.02)
-        assert adapt_budget(BudgetState(1), 0.0, cfg).budget == 1
+        assert adapt_budget(BudgetState(1), 0.0).budget == 1
 
     def test_cap_at_max(self):
-        cfg = AnnealConfig(epsilon=0.02, t_sa_init=10, t_sa_max=10)
-        assert adapt_budget(BudgetState(10), 5.0, cfg).budget == 10
+        assert T_SA_MAX == 100
+        assert adapt_budget(BudgetState(99), 5.0).budget == 100
+        assert adapt_budget(BudgetState(100), 5.0).budget == 100
 
     def test_deterministic_decay_sequence(self):
         # from 20 with a flat loss: exactly 19 shrink events reach 1
-        cfg = AnnealConfig()
         state = BudgetState(20)
         steps = 0
         while state.budget > 1:
-            state = adapt_budget(state, 0.0, cfg)
+            state = adapt_budget(state, 0.0)
             steps += 1
         assert steps == 19
 
@@ -234,6 +232,9 @@ class TestSearch:
             AnnealConfig(phi_cool=1.5)
         with pytest.raises(ValueError):
             AnnealConfig(t_sa_init=0)
+        assert AnnealConfig(t_sa_init=T_SA_MAX).t_sa_init == T_SA_MAX
+        with pytest.raises(ValueError, match="t_sa_init"):
+            AnnealConfig(t_sa_init=T_SA_MAX + 1)
 
 
 def instance(n, m, seed, clones):
@@ -245,7 +246,7 @@ def instance(n, m, seed, clones):
         # identical UEs on identical channels: many placements tie exactly,
         # so moves sit right at the acceptance threshold
         scen = dataclasses.replace(scen, ues=(scen.ues[0],) * n)
-        ch = ChannelState(gains=np.tile(ch.gains[0], (n, 1)), epoch=1)
+        ch = ChannelState(gains=np.tile(ch.gains[0], (n, 1)))
     initial = OffloadDecision(assign=meta.integers(0, m + 1, size=n),
                               n_mecs=m)
     return scen, ch, Evaluator(scen, ch), initial

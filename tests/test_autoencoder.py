@@ -115,7 +115,7 @@ class TestMemory:
         comp.raster.observe(np.array([[1e-9, 1e-1]]))  # fixed bounds
         for k in range(5):
             gains = np.full((2, 2), 10.0 ** -(k + 2))
-            assert comp.observe_and_admit(ChannelState(gains, k))
+            assert comp.observe_and_admit(ChannelState(gains))
         assert len(comp.memory) == 3
         np.testing.assert_allclose(np.stack(comp.memory)[:, 0],
                                    [0.625, 0.5, 0.375])
@@ -170,8 +170,9 @@ class TestLoss:
         assert with_l2 - without == pytest.approx(0.05 * net.l2_norm_sq())
 
     def test_relative_term_zero_for_perfect_reconstruction(self):
-        # identity network: the shape term vanishes even though gamma1 > 0
-        ident = Network([mlp_specs([4, 4], output="linear")[0]],
+        # identity network (relu on positive inputs): the shape term
+        # vanishes even though gamma1 > 0
+        ident = Network([mlp_specs([4, 4], output="relu")[0]],
                         weights=[np.eye(4)], biases=[np.zeros(4)])
         batch = np.random.default_rng(3).uniform(0.1, 0.9, size=(3, 4))
         loss = reconstruction_loss(ident, batch, 2, 2, gamma1=0.7, gamma2=0.0)
@@ -411,6 +412,27 @@ class TestCompressor:
             doc["lo"] = float("nan")
         p.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(f"{p}: non-finite")):
+            ChannelCompressor.load(p)
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        (-4.0, -8.0, "have lo above hi"),
+        (None, -4.0, "set only one end"),
+        (-8.0, None, "set only one end"),
+        ("-8", -4.0, "isfinite")])
+    def test_load_rejects_bounds_out_of_order_or_half_set(self, tmp_path, lo,
+                                                          hi, message):
+        # swapped bounds would rasterize every channel to 0.5, and one null
+        # bound would load an unprimed compressor
+        comp, scen, rng = self.make()
+        comp.pretrain([sample_channel_state(scen, e).gains
+                       for e in range(1, 20)], rng)
+        p = tmp_path / "sae.json"
+        comp.save(p)
+        doc = json.loads(p.read_text())
+        doc["lo"], doc["hi"] = lo, hi
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: .*"
+                           f"{message}"):
             ChannelCompressor.load(p)
 
     def test_load_rejects_a_net_that_does_not_mirror_dims(self, tmp_path):

@@ -10,11 +10,13 @@ from edgesched.allocator import Evaluator
 from edgesched import bench
 from edgesched.annealing import AnnealConfig
 from edgesched.autoencoder import AutoencoderConfig, ChannelCompressor
-from edgesched.bench import (BENCH_EPOCH_BASE, NODE_LIMIT, PsoConfig,
-                             asa_only, exact_oracle, exhaustive_best,
-                             format_report, greedy_baseline, nrr,
-                             random_baseline, run_benchmark, write_bench_csv)
+from edgesched.bench import (BENCH_EPOCH_BASE, NODE_LIMIT, BenchReport,
+                             PsoConfig, StrategyStats, asa_only, exact_oracle,
+                             exhaustive_best, format_report, greedy_baseline,
+                             nrr, random_baseline, run_benchmark,
+                             write_bench_csv)
 from edgesched.config import ExperimentConfig, build_scenario
+from edgesched.experiment import write_table_csv
 from edgesched.mec import (MecSpec, OffloadDecision, RadioParams, Scenario,
                            Task, UeSpec, local_capacity, random_scenario,
                            sample_channel_state)
@@ -335,6 +337,33 @@ class TestReporting:
         row = lines[1].split(",")
         assert row[0] == "greedy"
         assert float(row[3]) == rep.by_name("greedy").latency_s
+
+    def test_csv_text_is_pinned(self, tmp_path):
+        """Every table writes its cells by one rule: None empty, a float
+        (numpy's too) by ``repr(float(v))``, anything else by ``str``."""
+        rep = BenchReport(stats=[
+            StrategyStats(name="greedy", latency_s=np.float64(0.25),
+                          reward=4.0, decision_time_s=1.5e-05,
+                          decision_time_mean_s=np.float64(2e-05),
+                          mean_draw_reward=4.1),
+            StrategyStats(name="asa", latency_s=0.2, reward=np.float64(5.0),
+                          decision_time_s=0.001, decision_time_mean_s=0.001,
+                          mean_draw_reward=5.0, nrr_mean=np.float64(0.9),
+                          nrr_best=1.0)], n_channels=2)
+        write_bench_csv(rep, tmp_path / "bench.csv")
+        assert (tmp_path / "bench.csv").read_bytes() == (
+            b"strategy,decision_time_s,decision_time_mean_s,latency_s,reward,"
+            b"mean_draw_reward,nrr_mean,nrr_best\r\n"
+            b"greedy,1.5e-05,2e-05,0.25,4.0,4.1,,\r\n"
+            b"asa,0.001,0.001,0.2,5.0,5.0,0.9,1.0\r\n")
+        write_table_csv([{"m": 2, "accuracy": np.float64(0.9),
+                          "compression_ratio": 0.5, "f_best": 1.0,
+                          "f_avg": np.float64(0.95), "s_best": float("nan"),
+                          "s_avg": np.float64("nan")}],
+                        tmp_path / "table3.csv")
+        assert (tmp_path / "table3.csv").read_bytes() == (
+            b"m,accuracy,compression_ratio,f_best,f_avg,s_best,s_avg\r\n"
+            b"2,0.9,0.5,1.0,0.95,nan,nan\r\n")
 
     def test_format_report_lists_all(self):
         rep = self.make_report()

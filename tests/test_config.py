@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from edgesched.agent import AgentConfig
+from edgesched.annealing import T_SA_MAX
 from edgesched.autoencoder import AutoencoderConfig
 from edgesched.config import (ExperimentConfig, ScenarioConfig, build_scenario,
                               config_from_dict, dump_scenario, load_config,
@@ -278,7 +279,9 @@ REMOVED = [("scenario", "task"), ("scenario", "radio"), ("scenario", "mecs"),
            ("dynamic", "out_dim"), ("replay", "rho_max"),
            ("sae", "threshold"), ("drl", "epsilon_greedy"), ("drl", "search"),
            ("drl", "checkpoint_interval"), ("drl", "hidden_activation"),
-           ("sae", "activation"), ("drl", "dims"), ("sae", "dims")]
+           ("sae", "activation"), ("drl", "dims"), ("sae", "dims"),
+           ("asa", "epsilon"), ("asa", "t_sa_max"), ("replay", "eps"),
+           ("sae", "sync_period"), ("sae", "refresh_iters")]
 
 
 def section_class(section: str):
@@ -370,7 +373,7 @@ class TestAcceptedKeys:
                     config_from_dict(doc)
 
     def test_accepted_key_count(self):
-        assert sum(len(fields(section_class(s))) for s in SECTIONS) == 49
+        assert sum(len(fields(section_class(s))) for s in SECTIONS) == 44
 
     def test_runtime_configs_are_the_sections(self):
         cfg = ExperimentConfig()
@@ -482,9 +485,9 @@ class TestBadValues:
         ({"sae": {"lr": -1e-3}}, "lr"),
         ({"drl": {"lr": -1}}, "lr"),
         ({"sae": {"t_sae": -1}}, "t_sae"),
-        ({"sae": {"refresh_iters": -1}}, "refresh_iters"),
+        ({"asa": {"t0": 0}}, "t0"),
         ({"sae": {"pretrain_samples": -1}}, "pretrain_samples"),
-        ({"sae": {"sync_period": -1}}, "sync_period"),
+        ({"asa": {"phi_cool": 0}}, "phi_cool"),
         ({"sae": {"gamma1": -0.5}}, "gamma1"),
         ({"sae": {"gamma2": -0.1}}, "gamma2"),
         ({"drl": {"lambda_reg": -0.02}}, "lambda_reg")])
@@ -499,7 +502,9 @@ class TestBadValues:
         ({"drl": {"t_drl": True}}, "drl.t_drl"),
         ({"bench": {"asa_budget": 2.5}}, "bench.asa_budget"),
         ({"replay": {"capacity": 3.0}}, "replay.capacity"),
-        ({"sae": {"memory": 10.5}}, "sae.memory")])
+        ({"sae": {"memory": 10.5}}, "sae.memory"),
+        ({"seed": 1.9}, "seed"),
+        ({"seed": True}, "seed")])
     def test_float_or_bool_for_an_integer_names_its_key(self, doc, key):
         with pytest.raises(ValueError,
                            match=rf"^{re.escape(key)} takes an integer, got"):
@@ -517,12 +522,35 @@ class TestBadValues:
                            "list of integers, got"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"drl": {"lr": True}}, "drl.lr takes no boolean, got True"),
+        ({"scenario": {"area_m": True}},
+         "scenario.area_m takes no boolean, got True"),
+        ({"scenario": {"cycles": False}},
+         "scenario.cycles takes no boolean, got False"),
+        ({"out": 5}, "out takes a string, got 5"),
+        ({"sae": 5}, "sae takes a mapping of keys, got 5"),
+        ({"drl": None}, "drl takes a mapping of keys, got None"),
+        ({"scenario": {"fading": 1}}, "scenario.fading takes a string, got 1")])
+    def test_wrong_type_names_its_key(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict(doc)
+
+    def test_bool_and_null_load_where_the_field_takes_them(self):
+        cfg = config_from_dict({"bench": {"with_oracle": True}, "out": None,
+                                "drl": {"weight_shift_epoch": None}})
+        assert cfg.bench.with_oracle is True and cfg.out is None
+        yes = yaml.safe_load("seed: 3\nscenario: {area_m: yes}")
+        with pytest.raises(ValueError, match="scenario.area_m takes no bool"):
+            config_from_dict(yes)
+        assert config_from_dict({"seed": 3}).seed == 3
+
     def test_zero_counts_and_penalties_load(self):
         cfg = config_from_dict({
-            "sae": {"t_sae": 0, "refresh_iters": 0, "pretrain_samples": 0,
-                    "sync_period": 0, "gamma1": 0, "gamma2": 0},
+            "sae": {"t_sae": 0, "pretrain_samples": 0, "gamma1": 0,
+                    "gamma2": 0},
             "drl": {"lambda_reg": 0, "hidden": []}})
-        assert cfg.sae.t_sae == cfg.sae.sync_period == cfg.sae.gamma2 == 0
+        assert cfg.sae.t_sae == cfg.sae.pretrain_samples == cfg.sae.gamma2 == 0
         assert cfg.drl.lambda_reg == 0 and cfg.drl.hidden == []
 
     def test_float_fields_take_integers(self):
@@ -533,8 +561,8 @@ class TestBadValues:
         assert cfg.scenario.cycles == 1e9
 
     def test_budget_may_start_at_its_cap(self):
-        cfg = config_from_dict({"asa": {"t_sa_init": 100, "t_sa_max": 100}})
-        assert cfg.asa.t_sa_init == cfg.asa.t_sa_max == 100
+        cfg = config_from_dict({"asa": {"t_sa_init": 100}})
+        assert cfg.asa.t_sa_init == T_SA_MAX == 100
 
     def test_shift_may_fall_on_the_last_epoch(self):
         cfg = config_from_dict({"drl": {"t_drl": 40,
@@ -554,7 +582,8 @@ class TestStringValues:
         ({"scenario": {"data_bits": "8.0e5"}}, "scenario.data_bits"),
         ({"drl": {"lr": "1e-3"}}, "drl.lr"),
         ({"drl": {"weight_shift_epoch": "1500"}}, "drl.weight_shift_epoch"),
-        ({"bench": {"n_channels": "100"}}, "bench.n_channels")])
+        ({"bench": {"n_channels": "100"}}, "bench.n_channels"),
+        ({"seed": "7"}, "seed")])
     def test_string_number_names_its_key(self, doc, key):
         with pytest.raises(ValueError, match=re.escape(key) + ".*4.0e\\+9"):
             config_from_dict(doc)

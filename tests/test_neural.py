@@ -44,13 +44,15 @@ def assert_grads_close(analytic, numeric, atol=1e-6):
 
 class TestSpecs:
     def test_mlp_specs(self):
-        specs = mlp_specs([4, 3, 2], hidden="tanh", output="linear")
-        assert [s.activation for s in specs] == ["tanh", "linear"]
+        specs = mlp_specs([4, 3, 2], hidden="relu", output="sigmoid")
+        assert [s.activation for s in specs] == ["relu", "sigmoid"]
         assert [(s.in_dim, s.out_dim) for s in specs] == [(4, 3), (3, 2)]
 
     def test_bad_activation(self):
-        with pytest.raises(ValueError):
-            LayerSpec(2, 2, "softmax")
+        assert ACTIVATIONS == ("sigmoid", "relu")
+        for name in ("softmax", "tanh", "linear"):
+            with pytest.raises(ValueError, match="unknown activation"):
+                LayerSpec(2, 2, name)
 
     def test_chain_validation(self):
         with pytest.raises(ValueError):
@@ -63,11 +65,11 @@ class TestSpecs:
 
 
 class TestForward:
-    def test_linear_identity(self):
-        net = Network([LayerSpec(2, 2, "linear")],
+    def test_relu_value(self):
+        net = Network([LayerSpec(2, 2, "relu")],
                       weights=[np.eye(2)], biases=[np.zeros(2)])
         x = np.array([1.5, -2.0])
-        np.testing.assert_array_equal(net.forward(x), x)
+        np.testing.assert_array_equal(net.forward(x), [1.5, 0.0])
 
     def test_sigmoid_value(self):
         net = Network([LayerSpec(1, 1, "sigmoid")],
@@ -132,8 +134,8 @@ class TestBackward:
 
     def test_gradcheck_deep(self):
         rng = np.random.default_rng(2)
-        net = Network(mlp_specs([2, 6, 5, 4, 1], hidden="tanh",
-                                output="linear"), rng=rng)
+        net = Network(mlp_specs([2, 6, 5, 4, 1], hidden="relu",
+                                output="sigmoid"), rng=rng)
         x = rng.normal(size=(3, 2))
         out, cache = net.forward_cached(x)
         analytic = net.backward(cache, np.ones_like(out))
@@ -162,7 +164,7 @@ class TestOptimizers:
     def test_adam_first_step_is_lr_signed(self):
         # with bias correction the first update is exactly lr * sign(grad)
         # up to the eps term
-        net = Network([LayerSpec(1, 1, "linear")],
+        net = Network([LayerSpec(1, 1, "relu")],
                       weights=[np.array([[0.0]])], biases=[np.array([0.0])])
         opt = Adam(net, lr=0.1)
         opt.step([(np.array([[3.0]]), np.array([-2.0]))])
@@ -171,7 +173,7 @@ class TestOptimizers:
 
     def test_adam_matches_reference_sequence(self):
         """Two steps of Adam against values computed from the update rule."""
-        net = Network([LayerSpec(1, 1, "linear")],
+        net = Network([LayerSpec(1, 1, "relu")],
                       weights=[np.array([[1.0]])], biases=[np.array([0.0])])
         opt = Adam(net, lr=0.5)
         g1, g2 = 2.0, -1.0
@@ -190,7 +192,7 @@ class TestOptimizers:
         assert net.weights[0][0, 0] == pytest.approx(w, rel=1e-12)
 
     def test_adam_converges_on_quadratic(self):
-        net = Network([LayerSpec(1, 1, "linear")],
+        net = Network([LayerSpec(1, 1, "relu")],
                       weights=[np.array([[5.0]])], biases=[np.array([0.0])])
         opt = Adam(net, lr=0.05)
         for _ in range(2000):
@@ -301,6 +303,22 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="do not fit the layers"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda layer: layer.update(activation="tanh"),
+         "unknown activation 'tanh'"),
+        (lambda layer: layer.update(activation="softmax"),
+         "unknown activation 'softmax'"),
+        (lambda layer: layer.update({"in": 0}),
+         "layer dimensions must be positive"),
+        (lambda layer: layer.pop("in"), "missing key 'in'"),
+        (lambda layer: layer.update({"in": "3"}),
+         "'<=' not supported between")],
+        ids=["tanh", "softmax", "zero-width", "no-in", "string-in"])
+    def test_rejects_a_malformed_layer_entry(self, tmp_path, edit, message):
+        p = self.tampered(tmp_path, lambda doc: edit(doc["layers"][0]))
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+            load_checkpoint(p)
+
     def test_rejects_non_finite_weight(self, tmp_path):
         def nan(doc):
             doc["weights"][1][3] = float("nan")
@@ -319,7 +337,7 @@ class TestCheckpoints:
             Network([LayerSpec(2, 2)], weights=weights, biases=biases)
 
     def test_l2_norm(self):
-        net = Network([LayerSpec(2, 1, "linear")],
+        net = Network([LayerSpec(2, 1, "relu")],
                       weights=[np.array([[3.0, 4.0]])], biases=[np.array([2.0])])
         assert net.l2_norm_sq() == pytest.approx(29.0)
         assert net.n_params() == 3

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from edgesched.replay import ReplayBuffer, ReplayConfig, Transition
+from edgesched.replay import EPS, ReplayBuffer, ReplayConfig, Transition
 
 from reference import stored
 
@@ -69,7 +69,6 @@ class TestFifoMatchesModel:
     def test_store_and_priorities_follow_a_fifo_model(self, capacity, appends,
                                                       updates):
         # in-order model: one [epoch, priority] entry per transition
-        eps = ReplayConfig().eps
         buf = ReplayBuffer(ReplayConfig(capacity=capacity))
         model = []
         for e in range(appends):
@@ -83,7 +82,7 @@ class TestFifoMatchesModel:
                 picks = np.array(picks, dtype=int) % len(model)
                 buf.update_stats(picks, delta)
                 for i in picks:
-                    model[i][1] = abs(delta) + eps
+                    model[i][1] = abs(delta) + EPS
             assert epochs_of(buf) == [e for e, _ in model]
             assert buf._priorities[:len(model)].tolist() == [p for _, p in model]
         assert buf.evictions == max(0, appends - capacity)
@@ -186,7 +185,8 @@ class TestSampling:
 
 class TestStats:
     def test_update_stats_sets_priorities(self):
-        buf = ReplayBuffer(ReplayConfig(capacity=8, eps=1e-3))
+        assert EPS == 1e-3
+        buf = ReplayBuffer(ReplayConfig(capacity=8))
         for e in range(4):
             buf.append(make_transition(e))
         buf.update_stats(np.array([0, 2, 2]), delta_loss=-0.5)
@@ -207,5 +207,3 @@ class TestStats:
             ReplayConfig(capacity=0)
         with pytest.raises(ValueError):
             ReplayConfig(tau=-0.1)
-        with pytest.raises(ValueError):
-            ReplayConfig(eps=0.0)
