@@ -25,13 +25,9 @@ from .agent import decide
 from .allocator import Evaluator
 from .annealing import AnnealConfig, BudgetState, SearchResult, search
 from .autoencoder import ChannelCompressor
-from .mec import (ChannelState, OffloadDecision, Scenario, data_rate,
-                  sample_channel_state)
+from .mec import (BENCH_EPOCH_BASE, ChannelState, OffloadDecision, Scenario,
+                  data_rate, sample_channel_state)
 from .neural import Network, write_csv
-
-# Bench channel draws live on epoch indices far above any training run so the
-# two never share fading realisations.
-BENCH_EPOCH_BASE = 1_000_001
 
 
 def greedy_baseline(scenario: Scenario, channel: ChannelState) -> OffloadDecision:

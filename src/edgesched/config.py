@@ -3,22 +3,25 @@
 A config file holds one mapping with optional sections ``scenario``, ``sae``,
 ``drl``, ``asa``, ``replay``, ``bench`` and ``dynamic`` plus top-level
 ``seed`` and ``out``.  One loader (``_load``) reads every section into its
-dataclass, whose field names are exactly the section's keys: every setting
-has one spelling.  ``sae`` and ``drl`` load straight into the runtime
-``AutoencoderConfig`` and ``AgentConfig``.  An unknown key, a string where
-a field takes none, a float or bool where it takes an integer, a value the
-section's own checks reject, and keys that would silently override one
-another all raise a ``ValueError`` at load that names the section and keys.
-So do a bool anywhere but ``bench.with_oracle``, a ``seed`` that is not an
-integer and an ``out`` that is not a string or null.
-The ``scenario`` section only samples; scenario files written by
-``gen-scenario`` are the one way to pin UEs and servers, load back
-bit-identically and reject unknown and missing keys in every entry.
+dataclass, whose field names are exactly the section's keys: every setting has
+one spelling.  ``sae`` and ``drl`` load straight into the runtime
+``AutoencoderConfig`` and ``AgentConfig``.  An unknown key, a string where a
+field takes none, a float or bool where it takes an integer, a NaN or an
+infinity, a value the section's own checks reject, a count past its channel
+epoch range and keys that would silently override one another raise a
+``ValueError`` at load naming the section and keys.  So do a bool anywhere but
+``bench.with_oracle``, a non-integer ``seed``, an ``out`` that is not a string
+or null and a file that holds no mapping.  The ``scenario`` section only
+samples; ``gen-scenario`` files pin UEs and servers, each entry passing the
+same type rules, then its spec's checks.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from math import isfinite
+from operator import attrgetter
 from pathlib import Path
 from types import UnionType
 from typing import Any, get_args, get_type_hints
@@ -28,15 +31,17 @@ import yaml
 from .agent import AgentConfig
 from .annealing import AnnealConfig
 from .autoencoder import AutoencoderConfig
-from .mec import (MecSpec, RadioParams, Scenario, Task, UeSpec,
-                  random_scenario)
+from .mec import (EPOCH_RANGE_WIDTH, MecSpec, RadioParams, Scenario, Task,
+                  UeSpec, positive_finite, random_scenario)
 from .neural import write_atomic
 from .replay import ReplayConfig
 
 
 def _check_keys(section: str, data: dict, allowed: set[str],
                 complete: bool = False) -> None:
-    """Reject keys outside ``allowed``; if ``complete``, also missing ones."""
+    """Reject a non-mapping, unknown keys and missing ones if ``complete``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} takes a mapping of keys, got {data!r}")
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
@@ -62,9 +67,9 @@ def _check_types(cls, data: dict, prefix: str = "") -> None:
     where the field takes an integer, or in a list of integers: ``4.0``,
     ``10.5`` and ``true`` would load, then size an array or a loop far from
     their key.  A bool anywhere else but a ``bool`` field (``true`` would
-    load as 1.0), and anything but a string where the field takes only a
-    string or null.  A float field takes an integer as it is.  Errors name
-    the key as ``prefix`` + key.
+    load as 1.0), a NaN or an infinity, and anything but a string where the
+    field takes only a string or null.  A float field takes an integer as it
+    is.  Errors name the key as ``prefix`` + key.
     """
     hints = get_type_hints(cls)
     for key, value in data.items():
@@ -89,6 +94,8 @@ def _check_types(cls, data: dict, prefix: str = "") -> None:
             raise ValueError(f"{name} takes a string, got {value!r}")
         if isinstance(value, bool) and bool not in types:
             raise ValueError(f"{name} takes no boolean, got {value!r}")
+        if isinstance(value, float) and not isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _is_int(value) -> bool:
@@ -101,14 +108,19 @@ def _load(cls, section: str, data: dict):
     The allowed keys are the fields of ``cls``.  The section's own checks
     run on construction.
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"{section} takes a mapping of keys, got {data!r}")
     _check_keys(section, data, _names(cls))
     _check_types(cls, data, f"{section}.")
-    try:
+    with _naming(section):
         return cls(**data)
+
+
+@contextmanager
+def _naming(where: str):
+    """Re-raise a ValueError with ``where`` in front of its message."""
+    try:
+        yield
     except ValueError as exc:
-        raise ValueError(f"{section}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _default(f):
@@ -117,10 +129,7 @@ def _default(f):
 
 # the keys of one UE entry in a scenario file
 _UE_KEYS = _names(UeSpec) - {"task"} | _names(Task)
-# the UeSpec fields an entry gives as plain numbers
-_UE_NUMBERS = [f.name for f in fields(UeSpec)
-               if f.name not in ("position", "task")]
-# the scenario keys that take a positive number or a range above zero
+# the scenario keys that take a positive finite number, or a range of them
 _POSITIVE = ("area_m", "data_bits", "cycles", "weights", "f_local_max",
              "f_mec_max", "p_ue_max_w", "kappa", "v")
 
@@ -174,7 +183,8 @@ class ScenarioConfig:
             value = getattr(self, key)
             if isinstance(value, dict):
                 _check_keys(key, value, {"low", "high"}, complete=True)
-                if float(value["low"]) > float(value["high"]):
+                if (positive_finite(f"{key}.low", value["low"])
+                        > positive_finite(f"{key}.high", value["high"])):
                     raise ValueError(f"{key} range {value} has low above "
                                      "high")
             elif not isinstance(value, (int, float)):
@@ -182,12 +192,9 @@ class ScenarioConfig:
                     f"{key} takes a number or a {{low, high}} range, not "
                     f"{value!r}; pin per-UE values in a scenario file "
                     "(scenario.file)")
-        for key in _POSITIVE:
-            value = getattr(self, key)
-            # a range is checked at its low end, not at what a seed draws
-            value = float(value["low"]) if isinstance(value, dict) else value
-            if value <= 0:
-                raise ValueError(f"{key} must be positive, got {value}")
+        for key in _POSITIVE:  # a range's ends are checked above
+            if not isinstance(getattr(self, key), dict):
+                positive_finite(key, getattr(self, key))
 
     def radio_params(self) -> RadioParams:
         return RadioParams(**{k: getattr(self, k) for k in _names(RadioParams)})
@@ -208,8 +215,7 @@ def build_scenario(cfg: ScenarioConfig, fallback_seed: int = 0) -> Scenario:
 
 def _range(value):
     """A {low, high} mapping as the (low, high) tuple ``random_scenario`` takes."""
-    return ((float(value["low"]), float(value["high"]))
-            if isinstance(value, dict) else value)
+    return (value["low"], value["high"]) if isinstance(value, dict) else value
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -219,8 +225,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "radio": asdict(scenario.radio),
         "mecs": [{"position": list(m.position), "f_max": m.f_max}
                  for m in scenario.mecs],
-        "ues": [{"position": list(u.position), **asdict(u.task),
-                 **{k: getattr(u, k) for k in _UE_NUMBERS}}
+        "ues": [{**{k: getattr(u, k) for k in _UE_KEYS - _names(Task)},
+                 **asdict(u.task), "position": list(u.position)}
                 for u in scenario.ues],
     }
 
@@ -230,26 +236,38 @@ def dump_scenario(scenario: Scenario, path: str | Path) -> None:
                                       sort_keys=True))
 
 
+def _spec(cls, entry: dict, **parts):
+    """``cls`` from ``parts`` and its type-checked fields in ``entry``."""
+    own = {k: v for k, v in entry.items() if k in _names(cls) - set(parts)}
+    _check_types(cls, own)
+    return cls(**own, **parts)
+
+
 def load_scenario(source: str | Path | dict) -> Scenario:
+    """The scenario a ``dump_scenario`` file holds; errors name the entry."""
     data = source if isinstance(source, dict) else yaml.safe_load(
         Path(source).read_text())
-    _check_keys("scenario file", data, {"area_m", "rng_seed", "radio",
-                                        "mecs", "ues"}, complete=True)
-    _check_keys("scenario file radio", data["radio"], _names(RadioParams))
-    for m in data["mecs"]:
-        _check_keys("scenario file mecs", m, _names(MecSpec), complete=True)
-    for u in data["ues"]:
-        _check_keys("scenario file ues", u, _UE_KEYS, complete=True)
-    radio = RadioParams(**data["radio"])
-    mecs = tuple(MecSpec(position=tuple(map(float, m["position"])),
-                         f_max=float(m["f_max"])) for m in data["mecs"])
-    ues = tuple(UeSpec(position=tuple(map(float, u["position"])),
-                       task=Task(**{k: float(u[k]) for k in _names(Task)}),
-                       **{k: float(u[k]) for k in _UE_NUMBERS})
-                for u in data["ues"])
-    return Scenario(ues=ues, mecs=mecs, radio=radio,
-                    area_m=float(data["area_m"]),
-                    rng_seed=int(data["rng_seed"]))
+    with _naming("scenario" if data is source else str(source)):
+        _check_keys("scenario file", data, {"area_m", "rng_seed", "radio",
+                                            "mecs", "ues"}, complete=True)
+        with _naming("radio"):
+            _check_keys("scenario file radio", data["radio"],
+                        _names(RadioParams))
+            radio = _spec(RadioParams, data["radio"])
+        if not all(isinstance(data[key], list) for key in ("mecs", "ues")):
+            raise ValueError("mecs and ues each take a list of entries")
+        mecs, ues = [], []
+        for i, m in enumerate(data["mecs"]):
+            with _naming(f"mecs[{i}]"):
+                _check_keys("scenario file mecs", m, _names(MecSpec),
+                            complete=True)
+                mecs.append(_spec(MecSpec, m))
+        for i, u in enumerate(data["ues"]):
+            with _naming(f"ues[{i}]"):
+                _check_keys("scenario file ues", u, _UE_KEYS, complete=True)
+                ues.append(_spec(UeSpec, u, task=_spec(Task, u)))
+        return _spec(Scenario, data, radio=radio, mecs=tuple(mecs),
+                     ues=tuple(ues))
 
 
 def _at_least_one(obj, *names: str) -> None:
@@ -295,6 +313,12 @@ class ExperimentConfig:
     dynamic: DynamicSection = field(default_factory=DynamicSection)
 
     def __post_init__(self) -> None:
+        # the counts of the training, bench, pretraining and held-out draws
+        for key in ("drl.t_drl", "bench.n_channels", "sae.pretrain_samples",
+                    "dynamic.accuracy_samples"):
+            if (count := attrgetter(key)(self)) > EPOCH_RANGE_WIDTH:
+                raise ValueError(f"{key} must be at most {EPOCH_RANGE_WIDTH}, "
+                                 f"its channel epoch range, got {count}")
         # a dynamic section away from the defaults marks a sweep config
         if self.dynamic != DynamicSection():
             self.check_sweep()
@@ -320,8 +344,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def load_config(path: str | Path | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
-    data = yaml.safe_load(Path(path).read_text()) or {}
-    return config_from_dict(data)
+    data = yaml.safe_load(Path(path).read_text())
+    if not isinstance(data, dict | None):
+        raise ValueError(f"{path} must hold a mapping of keys, got {data!r}")
+    return config_from_dict(data or {})
 
 
 def override(cfg: ExperimentConfig, *, seed: int | None = None,

@@ -25,16 +25,11 @@ from .bench import (BenchReport, PsoConfig, exact_oracle, nrr, run_benchmark,
                     write_bench_csv)
 from .config import (ExperimentConfig, build_scenario, dump_scenario,
                      load_scenario)
-from .mec import Scenario, sample_channel_state
+from .mec import (HELDOUT_EPOCH_BASE, PRETRAIN_EPOCH_BASE, Scenario,
+                  sample_channel_state)
 from .neural import Network, load_checkpoint, save_checkpoint, write_csv
 
 logger = logging.getLogger(__name__)
-
-# Channel epoch namespaces disjoint from training epochs (1..T_DRL) and from
-# the benchmark base: pretraining and held-out accuracy evaluation each get
-# their own range.
-PRETRAIN_EPOCH_BASE = 2_000_001
-HELDOUT_EPOCH_BASE = 3_000_001
 
 
 @dataclass

@@ -6,13 +6,16 @@ and a MEC follows inverse-square path loss with optional small-scale fading,
 so channel states vary per epoch while the scenario itself stays immutable.
 ``Scenario.arrays`` holds the latency model's inputs and ``Scenario.scoring``
 what scoring placements needs beyond them, both built once per scenario;
-``allocator.Evaluator`` scores placements with them.
+``allocator.Evaluator`` scores placements with them.  Spec numbers are
+``positive_finite`` floats, positions two finite floats, ``rng_seed`` an int.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import inf, isfinite
+from numbers import Integral, Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -20,6 +23,32 @@ import numpy as np
 # Namespace keys for per-epoch channel generators, so channel draws are a pure
 # function of (seed, epoch) and can be regenerated out of band.
 _CHANNEL_NS = 0x0C
+
+
+def positive_finite(name: str, value) -> float:
+    """``value`` as a float if a non-bool real in (0, inf), else ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not 0 < value < inf):
+        raise ValueError(f"{name} must be a positive finite number, got "
+                         f"{value!r}")
+    return float(value)
+
+
+def _store_positive(spec, *names: str) -> None:
+    """Store each named field of a frozen spec as ``positive_finite`` does."""
+    for name in names:
+        value = positive_finite(name, getattr(spec, name))
+        object.__setattr__(spec, name, value)
+
+
+def _store_position(spec) -> None:
+    """Store ``spec.position`` as exactly two finite floats."""
+    p = spec.position
+    if not (isinstance(p, (tuple, list)) and len(p) == 2 and all(
+            isinstance(c, Real) and not isinstance(c, bool) and isfinite(c)
+            for c in p)):
+        raise ValueError(f"position must be two finite numbers, got {p!r}")
+    object.__setattr__(spec, "position", (float(p[0]), float(p[1])))
 
 
 @dataclass(frozen=True)
@@ -30,8 +59,7 @@ class Task:
     cycles: float
 
     def __post_init__(self) -> None:
-        if self.data_bits <= 0 or self.cycles <= 0:
-            raise ValueError("task size and cycle count must be positive")
+        _store_positive(self, "data_bits", "cycles")
 
 
 @dataclass(frozen=True)
@@ -52,11 +80,8 @@ class UeSpec:
     v: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
-        if min(self.f_local_max, self.p_max, self.kappa, self.v) <= 0:
-            raise ValueError("local capability parameters (f_local_max, p_max, "
-                             "kappa, v) must be positive")
+        _store_position(self)
+        _store_positive(self, "weight", "f_local_max", "p_max", "kappa", "v")
 
 
 @dataclass(frozen=True)
@@ -67,8 +92,8 @@ class MecSpec:
     f_max: float = 5e10
 
     def __post_init__(self) -> None:
-        if self.f_max <= 0:
-            raise ValueError("MEC frequency budget must be positive")
+        _store_position(self)
+        _store_positive(self, "f_max")
 
 
 @dataclass(frozen=True)
@@ -88,10 +113,8 @@ class RadioParams:
     fading: str = "exponential"
 
     def __post_init__(self) -> None:
-        for key in ("bandwidth_hz", "noise_w", "beta0", "min_distance_m"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"{key} must be positive, got "
-                                 f"{getattr(self, key)}")
+        _store_positive(self, "bandwidth_hz", "noise_w", "beta0",
+                        "min_distance_m")
         if self.fading not in ("exponential", "deterministic"):
             raise ValueError(f"unknown fading mode {self.fading!r}")
 
@@ -166,6 +189,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.ues or not self.mecs:
             raise ValueError("scenario needs at least one UE and one MEC")
+        _store_positive(self, "area_m")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, Integral):
+            raise ValueError(f"rng_seed must be an integer, got {seed!r}")
         for node in (*self.ues, *self.mecs):
             x, y = node.position
             if not (0.0 <= x <= self.area_m and 0.0 <= y <= self.area_m):
@@ -240,6 +267,13 @@ class OffloadDecision:
         if a.size and not (0 <= int(a.min()) and int(a.max()) <= self.n_mecs):
             raise ValueError("assignments must lie in {0..M}")
         object.__setattr__(self, "assign", a)
+
+
+# One channel epoch range, EPOCH_RANGE_WIDTH wide, per user of channel draws,
+# so none share a draw: training reads 1..t_drl, the others start at a base.
+EPOCH_RANGE_WIDTH = 1_000_000
+BENCH_EPOCH_BASE, PRETRAIN_EPOCH_BASE, HELDOUT_EPOCH_BASE = (
+    1_000_001, 2_000_001, 3_000_001)
 
 
 def _epoch_rng(seed: int, epoch: int, namespace: int = _CHANNEL_NS) -> np.random.Generator:

@@ -12,8 +12,8 @@ from edgesched.autoencoder import AutoencoderConfig
 from edgesched.config import (ExperimentConfig, ScenarioConfig, build_scenario,
                               config_from_dict, dump_scenario, load_config,
                               load_scenario, override, scenario_to_dict)
-from edgesched.mec import (MecSpec, RadioParams, Task, default_mec_positions,
-                           random_scenario)
+from edgesched.mec import (EPOCH_RANGE_WIDTH, MecSpec, RadioParams, Task,
+                           default_mec_positions, random_scenario)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TOOL_CONFIGS = Path(__file__).resolve().parent.parent / "tools" / "configs"
@@ -190,6 +190,73 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match=msg):
             load_scenario(p)
 
+    @pytest.mark.parametrize("where, key, value, message", [
+        ("ues[0]", "weight", True, "weight takes no boolean, got True"),
+        ("ues[0]", "weight", float("nan"),
+         "weight must be a finite number, got nan"),
+        ("ues[0]", "weight", float("inf"),
+         "weight must be a finite number, got inf"),
+        ("mecs[1]", "f_max", float("inf"),
+         "f_max must be a finite number, got inf"),
+        ("radio", "noise_w", float("nan"),
+         "noise_w must be a finite number, got nan"),
+        ("ues[0]", "cycles", "4.0e9", "cycles is the string '4.0e9' but "
+         "takes no string (PyYAML reads 4.0e9 and 1e-3 as strings"),
+        ("mecs[1]", "f_max", "5e10", "f_max is the string '5e10'"),
+        (None, "rng_seed", 1.9, "rng_seed takes an integer, got 1.9"),
+        ("ues[0]", "weight", "heavy", "weight is the string 'heavy'"),
+        ("ues[0]", "position", [1.0, 2.0, 3.0],
+         "position must be two finite numbers, got [1.0, 2.0, 3.0]"),
+        ("mecs[0]", "position", [1.0],
+         "position must be two finite numbers, got [1.0]"),
+        ("radio", "bandwidth_hz", "wide", "bandwidth_hz is the string 'wide'"),
+        ("ues[1]", "kappa", -1e-27,
+         "kappa must be a positive finite number, got -1e-27")])
+    def test_bad_value_names_file_entry_and_key(self, tmp_path, where, key,
+                                                value, message):
+        doc = scenario_to_dict(random_scenario(3, 2, rng_seed=1))
+        kind, _, index = (where or "").rstrip("]").partition("[")
+        entry = doc[kind][int(index)] if index else doc.get(kind, doc)
+        entry[key] = value
+        p = tmp_path / "scen.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        prefix = f"{p}: " + (f"{where}: " if where else "")
+        with pytest.raises(ValueError,
+                           match="^" + re.escape(prefix + message)):
+            load_scenario(p)
+
+    @pytest.mark.parametrize("text", ["5\n", "", "[1, 2]\n"])
+    def test_file_must_hold_a_mapping(self, tmp_path, text):
+        p = tmp_path / "scen.yaml"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{p}: scenario file takes a mapping of keys, got")):
+            load_scenario(p)
+
+    @pytest.mark.parametrize("kind", ["mecs", "ues"])
+    def test_entries_must_be_a_list_of_mappings(self, tmp_path, kind):
+        doc = scenario_to_dict(random_scenario(3, 2, rng_seed=1))
+        p = tmp_path / "scen.yaml"
+        for value, message in ((5, "mecs and ues each take a list"),
+                               ([5], f"{kind}[0]: scenario file {kind} takes "
+                                     "a mapping of keys, got 5")):
+            p.write_text(yaml.safe_dump({**doc, kind: value}))
+            with pytest.raises(ValueError,
+                               match="^" + re.escape(f"{p}: {message}")):
+                load_scenario(p)
+
+    @pytest.mark.parametrize("path", sorted(TOOL_CONFIGS.glob("*.yaml")),
+                             ids=lambda p: p.stem)
+    def test_reference_scenarios_round_trip(self, tmp_path, path):
+        cfg = load_config(path)
+        built = build_scenario(cfg.scenario, fallback_seed=cfg.seed)
+        first, second = tmp_path / "first.yaml", tmp_path / "second.yaml"
+        dump_scenario(built, first)
+        loaded = load_scenario(first)
+        dump_scenario(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert loaded == built
+
 
 class TestExperimentConfig:
     def test_empty_config_is_default(self):
@@ -252,6 +319,27 @@ class TestExperimentConfig:
         cfg = load_config(p)
         assert cfg.seed == 77
         assert cfg.drl.t_drl == 50
+        p.write_text("")
+        assert load_config(p) == ExperimentConfig()
+
+    @pytest.mark.parametrize("text", ["5\n", "[1, 2]\n", "just text\n"])
+    def test_config_file_must_hold_a_mapping(self, tmp_path, text):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{p} must hold a mapping of keys, got")):
+            load_config(p)
+
+    @pytest.mark.parametrize("section, key", [
+        ("drl", "t_drl"), ("bench", "n_channels"),
+        ("sae", "pretrain_samples"), ("dynamic", "accuracy_samples")])
+    def test_count_past_its_channel_epoch_range_fails(self, section, key):
+        at_limit = config_from_dict({section: {key: EPOCH_RANGE_WIDTH}})
+        assert getattr(getattr(at_limit, section), key) == EPOCH_RANGE_WIDTH
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{section}.{key} must be at most {EPOCH_RANGE_WIDTH}, its "
+                f"channel epoch range, got {EPOCH_RANGE_WIDTH + 1}")):
+            config_from_dict({section: {key: EPOCH_RANGE_WIDTH + 1}})
 
     def test_override(self):
         cfg = config_from_dict({"seed": 1})
@@ -490,7 +578,15 @@ class TestBadValues:
         ({"asa": {"phi_cool": 0}}, "phi_cool"),
         ({"sae": {"gamma1": -0.5}}, "gamma1"),
         ({"sae": {"gamma2": -0.1}}, "gamma2"),
-        ({"drl": {"lambda_reg": -0.02}}, "lambda_reg")])
+        ({"drl": {"lambda_reg": -0.02}}, "lambda_reg"),
+        # range ends pass the scenario's one number rule
+        ({"scenario": {"cycles": {"low": True, "high": 4e9}}}, "cycles.low"),
+        ({"scenario": {"weights": {"low": "1e-3", "high": 2.0}}},
+         "weights.low"),
+        ({"scenario": {"weights": {"low": "a", "high": 2.0}}},
+         "weights.low"),
+        ({"scenario": {"cycles": {"low": 2e8, "high": float("inf")}}},
+         "cycles.high")])
     def test_bad_value_names_its_section_and_key(self, doc, key):
         section = next(iter(doc))
         with pytest.raises(ValueError, match=rf"^{section}: .*\b{key}\b"):
@@ -531,7 +627,21 @@ class TestBadValues:
         ({"out": 5}, "out takes a string, got 5"),
         ({"sae": 5}, "sae takes a mapping of keys, got 5"),
         ({"drl": None}, "drl takes a mapping of keys, got None"),
-        ({"scenario": {"fading": 1}}, "scenario.fading takes a string, got 1")])
+        ({"scenario": {"fading": 1}}, "scenario.fading takes a string, got 1"),
+        ({"drl": {"lr": float("inf")}},
+         "drl.lr must be a finite number, got inf"),
+        ({"asa": {"t0": float("inf")}},
+         "asa.t0 must be a finite number, got inf"),
+        ({"sae": {"gamma2": float("inf")}},
+         "sae.gamma2 must be a finite number, got inf"),
+        ({"replay": {"tau": float("nan")}},
+         "replay.tau must be a finite number, got nan"),
+        ({"scenario": {"area_m": float("nan")}},
+         "scenario.area_m must be a finite number, got nan"),
+        ({"scenario": {"noise_w": float("nan")}},
+         "scenario.noise_w must be a finite number, got nan"),
+        ({"scenario": {"f_mec_max": float("inf")}},
+         "scenario.f_mec_max must be a finite number, got inf")])
     def test_wrong_type_names_its_key(self, doc, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             config_from_dict(doc)

@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from edgesched.mec import (ChannelState, MecSpec, OffloadDecision, RadioParams,
+from edgesched.mec import (BENCH_EPOCH_BASE, EPOCH_RANGE_WIDTH,
+                           HELDOUT_EPOCH_BASE, PRETRAIN_EPOCH_BASE,
+                           ChannelState, MecSpec, OffloadDecision, RadioParams,
                            Scenario, Task, UeSpec, data_rate,
                            default_mec_positions, random_scenario,
                            reweighted, sample_channel_state)
@@ -24,8 +26,47 @@ class TestConstruction:
 
     @pytest.mark.parametrize("v", [0.0, -1.0])
     def test_ue_rejects_nonpositive_power_exponent(self, v):
-        with pytest.raises(ValueError, match="v\\) must be positive"):
+        with pytest.raises(ValueError,
+                           match="^v must be a positive finite number"):
             UeSpec(position=(0.0, 0.0), task=Task(1e5, 1e9), v=v)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Task(data_bits=float("nan"), cycles=1e9),
+         "data_bits must be a positive finite number, got nan"),
+        (lambda: Task(data_bits=1e5, cycles="1e9"),
+         "cycles must be a positive finite number, got '1e9'"),
+        (lambda: UeSpec(position=(0.0, 0.0), task=Task(1e5, 1e9),
+                        weight=True),
+         "weight must be a positive finite number, got True"),
+        (lambda: UeSpec(position=(0.0, float("nan")), task=Task(1e5, 1e9)),
+         "position must be two finite numbers, got (0.0, nan)"),
+        (lambda: MecSpec(position=(1.0, 1.0), f_max=float("inf")),
+         "f_max must be a positive finite number, got inf"),
+        (lambda: MecSpec(position=(1.0, 1.0, 1.0)),
+         "position must be two finite numbers, got (1.0, 1.0, 1.0)"),
+        (lambda: RadioParams(noise_w=float("-inf")),
+         "noise_w must be a positive finite number, got -inf"),
+        (lambda: Scenario(ues=make_scenario().ues, mecs=make_scenario().mecs,
+                          area_m=float("nan")),
+         "area_m must be a positive finite number, got nan"),
+        (lambda: Scenario(ues=make_scenario().ues, mecs=make_scenario().mecs,
+                          rng_seed=1.9),
+         "rng_seed must be an integer, got 1.9")])
+    def test_specs_reject_what_no_model_can_use(self, build, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            build()
+
+    def test_specs_store_integers_as_floats(self):
+        ue = UeSpec(position=(1, 2), task=Task(100_000, 10**9), weight=2)
+        assert ue.position == (1.0, 2.0) and ue.weight == 2.0
+        values = (*ue.position, ue.weight, ue.task.data_bits, ue.task.cycles)
+        assert all(type(v) is float for v in values)
+        assert type(RadioParams(bandwidth_hz=10**6).bandwidth_hz) is float
+
+    def test_channel_epoch_ranges_are_disjoint(self):
+        bases = [1, BENCH_EPOCH_BASE, PRETRAIN_EPOCH_BASE, HELDOUT_EPOCH_BASE]
+        assert [b - a for a, b in zip(bases, bases[1:])] == [
+            EPOCH_RANGE_WIDTH] * 3
 
     def test_position_outside_area_rejected(self):
         ue = UeSpec(position=(60.0, 10.0), task=Task(1e5, 1e9))
