@@ -34,9 +34,8 @@ from .config import (ExperimentConfig, ScenarioConfig, build_scenario,
 from .experiment import (bench_experiment, dynamic_experiment,
                          train_experiment)
 from .mec import (ChannelState, MecSpec, OffloadDecision, RadioParams,
-                  Scenario, Task, UeSpec, data_rate,
-                  local_capacity, random_scenario, reweighted,
-                  sample_channel_state)
+                  Scenario, Task, UeSpec, data_rate, local_capacity,
+                  random_scenario, reweighted, sample_channel_state)
 from .neural import (Adam, LayerSpec, Network, load_checkpoint, mlp_specs,
                      save_checkpoint)
 from .replay import ReplayBuffer, ReplayConfig, Transition
@@ -49,16 +48,14 @@ __all__ = [
     "EncodedState", "EpochLog", "Evaluator", "ExperimentConfig", "LayerSpec",
     "MecSpec", "Network", "OffloadDecision", "OracleResult", "RadioParams",
     "Rasterizer", "ReplayBuffer", "ReplayConfig", "RunResult", "Scenario",
-    "ScenarioConfig", "SearchResult", "SeedBundle",
-    "StrategyStats", "Task", "Transition", "UeSpec", "adapt_budget",
-    "allocate_frequencies", "bench_experiment",
-    "build_scenario", "data_rate",
-    "decide", "default_dims", "dump_scenario",
-    "dynamic_experiment", "evaluate", "exact_oracle", "exhaustive_best",
-    "greedy_baseline",
-    "load_checkpoint", "load_config", "load_scenario", "local_capacity",
-    "max_power_assignment", "mlp_specs", "mutate", "nrr", "policy_loss_grads",
-    "random_baseline", "random_scenario",
-    "reweighted", "run", "run_benchmark", "sample_channel_state",
-    "save_checkpoint", "search", "train_experiment", "train_step",
+    "ScenarioConfig", "SearchResult", "SeedBundle", "StrategyStats", "Task",
+    "Transition", "UeSpec", "adapt_budget", "allocate_frequencies",
+    "bench_experiment", "build_scenario", "data_rate", "decide",
+    "default_dims", "dump_scenario", "dynamic_experiment", "evaluate",
+    "exact_oracle", "exhaustive_best", "greedy_baseline", "load_checkpoint",
+    "load_config", "load_scenario", "local_capacity", "max_power_assignment",
+    "mlp_specs", "mutate", "nrr", "policy_loss_grads", "random_baseline",
+    "random_scenario", "reweighted", "run", "run_benchmark",
+    "sample_channel_state", "save_checkpoint", "search", "train_experiment",
+    "train_step",
 ]

@@ -1,14 +1,15 @@
 """Online scheduling agent: policy network, imitation training, main loop.
 
-Per epoch the agent encodes the fresh channel state, reads a placement off
-the policy network, then lets the annealing search improve that placement
-under the current iteration budget.  The searched placement becomes the
-training label; every ``phi`` epochs the policy takes one Adam
-step of sigmoid cross-entropy towards a replayed batch of such labels.  The
-loop is deterministic given a master seed: every stochastic component (the
-channel, the autoencoder, the policy's initial weights, the search, replay
-sampling and the workload shift) draws from its own generator, seeded from
-``SeedBundle``, so a change to how many draws one takes moves no other.
+Per epoch the agent hands the fresh channel to the compressor, which primes
+and refreshes itself, encodes it, reads a placement off the policy network,
+then lets the annealing search improve that placement under the current
+iteration budget.  The searched placement becomes the training label; every
+``phi`` epochs the policy takes one Adam step of sigmoid cross-entropy
+towards a replayed batch of such labels.  The loop is deterministic given a
+master seed: every stochastic component (the channel, the autoencoder, the
+policy's initial weights, the search, replay sampling and the workload
+shift) draws from its own generator, seeded from ``SeedBundle``, so a change
+to how many draws one takes moves no other.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import numpy as np
 
 from .annealing import AnnealConfig, BudgetState, adapt_budget
 from .annealing import search as _anneal_search
-from .autoencoder import SYNC_PERIOD, ChannelCompressor
-from .mec import OffloadDecision, Scenario, reweighted, sample_channel_state
+from .autoencoder import ChannelCompressor
+from .mec import (OffloadDecision, Scenario, non_negative_finite,
+                  positive_finite, reweighted, sample_channel_state)
 from .neural import Adam, Gradients, Network, mlp_specs, write_csv
 from .replay import ReplayBuffer, ReplayConfig, Transition
 
@@ -79,11 +81,8 @@ class AgentConfig:
                                  f"{getattr(self, key)}")
         if min(self.hidden, default=1) < 1:
             raise ValueError(f"hidden widths {self.hidden} must be at least 1")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if not self.lambda_reg >= 0:
-            raise ValueError(f"lambda_reg must not be negative, got "
-                             f"{self.lambda_reg}")
+        positive_finite("lr", self.lr)
+        non_negative_finite("lambda_reg", self.lambda_reg)
         shift = self.weight_shift_epoch
         if shift is not None and not 1 <= shift <= self.t_drl:
             raise ValueError(f"weight_shift_epoch {shift} must lie in "
@@ -169,14 +168,11 @@ def policy_loss_grads(net: Network, states: np.ndarray, targets: np.ndarray,
 def train_step(policy: Network, adam: Adam, buffer: ReplayBuffer, batch: int,
                lam: float, rng: np.random.Generator, encoder: ChannelCompressor,
                prev_loss: float | None = None) -> tuple[float, float]:
-    """One replayed imitation step.
-
-    Returns (loss, delta_loss): the batch loss before the update and its
-    improvement over the previous training event (0 at the first event).
-    The sampled raw channels are encoded in one ``encoder.encode_raw`` call
-    against its current snapshot.  Priorities of the sampled transitions are
-    refreshed from the improvement.
-    """
+    """One replayed imitation step; returns (loss, delta_loss), the batch
+    loss before the update and its improvement over the previous training
+    event (0 at the first).  The sampled raw channels are encoded in one
+    ``encoder.encode_raw`` call against its current snapshot, and the
+    improvement refreshes their priorities."""
     picked, idx = buffer.sample(batch, rng)
     states = encoder.encode_raw(picked.raw)
     actions = picked.best_action
@@ -194,12 +190,9 @@ def train_step(policy: Network, adam: Adam, buffer: ReplayBuffer, batch: int,
 def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
         asa_cfg: AnnealConfig, replay_cfg: ReplayConfig, seeds: SeedBundle,
         sae_rng: np.random.Generator | None = None) -> RunResult:
-    """Main online loop; see the module docstring.
-
-    ``sae_rng`` continues the stream used for pretraining so incremental
-    refreshes stay deterministic; it defaults to a fresh stream from the
-    bundle's sae seed.
-    """
+    """Main online loop; see the module docstring.  ``sae_rng`` continues
+    the pretraining stream, so the compressor's refreshes stay
+    deterministic; it defaults to a fresh stream from ``seeds.sae``."""
     n, m = scenario.n_ues, scenario.n_mecs
     if compressor.n_ues != n or compressor.n_mecs != m:
         raise ValueError("compressor shape does not match the scenario")
@@ -221,10 +214,6 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
             active = reweighted(scenario, rng_shift)
         channel = sample_channel_state(active, t, seeds.channel)
         compressor.observe_and_admit(channel)
-        if not compressor.primed:
-            # not pretrained: publish the first observed bounds so encoding
-            # can start, then leave snapshots to the periodic refresh
-            compressor.sync()
 
         tic = time.perf_counter()
         state = compressor.encode_channel(channel)
@@ -250,9 +239,7 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
             prev_loss = loss
             budget = adapt_budget(budget, delta_loss)
 
-        if compressor.net is not None and t % SYNC_PERIOD == 0:
-            compressor.refresh(sae_rng)
-            compressor.sync()
+        compressor.after_epoch(t, sae_rng)
 
         st = buffer.stats()
         logs.append(EpochLog(epoch=t, reward=1.0 / online_latency,

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocator import Evaluator
-from .mec import ChannelState, OffloadDecision, Scenario
+from .mec import ChannelState, OffloadDecision, Scenario, positive_finite
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,10 @@ class AnnealConfig:
     t_sa_init: int = 20
 
     def __post_init__(self) -> None:
-        if self.t0 <= 0 or not 0 < self.phi_cool <= 1:
-            raise ValueError("t0 must be positive and phi_cool lie in (0, 1]")
+        positive_finite("t0", self.t0)
+        if isinstance(self.phi_cool, bool) or not 0 < self.phi_cool <= 1:
+            raise ValueError(f"phi_cool must lie in (0, 1], got "
+                             f"{self.phi_cool!r}")
         if not 1 <= self.t_sa_init <= T_SA_MAX:
             raise ValueError(f"t_sa_init {self.t_sa_init} must lie in "
                              f"1..T_SA_MAX = 1..{T_SA_MAX}")

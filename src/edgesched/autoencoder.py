@@ -9,16 +9,15 @@ so the loss also preserves which MEC looks best relative to the others; with
 one MEC every shape is 1 and the term is skipped) and an L2 weight penalty.
 
 Every observed channel enters a bounded FIFO memory that training draws
-from.  The paper admits only samples the current autoencoder reconstructs
-worse than a threshold.  Here that threshold, 0.01 RMSE, lies below what
-any compressor reaches on i.i.d. fading (PCA at the same width leaves about
-0.05 on held-out draws), so every sample passed and the test is gone.
+from.  The paper's admission threshold, 0.01 RMSE, lies below what any
+compressor reaches on i.i.d. fading (PCA at the same width leaves about
+0.05), so every sample passed and the test is gone.
 
-The scheduler encodes against a snapshot synced every ``SYNC_PERIOD``
-epochs, after ``REFRESH_ITERS`` training steps on the memory, so online
-encodings stay stable between refreshes.  The snapshot is the encoder half
-of the autoencoder copied into a network of its own, so encoding is a plain
-``Network.forward``.  Compressor checkpoints embed the autoencoder in the
+The compressor keeps its own schedule.  Encodings read a snapshot, the
+encoder half copied into a network of its own: published at the first
+observed channel unless pretraining did, then every ``SYNC_PERIOD`` epochs
+after ``REFRESH_ITERS`` training steps on the memory, so online encodings
+stay stable between refreshes.  Checkpoints embed the autoencoder in the
 network checkpoint layout of ``neural``.
 """
 
@@ -31,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mec import ChannelState
+from .mec import ChannelState, non_negative_finite, positive_finite
 from .neural import (Adam, Gradients, Network, checkpoint_dict, mlp_specs,
                      network_from_dict, read_json, write_json)
 
@@ -70,12 +69,9 @@ class AutoencoderConfig:
             value = getattr(self, key)
             if value is not None and value < 1:
                 raise ValueError(f"{key} must be at least 1, got {value}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        positive_finite("lr", self.lr)
         for key in ("gamma1", "gamma2", "t_sae", "pretrain_samples"):
-            if not getattr(self, key) >= 0:
-                raise ValueError(f"{key} must not be negative, got "
-                                 f"{getattr(self, key)}")
+            non_negative_finite(key, getattr(self, key))
 
 
 def default_dims(n_ues: int, n_mecs: int, out_dim: int | None = None) -> list[int]:
@@ -133,12 +129,9 @@ class Rasterizer:
         return flat
 
     def transform(self, gains: np.ndarray) -> np.ndarray:
-        """The flattened, normalised float gains, as a new array.
-
-        The result owns its data: ``log10`` of the flattened input is the
-        one new buffer, scaled and clipped in place.  (``log10`` first and
-        ``ravel`` after would return a view that keeps a temporary alive.)
-        """
+        """The flattened, normalised float gains, as a new array that owns
+        its data (``ravel`` after ``log10`` would return a view that keeps
+        a temporary alive)."""
         return self.scale(np.log10(np.ravel(gains)))
 
     def scale(self, flat: np.ndarray) -> np.ndarray:
@@ -263,12 +256,14 @@ class ChannelCompressor:
     # --- training side --------------------------------------------------
 
     def observe_and_admit(self, channel: ChannelState) -> bool:
-        """Update bounds and append the sample to the memory; False if no net."""
+        """Widen the bounds and append the sample to the memory; False if no
+        net.  An unprimed compressor then syncs, so encoding can start."""
         logs = self.raster.observe(channel.gains)
-        if self.net is None:
-            return False
-        self.memory.append(self.raster.scale(logs))
-        return True
+        if self.net is not None:
+            self.memory.append(self.raster.scale(logs))
+        if not self.primed:
+            self.sync()
+        return self.net is not None
 
     def pretrain(self, gain_mats: Iterable[np.ndarray],
                  rng: np.random.Generator) -> list[float]:
@@ -290,6 +285,12 @@ class ChannelCompressor:
                 iters: int = REFRESH_ITERS) -> list[float]:
         """Continue training from the current memory (incremental learning)."""
         return self._train(rng, iters)
+
+    def after_epoch(self, epoch: int, rng: np.random.Generator) -> None:
+        """Refresh and sync every ``SYNC_PERIOD`` epochs; never if no net."""
+        if self.net is not None and epoch % SYNC_PERIOD == 0:
+            self.refresh(rng)
+            self.sync()
 
     def _train(self, rng: np.random.Generator, iters: int) -> list[float]:
         """``iters`` Adam steps on mini-batches drawn from the memory."""
@@ -372,14 +373,11 @@ class ChannelCompressor:
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["ChannelCompressor", dict]:
-        """Load a compressor checkpoint.
-
-        Returns the compressor and the metadata (seed, epoch) of its
-        network checkpoint, empty for the identity compressor.  ``dims``
-        other than ``default_dims``'s layout for the file's N, M and output
-        width, parameters that do not fit ``dims`` or are not finite, and
-        bounds that are not both null or both finite numbers with
-        ``lo <= hi`` raise a ``ValueError`` naming ``path``.
+        """The compressor and its network checkpoint's metadata (seed,
+        epoch; empty for the identity compressor).  ``dims`` other than
+        ``default_dims``'s layout, parameters that do not fit them or are
+        not finite, and bounds ``Rasterizer`` rejects raise a ``ValueError``
+        naming ``path``.
         """
         doc = read_json(path, SAE_FORMAT)
         meta = doc["net"] or {}

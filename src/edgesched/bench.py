@@ -1,15 +1,16 @@
 """Baseline strategies, an exact branch-and-bound oracle, and benchmark reports.
 
-NRR, the normalised reward ratio, divides a strategy's reward by the oracle
-reward on the same channel draw.  The oracle, ``exact_oracle``, starts from
-the placements it normalises, so an NRR above 1 is an error.  Its search
-proves the optimum unless it reaches ``NODE_LIMIT``.  Every measured draw
-of the default desk scenario and of the dynamic sweep's 10xM scenarios was
-proven; at 30x5, and on most 20x3 draws, the limit binds and the result is
-the best placement found, unproven (README, "The oracle", has the
-measurements).  Callers keep only the placement and its latency, so an NRR
-does not say which of the two it was taken against.  Baselines are scored
-on identical draws so comparisons isolate the decision quality.
+``run_benchmark`` scores one ordered table of strategies on shared channel
+draws, so comparisons isolate the decision quality.  NRR, the normalised
+reward ratio, divides a strategy's reward by the oracle reward on the same
+draw.  The oracle, ``exact_oracle``, starts from the best placement it
+normalises, so an NRR above 1 is an error.  Its search proves the optimum
+unless it reaches ``NODE_LIMIT``.  Every measured draw of the default desk
+scenario and of the dynamic sweep's 10xM scenarios was proven; at 30x5, and
+on most 20x3 draws, the limit binds and the result is the best placement
+found, unproven (README, "The oracle", has the measurements).  Callers keep
+only the placement and its latency, so an NRR does not say which of the
+two it was taken against.
 """
 
 from __future__ import annotations
@@ -86,12 +87,8 @@ _FW_ITERS = 10
 
 @dataclass(frozen=True, slots=True)
 class OracleResult:
-    """The oracle's placement and how far its search got.
-
-    Callers use ``decision`` and ``latency``; ``nodes`` and ``exact`` are
-    diagnostics, read by the tests that check where the search proves the
-    optimum.
-    """
+    """The oracle's placement and how far its search got; ``nodes`` and
+    ``exact`` are diagnostics, read by the tests of where it proves."""
 
     decision: OffloadDecision
     latency: float           # Evaluator.latency_of(decision.assign)
@@ -338,23 +335,22 @@ class BenchReport:
     n_channels: int
 
     def by_name(self, name: str) -> StrategyStats:
-        for s in self.stats:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return {s.name: s for s in self.stats}[name]
 
 
 def _aggregate(name: str, latencies: list[float], times: list[float],
-               nrrs: list[float] | None) -> StrategyStats:
+               optima: list[float] | None) -> StrategyStats:
+    """One row's scores, with NRRs against the oracle's ``optima`` if given."""
     lat = float(np.mean(latencies))
-    rewards = 1.0 / np.asarray(latencies)
+    nrrs = None if optima is None else [
+        nrr(1.0 / f, 1.0 / f_opt) for f, f_opt in zip(latencies, optima)]
     return StrategyStats(
         name=name,
         latency_s=lat,
         reward=1.0 / lat,
         decision_time_s=float(np.median(times)),
         decision_time_mean_s=float(np.mean(times)),
-        mean_draw_reward=float(rewards.mean()),
+        mean_draw_reward=float(np.mean(1.0 / np.asarray(latencies))),
         nrr_mean=float(np.mean(nrrs)) if nrrs else None,
         nrr_best=float(np.max(nrrs)) if nrrs else None,
     )
@@ -370,12 +366,12 @@ def run_benchmark(scenario: Scenario, policy: Network | None,
                   epoch_base: int = BENCH_EPOCH_BASE) -> BenchReport:
     """Score the trained policy and the baselines on shared channel draws.
 
-    Per draw, each strategy is timed while producing its placement and then
-    scored by the exact allocator.  With ``pso_cfg`` set (any ``PsoConfig``),
-    ``exact_oracle`` also runs per draw, from the draw's best placement, and
-    NRR statistics are attached.  ``policy`` and ``compressor`` come
-    together: both add the policy row, neither benchmarks only the
-    baselines.
+    One ordered table of (name, draw -> placement) rows: policy (given
+    ``policy`` and its ``compressor``, which come together), greedy,
+    random, asa and, with ``pso_cfg`` set (any ``PsoConfig``), the oracle.
+    Per draw each row is timed over its placement alone, then scored by
+    ``Evaluator.latency_of``.  The oracle starts from the draw's best
+    placement so far, first in row order on ties; NRRs against it attach.
     """
     if (policy is None) != (compressor is None):
         missing = "compressor" if compressor is None else "policy"
@@ -383,49 +379,38 @@ def run_benchmark(scenario: Scenario, policy: Network | None,
                          "policy and its compressor together, or neither")
     rng = rng if rng is not None else np.random.default_rng(0)
     n, m = scenario.n_ues, scenario.n_mecs
-    with_policy = policy is not None
-    names = (["policy"] if with_policy else []) + ["greedy", "random", "asa"]
-    lat: dict[str, list[float]] = {k: [] for k in names + ["oracle"]}
-    tim: dict[str, list[float]] = {k: [] for k in names + ["oracle"]}
-    ratio: dict[str, list[float]] = {k: [] for k in names}
-
-    def timed(name, strategy, *args, **kwargs):
-        tic = time.perf_counter()
-        out = strategy(*args, **kwargs)
-        tim[name].append(time.perf_counter() - tic)
-        return out
+    # rows look their functions up by module name at each call, where a
+    # tracer may have wrapped them; random draws from rng before asa
+    rows = [] if policy is None else [("policy", lambda ch, ev: decide(
+        policy, compressor.encode_channel(ch).vector, n, m))]
+    rows += [
+        ("greedy", lambda ch, ev: greedy_baseline(scenario, ch)),
+        ("random", lambda ch, ev: random_baseline(scenario, ch, rng)),
+        ("asa", lambda ch, ev: asa_only(scenario, ch, asa_cfg, asa_budget,
+                                        rng, evaluator=ev).decision)]
+    if pso_cfg is not None:
+        # ``best`` is the draw's best placement when the row runs
+        rows.append(("oracle", lambda ch, ev: pso_oracle(ev, best.assign)[0]))
+    lat: dict[str, list[float]] = {name: [] for name, _ in rows}
+    tim: dict[str, list[float]] = {name: [] for name, _ in rows}
 
     for k in range(n_channels):
         channel = sample_channel_state(scenario, epoch_base + k, channel_seed)
         ev = Evaluator(scenario, channel)
-        placed = {}
-        if with_policy:
-            placed["policy"] = timed("policy", lambda: decide(
-                policy, compressor.encode_channel(channel).vector, n, m))
-        placed["greedy"] = timed("greedy", greedy_baseline, scenario, channel)
-        placed["random"] = timed("random", random_baseline, scenario, channel,
-                                 rng)
-        for name, dec in placed.items():
-            lat[name].append(ev.latency_of(dec.assign))
-        res = timed("asa", asa_only, scenario, channel, asa_cfg, asa_budget,
-                    rng, evaluator=ev)
-        placed["asa"] = res.decision
-        lat["asa"].append(res.objective)
-        if pso_cfg is not None:
-            # the oracle starts from the draw's best placement, so no
-            # strategy can beat it
-            first = min(names, key=lambda name: lat[name][-1])
-            _, f_opt = timed("oracle", pso_oracle, ev, placed[first].assign)
-            lat["oracle"].append(f_opt)
-            for name in names:
-                ratio[name].append(nrr(1.0 / lat[name][-1], 1.0 / f_opt))
+        best, best_f = None, np.inf
+        for name, place in rows:
+            tic = time.perf_counter()
+            dec = place(channel, ev)
+            tim[name].append(time.perf_counter() - tic)
+            f = ev.latency_of(dec.assign)
+            lat[name].append(f)
+            if f < best_f:
+                best, best_f = dec, f
 
-    stats = [_aggregate(name, lat[name], tim[name],
-                        ratio[name] if pso_cfg is not None else None)
-             for name in names]
-    if pso_cfg is not None:
-        stats.append(_aggregate("oracle", lat["oracle"], tim["oracle"], None))
-    return BenchReport(stats=stats, n_channels=n_channels)
+    return BenchReport(stats=[
+        _aggregate(name, lat[name], tim[name],
+                   None if name == "oracle" else lat.get("oracle"))
+        for name, _ in rows], n_channels=n_channels)
 
 
 _BENCH_COLUMNS = ("strategy", "decision_time_s", "decision_time_mean_s",

@@ -11,9 +11,9 @@ infinity, a value the section's own checks reject, a count past its channel
 epoch range and keys that would silently override one another raise a
 ``ValueError`` at load naming the section and keys.  So do a bool anywhere but
 ``bench.with_oracle``, a non-integer ``seed``, an ``out`` that is not a string
-or null and a file that holds no mapping.  The ``scenario`` section only
-samples; ``gen-scenario`` files pin UEs and servers, each entry passing the
-same type rules, then its spec's checks.
+or null and a file that holds no mapping or no valid YAML, named by its path.
+The ``scenario`` section only samples; ``gen-scenario`` files pin UEs and
+servers, each entry passing the same type rules, then its spec's checks.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .agent import AgentConfig
 from .annealing import AnnealConfig
 from .autoencoder import AutoencoderConfig
 from .mec import (EPOCH_RANGE_WIDTH, MecSpec, RadioParams, Scenario, Task,
-                  UeSpec, positive_finite, random_scenario)
+                  UeSpec, positive_finite, positive_range, random_scenario)
 from .neural import write_atomic
 from .replay import ReplayConfig
 
@@ -183,10 +183,7 @@ class ScenarioConfig:
             value = getattr(self, key)
             if isinstance(value, dict):
                 _check_keys(key, value, {"low", "high"}, complete=True)
-                if (positive_finite(f"{key}.low", value["low"])
-                        > positive_finite(f"{key}.high", value["high"])):
-                    raise ValueError(f"{key} range {value} has low above "
-                                     "high")
+                positive_range(key, value["low"], value["high"])
             elif not isinstance(value, (int, float)):
                 raise ValueError(
                     f"{key} takes a number or a {{low, high}} range, not "
@@ -236,6 +233,15 @@ def dump_scenario(scenario: Scenario, path: str | Path) -> None:
                                       sort_keys=True))
 
 
+def _read_yaml(path: str | Path):
+    """The document in YAML file ``path``; bad syntax raises ValueError."""
+    try:
+        with open(path) as f:
+            return yaml.safe_load(f)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _spec(cls, entry: dict, **parts):
     """``cls`` from ``parts`` and its type-checked fields in ``entry``."""
     own = {k: v for k, v in entry.items() if k in _names(cls) - set(parts)}
@@ -245,8 +251,7 @@ def _spec(cls, entry: dict, **parts):
 
 def load_scenario(source: str | Path | dict) -> Scenario:
     """The scenario a ``dump_scenario`` file holds; errors name the entry."""
-    data = source if isinstance(source, dict) else yaml.safe_load(
-        Path(source).read_text())
+    data = source if isinstance(source, dict) else _read_yaml(source)
     with _naming("scenario" if data is source else str(source)):
         _check_keys("scenario file", data, {"area_m", "rng_seed", "radio",
                                             "mecs", "ues"}, complete=True)
@@ -344,7 +349,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def load_config(path: str | Path | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
-    data = yaml.safe_load(Path(path).read_text())
+    data = _read_yaml(path)
     if not isinstance(data, dict | None):
         raise ValueError(f"{path} must hold a mapping of keys, got {data!r}")
     return config_from_dict(data or {})

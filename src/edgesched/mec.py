@@ -34,6 +34,23 @@ def positive_finite(name: str, value) -> float:
     return float(value)
 
 
+def non_negative_finite(name: str, value) -> float:
+    """``value`` as a float if a non-bool real in [0, inf), else ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not 0 <= value < inf):
+        raise ValueError(f"{name} must be a non-negative finite number, got "
+                         f"{value!r}")
+    return float(value)
+
+
+def positive_range(name: str, low, high) -> None:
+    """Reject a range whose ends are not ``positive_finite`` (named
+    ``name.low`` and ``name.high``) or whose low is above its high."""
+    low_f = positive_finite(f"{name}.low", low)
+    if low_f > positive_finite(f"{name}.high", high):
+        raise ValueError(f"{name} range ({low}, {high}) has low above high")
+
+
 def _store_positive(spec, *names: str) -> None:
     """Store each named field of a frozen spec as ``positive_finite`` does."""
     for name in names:
@@ -364,8 +381,12 @@ def random_scenario(n_ues: int, n_mecs: int, *, area_m: float = 50.0,
     length-N sequence, or a (low, high) tuple sampled uniformly from the
     scenario seed; only a tuple is a range, so a length-2 list or array is
     two values.  The seed's draws come in a fixed order: positions, then
-    weights, then cycles.
+    weights, then cycles, after ``area_m`` and the range ends are checked.
     """
+    positive_finite("area_m", area_m)
+    for name, value in (("weights", weights), ("cycles", cycles)):
+        if isinstance(value, tuple):
+            positive_range(name, *value)
     rng = _epoch_rng(rng_seed, 0, namespace=0x5C)
     pos = rng.uniform(0.0, area_m, size=(n_ues, 2))
     w = _per_ue("weights", weights, n_ues, rng)

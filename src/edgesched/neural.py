@@ -176,10 +176,8 @@ class Network:
 
     def l2_norm_sq(self) -> float:
         """Squared L2 norm over all weights and biases."""
-        total = 0.0
-        for w, b in zip(self.weights, self.biases):
-            total += float((w * w).sum() + (b * b).sum())
-        return total
+        return sum(float((w * w).sum() + (b * b).sum())
+                   for w, b in zip(self.weights, self.biases))
 
     def add_l2(self, lam: float, loss: float,
                grads: Gradients) -> tuple[float, Gradients]:
@@ -218,19 +216,14 @@ class Adam:
         self.t += 1
         b1c = 1.0 - _BETA1 ** self.t
         b2c = 1.0 - _BETA2 ** self.t
-        for idx, (dw, db) in enumerate(grads):
-            mw, mb = self.m[idx]
-            vw, vb = self.v[idx]
-            mw *= _BETA1
-            mw += (1.0 - _BETA1) * dw
-            mb *= _BETA1
-            mb += (1.0 - _BETA1) * db
-            vw *= _BETA2
-            vw += (1.0 - _BETA2) * dw * dw
-            vb *= _BETA2
-            vb += (1.0 - _BETA2) * db * db
-            self.net.weights[idx] -= self.lr * (mw / b1c) / (np.sqrt(vw / b2c) + _EPS)
-            self.net.biases[idx] -= self.lr * (mb / b1c) / (np.sqrt(vb / b2c) + _EPS)
+        params = zip(self.net.weights, self.net.biases)
+        for layer in zip(params, grads, self.m, self.v):
+            for p, g, m, v in zip(*layer):  # weights, then biases
+                m *= _BETA1
+                m += (1.0 - _BETA1) * g
+                v *= _BETA2
+                v += (1.0 - _BETA2) * g * g
+                p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + _EPS)
 
 
 def checkpoint_dict(net: Network, seed: int | None, epoch: int) -> dict:

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mec import non_negative_finite
+
 # added to a trained sample's loss improvement, so no priority is 0
 EPS = 1e-3
 
@@ -41,8 +43,7 @@ class ReplayConfig:
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        non_negative_finite("tau", self.tau)
 
 
 @dataclass(frozen=True)

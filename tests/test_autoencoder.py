@@ -1,11 +1,12 @@
+import copy
 import json
 import re
 
 import numpy as np
 import pytest
 
-from edgesched.autoencoder import (AutoencoderConfig, ChannelCompressor,
-                                   Rasterizer, default_dims,
+from edgesched.autoencoder import (SYNC_PERIOD, AutoencoderConfig,
+                                   ChannelCompressor, Rasterizer, default_dims,
                                    reconstruction_loss_grads)
 from edgesched.mec import (ChannelState, random_scenario,
                            sample_channel_state)
@@ -314,6 +315,68 @@ class TestCompressor:
         comp.observe_and_admit(ch)
         comp.sync()
         assert comp.encode_channel(ch).vector.shape == (comp.out_dim,)
+
+    def test_unpretrained_compressor_encodes_its_first_channel(self):
+        comp, scen, _ = self.make()
+        ch = sample_channel_state(scen, 1)
+        with pytest.raises(RuntimeError, match="no bounds"):
+            comp.encode_channel(ch)
+        twin = copy.deepcopy(comp)
+        comp.observe_and_admit(ch)  # no explicit sync
+        twin.observe_and_admit(ch)
+        twin.sync()
+        assert comp.primed
+        np.testing.assert_array_equal(comp.encode_channel(ch).vector,
+                                      twin.encode_channel(ch).vector)
+        # a primed compressor leaves its snapshot to the refresh schedule
+        wide = ChannelState(ch.gains * 1e3)
+        comp.observe_and_admit(wide)
+        np.testing.assert_array_equal(comp.encode_channel(ch).vector,
+                                      twin.encode_channel(ch).vector)
+
+    def test_after_epoch_refreshes_and_syncs_on_its_period(self, monkeypatch):
+        comp, scen, rng = self.make()
+        comp.pretrain([sample_channel_state(scen, e).gains
+                       for e in range(1, 30)], rng)
+        calls = []
+
+        def spy(name):
+            method = getattr(comp, name)
+
+            def wrapped(*args):
+                calls.append((name, args))
+                return method(*args)
+            return wrapped
+
+        for name in ("refresh", "sync"):
+            monkeypatch.setattr(comp, name, spy(name))
+        ch = sample_channel_state(scen, 100)
+        comp.raster.observe(ch.gains * 1e3)  # moves the training side
+        before = comp.encode_channel(ch).vector.copy()
+        state = rng.bit_generator.state
+        for t in range(1, SYNC_PERIOD):
+            comp.after_epoch(t, rng)
+        assert calls == [] and rng.bit_generator.state == state
+        np.testing.assert_array_equal(comp.encode_channel(ch).vector, before)
+        comp.after_epoch(SYNC_PERIOD, rng)
+        assert calls == [("refresh", (rng,)), ("sync", ())]
+        assert not np.array_equal(comp.encode_channel(ch).vector, before)
+        comp.after_epoch(SYNC_PERIOD + 1, rng)
+        comp.after_epoch(2 * SYNC_PERIOD, rng)
+        assert [name for name, _ in calls] == ["refresh", "sync"] * 2
+
+    def test_identity_compressor_never_refreshes(self):
+        comp, scen, rng = self.make(out_dim=8)
+        assert comp.net is None
+        ch = sample_channel_state(scen, 1)
+        comp.observe_and_admit(ch)
+        before = comp.encode_channel(ch).vector.copy()
+        comp.observe_and_admit(ChannelState(ch.gains * 1e3))
+        state = rng.bit_generator.state
+        for t in (SYNC_PERIOD, 2 * SYNC_PERIOD):
+            comp.after_epoch(t, rng)
+        assert rng.bit_generator.state == state
+        np.testing.assert_array_equal(comp.encode_channel(ch).vector, before)
 
     def test_online_snapshot_is_stable_until_sync(self):
         comp, scen, rng = self.make()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from edgesched.agent import SeedBundle
 from edgesched.allocator import Evaluator
 from edgesched import bench
-from edgesched.annealing import AnnealConfig
+from edgesched.annealing import AnnealConfig, SearchResult
 from edgesched.autoencoder import AutoencoderConfig, ChannelCompressor
 from edgesched.bench import (BENCH_EPOCH_BASE, NODE_LIMIT, BenchReport,
                              PsoConfig, StrategyStats, asa_only, exact_oracle,
@@ -317,6 +317,91 @@ class TestRunBenchmark:
     def test_bench_epochs_disjoint_from_training(self):
         assert BENCH_EPOCH_BASE > 1_000_000
 
+
+
+class TestBenchmarkRows:
+    """Each row's placements, captured through the module-level names a
+    tracer wraps, against what ``run_benchmark`` reports for them."""
+
+    ROWS = (("policy", "decide"), ("greedy", "greedy_baseline"),
+            ("random", "random_baseline"), ("asa", "asa_only"),
+            ("oracle", "pso_oracle"))
+
+    def capture(self, monkeypatch, draws):
+        """Per draw, each row's (args, result), in call order."""
+        def keep(name, fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                if name == "draw":
+                    draws.append({"channel": out, "calls": []})
+                else:
+                    draws[-1]["calls"].append((name, args, out))
+                return out
+            return wrapped
+
+        for name, attr in (("draw", "sample_channel_state"), *self.ROWS):
+            monkeypatch.setattr(bench, attr, keep(name, getattr(bench, attr)))
+
+    @staticmethod
+    def placement(name, out):
+        if name == "asa":
+            return out.decision
+        return out[0] if name == "oracle" else out
+
+    @pytest.mark.parametrize("with_policy", [False, True])
+    def test_each_row_is_scored_by_latency_of(self, monkeypatch, with_policy):
+        scen, _ = toy(n=5, seed=12)
+        policy = comp = None
+        if with_policy:
+            rng = np.random.default_rng(0)
+            comp = ChannelCompressor(AutoencoderConfig(), 5, 2, rng=rng)
+            comp.pretrain([sample_channel_state(scen, e).gains
+                           for e in range(1, 20)], rng)
+            policy = Network(mlp_specs([comp.out_dim, 15]), rng=rng)
+        draws = []
+        self.capture(monkeypatch, draws)
+        rep = run_benchmark(scen, policy, comp, AnnealConfig(), n_channels=6,
+                            asa_budget=40, rng=np.random.default_rng(4),
+                            pso_cfg=PsoConfig(), channel_seed=scen.rng_seed)
+        names = [name for name, _ in self.ROWS][0 if with_policy else 1:]
+        assert [s.name for s in rep.stats] == names
+        lat = {name: [] for name in names}
+        for draw in draws:
+            assert [name for name, _, _ in draw["calls"]] == names
+            ev = Evaluator(scen, draw["channel"])
+            placed = {}
+            for name, args, out in draw["calls"]:
+                if name == "oracle":
+                    # started from the draw's best so far, first on ties
+                    first = min(placed, key=lambda k: lat[k][-1])
+                    assert args[1] is placed[first].assign
+                placed[name] = self.placement(name, out)
+                lat[name].append(ev.latency_of(placed[name].assign))
+                if name == "asa":
+                    assert lat[name][-1] == out.objective
+        for s in rep.stats:
+            assert s.latency_s == float(np.mean(lat[s.name]))
+
+    def test_oracle_starts_from_the_first_of_tied_rows(self, monkeypatch):
+        scen, _ = toy(n=5, seed=13)
+        greedy = bench.greedy_baseline
+
+        def same_as_greedy(scenario, channel, *args, **kwargs):
+            dec = greedy(scenario, channel)
+            return OffloadDecision(assign=dec.assign.copy(), n_mecs=dec.n_mecs)
+
+        monkeypatch.setattr(bench, "random_baseline", same_as_greedy)
+        monkeypatch.setattr(bench, "asa_only", lambda *a, **k: SearchResult(
+            decision=same_as_greedy(*a[:2]), objective=0.0, improvements=(),
+            steps=0))
+        draws = []
+        self.capture(monkeypatch, draws)
+        run_benchmark(scen, None, None, AnnealConfig(), n_channels=3,
+                      asa_budget=10, pso_cfg=PsoConfig(),
+                      channel_seed=scen.rng_seed)
+        for draw in draws:
+            calls = {name: (args, out) for name, args, out in draw["calls"]}
+            assert calls["oracle"][0][1] is calls["greedy"][1].assign
 
 class TestReporting:
     def make_report(self):

@@ -7,13 +7,14 @@ import pytest
 import yaml
 
 from edgesched.agent import AgentConfig
-from edgesched.annealing import T_SA_MAX
+from edgesched.annealing import T_SA_MAX, AnnealConfig
 from edgesched.autoencoder import AutoencoderConfig
 from edgesched.config import (ExperimentConfig, ScenarioConfig, build_scenario,
                               config_from_dict, dump_scenario, load_config,
                               load_scenario, override, scenario_to_dict)
 from edgesched.mec import (EPOCH_RANGE_WIDTH, MecSpec, RadioParams, Task,
                            default_mec_positions, random_scenario)
+from edgesched.replay import ReplayConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TOOL_CONFIGS = Path(__file__).resolve().parent.parent / "tools" / "configs"
@@ -719,3 +720,31 @@ def test_dump_scenario_is_atomic(tmp_path, monkeypatch):
     assert p.read_bytes() == before
     assert load_scenario(p) == random_scenario(3, 1, rng_seed=1)
     assert [q.name for q in tmp_path.iterdir()] == ["scen.yaml"]
+
+
+@pytest.mark.parametrize("loader", [load_config, load_scenario])
+def test_yaml_syntax_error_names_its_file(tmp_path, loader):
+    p = tmp_path / "broken.yaml"
+    p.write_text("area_m: [\n")
+    with pytest.raises(ValueError,
+                       match=rf"(?s)^{re.escape(str(p))}: .*line 2, column 1"):
+        loader(p)
+
+
+CODE_BUILT = [
+    (AgentConfig, "lr", float("inf")), (AgentConfig, "lr", True),
+    (AgentConfig, "lambda_reg", float("inf")),
+    (AutoencoderConfig, "lr", float("inf")), (AutoencoderConfig, "lr", True),
+    (AutoencoderConfig, "gamma1", float("inf")),
+    (AutoencoderConfig, "gamma2", float("inf")),
+    (AnnealConfig, "t0", float("nan")), (AnnealConfig, "t0", float("inf")),
+    (AnnealConfig, "phi_cool", True),
+    (ReplayConfig, "tau", float("nan")), (ReplayConfig, "tau", float("inf"))]
+
+
+@pytest.mark.parametrize("cls, key, value", CODE_BUILT, ids=[
+    f"{cls.__name__}.{key}={value}" for cls, key, value in CODE_BUILT])
+def test_settings_built_in_code_reject_what_a_file_cannot_hold(cls, key,
+                                                                value):
+    with pytest.raises(ValueError, match=rf"^{key} must "):
+        cls(**{key: value})

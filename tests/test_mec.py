@@ -3,12 +3,13 @@ import re
 import numpy as np
 import pytest
 
+from edgesched import mec
 from edgesched.mec import (BENCH_EPOCH_BASE, EPOCH_RANGE_WIDTH,
                            HELDOUT_EPOCH_BASE, PRETRAIN_EPOCH_BASE,
                            ChannelState, MecSpec, OffloadDecision, RadioParams,
                            Scenario, Task, UeSpec, data_rate,
-                           default_mec_positions, random_scenario,
-                           reweighted, sample_channel_state)
+                           default_mec_positions, non_negative_finite,
+                           random_scenario, reweighted, sample_channel_state)
 
 from reference import weighted_latency
 
@@ -55,6 +56,31 @@ class TestConstruction:
     def test_specs_reject_what_no_model_can_use(self, build, message):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             build()
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"area_m": float("nan")},
+         "area_m must be a positive finite number, got nan"),
+        ({"area_m": -5.0},
+         "area_m must be a positive finite number, got -5.0"),
+        ({"weights": (float("nan"), 1.0)},
+         "weights.low must be a positive finite number, got nan"),
+        ({"cycles": (1e9, float("inf"))},
+         "cycles.high must be a positive finite number, got inf"),
+        ({"weights": (2.0, 1.0)},
+         "weights range (2.0, 1.0) has low above high")])
+    def test_random_scenario_checks_before_it_draws(self, kw, message,
+                                                    monkeypatch):
+        monkeypatch.setattr(mec, "_epoch_rng", lambda *a, **k: pytest.fail(
+            "random_scenario drew before checking its arguments"))
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            random_scenario(3, 2, **kw)
+
+    def test_non_negative_twin_takes_zero(self):
+        assert non_negative_finite("tau", 0) == 0.0
+        for bad in (-1e-9, float("nan"), float("inf"), True, "0"):
+            with pytest.raises(ValueError, match="^tau must be a "
+                               "non-negative finite number, got "):
+                non_negative_finite("tau", bad)
 
     def test_specs_store_integers_as_floats(self):
         ue = UeSpec(position=(1, 2), task=Task(100_000, 10**9), weight=2)
