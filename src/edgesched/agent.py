@@ -23,8 +23,9 @@ import numpy as np
 from .annealing import AnnealConfig, BudgetState, adapt_budget
 from .annealing import search as _anneal_search
 from .autoencoder import ChannelCompressor
-from .mec import (OffloadDecision, Scenario, non_negative_finite,
-                  positive_finite, reweighted, sample_channel_state)
+from .mec import (OffloadDecision, Scenario, integer_at_least,
+                  non_negative_finite, positive_finite, reweighted,
+                  sample_channel_state)
 from .neural import Adam, Gradients, Network, mlp_specs, write_csv
 from .replay import ReplayBuffer, ReplayConfig, Transition
 
@@ -76,17 +77,17 @@ class AgentConfig:
 
     def __post_init__(self) -> None:
         for key in ("t_drl", "phi", "batch"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, got "
-                                 f"{getattr(self, key)}")
-        if min(self.hidden, default=1) < 1:
-            raise ValueError(f"hidden widths {self.hidden} must be at least 1")
+            integer_at_least(key, getattr(self, key), 1)
+        for i, width in enumerate(self.hidden):
+            integer_at_least(f"hidden[{i}]", width, 1)
         positive_finite("lr", self.lr)
         non_negative_finite("lambda_reg", self.lambda_reg)
         shift = self.weight_shift_epoch
-        if shift is not None and not 1 <= shift <= self.t_drl:
-            raise ValueError(f"weight_shift_epoch {shift} must lie in "
-                             f"1..t_drl = 1..{self.t_drl}")
+        if shift is not None:
+            integer_at_least("weight_shift_epoch", shift, 1)
+            if shift > self.t_drl:
+                raise ValueError(f"weight_shift_epoch {shift} must lie in "
+                                 f"1..t_drl = 1..{self.t_drl}")
 
 
 @dataclass

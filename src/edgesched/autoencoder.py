@@ -30,7 +30,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mec import ChannelState, non_negative_finite, positive_finite
+from .mec import (ChannelState, integer_at_least, non_negative_finite,
+                  positive_finite)
 from .neural import (Adam, Gradients, Network, checkpoint_dict, mlp_specs,
                      network_from_dict, read_json, write_json)
 
@@ -65,12 +66,14 @@ class AutoencoderConfig:
     pretrain_samples: int = 2000
 
     def __post_init__(self) -> None:
-        for key in ("out_dim", "memory", "batch"):
-            value = getattr(self, key)
-            if value is not None and value < 1:
-                raise ValueError(f"{key} must be at least 1, got {value}")
+        if self.out_dim is not None:
+            integer_at_least("out_dim", self.out_dim, 1)
+        for key in ("memory", "batch"):
+            integer_at_least(key, getattr(self, key), 1)
+        for key in ("t_sae", "pretrain_samples"):
+            integer_at_least(key, getattr(self, key), 0)
         positive_finite("lr", self.lr)
-        for key in ("gamma1", "gamma2", "t_sae", "pretrain_samples"):
+        for key in ("gamma1", "gamma2"):
             non_negative_finite(key, getattr(self, key))
 
 

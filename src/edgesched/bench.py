@@ -369,9 +369,11 @@ def run_benchmark(scenario: Scenario, policy: Network | None,
     One ordered table of (name, draw -> placement) rows: policy (given
     ``policy`` and its ``compressor``, which come together), greedy,
     random, asa and, with ``pso_cfg`` set (any ``PsoConfig``), the oracle.
-    Per draw each row is timed over its placement alone, then scored by
-    ``Evaluator.latency_of``.  The oracle starts from the draw's best
-    placement so far, first in row order on ties; NRRs against it attach.
+    Per draw each row is timed over its placement alone.  The asa and
+    oracle rows return their placement's exact latency with it; the others
+    are scored by ``Evaluator.latency_of`` after their timed span.  The
+    oracle starts from the draw's best placement so far, first in row order
+    on ties; NRRs against it attach.
     """
     if (policy is None) != (compressor is None):
         missing = "compressor" if compressor is None else "policy"
@@ -379,18 +381,24 @@ def run_benchmark(scenario: Scenario, policy: Network | None,
                          "policy and its compressor together, or neither")
     rng = rng if rng is not None else np.random.default_rng(0)
     n, m = scenario.n_ues, scenario.n_mecs
-    # rows look their functions up by module name at each call, where a
-    # tracer may have wrapped them; random draws from rng before asa
-    rows = [] if policy is None else [("policy", lambda ch, ev: decide(
-        policy, compressor.encode_channel(ch).vector, n, m))]
+    # a row maps (channel, evaluator) to a placement and its latency, None
+    # where the row does not know it; rows look their functions up by module
+    # name at each call, where a tracer may have wrapped them; random draws
+    # from rng before asa
+    rows = [] if policy is None else [("policy", lambda ch, ev: (decide(
+        policy, compressor.encode_channel(ch).vector, n, m), None))]
+
+    def asa(ch, ev):
+        res = asa_only(scenario, ch, asa_cfg, asa_budget, rng, evaluator=ev)
+        return res.decision, res.objective
+
     rows += [
-        ("greedy", lambda ch, ev: greedy_baseline(scenario, ch)),
-        ("random", lambda ch, ev: random_baseline(scenario, ch, rng)),
-        ("asa", lambda ch, ev: asa_only(scenario, ch, asa_cfg, asa_budget,
-                                        rng, evaluator=ev).decision)]
+        ("greedy", lambda ch, ev: (greedy_baseline(scenario, ch), None)),
+        ("random", lambda ch, ev: (random_baseline(scenario, ch, rng), None)),
+        ("asa", asa)]
     if pso_cfg is not None:
         # ``best`` is the draw's best placement when the row runs
-        rows.append(("oracle", lambda ch, ev: pso_oracle(ev, best.assign)[0]))
+        rows.append(("oracle", lambda ch, ev: pso_oracle(ev, best.assign)))
     lat: dict[str, list[float]] = {name: [] for name, _ in rows}
     tim: dict[str, list[float]] = {name: [] for name, _ in rows}
 
@@ -400,9 +408,10 @@ def run_benchmark(scenario: Scenario, policy: Network | None,
         best, best_f = None, np.inf
         for name, place in rows:
             tic = time.perf_counter()
-            dec = place(channel, ev)
+            dec, f = place(channel, ev)
             tim[name].append(time.perf_counter() - tic)
-            f = ev.latency_of(dec.assign)
+            if f is None:
+                f = ev.latency_of(dec.assign)
             lat[name].append(f)
             if f < best_f:
                 best, best_f = dec, f

@@ -32,7 +32,8 @@ from .agent import AgentConfig
 from .annealing import AnnealConfig
 from .autoencoder import AutoencoderConfig
 from .mec import (EPOCH_RANGE_WIDTH, MecSpec, RadioParams, Scenario, Task,
-                  UeSpec, positive_finite, positive_range, random_scenario)
+                  UeSpec, integer_at_least, positive_finite, positive_range,
+                  random_scenario)
 from .neural import write_atomic
 from .replay import ReplayConfig
 
@@ -277,9 +278,7 @@ def load_scenario(source: str | Path | dict) -> Scenario:
 
 def _at_least_one(obj, *names: str) -> None:
     for name in names:
-        value = getattr(obj, name)
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+        integer_at_least(name, getattr(obj, name), 1)
 
 
 @dataclass

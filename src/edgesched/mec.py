@@ -43,6 +43,16 @@ def non_negative_finite(name: str, value) -> float:
     return float(value)
 
 
+def integer_at_least(name: str, value, floor: int) -> int:
+    """``value`` as an int if a non-bool integer of at least ``floor``, else
+    ValueError."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise ValueError(f"{name} must be at least {floor}, got {value!r}")
+    return int(value)
+
+
 def positive_range(name: str, low, high) -> None:
     """Reject a range whose ends are not ``positive_finite`` (named
     ``name.low`` and ``name.high``) or whose low is above its high."""
@@ -160,6 +170,7 @@ class ModelArrays(NamedTuple):
     sqrt_wf: np.ndarray      # (N,) sqrt(weight * cycles)
     f_mec: np.ndarray        # (M,) MEC frequency budgets
     distances: np.ndarray    # (N, M) UE-to-MEC distances
+    clamped_r2: np.ndarray   # (N, M) distances**2, clamped at min_distance_m
 
 
 class ScoringSetup:
@@ -235,6 +246,9 @@ class Scenario:
         cycles = np.array([u.task.cycles for u in ues])
         diff = (np.array([u.position for u in ues], dtype=float)[:, None, :]
                 - np.array([m.position for m in self.mecs], dtype=float)[None])
+        dist = np.sqrt((diff ** 2).sum(axis=2))
+        # the clamp guards the inverse-square singularity of a UE on a MEC
+        r = np.maximum(dist, self.radio.min_distance_m)
         arrays = ModelArrays(
             weight=w, cycles=cycles,
             data_bits=np.array([u.task.data_bits for u in ues]),
@@ -242,7 +256,7 @@ class Scenario:
             local_power=np.array([u.kappa * c ** u.v for u, c in zip(ues, cap)]),
             sqrt_wf=np.sqrt(w * cycles),
             f_mec=np.array([m.f_max for m in self.mecs]),
-            distances=np.sqrt((diff ** 2).sum(axis=2)))
+            distances=dist, clamped_r2=r * r)
         for a in arrays:
             a.flags.writeable = False
         return arrays
@@ -303,23 +317,22 @@ def sample_channel_state(scenario: Scenario, epoch: int,
     """Sample the (N, M) gain matrix for one epoch.
 
     Each gain is beta0 * l / R**2: R the UE-to-MEC distance, clamped below
-    at ``min_distance_m``, and l the small-scale power gain, unit-mean
-    exponential (Rayleigh amplitude) or 1 under "deterministic" fading.  The
-    draw is a pure function of (scenario, epoch, seed): the generator is
-    derived from the seed and the epoch index, never from call order, so any
-    epoch's channel can be regenerated independently.  ``seed`` defaults to
-    the scenario's own ``rng_seed``.
+    at ``min_distance_m`` (R**2 is kept per scenario, as
+    ``Scenario.arrays.clamped_r2``), and l the small-scale power gain,
+    unit-mean exponential (Rayleigh amplitude) or 1 under "deterministic"
+    fading.  The draw is a pure function of (scenario, epoch, seed): the
+    generator is derived from the seed and the epoch index, never from call
+    order, so any epoch's channel can be regenerated independently.
+    ``seed`` defaults to the scenario's own ``rng_seed``.
     """
     entropy = scenario.rng_seed if seed is None else seed
     rng = _epoch_rng(entropy, epoch)
-    radio, dist = scenario.radio, scenario.arrays.distances
+    radio, r2 = scenario.radio, scenario.arrays.clamped_r2
     if radio.fading == "deterministic":
-        fading = np.ones(dist.shape)
+        fading = np.ones(r2.shape)
     else:
-        fading = rng.exponential(scale=1.0, size=dist.shape)
-    # the clamp guards the inverse-square singularity of a UE on a MEC
-    r = np.maximum(dist, radio.min_distance_m)
-    return ChannelState(gains=radio.beta0 * fading / (r * r))
+        fading = rng.exponential(scale=1.0, size=r2.shape)
+    return ChannelState(gains=radio.beta0 * fading / r2)
 
 
 def data_rate(bandwidth_hz: float, power_w: float | np.ndarray,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mec import non_negative_finite
+from .mec import integer_at_least, non_negative_finite
 
 # added to a trained sample's loss improvement, so no priority is 0
 EPS = 1e-3
@@ -41,8 +41,7 @@ class ReplayConfig:
     tau: float = 0.6
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be at least 1")
+        integer_at_least("capacity", self.capacity, 1)
         non_negative_finite("tau", self.tau)
 
 

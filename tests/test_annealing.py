@@ -71,17 +71,48 @@ def reference_search(initial, scenario, channel, cfg, state, rng,
                         steps=state.budget), trace
 
 
-SCORERS = ("_loop_search", "_batch_search")
+# module constants that hold a search to one scorer, whatever the density:
+# the loop with a run past every budget, so it never hands over, or windows
+# from the start
+SCORER_ONLY = {"_loop_search": {"BATCH_DENSITY": math.inf, "COLD_RUN": 10**9},
+               "_batch_search": {"BATCH_DENSITY": 0.0}}
+SCORERS = tuple(SCORER_ONLY)
+# a chain that starts on the loop and hands over after 1 rejection, or after
+# a middle run with short windows
+HAND_OVERS = {"run-1": {"COLD_RUN": 1},
+              "run-5-window-4": {"COLD_RUN": 5, "BATCH_WINDOW": 4}}
+
+
+def patched_search(**constants):
+    """``search`` with the ``annealing`` module constants set for the call."""
+    def run(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in constants.items():
+                mp.setattr(annealing, name, value)
+            return search(*args, **kwargs)
+    return run
 
 
 def scorer_search(name):
-    """``search``'s signature on one private scorer, whatever the density."""
-    def run(initial, scenario, channel, cfg, state, rng, evaluator=None):
-        ev = (evaluator if evaluator is not None
-              else Evaluator(scenario, channel))
-        return getattr(annealing, name)(initial, ev, keep_table(channel.gains),
-                                        cfg, state.budget, rng)
-    return run
+    """``search`` on one scorer, whatever the density."""
+    return patched_search(**SCORER_ONLY[name])
+
+
+def hand_over_search(name):
+    """``search`` started on the loop, with one of the ``HAND_OVERS``."""
+    return patched_search(BATCH_DENSITY=math.inf, **HAND_OVERS[name])
+
+
+def record_hand_overs(monkeypatch):
+    """The start iteration of every ``_batch_search`` call, as made."""
+    starts = []
+    batch_search = annealing._batch_search
+
+    def recorded(ev, keep, cfg, blocks, start, *args, **kwargs):
+        starts.append(start)
+        return batch_search(ev, keep, cfg, blocks, start, *args, **kwargs)
+    monkeypatch.setattr(annealing, "_batch_search", recorded)
+    return starts
 
 
 def assert_same_result(got, ref, ref_trace):
@@ -289,6 +320,27 @@ class TestSearchMatchesReference:
         self.check_matches_reference(scorer_search(scorer), n, m, budget,
                                      seed, t0, phi)
 
+    @pytest.mark.parametrize("hand_over", HAND_OVERS)
+    @reference_cases
+    @settings(max_examples=60, deadline=None)
+    def test_hand_over_same_result_and_stream(self, hand_over, n, m, budget,
+                                              seed, t0, phi):
+        """A loop chain that hands over to windows, whenever it does."""
+        self.check_matches_reference(hand_over_search(hand_over), n, m,
+                                     budget, seed, t0, phi)
+
+    @pytest.mark.parametrize("hand_over", HAND_OVERS)
+    def test_hand_overs_happen(self, monkeypatch, hand_over):
+        """The hand-over cases above do hand over, at their run lengths."""
+        starts = record_hand_overs(monkeypatch)
+        for seed in range(20):
+            scen, ch, ev, initial = instance(10, 3, seed, clones=False)
+            hand_over_search(hand_over)(
+                initial, scen, ch, AnnealConfig(), BudgetState(80),
+                np.random.default_rng(seed), evaluator=ev)
+        run = HAND_OVERS[hand_over]["COLD_RUN"]
+        assert len(starts) >= 10 and min(starts) >= run
+
     def test_exact_ties(self):
         """Where placements tie, ``search`` keeps its contract instead."""
         for seed in range(60):
@@ -372,6 +424,18 @@ class TestScorers:
         assert res.decision.assign.flags.owndata
         assert not np.shares_memory(res.decision.assign, optimum.assign)
 
+    def test_handed_over_result_owns_its_placement(self, monkeypatch):
+        """A result that handed over holds no view of a window either."""
+        starts = record_hand_overs(monkeypatch)
+        run = hand_over_search("run-1")
+        for seed in range(10):
+            scen, ch, ev, initial = instance(30, 5, seed, clones=False)
+            res = run(initial, scen, ch, AnnealConfig(), BudgetState(100),
+                      np.random.default_rng(seed), evaluator=ev)
+            assert starts[-1] > 0 and len(starts) == seed + 1
+            assert res.decision.assign.flags.owndata
+            assert not np.shares_memory(res.decision.assign, initial.assign)
+
     @staticmethod
     def count_calls(monkeypatch):
         calls = dict.fromkeys(SCORERS, 0)
@@ -384,10 +448,13 @@ class TestScorers:
         return calls
 
     def test_default_desk_run_takes_the_loop(self, monkeypatch, tmp_path):
+        """Every default desk search starts on the loop; the windows take
+        over only the chains that go cold with a window's worth left."""
         calls = self.count_calls(monkeypatch)
         cfg = ExperimentConfig(out=str(tmp_path))
         train_experiment(cfg, tmp_path)
-        assert calls == {"_loop_search": cfg.drl.t_drl, "_batch_search": 0}
+        assert calls == {"_loop_search": cfg.drl.t_drl,
+                         "_batch_search": 5}  # the hand-overs
 
     def test_wide_asa_200_takes_the_batch_scorer(self, monkeypatch):
         calls = self.count_calls(monkeypatch)

@@ -3,15 +3,17 @@ import re
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from edgesched.agent import AgentConfig
 from edgesched.annealing import T_SA_MAX, AnnealConfig
 from edgesched.autoencoder import AutoencoderConfig
-from edgesched.config import (ExperimentConfig, ScenarioConfig, build_scenario,
-                              config_from_dict, dump_scenario, load_config,
-                              load_scenario, override, scenario_to_dict)
+from edgesched.config import (BenchSection, DynamicSection, ExperimentConfig,
+                              ScenarioConfig, build_scenario, config_from_dict,
+                              dump_scenario, load_config, load_scenario,
+                              override, scenario_to_dict)
 from edgesched.mec import (EPOCH_RANGE_WIDTH, MecSpec, RadioParams, Task,
                            default_mec_positions, random_scenario)
 from edgesched.replay import ReplayConfig
@@ -748,3 +750,38 @@ def test_settings_built_in_code_reject_what_a_file_cannot_hold(cls, key,
                                                                 value):
     with pytest.raises(ValueError, match=rf"^{key} must "):
         cls(**{key: value})
+
+
+# every integer count of the configs built in code, with its floor
+COUNTS = [(AgentConfig, "t_drl", 1), (AgentConfig, "phi", 1),
+          (AgentConfig, "batch", 1), (AgentConfig, "weight_shift_epoch", 1),
+          (ReplayConfig, "capacity", 1), (AutoencoderConfig, "out_dim", 1),
+          (AutoencoderConfig, "t_sae", 0), (AutoencoderConfig, "memory", 1),
+          (AutoencoderConfig, "batch", 1),
+          (AutoencoderConfig, "pretrain_samples", 0),
+          (AnnealConfig, "t_sa_init", 1), (ScenarioConfig, "n_ues", 1),
+          (ScenarioConfig, "n_mecs", 1), (BenchSection, "n_channels", 1),
+          (BenchSection, "asa_budget", 1), (DynamicSection, "nrr_stride", 1),
+          (DynamicSection, "accuracy_samples", 1)]
+
+
+@pytest.mark.parametrize("cls, key, floor", COUNTS, ids=[
+    f"{cls.__name__}.{key}" for cls, key, _ in COUNTS])
+def test_counts_built_in_code_fail_where_they_are_set(cls, key, floor):
+    """A count takes a non-bool integer at or above its floor, whatever
+    integer type holds it, and nothing else."""
+    for bad in (floor + 1.5, float(floor + 2), True, "3", None, floor - 1):
+        if bad is None and key in ("out_dim", "weight_shift_epoch", "n_ues",
+                                   "n_mecs"):
+            continue  # None means unset there
+        with pytest.raises(ValueError, match=rf"^{key} must be "):
+            cls(**{key: bad})
+    for good in (floor, floor + 2, np.int64(floor + 2)):
+        assert getattr(cls(**{key: good}), key) == good
+
+
+def test_hidden_widths_fail_where_they_are_set():
+    for bad in (2.5, 8.0, True, "8", 0):
+        with pytest.raises(ValueError, match=r"^hidden\[1\] must be "):
+            AgentConfig(hidden=[8, bad])
+    assert AgentConfig(hidden=[np.int64(8), 1]).hidden == [8, 1]

@@ -188,8 +188,9 @@ def test_artifact_hashes_prints_one_digest_per_artifact(monkeypatch, capsys):
 
 def test_search_hashes_prints_one_line_per_set(monkeypatch, capsys):
     """``tools/search_hashes.py``, which a change promising identical search
-    results is checked with, prints a digest, the share of calls the batch
-    scorer took and a time per draw set."""
+    results is checked with, prints a digest, the shares of calls that
+    started on the loop and that handed over to windows, the share of
+    iterations scored in windows and a time per draw set."""
     spec = importlib.util.spec_from_file_location(
         "search_hashes", ROOT / "tools" / "search_hashes.py")
     tool = importlib.util.module_from_spec(spec)
@@ -200,11 +201,16 @@ def test_search_hashes_prints_one_line_per_set(monkeypatch, capsys):
     assert [line[0] for line in lines] == ["desk", "desk-g", "10x5", "20x3",
                                            "30x5", "50x5", "wide"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line[1]) for line in lines)
-    shares = {line[0]: line[3] for line in lines}
-    assert shares["desk"] == shares["desk-g"] == "0.00"
-    assert shares["30x5"] == shares["50x5"] == "1.00"
-    assert float(shares["wide"]) >= 0.9
-    assert all(line[2] == "batch" and line[5] == "us/call" for line in lines)
+    assert all(line[2:7:2] == ["loop", "handover", "windows"]
+               and line[9] == "us/call" for line in lines)
+    loop, handover, windows = ({line[0]: float(line[k]) for line in lines}
+                               for k in (3, 5, 7))
+    assert loop["desk"] == loop["desk-g"] == 1.0
+    assert loop["30x5"] == loop["50x5"] == 0.0
+    assert windows["30x5"] == windows["50x5"] == 1.0
+    assert loop["wide"] <= 0.1
+    assert all(handover[name] <= loop[name] for name in loop)
+    assert handover["desk"] > 0.5
 
 
 def test_oracle_hashes_prints_one_line_per_set(monkeypatch, capsys):

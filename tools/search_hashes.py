@@ -18,11 +18,13 @@ The sets, each a pure function of its seeds:
   the shape of a training search late in a 30x5 run.
 
 One line per set: the sha256 of every result's placement, objective,
-improvements and steps and of the generator's next draw after the call; the
-share of calls that took the batch scorer (``-`` on a checkout without
-one); and the mean wall time per search call in us (the evaluator build is
-not timed).  A change that promises identical search results runs this on
-both checkouts and compares the digests.
+improvements and steps and of the generator's next draw after the call;
+then how the calls were scored: the share that started on the loop scorer,
+the share that handed over from the loop to window scoring, and the share
+of iterations scored in windows (``-`` where a checkout has no such
+scorer or hand-over); and the mean wall time per search call in us (the
+evaluator build is not timed).  A change that promises identical search
+results runs this on both checkouts and compares the digests.
 """
 
 from __future__ import annotations
@@ -82,35 +84,56 @@ def main(argv=None) -> int:
     from edgesched import annealing
     from edgesched.allocator import Evaluator
 
-    batched = []
+    loop_search = getattr(annealing, "_loop_search", None)
     batch_search = getattr(annealing, "_batch_search", None)
-    if batch_search is not None:
-        def counted(*a, **k):
-            batched.append(1)
-            return batch_search(*a, **k)
-        annealing._batch_search = counted
+    hands_over = hasattr(annealing, "COLD_RUN")
+    tally = {"loop": 0, "handover": 0, "windows": 0}
+
+    def started_on_loop(*a, **k):
+        tally["loop"] += 1
+        return loop_search(*a, **k)
+
+    def windows(ev, keep, cfg, blocks, start, *a, **k):
+        res = batch_search(ev, keep, cfg, blocks, start, *a, **k)
+        tally["handover"] += start > 0
+        tally["windows"] += res.steps - start
+        return res
+
+    if loop_search is not None:
+        annealing._loop_search = started_on_loop
+    if hands_over:
+        annealing._batch_search = windows
     try:
         for name, scen, chans, run in draw_sets():
             digest = hashlib.sha256()
-            batched.clear()
-            spent = 0.0
+            tally.update(dict.fromkeys(tally, 0))
+            spent, iters = 0.0, 0
             for k, ch in enumerate(chans):
                 ev = Evaluator(scen, ch)
                 rng = np.random.default_rng(k)
                 tic = time.perf_counter()
                 res = run(scen, ch, ev, rng)
                 spent += time.perf_counter() - tic
+                iters += res.steps
                 digest.update(res.decision.assign.astype(np.int64).tobytes())
                 digest.update(struct.pack("<dq", res.objective, res.steps))
                 for it, value in res.improvements:
                     digest.update(struct.pack("<qd", it, value))
                 digest.update(struct.pack("<d", rng.random()))
-            share = ("-" if batch_search is None
-                     else f"{len(batched) / len(chans):.2f}")
-            print(f"{name:<6} {digest.hexdigest()} batch {share} "
-                  f"{spent / len(chans) * 1e6:.0f} us/call", flush=True)
+            calls = len(chans)
+            loop = ("-" if loop_search is None
+                    else f"{tally['loop'] / calls:.2f}")
+            handover, window_iters = (
+                (f"{tally['handover'] / calls:.2f}",
+                 f"{tally['windows'] / iters:.2f}") if hands_over
+                else ("-", "-"))
+            print(f"{name:<6} {digest.hexdigest()} loop {loop} handover "
+                  f"{handover} windows {window_iters} "
+                  f"{spent / calls * 1e6:.0f} us/call", flush=True)
     finally:
-        if batch_search is not None:
+        if loop_search is not None:
+            annealing._loop_search = loop_search
+        if hands_over:
             annealing._batch_search = batch_search
     return 0
 
