@@ -7,6 +7,11 @@ dataset bounds.  Training minimises a reconstruction loss with two extra
 terms: a per-row relative-shape term (each UE row divided by its row maximum,
 so the loss also preserves which MEC looks best relative to the others; with
 one MEC every shape is 1 and the term is skipped) and an L2 weight penalty.
+A reconstructed row's maximum is read at its first argmax, where the
+gradient needs it; an all-zero input row, a UE whose every gain is the
+smallest observed, takes the all-ones shape.  The term builds its gradient
+in place, and pretraining rasterizes its dataset in one batch; both give the
+bits of the whole-array and per-sample forms.
 
 Every observed channel enters a bounded FIFO memory that training draws
 from.  The paper's admission threshold, 0.01 RMSE, lies below what any
@@ -152,13 +157,28 @@ class Rasterizer:
         return Rasterizer(self.lo, self.hi)
 
 
-def _row_shapes(batch: np.ndarray, n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each UE row divided by its row maximum; also returns the maxima."""
-    rows = batch.reshape(batch.shape[0], n_rows, n_cols)
-    maxima = rows.max(axis=2, keepdims=True)
-    if np.any(maxima <= 0):
-        raise ValueError("row maximum must be positive")
-    return rows / maxima, maxima
+def _row_maxima(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's maximum, as a column, and the flat index of its first
+    argmax, for a C-contiguous (R, M) ``rows``: one reduction, not two."""
+    at = rows.argmax(axis=1)
+    at += np.arange(0, rows.size, rows.shape[1])
+    return rows.ravel()[at][:, None], at
+
+
+def _row_shapes(batch: np.ndarray, n_rows: int,
+                n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each UE row divided by its row maximum, as a new (B, N, M) array;
+    also returns the maxima, one per UE row.
+
+    An all-zero row, the UE whose every gain is the smallest observed,
+    takes the all-ones shape: every entry equals its maximum.
+    """
+    rows = batch.reshape(-1, n_cols)
+    maxima = rows.max(axis=1, keepdims=True)
+    if np.any(maxima < 0):
+        raise ValueError("row maximum must not be negative")
+    shapes = np.divide(rows, maxima, out=np.ones_like(rows), where=maxima > 0)
+    return shapes.reshape(-1, n_rows, n_cols), maxima
 
 
 def reconstruction_loss_grads(net: Network, batch: np.ndarray, n_rows: int,
@@ -168,7 +188,8 @@ def reconstruction_loss_grads(net: Network, batch: np.ndarray, n_rows: int,
 
     The relative term treats each sample's row maximum as part of the
     computation graph, so its gradient has an extra component at the argmax
-    entry of every reconstructed row.
+    entry of every reconstructed row.  The term works on (B * N, M) row
+    views and builds its gradient in the arrays of the shapes.
     """
     x = np.atleast_2d(np.asarray(batch, dtype=float))
     b, d = x.shape
@@ -176,32 +197,35 @@ def reconstruction_loss_grads(net: Network, batch: np.ndarray, n_rows: int,
         raise ValueError("batch width does not match n_rows * n_cols")
     y, cache = net.forward_cached(x)
 
-    diff = y - x
-    loss = float(np.mean(diff * diff))
-    grad_y = 2.0 * diff / diff.size
+    grad_y = y - x
+    loss = float(np.mean(grad_y * grad_y))
+    grad_y *= 2.0
+    grad_y /= grad_y.size
 
     # With one server (n_cols == 1) every row's shape is 1 and the term is
-    # 0; its input row is 0 where the gain is the smallest observed, and
-    # would divide by 0.
+    # 0, so it is skipped.
     if gamma1 != 0.0 and n_cols > 1:
-        u, _ = _row_shapes(x, n_rows, n_cols)
-        yr = y.reshape(b, n_rows, n_cols)
-        maxima = yr.max(axis=2, keepdims=True)
+        e = _row_shapes(x, n_rows, n_cols)[0].reshape(-1, n_cols)
+        yr = y.reshape(-1, n_cols)
+        maxima, at = _row_maxima(yr)
         if np.any(maxima <= 0):
             # a sigmoid output row underflows to 0 only once training
             # diverged, and its shape term would be 0/0
             raise RuntimeError(_DIVERGED)
         v = yr / maxima
-        e = u - v
-        loss += float(0.5 * gamma1 * np.sum(e * e) / b)
+        e -= v
         # d/dy_j of sum_l e_l^2 / 2: -e_j/m everywhere, plus the row-max
         # entry picking up +(sum_l e_l v_l)/m from the quotient rule.
-        g = -e / maxima
-        argmax = yr.argmax(axis=2, keepdims=True)
-        extra = (e * v).sum(axis=2, keepdims=True) / maxima
-        np.put_along_axis(g, argmax, np.take_along_axis(g, argmax, axis=2) + extra,
-                          axis=2)
-        grad_y = grad_y + gamma1 * g.reshape(b, d) / b
+        v *= e
+        extra = v.sum(axis=1) / maxima[:, 0]
+        np.multiply(e, e, out=v)
+        loss += float(0.5 * gamma1 * np.sum(v) / b)
+        g = np.negative(e, out=e)
+        g /= maxima
+        g.ravel()[at] += extra
+        g *= gamma1
+        g /= b
+        grad_y += g.reshape(b, d)
 
     return net.add_l2(gamma2, loss, net.backward(cache, grad_y))
 
@@ -276,13 +300,27 @@ class ChannelCompressor:
         rasterized, so the memory is not polluted by early, badly scaled
         vectors.
         """
-        logs = [self.raster.observe(np.asarray(g, dtype=float))
-                for g in gain_mats]
-        if self.net is not None:
-            self.memory.extend(self.raster.scale(x) for x in logs)
+        self._memorise(list(gain_mats))
         trace = self._train(rng, self.cfg.t_sae)
         self.sync()
         return trace
+
+    def _memorise(self, gain_mats: list[np.ndarray]) -> None:
+        """Widen the bounds to a dataset and append it to the memory.
+
+        One batch: one ``log10`` over every sample, then one ``scale``, with
+        the bits of observing and then scaling sample by sample.  Only the
+        last ``memory`` rows stay, each copied out so that an entry owns its
+        data.  The batch arrays are freed on return, before training stacks
+        the memory.
+        """
+        if not gain_mats:
+            return
+        # the stacked gains live only until their log10 is taken
+        logs = self.raster.observe(np.asarray(gain_mats, dtype=float))
+        if self.net is not None:
+            rows = logs.reshape(len(gain_mats), -1)[-self.memory.maxlen:]
+            self.memory.extend(row.copy() for row in self.raster.scale(rows))
 
     def refresh(self, rng: np.random.Generator,
                 iters: int = REFRESH_ITERS) -> list[float]:

@@ -35,6 +35,14 @@ oldest first, as the list of transitions the ring replaced held them.
 ``window_rewards`` compares a training run's logged rewards with greedy and
 random on the same channel draws; acceptance criterion 08 reads it, and no
 run does.
+
+``backward_reference``, ``add_l2_reference``, ``adam_step_reference`` and
+``reconstruction_loss_grads_reference`` are a training step as whole-array
+expressions, each temporary a new array: the code that ``neural`` and
+``autoencoder`` replaced with in-place updates, shared work buffers and
+argmax-derived row maxima.  ``pretrain_per_sample`` observes and scales one
+sample at a time, where ``ChannelCompressor.pretrain`` takes one batch.  The
+tests require the same bits from both sides.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from edgesched.allocator import Evaluator
 from edgesched.bench import greedy_baseline, random_baseline
 from edgesched.mec import (ChannelState, OffloadDecision, Scenario, data_rate,
                            local_capacity, sample_channel_state)
+from edgesched.neural import _BETA1, _BETA2, _EPS
 
 
 def _project_simplex(y: np.ndarray, total: float) -> np.ndarray:
@@ -348,3 +357,95 @@ def window_rewards(logs: list[EpochLog], scenario: Scenario,
             vals.append(1.0 / ev.latency_of(dec.assign))
         rewards[name] = float(np.mean(vals))
     return rewards
+
+
+def backward_reference(net, cache, grad_out: np.ndarray) -> list:
+    """``net.backward`` with each layer's derivative and ``dz`` new arrays."""
+    grads = [None] * len(net.specs)
+    delta = np.atleast_2d(np.asarray(grad_out, dtype=float))
+    for idx in range(len(net.specs) - 1, -1, -1):
+        a_in, z, a_out = cache[idx]
+        if net.specs[idx].activation == "sigmoid":
+            deriv = a_out * (1.0 - a_out)
+        else:
+            deriv = (z > 0.0).astype(z.dtype)
+        dz = delta * deriv
+        grads[idx] = (dz.T @ a_in, dz.sum(axis=0))
+        if idx > 0:
+            delta = dz @ net.weights[idx]
+    return grads
+
+
+def add_l2_reference(net, lam: float, loss: float, grads: list):
+    """``net.add_l2`` returning new gradient arrays."""
+    if lam == 0.0:
+        return loss, grads
+    return (loss + 0.5 * lam * net.l2_norm_sq(),
+            [(dw + lam * w, db + lam * b)
+             for (dw, db), w, b in zip(grads, net.weights, net.biases)])
+
+
+def adam_step_reference(adam, grads: list) -> None:
+    """``adam.step`` with every temporary of the update a new array."""
+    adam.t += 1
+    b1c = 1.0 - _BETA1 ** adam.t
+    b2c = 1.0 - _BETA2 ** adam.t
+    params = zip(adam.net.weights, adam.net.biases)
+    for layer in zip(params, grads, adam.m, adam.v):
+        for p, g, m, v in zip(*layer):
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            p -= adam.lr * (m / b1c) / (np.sqrt(v / b2c) + _EPS)
+
+
+def _row_shapes_reference(rows: np.ndarray) -> np.ndarray:
+    """(B, N, M) rows over their ``max``; an all-zero row is all ones."""
+    maxima = rows.max(axis=2, keepdims=True)
+    if np.any(maxima < 0):
+        raise ValueError("row maximum must not be negative")
+    shapes = rows / np.where(maxima > 0, maxima, 1.0)
+    shapes[(maxima == 0)[..., 0]] = 1.0
+    return shapes
+
+
+def reconstruction_loss_grads_reference(net, batch: np.ndarray, n_rows: int,
+                                        n_cols: int, gamma1: float,
+                                        gamma2: float):
+    """``autoencoder.reconstruction_loss_grads`` on (B, N, M) rows, maxima
+    by ``max``, the quotient-rule term by ``take_along_axis`` and
+    ``put_along_axis``, and the backward pass and penalty above."""
+    x = np.atleast_2d(np.asarray(batch, dtype=float))
+    b, d = x.shape
+    y, cache = net.forward_cached(x)
+    diff = y - x
+    loss = float(np.mean(diff * diff))
+    grad_y = 2.0 * diff / diff.size
+    if gamma1 != 0.0 and n_cols > 1:
+        u = _row_shapes_reference(x.reshape(b, n_rows, n_cols))
+        yr = y.reshape(b, n_rows, n_cols)
+        maxima = yr.max(axis=2, keepdims=True)
+        v = yr / maxima
+        e = u - v
+        loss += float(0.5 * gamma1 * np.sum(e * e) / b)
+        g = -e / maxima
+        argmax = yr.argmax(axis=2, keepdims=True)
+        extra = (e * v).sum(axis=2, keepdims=True) / maxima
+        np.put_along_axis(g, argmax,
+                          np.take_along_axis(g, argmax, axis=2) + extra,
+                          axis=2)
+        grad_y = grad_y + gamma1 * g.reshape(b, d) / b
+    return add_l2_reference(net, gamma2, loss,
+                            backward_reference(net, cache, grad_y))
+
+
+def pretrain_per_sample(comp, gain_mats, rng: np.random.Generator) -> list:
+    """``comp.pretrain``, each sample observed and then scaled on its own."""
+    logs = [comp.raster.observe(np.asarray(g, dtype=float))
+            for g in gain_mats]
+    if comp.net is not None:
+        comp.memory.extend(comp.raster.scale(x) for x in logs)
+    trace = comp._train(rng, comp.cfg.t_sae)
+    comp.sync()
+    return trace

@@ -10,9 +10,12 @@ from edgesched.autoencoder import (SYNC_PERIOD, AutoencoderConfig,
                                    reconstruction_loss_grads)
 from edgesched.mec import (ChannelState, random_scenario,
                            sample_channel_state)
-from edgesched.neural import Network, mlp_specs
+from edgesched.neural import Adam, Network, mlp_specs
 
-from test_neural import assert_grads_close, fd_gradients
+from reference import (adam_step_reference, pretrain_per_sample,
+                       reconstruction_loss_grads_reference)
+from test_neural import (assert_grads_close, assert_same_bits,
+                         assert_same_grads, assert_same_params, fd_gradients)
 
 
 def reconstruction_loss(net, batch, n_rows, n_cols, gamma1, gamma2):
@@ -213,12 +216,85 @@ class TestLoss:
             lambda _y: reconstruction_loss(net, batch, 2, 4, 0.5, 0.08))
         assert_grads_close(grads, numeric, atol=2e-6)
 
-    def test_input_row_maximum_must_be_positive(self):
+    def test_all_zero_input_row_takes_the_all_ones_shape(self):
+        from edgesched.autoencoder import _row_shapes
         net = self.tiny_net()
-        batch = np.full((1, 6), 0.5)
+        batch = np.full((2, 6), 0.5)
         batch[0, 3:] = 0.0  # the second of two input rows is all zero
-        with pytest.raises(ValueError):
-            reconstruction_loss_grads(net, batch, 2, 3, 0.5, 0.0)
+        batch[1, :3] = [0.2, 0.8, 0.4]
+        shapes, maxima = _row_shapes(batch, 2, 3)
+        assert_same_bits(shapes[0, 1], np.ones(3))
+        assert_same_bits(shapes[1], batch[1].reshape(2, 3)
+                         / batch[1].reshape(2, 3).max(axis=1, keepdims=True))
+        assert_same_bits(maxima[:, 0], [0.5, 0.0, 0.8, 0.5])
+        got = reconstruction_loss_grads(net, batch, 2, 3, 0.5, 0.08)
+        want = reconstruction_loss_grads_reference(net, batch, 2, 3, 0.5,
+                                                   0.08)
+        assert got[0] == want[0] and np.isfinite(got[0])
+        assert_same_grads(got[1], want[1])
+
+    def test_negative_input_row_maximum_raises(self):
+        batch = np.full((1, 6), 0.5)
+        batch[0, 3:] = -0.1
+        with pytest.raises(ValueError, match="must not be negative"):
+            reconstruction_loss_grads(self.tiny_net(), batch, 2, 3, 0.5, 0.0)
+
+    @pytest.mark.parametrize("rows,cols,gamma1,gamma2", [
+        (3, 2, 0.5, 0.08), (3, 2, 0.0, 0.08), (3, 2, 0.5, 0.0),
+        (3, 2, 0.0, 0.0), (6, 1, 0.5, 0.08), (2, 4, 0.7, 0.08)])
+    def test_loss_grads_and_steps_match_reference(self, rows, cols, gamma1,
+                                                  gamma2):
+        """Loss, gradients and parameters over several Adam steps equal the
+        whole-array step's, bit for bit."""
+        d = rows * cols
+        net = self.tiny_net(seed=d, dims=(d, 4, d))
+        twin = Network(net.specs, weights=net.weights, biases=net.biases)
+        opt, ref = Adam(net, lr=1e-2), Adam(twin, lr=1e-2)
+        rng = np.random.default_rng(d + cols)
+        for _ in range(5):
+            batch = rng.uniform(0.0, 1.0, size=(7, d))
+            batch[0, :cols] = 0.0  # one all-zero UE row
+            got = reconstruction_loss_grads(net, batch, rows, cols, gamma1,
+                                            gamma2)
+            want = reconstruction_loss_grads_reference(
+                twin, batch, rows, cols, gamma1, gamma2)
+            assert got[0] == want[0]
+            assert_same_grads(got[1], want[1])
+            opt.step(got[1])
+            adam_step_reference(ref, want[1])
+            assert_same_params(net, twin)
+
+    def test_tied_row_maxima_give_the_extra_term_to_the_first(self):
+        # output entries 0 and 1 share their weights and bias, so they tie
+        # and are their row's maximum; inputs tie too
+        net = self.tiny_net(seed=3, dims=(6, 4, 6))
+        net.weights[-1][1] = net.weights[-1][0]
+        net.biases[-1][:2] = 4.0
+        batch = np.random.default_rng(4).uniform(0.1, 0.9, size=(5, 6))
+        batch[:, 4] = batch[:, 5]
+        y = net.forward(batch)
+        assert (y[:, 0] == y[:, 1]).all() and (y[:, 0] > y[:, 2]).all()
+        seen = []
+        backward = net.backward
+        net.backward = lambda cache, g: seen.append(g.copy()) or backward(
+            cache, g)
+        got = reconstruction_loss_grads(net, batch, 3, 2, 0.5, 0.08)
+        del net.backward
+        want = reconstruction_loss_grads_reference(net, batch, 3, 2, 0.5,
+                                                   0.08)
+        assert got[0] == want[0]
+        assert_same_grads(got[1], want[1])
+        # the shape term's gradient, -e_j/m plus the quotient-rule term at
+        # the first of the two tied entries only
+        y3, x3 = y.reshape(5, 3, 2), batch.reshape(5, 3, 2)
+        m = y3.max(axis=2)
+        v = y3 / m[..., None]
+        e = x3 / x3.max(axis=2, keepdims=True) - v
+        extra = (e * v).sum(axis=2) / m
+        shape_grad = (seen[0] - 2.0 * (y - batch) / y.size) * 5 / 0.5
+        np.testing.assert_allclose(shape_grad[:, 0],
+                                   -e[:, 0, 0] / m[:, 0] + extra[:, 0])
+        np.testing.assert_allclose(shape_grad[:, 1], -e[:, 0, 1] / m[:, 0])
 
     def test_one_server_rows_carry_no_shape_term(self):
         # with one column a row's shape is 1, so the term is 0 and skipped,
@@ -279,6 +355,68 @@ class TestTraining:
     def test_accuracy_identity_is_one(self):
         comp = ChannelCompressor(AutoencoderConfig(out_dim=4), 4, 1)
         assert comp.accuracy([np.ones((4, 1))] * 3) == 1.0
+
+
+class TestPretrain:
+    """Batched rasterization against observing and scaling one sample at a
+    time (``tests/reference.py``)."""
+
+    def twins(self, memory, out_dim=4):
+        cfg = AutoencoderConfig(out_dim=out_dim, memory=memory, t_sae=12,
+                                batch=4)
+        return [ChannelCompressor(cfg, 4, 2, rng=np.random.default_rng(1))
+                for _ in range(2)]
+
+    @pytest.mark.parametrize("memory,count", [(4096, 30), (8, 30), (5, 5)])
+    @pytest.mark.parametrize("prior", [False, True])
+    def test_batch_matches_per_sample(self, memory, count, prior):
+        scen = random_scenario(4, 2, rng_seed=2)
+        mats = [sample_channel_state(scen, e).gains
+                for e in range(1, count + 1)]
+        mats[-1] = mats[-1] * 1e-3  # the smallest gain comes last
+        comps = self.twins(memory)
+        if prior:  # bounds and memory entries from before pretraining
+            for comp in comps:
+                for e in (101, 102):
+                    comp.observe_and_admit(sample_channel_state(scen, e))
+        got = comps[0].pretrain(mats, np.random.default_rng(2))
+        want = pretrain_per_sample(comps[1], mats, np.random.default_rng(2))
+        batched, single = comps
+        assert len(got) == 12
+        assert_same_bits(got, want)
+        assert (batched.raster.lo, batched.raster.hi) == (single.raster.lo,
+                                                          single.raster.hi)
+        assert batched._online_raster.lo == single._online_raster.lo
+        assert len(batched.memory) == len(single.memory) == min(
+            memory, count + 2 * prior)
+        for entry, twin in zip(batched.memory, single.memory):
+            assert_same_bits(entry, twin)
+            assert entry.base is None and entry.flags.owndata
+        assert_same_params(batched.net, single.net)
+
+    def test_identity_compressor_settles_the_same_bounds(self):
+        scen = random_scenario(4, 2, rng_seed=2)
+        mats = [sample_channel_state(scen, e).gains for e in range(1, 9)]
+        comps = self.twins(4096, out_dim=8)
+        assert comps[0].pretrain(mats, np.random.default_rng(2)) == []
+        pretrain_per_sample(comps[1], mats, np.random.default_rng(2))
+        assert (comps[0].raster.lo, comps[0].raster.hi) == (
+            comps[1].raster.lo, comps[1].raster.hi)
+        assert comps[0].primed and len(comps[0].memory) == 0
+
+    @pytest.mark.parametrize("prior", [False, True])
+    def test_empty_dataset_trains_the_memory_and_syncs(self, prior):
+        scen = random_scenario(4, 2, rng_seed=2)
+        comps = self.twins(4096)
+        if prior:
+            for comp in comps:
+                for e in (101, 102, 103):
+                    comp.observe_and_admit(sample_channel_state(scen, e))
+        got = comps[0].pretrain([], np.random.default_rng(2))
+        want = pretrain_per_sample(comps[1], [], np.random.default_rng(2))
+        assert got == want and len(got) == (12 if prior else 0)
+        assert comps[0].primed == prior
+        assert_same_params(*(comp.net for comp in comps))
 
 
 class TestCompressor:

@@ -17,7 +17,9 @@ from edgesched.experiment import (HELDOUT_EPOCH_BASE, PRETRAIN_EPOCH_BASE,
                                   bench_experiment, dynamic_experiment,
                                   heldout_accuracy, load_artifacts,
                                   pretrain_compressor, train_experiment)
-from edgesched.mec import random_scenario
+from edgesched.agent import SeedBundle, run
+from edgesched.mec import (MecSpec, RadioParams, Scenario, Task, UeSpec,
+                           random_scenario)
 
 
 def tiny_config(**extra):
@@ -73,6 +75,34 @@ class TestTrain:
         assert art.compressor.dims == [4, 3, 2]
         assert len(art.sae_trace) == 40 and np.isfinite(art.sae_trace).all()
         assert len(art.result.logs) == 200
+
+    def test_ue_whose_gains_are_all_the_smallest_trains(self):
+        # UE 0 is equally far from both servers, and farther from them than
+        # any other UE is from either, so with no fading every draw
+        # rasterizes its row to [0, 0]; the row takes the all-ones shape
+        ues = tuple(UeSpec(pos, Task(data_bits=8e5, cycles=1e9))
+                    for pos in ((0, 50), (25, 25), (12, 20)))
+        scenario = Scenario(ues=ues, mecs=(MecSpec((10, 10)),
+                                           MecSpec((40, 40))),
+                            radio=RadioParams(fading="deterministic"))
+        cfg = tiny_config(drl={"t_drl": 200, "phi": 5})
+        seeds = SeedBundle.from_master(cfg.seed)
+        comp, sae_rng, trace = pretrain_compressor(cfg, scenario, seeds)
+        assert all((row[:2] == 0.0).all() for row in comp.memory)
+        assert len(trace) == 40 and np.isfinite(trace).all()
+        # the refresh at epoch 200 trains on the same rows
+        result = run(scenario, comp, cfg.drl, cfg.asa, cfg.replay, seeds,
+                     sae_rng=sae_rng)
+        assert len(result.logs) == 200
+        assert all(np.isfinite(row.reward) for row in result.logs)
+
+    def test_no_pretraining_samples_trains_and_primes_online(self, tmp_path):
+        cfg = tiny_config(sae={"t_sae": 40, "pretrain_samples": 0})
+        art = train_experiment(cfg, tmp_path)
+        assert art.sae_trace == [] and len(art.result.logs) == 20
+        # the compressor primed itself at the first observed channel
+        assert art.compressor.primed
+        assert (tmp_path / "sae.json").exists()
 
     def test_pretrain_uses_dedicated_stream(self):
         cfg = tiny_config()

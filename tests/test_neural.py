@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -8,6 +9,8 @@ import pytest
 from edgesched.neural import (ACTIVATIONS, Adam, LayerSpec, Network,
                               checkpoint_dict, load_checkpoint, mlp_specs,
                               save_checkpoint, write_json)
+
+from reference import add_l2_reference, adam_step_reference, backward_reference
 
 
 def fd_gradients(net, x, loss_fn, h=1e-6):
@@ -40,6 +43,34 @@ def assert_grads_close(analytic, numeric, atol=1e-6):
     for (aw, ab), (nw, nb) in zip(analytic, numeric):
         np.testing.assert_allclose(aw, nw, atol=atol)
         np.testing.assert_allclose(ab, nb, atol=atol)
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and bytes; unlike ``==``, tells 0.0 from -0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_params(a, b):
+    for got, want in zip((*a.weights, *a.biases), (*b.weights, *b.biases)):
+        assert_same_bits(got, want)
+
+
+def assert_same_grads(got, want):
+    for (gw, gb), (ww, wb) in zip(got, want):
+        assert_same_bits(gw, ww)
+        assert_same_bits(gb, wb)
+
+
+def random_grads(net, rng, scale=1.0):
+    """Gradients of every scale, a few entries exactly 0."""
+    def draw(shape):
+        g = rng.normal(size=shape) * scale * 10.0 ** rng.integers(-6, 3, shape)
+        g[rng.random(shape) < 0.1] = 0.0
+        return g
+    return [(draw(w.shape), draw(b.shape))
+            for w, b in zip(net.weights, net.biases)]
 
 
 class TestSpecs:
@@ -158,6 +189,64 @@ class TestBackward:
                 acc = [(aw + gw, ab + gb)
                        for (aw, ab), (gw, gb) in zip(acc, g)]
         assert_grads_close(full, acc, atol=1e-12)
+
+
+class TestInPlace:
+    """The in-place training step against the whole-array expressions it
+    replaced (``tests/reference.py``), bit for bit."""
+
+    DIMS = ([6, 4, 3, 4, 6], [7, 9, 5], [3, 1])
+
+    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("hidden", ACTIVATIONS)
+    def test_backward_matches_reference(self, dims, hidden):
+        rng = np.random.default_rng(len(dims))
+        net = Network(mlp_specs(dims, hidden=hidden), rng=rng)
+        x = rng.normal(size=(5, dims[0]))
+        out, cache = net.forward_cached(x)
+        grad_out = rng.normal(size=out.shape)
+        want = backward_reference(net, cache, grad_out)
+        kept = grad_out.copy()
+        assert_same_grads(net.backward(cache, grad_out), want)
+        assert_same_bits(grad_out, kept)  # the caller's array is not touched
+
+    @pytest.mark.parametrize("lam", [0.0, 0.08, 3.0])
+    def test_add_l2_matches_reference_and_adds_in_place(self, lam):
+        rng = np.random.default_rng(1)
+        net = Network(mlp_specs([6, 4, 6]), rng=rng)
+        grads = random_grads(net, rng)
+        want = add_l2_reference(net, lam, 0.25,
+                                [(w.copy(), b.copy()) for w, b in grads])
+        loss, got = net.add_l2(lam, 0.25, grads)
+        assert loss == want[0]
+        assert_same_grads(got, want[1])
+        assert got is grads and got[0][0] is grads[0][0]
+
+    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("lr", [1e-3, 0.3])
+    def test_adam_matches_reference_over_steps(self, dims, lr):
+        rng = np.random.default_rng(sum(dims))
+        net = Network(mlp_specs(dims, hidden="relu"), rng=rng)
+        twin = Network(net.specs, weights=net.weights, biases=net.biases)
+        opt, ref = Adam(net, lr=lr), Adam(twin, lr=lr)
+        for _ in range(6):
+            grads = random_grads(net, rng)
+            opt.step(grads)
+            adam_step_reference(ref, grads)
+            assert_same_params(net, twin)
+            for moment in ("m", "v"):
+                assert_same_grads(getattr(opt, moment), getattr(ref, moment))
+
+    def test_adam_holds_only_its_moments_between_steps(self):
+        # the work buffers live within a step; between steps the optimiser,
+        # and a copy of it, keeps its settings, its moments and that size
+        net = Network(mlp_specs([6, 4, 3, 4, 6]), rng=np.random.default_rng(0))
+        opt = Adam(net)
+        opt.step(random_grads(net, np.random.default_rng(1)))
+        for held in (opt, copy.deepcopy(opt)):
+            assert held._work_size == 24
+            assert set(vars(held)) == {"net", "lr", "t", "m", "v",
+                                       "_work_size"}
 
 
 class TestOptimizers:

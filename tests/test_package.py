@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import os
 import re
@@ -171,7 +172,8 @@ def test_benchmark_calls_live_names():
 
 def test_artifact_hashes_prints_one_digest_per_artifact(monkeypatch, capsys):
     """``tools/artifact_hashes.py``, which every byte-identical refactor is
-    checked with, prints one sha256 line per artifact of a config."""
+    checked with, prints one sha256 line per artifact of a config, then one
+    for its pretraining loss trace."""
     spec = importlib.util.spec_from_file_location(
         "artifact_hashes", ROOT / "tools" / "artifact_hashes.py")
     tool = importlib.util.module_from_spec(spec)
@@ -180,9 +182,11 @@ def test_artifact_hashes_prints_one_digest_per_artifact(monkeypatch, capsys):
     config = ROOT / "tools" / "configs" / "identity_6x1.yaml"
     assert tool.main([str(config)]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert [line[:2] for line in lines] == [[config.stem, name]
-                                            for name in tool.ARTIFACTS]
+    assert [line[:2] for line in lines] == [
+        [config.stem, name] for name in (*tool.ARTIFACTS, tool.TRACE)]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line[2]) for line in lines)
+    # the identity compressor trains nothing: its trace is empty
+    assert lines[-1][2] == hashlib.sha256(b"").hexdigest()
 
 
 

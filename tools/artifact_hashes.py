@@ -8,9 +8,12 @@ Each config runs the same pipeline as ``edgesched train --config FILE``
 into a temporary directory, one at a time in this process, then the
 benchmark with the oracle on the reloaded set, as ``edgesched bench
 --oracle --out DIR`` would.  One line per artifact: config name, file name,
-sha256.  A refactor that promises byte-identical outputs runs this on both
-checkouts and compares the lines.  Wall-clock values are left out:
-``timings.csv``, and the two decision-time columns of ``bench.csv``.
+sha256.  A last line per config, ``pretrain_trace``, is the sha256 of the
+autoencoder's pretraining losses as float64 bytes: no artifact holds them,
+so a change to the loss value alone would pass every other line.  A
+refactor that promises byte-identical outputs runs this on both checkouts
+and compares the lines.  Wall-clock values are left out: ``timings.csv``,
+and the two decision-time columns of ``bench.csv``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ARTIFACTS = ("epochs.csv", "policy.json", "sae.json", "scenario_resolved.yaml",
              "bench.csv")
+TRACE = "pretrain_trace"
 
 
 def untimed(data: bytes) -> bytes:
@@ -42,22 +46,25 @@ def main(argv=None) -> int:
                     help="directory holding the edgesched package")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
+    import numpy as np
     from edgesched.config import load_config, override
     from edgesched.experiment import bench_experiment, train_experiment
+
+    def show(config: str, name: str, data: bytes) -> None:
+        print(f"{config:<14} {name:<24} {hashlib.sha256(data).hexdigest()}",
+              flush=True)
 
     for path in args.configs:
         with tempfile.TemporaryDirectory() as out:
             cfg = override(load_config(path), out=out)
-            train_experiment(cfg, out)
+            trace = train_experiment(cfg, out).sae_trace
             oracle = replace(cfg.bench, with_oracle=True)
             bench_experiment(replace(cfg, bench=oracle), out)
             for name in ARTIFACTS:
                 data = (Path(out) / name).read_bytes()
-                if name == "bench.csv":
-                    data = untimed(data)
-                digest = hashlib.sha256(data)
-                print(f"{path.stem:<14} {name:<24} {digest.hexdigest()}",
-                      flush=True)
+                show(path.stem, name,
+                     untimed(data) if name == "bench.csv" else data)
+            show(path.stem, TRACE, np.array(trace, dtype=float).tobytes())
     return 0
 
 
