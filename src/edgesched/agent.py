@@ -30,6 +30,8 @@ from .neural import Adam, Gradients, Network, mlp_specs, write_csv
 from .replay import ReplayBuffer, ReplayConfig, Transition
 
 _CLAMP = 1e-12
+# the replayed transitions of one training step
+BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -64,19 +66,19 @@ class AgentConfig:
 
     ``hidden`` lists the widths of the relu layers between the encoded
     state and the N * (M + 1) head, which the compressor and the scenario
-    fix; it may be empty.  The policy trains every ``phi`` epochs.
+    fix; it may be empty.  The policy trains every ``phi`` epochs, on
+    ``BATCH`` replayed transitions.
     """
 
     hidden: list[int] = field(default_factory=lambda: [120, 80])
     lambda_reg: float = 0.02
     t_drl: int = 3000
     phi: int = 10
-    batch: int = 64
     lr: float = 1e-3
     weight_shift_epoch: int | None = None
 
     def __post_init__(self) -> None:
-        for key in ("t_drl", "phi", "batch"):
+        for key in ("t_drl", "phi"):
             integer_at_least(key, getattr(self, key), 1)
         for i, width in enumerate(self.hidden):
             integer_at_least(f"hidden[{i}]", width, 1)
@@ -235,7 +237,7 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
         loss = delta_loss = None
         if t % cfg.phi == 0:
             loss, delta_loss = train_step(
-                policy, adam, buffer, cfg.batch, cfg.lambda_reg, rng_replay,
+                policy, adam, buffer, BATCH, cfg.lambda_reg, rng_replay,
                 encoder=compressor, prev_loss=prev_loss)
             prev_loss = loss
             budget = adapt_budget(budget, delta_loss)

@@ -13,10 +13,11 @@ smallest observed, takes the all-ones shape.  The term builds its gradient
 in place, and pretraining rasterizes its dataset in one batch; both give the
 bits of the whole-array and per-sample forms.
 
-Every observed channel enters a bounded FIFO memory that training draws
-from.  The paper's admission threshold, 0.01 RMSE, lies below what any
-compressor reaches on i.i.d. fading (PCA at the same width leaves about
-0.05), so every sample passed and the test is gone.
+Every observed channel enters a FIFO memory of the last ``MEMORY``
+samples, which training draws mini-batches of ``BATCH`` from.  The paper's
+admission threshold, 0.01 RMSE, lies below what any compressor reaches on
+i.i.d. fading (PCA at the same width leaves about 0.05), so every sample
+passed and the test is gone.
 
 The compressor keeps its own schedule.  Encodings read a snapshot, the
 encoder half copied into a network of its own: published at the first
@@ -47,11 +48,14 @@ _DIVERGED = "autoencoder loss diverged to a non-finite value"
 # Epochs between two online refreshes, and the training steps of one.
 SYNC_PERIOD = 200
 REFRESH_ITERS = 20
+# Samples the memory keeps, and the rows of one training mini-batch.
+MEMORY = 4096
+BATCH = 32
 
 
 @dataclass
 class AutoencoderConfig:
-    """Encoder output width plus training and memory knobs.
+    """Encoder output width plus training knobs.
 
     ``out_dim`` is the one width setting: the compressor lays the encoder
     out with ``default_dims`` once it knows N and M, and the decoder mirrors
@@ -65,16 +69,12 @@ class AutoencoderConfig:
     gamma1: float = 0.5
     gamma2: float = 0.08
     t_sae: int = 500
-    memory: int = 4096
-    batch: int = 32
     lr: float = 1e-3
     pretrain_samples: int = 2000
 
     def __post_init__(self) -> None:
         if self.out_dim is not None:
             integer_at_least("out_dim", self.out_dim, 1)
-        for key in ("memory", "batch"):
-            integer_at_least(key, getattr(self, key), 1)
         for key in ("t_sae", "pretrain_samples"):
             integer_at_least(key, getattr(self, key), 0)
         positive_finite("lr", self.lr)
@@ -249,7 +249,7 @@ class ChannelCompressor:
         self.n_ues = n_ues
         self.n_mecs = n_mecs
         self.raster = Rasterizer()
-        self.memory: deque[np.ndarray] = deque(maxlen=cfg.memory)
+        self.memory: deque[np.ndarray] = deque(maxlen=MEMORY)
         full_dims = self.dims + self.dims[-2::-1]
         if net is not None and net.dims != full_dims:
             raise ValueError(f"autoencoder layers {net.dims} do not mirror "
@@ -310,7 +310,7 @@ class ChannelCompressor:
 
         One batch: one ``log10`` over every sample, then one ``scale``, with
         the bits of observing and then scaling sample by sample.  Only the
-        last ``memory`` rows stay, each copied out so that an entry owns its
+        last ``MEMORY`` rows stay, each copied out so that an entry owns its
         data.  The batch arrays are freed on return, before training stacks
         the memory.
         """
@@ -338,7 +338,7 @@ class ChannelCompressor:
         if self.net is None or iters <= 0 or not self.memory:
             return []
         data = np.stack(self.memory)
-        take = min(self.cfg.batch, len(data))
+        take = min(BATCH, len(data))
         trace = []
         for _ in range(iters):
             idx = rng.integers(0, len(data), size=take)
@@ -417,10 +417,13 @@ class ChannelCompressor:
         """The compressor and its network checkpoint's metadata (seed,
         epoch; empty for the identity compressor).  ``dims`` other than
         ``default_dims``'s layout, parameters that do not fit them or are
-        not finite, and bounds ``Rasterizer`` rejects raise a ``ValueError``
-        naming ``path``.
+        not finite, bounds ``Rasterizer`` rejects and a missing key raise a
+        ``ValueError`` naming ``path``.
         """
         doc = read_json(path, SAE_FORMAT)
+        missing = {"n_ues", "n_mecs", "dims", "lo", "hi", "net"} - set(doc)
+        if missing:
+            raise ValueError(f"{path}: missing key {min(missing)!r}")
         meta = doc["net"] or {}
         net = network_from_dict(meta, path) if meta else None
         try:

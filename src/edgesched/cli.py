@@ -13,7 +13,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ from .agent import SeedBundle
 from .autoencoder import SAE_FORMAT, ChannelCompressor
 from .bench import format_report
 from .config import build_scenario, dump_scenario, load_config, override
-from .neural import CHECKPOINT_FORMAT, load_checkpoint
+from .neural import CHECKPOINT_FORMAT, load_checkpoint, read_json
 
 logger = logging.getLogger("edgesched")
 
@@ -128,7 +127,7 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    fmt = json.loads(Path(args.path).read_text()).get("format", "?")
+    fmt = read_json(args.path).get("format", "?")
     print(f"format: {fmt}")
     if fmt == SAE_FORMAT:
         comp, meta = ChannelCompressor.load(args.path)

@@ -24,7 +24,7 @@ from math import isfinite
 from operator import attrgetter
 from pathlib import Path
 from types import UnionType
-from typing import Any, get_args, get_type_hints
+from typing import get_args, get_type_hints
 
 import yaml
 
@@ -82,7 +82,7 @@ def _check_types(cls, data: dict, prefix: str = "") -> None:
                                  f"{value!r}")
             continue
         types = _hint_types(hints[key])
-        if isinstance(value, str) and not types & {str, Any}:
+        if isinstance(value, str) and str not in types:
             raise ValueError(
                 f"{name} is the string {value!r} but takes no string "
                 "(PyYAML reads 4.0e9 and 1e-3 as strings: write 4.0e+9 and "
@@ -250,10 +250,10 @@ def _spec(cls, entry: dict, **parts):
     return cls(**own, **parts)
 
 
-def load_scenario(source: str | Path | dict) -> Scenario:
+def load_scenario(path: str | Path) -> Scenario:
     """The scenario a ``dump_scenario`` file holds; errors name the entry."""
-    data = source if isinstance(source, dict) else _read_yaml(source)
-    with _naming("scenario" if data is source else str(source)):
+    data = _read_yaml(path)
+    with _naming(str(path)):
         _check_keys("scenario file", data, {"area_m", "rng_seed", "radio",
                                             "mecs", "ues"}, complete=True)
         with _naming("radio"):

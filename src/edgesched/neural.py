@@ -19,7 +19,6 @@ is replaced in one rename by ``write_atomic``.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import os
@@ -298,10 +297,18 @@ def network_from_dict(doc: dict, path: str | Path) -> Network:
     return net
 
 
-def read_json(path: str | Path, fmt: str) -> dict:
-    """The JSON document at ``path``, which must declare format ``fmt``."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != fmt:
+def read_json(path: str | Path, fmt: str | None = None) -> dict:
+    """The JSON object at ``path``, which must declare format ``fmt`` if
+    one is given.  Text that is not JSON and a document that is not an
+    object raise a ``ValueError`` naming ``path``."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: holds a JSON {type(doc).__name__}, not "
+                         "an object")
+    if fmt is not None and doc.get("format") != fmt:
         raise ValueError(f"not a {fmt} file: {path}")
     return doc
 
@@ -322,44 +329,13 @@ def write_atomic(path: str | Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-@functools.cache
-def _scalar_list_encoder(pad: str) -> json.JSONEncoder:
-    return json.JSONEncoder(separators=(",\n" + pad, ": "))
-
-
-def _indented(obj, pad: str) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=1)`` for an ``obj`` nested
-    ``len(pad)`` deep, its dict keys strings.
-
-    ``indent`` would run the pure-Python encoder over every number.  Here a
-    list that starts with a scalar is one call to the C encoder, with the
-    line break and padding as its item separator, which writes the same
-    text; a list that holds a container is written item by item.
-    """
-    inner = pad + " "
-    if isinstance(obj, dict) and obj:
-        body = (",\n" + inner).join(
-            f"{json.dumps(key)}: {_indented(value, inner)}"
-            for key, value in sorted(obj.items()))
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        body = None
-        if not isinstance(obj[0], (dict, list, tuple)):
-            body = _scalar_list_encoder(inner).encode(obj)[1:-1]
-        if body is None or "[" in body or "{" in body:  # nested containers
-            body = (",\n" + inner).join(_indented(v, inner) for v in obj)
-        return "[\n" + inner + body + "\n" + pad + "]"
-    return json.dumps(obj)
-
-
 def write_json(path: str | Path, doc: dict) -> None:
-    """Write ``doc`` as canonical JSON: sorted keys, fixed layout, atomic.
+    """Write ``doc`` as canonical JSON: sorted keys, one-space indent, atomic.
 
-    The text is ``json.dumps(doc, sort_keys=True, indent=1)``'s.  Python
-    floats round-trip exactly through repr, so loading a checkpoint and
-    saving it again reproduces the file byte for byte.
+    Python floats round-trip exactly through repr, so loading a checkpoint
+    and saving it again reproduces the file byte for byte.
     """
-    write_atomic(path, _indented(doc, "") + "\n")
+    write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def _cell(value) -> str:

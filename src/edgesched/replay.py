@@ -29,19 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mec import integer_at_least, non_negative_finite
+from .mec import non_negative_finite
 
 # added to a trained sample's loss improvement, so no priority is 0
 EPS = 1e-3
+# transitions the buffer holds before it evicts
+CAPACITY = 1024
 
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    capacity: int = 1024
     tau: float = 0.6
 
     def __post_init__(self) -> None:
-        integer_at_least("capacity", self.capacity, 1)
         non_negative_finite("tau", self.tau)
 
 
@@ -60,19 +60,20 @@ class Transition:
 class ReplayBuffer:
     """Bounded transition store; see the module docstring for the policy.
 
-    Raw channels and labels sit in two ring arrays of ``capacity`` rows,
+    Raw channels and labels sit in two ring arrays of ``CAPACITY`` rows,
     allocated at the first append: store index k, 0 the oldest, lives in
     row ``(head + k) % capacity``, so an eviction only moves ``head``.
     """
 
     def __init__(self, cfg: ReplayConfig):
         self.cfg = cfg
+        self.capacity = CAPACITY
         self._raw: np.ndarray | None = None
         self._labels: np.ndarray | None = None
         self._head = 0
         self._size = 0
         # priority of each stored transition, in store order
-        self._priorities = np.empty(cfg.capacity)
+        self._priorities = np.empty(self.capacity)
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -84,7 +85,7 @@ class ReplayBuffer:
         The new sample enters at the maximum current priority so it is seen
         at least as eagerly as anything already stored.
         """
-        cap, size = self.cfg.capacity, self._size
+        cap, size = self.capacity, self._size
         if self._raw is None:
             raw = np.asarray(transition.raw)
             label = np.asarray(transition.best_action)
@@ -104,7 +105,7 @@ class ReplayBuffer:
 
     def _rows(self, idx: np.ndarray) -> np.ndarray:
         """Ring rows of store indices ``idx``."""
-        return (self._head + idx) % self.cfg.capacity
+        return (self._head + idx) % self.capacity
 
     def sample_probs(self) -> np.ndarray:
         weights = self._priorities[:self._size] ** self.cfg.tau

@@ -187,7 +187,7 @@ def test_05_annealer_finds_toy_optima():
 
 def test_06_priority_sampling_law():
     t0 = time.perf_counter()
-    buf = ReplayBuffer(ReplayConfig(capacity=4, tau=1.0))
+    buf = ReplayBuffer(ReplayConfig(tau=1.0))
     buf.append(make_transition(0))
     buf.append(make_transition(1))
     buf._priorities[0] = 1.0
@@ -196,7 +196,7 @@ def test_06_priority_sampling_law():
     freq = np.bincount(idx, minlength=2) / idx.size
     sharp_ok = (abs(freq[0] - 0.25) <= 0.01 and abs(freq[1] - 0.75) <= 0.01)
 
-    flat = ReplayBuffer(ReplayConfig(capacity=8, tau=0.0))
+    flat = ReplayBuffer(ReplayConfig(tau=0.0))
     for e in range(5):
         flat.append(make_transition(e))
         flat._priorities[e] = float(1 + 100 * e)

@@ -18,6 +18,7 @@ from edgesched.replay import ReplayBuffer, ReplayConfig, Transition
 
 from reference import stored
 from test_neural import assert_grads_close, fd_gradients
+from test_replay import sized
 
 
 def policy_loss(net, states, targets, lam):
@@ -29,12 +30,10 @@ def identity_compressor(n, m):
     return ChannelCompressor(AutoencoderConfig(out_dim=n * m), n, m)
 
 
-def quick_run(n=4, m=2, t_drl=25, master=9, replay=ReplayConfig(capacity=64),
-              **cfg_kw):
+def quick_run(n=4, m=2, t_drl=25, master=9, replay=ReplayConfig(), **cfg_kw):
     scen = random_scenario(n, m, rng_seed=3, weights=(0.5, 2.0))
     seeds = SeedBundle.from_master(master)
-    cfg = AgentConfig(hidden=[16], t_drl=t_drl, phi=5, batch=8,
-                      **cfg_kw)
+    cfg = AgentConfig(hidden=[16], t_drl=t_drl, phi=5, **cfg_kw)
     res = run(scen, identity_compressor(n, m), cfg, AnnealConfig(t_sa_init=4),
               replay, seeds)
     return scen, res
@@ -200,7 +199,7 @@ def fill_buffer(buf, rng, n=2, m=1, count=6):
 class TestTrainStep:
     def test_memorizes_fixed_labels(self):
         rng = np.random.default_rng(5)
-        buf = ReplayBuffer(ReplayConfig(capacity=8))
+        buf = ReplayBuffer(ReplayConfig())
         fill_buffer(buf, rng, count=4)
         net = Network(mlp_specs([2, 24, 4], hidden="relu"), rng=rng)
         adam = Adam(net, lr=1e-2)
@@ -216,7 +215,7 @@ class TestTrainStep:
 
     def test_first_event_delta_is_zero(self):
         rng = np.random.default_rng(6)
-        buf = ReplayBuffer(ReplayConfig(capacity=8))
+        buf = ReplayBuffer(ReplayConfig())
         fill_buffer(buf, rng)
         net = Network(mlp_specs([2, 8, 4]), rng=rng)
         adam = Adam(net)
@@ -226,7 +225,7 @@ class TestTrainStep:
 
     def test_delta_is_improvement(self):
         rng = np.random.default_rng(7)
-        buf = ReplayBuffer(ReplayConfig(capacity=8))
+        buf = ReplayBuffer(ReplayConfig())
         fill_buffer(buf, rng)
         net = Network(mlp_specs([2, 8, 4]), rng=rng)
         adam = Adam(net)
@@ -237,7 +236,7 @@ class TestTrainStep:
 
     def test_priorities_updated(self):
         rng = np.random.default_rng(8)
-        buf = ReplayBuffer(ReplayConfig(capacity=8))
+        buf = ReplayBuffer(ReplayConfig())
         fill_buffer(buf, rng, count=3)
         net = Network(mlp_specs([2, 8, 4]), rng=rng)
         _, delta = train_step(net, Adam(net), buf, 8, 0.0, rng, RawEncoder(),
@@ -248,7 +247,7 @@ class TestTrainStep:
 
     def test_one_encode_call_on_the_sampled_rows(self):
         rng = np.random.default_rng(11)
-        buf = ReplayBuffer(ReplayConfig(capacity=4))
+        buf = sized(4)
         kept = []   # the transitions a FIFO list would hold
         for _ in range(7):
             t = Transition(raw=rng.uniform(0.0, 1.0, size=2),
@@ -280,7 +279,7 @@ class TestTrainStep:
         for e in range(1, 6):
             comp.observe_and_admit(sample_channel_state(scen, e))
         comp.sync()
-        buf = ReplayBuffer(ReplayConfig(capacity=8))
+        buf = ReplayBuffer(ReplayConfig())
         for e in range(1, 7):
             buf.append(Transition(raw=sample_channel_state(scen, 10 + e).gains.ravel(),
                                   best_action=rng.integers(0, m + 1, size=n)))
@@ -303,7 +302,7 @@ class TestTrainStep:
 
     def test_nonfinite_loss_aborts(self):
         rng = np.random.default_rng(9)
-        buf = ReplayBuffer(ReplayConfig(capacity=8))
+        buf = ReplayBuffer(ReplayConfig())
         fill_buffer(buf, rng)
         net = Network(mlp_specs([2, 4, 4]), rng=rng)
         net.weights[0][0, 0] = np.nan
@@ -377,7 +376,7 @@ class TestRun:
 
     def test_uniform_replay_mode_runs(self):
         # tau = 0 weighs every priority alike: uniform replay
-        _, res = quick_run(t_drl=10, replay=ReplayConfig(capacity=64, tau=0.0))
+        _, res = quick_run(t_drl=10, replay=ReplayConfig(tau=0.0))
         assert len(res.logs) == 10
 
     def test_config_validation(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesched import agent, annealing
+from edgesched import agent, annealing, replay
 from edgesched.allocator import Evaluator
 from edgesched.annealing import (EPSILON, T_SA_MAX, AnnealConfig,
                                  BudgetState, SearchResult, adapt_budget,
@@ -384,13 +384,16 @@ class TestSearchMatchesReference:
                                           mutation_probs(assign, gains))
 
     def test_agent_run_epochs_csv_unchanged(self, monkeypatch, tmp_path):
+        # a small buffer and batch, so the run evicts and trains on repeats
+        monkeypatch.setattr(replay, "CAPACITY", 128)
+        monkeypatch.setattr(agent, "BATCH", 16)
+
         def desk_run(path):
             n, m = 10, 2
             scen = random_scenario(n, m, rng_seed=3, weights=(0.5, 2.0))
-            cfg = agent.AgentConfig(hidden=[32], t_drl=300, phi=10,
-                                    batch=16)
+            cfg = agent.AgentConfig(hidden=[32], t_drl=300, phi=10)
             res = agent.run(scen, identity_compressor(n, m), cfg,
-                            AnnealConfig(), ReplayConfig(capacity=128),
+                            AnnealConfig(), ReplayConfig(),
                             agent.SeedBundle.from_master(1))
             agent.write_epoch_csv(res.logs, path)
             return path.read_bytes()

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from edgesched import autoencoder
 from edgesched.autoencoder import (SYNC_PERIOD, AutoencoderConfig,
                                    ChannelCompressor, Rasterizer, default_dims,
                                    reconstruction_loss_grads)
@@ -72,11 +73,6 @@ class TestDims:
         assert comp.dims == dims
         assert comp.out_dim == comp.cfg.out_dim == dims[-1]
 
-    def test_memory_capacity_must_be_positive(self):
-        # a deque with maxlen 0 would drop every sample without a word
-        with pytest.raises(ValueError):
-            AutoencoderConfig(memory=0)
-
 
 class TestRasterizer:
     def test_bounds_grow(self):
@@ -109,13 +105,21 @@ class TestRasterizer:
             Rasterizer().transform(np.ones((1, 1)))
 
 
+def with_memory(memory, *args, **kwargs):
+    """``ChannelCompressor(*args, **kwargs)`` with a memory of ``memory``
+    samples: ``autoencoder.MEMORY`` while it is built."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autoencoder, "MEMORY", memory)
+        return ChannelCompressor(*args, **kwargs)
+
+
 class TestMemory:
-    def make(self, **cfg_kw):
-        cfg = AutoencoderConfig(out_dim=2, **cfg_kw)
-        return ChannelCompressor(cfg, 2, 2, rng=np.random.default_rng(0))
+    def make(self, memory):
+        return with_memory(memory, AutoencoderConfig(out_dim=2), 2, 2,
+                           rng=np.random.default_rng(0))
 
     def test_fifo_capacity(self):
-        comp = self.make(memory=3)
+        comp = self.make(3)
         comp.raster.observe(np.array([[1e-9, 1e-1]]))  # fixed bounds
         for k in range(5):
             gains = np.full((2, 2), 10.0 ** -(k + 2))
@@ -126,7 +130,7 @@ class TestMemory:
 
     def test_every_observed_channel_enters_in_order(self):
         # each channel is stored as rasterized under the bounds seen so far
-        comp = self.make(memory=4)
+        comp = self.make(4)
         scen = random_scenario(2, 2, rng_seed=3)
         twin = Rasterizer()
         expect = []
@@ -138,7 +142,7 @@ class TestMemory:
         np.testing.assert_array_equal(np.stack(comp.memory), expect[-4:])
 
     def test_entries_own_their_data(self):
-        comp = self.make(memory=4)
+        comp = self.make(4)
         scen = random_scenario(2, 2, rng_seed=3)
         comp.pretrain([sample_channel_state(scen, e).gains for e in (1, 2)],
                       np.random.default_rng(0))
@@ -317,19 +321,19 @@ class TestLoss:
 
 
 class TestTraining:
-    def make(self, net_seed, capacity, **cfg_kw):
-        cfg = AutoencoderConfig(out_dim=4, memory=capacity, **cfg_kw)
+    def make(self, net_seed, **cfg_kw):
+        cfg = AutoencoderConfig(out_dim=4, **cfg_kw)
         return ChannelCompressor(cfg, 3, 2, rng=np.random.default_rng(net_seed))
 
     def test_memorizes_small_set(self):
-        comp = self.make(10, 8, gamma1=0.0, gamma2=0.0, batch=4, lr=3e-2)
+        comp = self.make(10, gamma1=0.0, gamma2=0.0, lr=3e-2)
         rng = np.random.default_rng(11)
         comp.memory.extend(rng.uniform(0.2, 0.8, size=6) for _ in range(4))
         comp.refresh(rng, iters=4000)
         assert rms_errors(comp.net, np.stack(comp.memory)).max() < 1e-3
 
     def test_loss_trace_decreases(self):
-        comp = self.make(12, 64, batch=8, lr=1e-2)
+        comp = self.make(12, lr=1e-2)
         rng = np.random.default_rng(13)
         comp.memory.extend(rng.uniform(0.1, 0.9, size=6) for _ in range(32))
         trace = comp.refresh(rng, iters=400)
@@ -338,8 +342,7 @@ class TestTraining:
 
     def test_weight_penalty_shrinks_norm(self):
         def run(gamma2):
-            comp = self.make(14, 16, gamma1=0.0, gamma2=gamma2, batch=8,
-                             lr=1e-2)
+            comp = self.make(14, gamma1=0.0, gamma2=gamma2, lr=1e-2)
             rng = np.random.default_rng(15)
             comp.memory.extend(rng.uniform(0.1, 0.9, size=6)
                                for _ in range(16))
@@ -349,7 +352,7 @@ class TestTraining:
         assert run(0.5) < run(0.0)
 
     def test_empty_memory_is_noop(self):
-        comp = self.make(16, 4)
+        comp = self.make(16)
         assert comp.refresh(np.random.default_rng(0)) == []
 
     def test_accuracy_identity_is_one(self):
@@ -362,9 +365,8 @@ class TestPretrain:
     time (``tests/reference.py``)."""
 
     def twins(self, memory, out_dim=4):
-        cfg = AutoencoderConfig(out_dim=out_dim, memory=memory, t_sae=12,
-                                batch=4)
-        return [ChannelCompressor(cfg, 4, 2, rng=np.random.default_rng(1))
+        cfg = AutoencoderConfig(out_dim=out_dim, t_sae=12)
+        return [with_memory(memory, cfg, 4, 2, rng=np.random.default_rng(1))
                 for _ in range(2)]
 
     @pytest.mark.parametrize("memory,count", [(4096, 30), (8, 30), (5, 5)])

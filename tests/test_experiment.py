@@ -18,8 +18,10 @@ from edgesched.experiment import (HELDOUT_EPOCH_BASE, PRETRAIN_EPOCH_BASE,
                                   heldout_accuracy, load_artifacts,
                                   pretrain_compressor, train_experiment)
 from edgesched.agent import SeedBundle, run
+from edgesched.autoencoder import SAE_FORMAT, ChannelCompressor
 from edgesched.mec import (MecSpec, RadioParams, Scenario, Task, UeSpec,
                            random_scenario)
+from edgesched.neural import load_checkpoint
 
 
 def tiny_config(**extra):
@@ -315,6 +317,39 @@ class TestCli:
         p = tmp_path / "foo.json"
         p.write_text('{"format": "mystery"}')
         assert cli_main(["inspect-checkpoint", str(p)]) == 1
+
+
+# the readers of a checkpoint file, by name
+CHECKPOINT_READERS = {
+    "load_checkpoint": load_checkpoint,
+    "ChannelCompressor.load": ChannelCompressor.load,
+    "inspect-checkpoint": lambda p: cli_main(["inspect-checkpoint", str(p)])}
+# an identity compressor's sae.json, which loads
+SAE_DOC = {"format": SAE_FORMAT, "n_ues": 2, "n_mecs": 1, "dims": [2],
+           "lo": -1.0, "hi": 0.0, "net": None}
+
+
+def malformed_checkpoints():
+    """(reader, file text, error after the path) per malformed file."""
+    for reader in CHECKPOINT_READERS:
+        yield reader, "[1, 2]", "holds a JSON list, not an object"
+        yield reader, "5", "holds a JSON int, not an object"
+        yield reader, "{not json", "Expecting property name"
+    for reader in ("ChannelCompressor.load", "inspect-checkpoint"):
+        for key in ("net", "dims"):
+            doc = {k: v for k, v in SAE_DOC.items() if k != key}
+            yield reader, json.dumps(doc), f"missing key '{key}'"
+
+
+@pytest.mark.parametrize("reader, text, message", list(malformed_checkpoints()))
+def test_malformed_checkpoint_names_its_file(tmp_path, reader, text, message):
+    p = tmp_path / "ckpt.json"
+    p.write_text(json.dumps(SAE_DOC))
+    comp, meta = ChannelCompressor.load(p)
+    assert comp.dims == [2] and meta == {}
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {message}')}"):
+        CHECKPOINT_READERS[reader](p)
 
 
 def test_agent_config_hidden_layers():

@@ -330,8 +330,8 @@ class TestCheckpoints:
          "mix": [1, [2, {"z": 1, "a": [3]}], "x"], "deep": [[[1.5]], [[]]]},
     ], ids=["checkpoint", "empty-containers", "scalars-and-mixed-lists"])
     def test_write_json_is_indented_dumps(self, tmp_path, doc):
-        """``write_json`` lays the document out itself; the text must be
-        ``json.dumps(doc, sort_keys=True, indent=1)``'s, byte for byte."""
+        """Every checkpoint's text is ``json.dumps(doc, sort_keys=True,
+        indent=1)``'s, byte for byte, with a final line break."""
         if doc == "policy":
             net = Network(mlp_specs([7, 12, 9, 6], hidden="relu"),
                           rng=np.random.default_rng(15))

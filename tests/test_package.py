@@ -38,6 +38,19 @@ class TestBlasThreads:
     def test_user_setting_wins(self):
         assert threads_after_import(OPENBLAS_NUM_THREADS="3") == ["3", "1"]
 
+    @pytest.mark.parametrize("tool", ["artifact_hashes", "oracle_hashes",
+                                      "search_hashes"])
+    def test_hash_tools_cap_threads_before_numpy(self, tool):
+        """A hash tool imports numpy before ``edgesched``, so it caps the
+        threads itself, as soon as it is loaded."""
+        probe = ("import importlib.util, os, sys; "
+                 f"spec = importlib.util.spec_from_file_location('tool', "
+                 f"{str(ROOT / 'tools' / f'{tool}.py')!r}); "
+                 "spec.loader.exec_module(importlib.util.module_from_spec(spec)); "
+                 "print(os.environ['OPENBLAS_NUM_THREADS'], "
+                 "os.environ['OMP_NUM_THREADS'], 'numpy' in sys.modules)")
+        assert run_probe(probe) == ["1", "1", "False"]
+
 
 def test_every_export_resolves():
     missing = [name for name in edgesched.__all__

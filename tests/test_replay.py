@@ -6,9 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from edgesched import replay
 from edgesched.replay import EPS, ReplayBuffer, ReplayConfig, Transition
 
 from reference import stored
+
+
+def sized(capacity):
+    """A buffer of ``capacity`` rows: ``replay.CAPACITY`` while it is built."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replay, "CAPACITY", capacity)
+        return ReplayBuffer(ReplayConfig())
 
 
 def make_transition(epoch, dim=4):
@@ -29,14 +37,14 @@ def test_transition_is_a_frozen_observation():
 
 class TestAppendEvict:
     def test_capacity_bound(self):
-        buf = ReplayBuffer(ReplayConfig(capacity=5))
+        buf = sized(5)
         for e in range(12):
             buf.append(make_transition(e))
         assert len(buf) == 5
         assert buf.evictions == 7
 
     def test_new_sample_takes_max_priority(self):
-        buf = ReplayBuffer(ReplayConfig(capacity=8))
+        buf = ReplayBuffer(ReplayConfig())
         buf.append(make_transition(0))
         assert buf._priorities[0] == 1.0
         buf._priorities[0] = 7.5
@@ -44,7 +52,7 @@ class TestAppendEvict:
         assert buf._priorities[1] == 7.5
 
     def test_overflow_moves_priorities_with_transitions(self):
-        buf = ReplayBuffer(ReplayConfig(capacity=3))
+        buf = sized(3)
         for e in range(3):
             buf.append(make_transition(e))
         buf._priorities[:3] = [5.0, 2.0, 3.0]
@@ -69,7 +77,7 @@ class TestFifoMatchesModel:
     def test_store_and_priorities_follow_a_fifo_model(self, capacity, appends,
                                                       updates):
         # in-order model: one [epoch, priority] entry per transition
-        buf = ReplayBuffer(ReplayConfig(capacity=capacity))
+        buf = sized(capacity)
         model = []
         for e in range(appends):
             top = max((p for _, p in model), default=1.0)
@@ -92,7 +100,7 @@ class TestRing:
     @pytest.mark.parametrize("capacity", [1, 3, 5])
     def test_store_order_across_evictions(self, capacity):
         rng = np.random.default_rng(capacity)
-        buf = ReplayBuffer(ReplayConfig(capacity=capacity))
+        buf = sized(capacity)
         kept = []   # the transitions a FIFO list would hold
         for e in range(13):
             t = Transition(raw=rng.normal(size=6),
@@ -108,7 +116,7 @@ class TestRing:
         assert buf._labels.shape == (capacity, 3)
 
     def test_append_copies_its_arrays(self):
-        buf = ReplayBuffer(ReplayConfig(capacity=2))
+        buf = ReplayBuffer(ReplayConfig())
         raw, action = np.arange(4.0), np.array([1, 0])
         buf.append(Transition(raw=raw, best_action=action))
         raw[0], action[0] = -1.0, 7
@@ -118,7 +126,7 @@ class TestRing:
 
     def test_sample_equals_stacking_the_stored_transitions(self):
         rng = np.random.default_rng(4)
-        buf = ReplayBuffer(ReplayConfig(capacity=5))
+        buf = sized(5)
         kept = []
         for e in range(9):
             t = Transition(raw=rng.normal(size=4),
@@ -140,7 +148,7 @@ class TestSampling:
 
     def test_two_priority_frequencies(self):
         # priorities {1, 3} at tau=1: sampling rates 0.25 / 0.75
-        buf = ReplayBuffer(ReplayConfig(capacity=4, tau=1.0))
+        buf = ReplayBuffer(ReplayConfig(tau=1.0))
         buf.append(make_transition(0))
         buf.append(make_transition(1))
         buf._priorities[0] = 1.0
@@ -153,7 +161,7 @@ class TestSampling:
         assert freq[1] == pytest.approx(0.75, abs=0.01)
 
     def test_tau_zero_is_uniform(self):
-        buf = ReplayBuffer(ReplayConfig(capacity=8, tau=0.0))
+        buf = ReplayBuffer(ReplayConfig(tau=0.0))
         for e in range(5):
             buf.append(make_transition(e))
             buf._priorities[e] = float(1 + 10 * e)  # wildly different
@@ -165,7 +173,7 @@ class TestSampling:
 
     def test_sharpening_increases_contrast(self):
         def top_prob(tau):
-            buf = ReplayBuffer(ReplayConfig(capacity=4, tau=tau))
+            buf = ReplayBuffer(ReplayConfig(tau=tau))
             buf.append(make_transition(0))
             buf.append(make_transition(1))
             buf._priorities[0] = 1.0
@@ -175,7 +183,7 @@ class TestSampling:
         assert top_prob(0.0) < top_prob(0.6) < top_prob(1.0)
 
     def test_sample_with_replacement_exceeds_size(self):
-        buf = ReplayBuffer(ReplayConfig(capacity=4))
+        buf = ReplayBuffer(ReplayConfig())
         buf.append(make_transition(0))
         picked, idx = buf.sample(16, np.random.default_rng(2))
         assert picked.raw.shape == (16, 4)
@@ -186,7 +194,7 @@ class TestSampling:
 class TestStats:
     def test_update_stats_sets_priorities(self):
         assert EPS == 1e-3
-        buf = ReplayBuffer(ReplayConfig(capacity=8))
+        buf = ReplayBuffer(ReplayConfig())
         for e in range(4):
             buf.append(make_transition(e))
         buf.update_stats(np.array([0, 2, 2]), delta_loss=-0.5)
@@ -195,7 +203,7 @@ class TestStats:
         assert buf._priorities[1] == 1.0
 
     def test_stats_dict(self):
-        buf = ReplayBuffer(ReplayConfig(capacity=4))
+        buf = ReplayBuffer(ReplayConfig())
         assert buf.stats() == {"size": 0, "mean_priority": 0.0,
                                "evictions": 0}
         buf.append(make_transition(0))
@@ -203,7 +211,5 @@ class TestStats:
         assert s["size"] == 1 and s["mean_priority"] == 1.0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ReplayConfig(capacity=0)
         with pytest.raises(ValueError):
             ReplayConfig(tau=-0.1)

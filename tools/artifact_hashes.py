@@ -18,6 +18,12 @@ and the two decision-time columns of ``bench.csv``.
 
 from __future__ import annotations
 
+import os
+
+# one BLAS thread, as ``import edgesched`` would set had numpy not come first
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import argparse
 import hashlib
 import sys
