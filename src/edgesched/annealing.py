@@ -265,9 +265,10 @@ def _loop_search(initial: np.ndarray, ev: Evaluator, keep: np.ndarray,
                                      temperature * cfg.phi_cool,
                                      np.array(best), improvements)
             temperature *= cfg.phi_cool
-    return SearchResult(decision=OffloadDecision(assign=best, n_mecs=m),
-                        objective=f_best, improvements=tuple(improvements),
-                        steps=budget)
+    # as an int64 array, not a list, the placement passes unconverted
+    decision = OffloadDecision(assign=np.array(best), n_mecs=m)
+    return SearchResult(decision=decision, objective=f_best,
+                        improvements=tuple(improvements), steps=budget)
 
 
 def _batch_search(ev: Evaluator, keep: np.ndarray, cfg: AnnealConfig,

@@ -160,8 +160,17 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    """Run one subcommand.  A bad input (a ``ValueError``) is reported as
+    one line on stderr, ``edgesched: error: <message>``, with exit code 2,
+    as argparse reports a bad command line."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _HANDLERS[args.command](args)
+    except ValueError as exc:
+        print(f"{parser.prog}: error: {' '.join(str(exc).split())}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,8 +26,6 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_type_hints
 
-import yaml
-
 from .agent import AgentConfig
 from .annealing import AnnealConfig
 from .autoencoder import AutoencoderConfig
@@ -230,12 +228,16 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def dump_scenario(scenario: Scenario, path: str | Path) -> None:
+    import yaml  # PyYAML loads only where a file is read or written
+
     write_atomic(path, yaml.safe_dump(scenario_to_dict(scenario),
                                       sort_keys=True))
 
 
 def _read_yaml(path: str | Path):
     """The document in YAML file ``path``; bad syntax raises ValueError."""
+    import yaml
+
     try:
         with open(path) as f:
             return yaml.safe_load(f)

@@ -4,10 +4,12 @@ A scenario fixes N user equipments (UEs), each holding one computation task,
 and M edge servers (MECs) in a square service area.  The channel between a UE
 and a MEC follows inverse-square path loss with optional small-scale fading,
 so channel states vary per epoch while the scenario itself stays immutable.
-``Scenario.arrays`` holds the latency model's inputs and ``Scenario.scoring``
-what scoring placements needs beyond them, both built once per scenario;
-``allocator.Evaluator`` scores placements with them.  Spec numbers are
-``positive_finite`` floats, positions two finite floats, ``rng_seed`` an int.
+``Scenario.arrays`` holds the latency model's inputs, ``Scenario.scoring``
+what scoring placements needs beyond them and ``Scenario.greedy_start`` the
+channel-free part of the greedy baseline's first round, each built once per
+scenario; ``allocator.Evaluator`` scores placements with the first two.
+Spec numbers are ``positive_finite`` floats, positions two finite floats,
+``rng_seed`` an int.
 """
 
 from __future__ import annotations
@@ -204,9 +206,27 @@ class ScoringSetup:
         return self._bin_offsets[:b], self._weights[:b * self._sqrt_wf.size]
 
 
+class GreedyStart(NamedTuple):
+    """The greedy baseline's first round, less the channel, as read-only arrays.
+
+    Every UE starts on its nearest MEC (the first on ties), with that MEC's
+    budget split equally among the UEs that start there.
+    """
+
+    nearest: np.ndarray     # (N,) int64 nearest MEC of each UE, in 1..M
+    gain_index: np.ndarray  # (N,) flat index of that MEC's gain in (N, M)
+    local: np.ndarray       # (N,) cycles / local_cap, the local run time
+    server: np.ndarray      # (N,) cycles / (f_mec / count), the server time
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Immutable deployment: UEs, MECs, radio parameters and the service area."""
+    """Immutable deployment: UEs, MECs, radio parameters and the service area.
+
+    Three per-scenario caches are built on first use and kept: ``arrays``,
+    ``scoring`` and ``greedy_start``.  A copy made with ``replace`` starts
+    without them.
+    """
 
     ues: tuple[UeSpec, ...]
     mecs: tuple[MecSpec, ...]
@@ -266,6 +286,21 @@ class Scenario:
         """Scoring set-up, built on first use and kept for this scenario."""
         return ScoringSetup(self.arrays, self.n_mecs)
 
+    @cached_property
+    def greedy_start(self) -> GreedyStart:
+        """Greedy's channel-free first round, built on first use and kept."""
+        arr = self.arrays
+        nearest = arr.distances.argmin(axis=1) + 1
+        count = np.bincount(nearest, minlength=self.n_mecs + 1)
+        start = GreedyStart(
+            nearest=nearest,
+            gain_index=np.arange(self.n_ues) * self.n_mecs + nearest - 1,
+            local=arr.cycles / arr.local_cap,
+            server=arr.cycles / (arr.f_mec[nearest - 1] / count[nearest]))
+        for a in start:
+            a.flags.writeable = False
+        return start
+
 
 @dataclass(frozen=True, slots=True)
 class ChannelState:
@@ -294,8 +329,12 @@ class OffloadDecision:
         a = np.asarray(self.assign, dtype=np.int64)
         if a.ndim != 1:
             raise ValueError("assign must be a length-N vector")
-        # Python ints compare faster than numpy scalars
-        if a.size and not (0 <= int(a.min()) and int(a.max()) <= self.n_mecs):
+        # only a converted input can have lost a fraction; int64 passes as is
+        if a is not self.assign and not np.array_equal(a, self.assign):
+            raise ValueError("assignments must be integers")
+        # viewed as unsigned, a negative entry is above every M; Python ints
+        # compare faster than numpy scalars
+        if a.size and int(a.view(np.uint64).max()) > self.n_mecs:
             raise ValueError("assignments must lie in {0..M}")
         object.__setattr__(self, "assign", a)
 

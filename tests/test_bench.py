@@ -19,7 +19,7 @@ from edgesched.config import ExperimentConfig, build_scenario
 from edgesched.experiment import write_table_csv
 from edgesched.mec import (MecSpec, OffloadDecision, RadioParams, Scenario,
                            Task, UeSpec, local_capacity, random_scenario,
-                           sample_channel_state)
+                           reweighted, sample_channel_state)
 from edgesched.neural import Network, mlp_specs
 
 from reference import exact_oracle_numpy, greedy_baseline_loop, window_rewards
@@ -64,7 +64,9 @@ class TestGreedy:
 
     # (N, M, MEC budget, task cycles, UEs moved local over the draws): the
     # default desk scenario moves none, the weaker budgets several per MEC
-    # and draw, and equal cycles make every move a tie
+    # and draw, and equal cycles make every move a tie.  A draw that moves
+    # none returns on the first round, from the scenario's cached start;
+    # the others go on into the rounds, so both branches are covered.
     @pytest.mark.parametrize("n, m, f_mec, cycles, moves", [
         (10, 2, 4e9, None, 0), (10, 2, 1e9, None, 240),
         (30, 5, 1e9, None, 902), (50, 3, 6e8, None, 2640),
@@ -74,14 +76,48 @@ class TestGreedy:
         cfg = replace(cfg, n_ues=n, n_mecs=m, f_mec_max=f_mec,
                       cycles=cycles or cfg.cycles)
         scen = build_scenario(cfg, fallback_seed=1)
-        moved = 0
+        moved = first_round = 0
         for e in range(1, 61):
             ch = sample_channel_state(scen, e)
             ref = greedy_baseline_loop(scen, ch)
             np.testing.assert_array_equal(greedy_baseline(scen, ch).assign,
                                           ref)
             moved += int((ref == 0).sum())
+            # a round moves a UE local for good, so only a draw that
+            # returns on the first round keeps the nearest placement
+            first_round += np.array_equal(ref, scen.greedy_start.nearest)
         assert moved == moves
+        assert first_round == (60 if moves == 0 else 0)
+
+    def test_start_is_kept_read_only(self):
+        scen, _ = toy(n=12, m=3, seed=2)
+        start = scen.greedy_start
+        gains = np.arange(12 * 3, dtype=float).reshape(12, 3)
+        np.testing.assert_array_equal(gains.take(start.gain_index),
+                                      gains[np.arange(12), start.nearest - 1])
+        assert scen.greedy_start is start
+        assert not any(a.flags.writeable for a in start)
+
+    def test_mutating_a_placement_leaves_the_next_unchanged(self):
+        for f_mec in (1e12, 5e8):   # returns on the first round, or later
+            scen, ch = toy(n=8, f_mec_max=f_mec, f_local_max=1e9)
+            first = greedy_baseline(scen, ch).assign
+            expect = first.copy()
+            first[:] = 0 if first.all() else 1
+            np.testing.assert_array_equal(greedy_baseline(scen, ch).assign,
+                                          expect)
+
+    def test_reweighted_copy_builds_its_own_start(self):
+        scen, ch = toy(n=8)
+        start = scen.greedy_start
+        copy = reweighted(scen, np.random.default_rng(1))
+        assert "greedy_start" not in vars(copy)
+        assert copy.greedy_start is not start
+        # weights enter neither the start nor the placement
+        for a, b in zip(copy.greedy_start, start):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(greedy_baseline(copy, ch).assign,
+                                      greedy_baseline(scen, ch).assign)
 
 
 class TestRandom:

@@ -1,9 +1,11 @@
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
@@ -318,12 +320,33 @@ class TestCli:
         p.write_text('{"format": "mystery"}')
         assert cli_main(["inspect-checkpoint", str(p)]) == 1
 
+    def test_inspect_reports_bad_file_in_one_line(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text("[1]")
+        assert cli_main(["inspect-checkpoint", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"edgesched: error: {p}: holds a JSON list, "
+                                "not an object\n")
+
+
+def inspect_checkpoint(path):
+    """``edgesched inspect-checkpoint path``, its one-line error on stderr
+    (exit code 2) raised again as the ``ValueError`` it reports."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc = cli_main(["inspect-checkpoint", str(path)])
+    if rc == 2:
+        (line,) = err.getvalue().splitlines()
+        raise ValueError(line.removeprefix("edgesched: error: "))
+    return rc
+
 
 # the readers of a checkpoint file, by name
 CHECKPOINT_READERS = {
     "load_checkpoint": load_checkpoint,
     "ChannelCompressor.load": ChannelCompressor.load,
-    "inspect-checkpoint": lambda p: cli_main(["inspect-checkpoint", str(p)])}
+    "inspect-checkpoint": inspect_checkpoint}
 # an identity compressor's sae.json, which loads
 SAE_DOC = {"format": SAE_FORMAT, "n_ues": 2, "n_mecs": 1, "dims": [2],
            "lo": -1.0, "hi": 0.0, "net": None}

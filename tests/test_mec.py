@@ -132,7 +132,10 @@ class TestConstruction:
     @pytest.mark.parametrize("assign, message", [
         ([0, 2, -1], "in {0..M}"),
         ([3, 0, 1], "in {0..M}"),
-        ([[0, 1], [2, 0]], "length-N vector")])
+        ([[0, 1], [2, 0]], "length-N vector"),
+        ([0.5, 1.0], "must be integers"),
+        ([-2**63], "in {0..M}"),
+        ([2**62], "in {0..M}")])
     def test_decision_rejects(self, assign, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             OffloadDecision(assign=np.array(assign), n_mecs=2)

@@ -64,6 +64,14 @@ def test_runtime_imports_no_scipy():
     assert run_probe(probe) == ["False"]
 
 
+def test_runtime_imports_no_yaml():
+    """PyYAML loads only where a config or scenario file is read or
+    written, so a process that reads none does not pay for it."""
+    probe = ("import sys, edgesched, edgesched.experiment; "
+             "print('yaml' in sys.modules)")
+    assert run_probe(probe) == ["False"]
+
+
 def test_package_imports_nothing_from_the_benchmark():
     """The benchmark checks the package against its own latency model, so
     the package must not import ``perfbench`` or any of its modules."""
