@@ -38,7 +38,7 @@ from .mec import (ChannelState, MecSpec, OffloadDecision, RadioParams,
                   random_scenario, reweighted, sample_channel_state)
 from .neural import (Adam, LayerSpec, Network, load_checkpoint, mlp_specs,
                      save_checkpoint)
-from .replay import ReplayBuffer, ReplayConfig, Transition
+from .replay import ReplayBuffer, ReplayConfig
 
 __version__ = "0.1.0"
 
@@ -49,13 +49,12 @@ __all__ = [
     "MecSpec", "Network", "OffloadDecision", "OracleResult", "RadioParams",
     "Rasterizer", "ReplayBuffer", "ReplayConfig", "RunResult", "Scenario",
     "ScenarioConfig", "SearchResult", "SeedBundle", "StrategyStats", "Task",
-    "Transition", "UeSpec", "adapt_budget", "allocate_frequencies",
-    "bench_experiment", "build_scenario", "data_rate", "decide",
-    "default_dims", "dump_scenario", "dynamic_experiment", "evaluate",
-    "exact_oracle", "exhaustive_best", "greedy_baseline", "load_checkpoint",
-    "load_config", "load_scenario", "local_capacity", "max_power_assignment",
-    "mlp_specs", "mutate", "nrr", "policy_loss_grads", "random_baseline",
-    "random_scenario", "reweighted", "run", "run_benchmark",
-    "sample_channel_state", "save_checkpoint", "search", "train_experiment",
-    "train_step",
+    "UeSpec", "adapt_budget", "allocate_frequencies", "bench_experiment",
+    "build_scenario", "data_rate", "decide", "default_dims", "dump_scenario",
+    "dynamic_experiment", "evaluate", "exact_oracle", "exhaustive_best",
+    "greedy_baseline", "load_checkpoint", "load_config", "load_scenario",
+    "local_capacity", "max_power_assignment", "mlp_specs", "mutate", "nrr",
+    "policy_loss_grads", "random_baseline", "random_scenario", "reweighted",
+    "run", "run_benchmark", "sample_channel_state", "save_checkpoint",
+    "search", "train_experiment", "train_step",
 ]

@@ -27,7 +27,7 @@ from .mec import (OffloadDecision, Scenario, integer_at_least,
                   non_negative_finite, positive_finite, reweighted,
                   sample_channel_state)
 from .neural import Adam, Gradients, Network, mlp_specs, write_csv
-from .replay import ReplayBuffer, ReplayConfig, Transition
+from .replay import ReplayBuffer, ReplayConfig
 
 _CLAMP = 1e-12
 # the replayed transitions of one training step
@@ -176,9 +176,8 @@ def train_step(policy: Network, adam: Adam, buffer: ReplayBuffer, batch: int,
     event (0 at the first).  The sampled raw channels are encoded in one
     ``encoder.encode_raw`` call against its current snapshot, and the
     improvement refreshes their priorities."""
-    picked, idx = buffer.sample(batch, rng)
-    states = encoder.encode_raw(picked.raw)
-    actions = picked.best_action
+    raw, actions, idx = buffer.sample(batch, rng)
+    states = encoder.encode_raw(raw)
     # the policy head holds M+1 scores per UE
     targets = one_hot_target(actions, policy.out_dim // actions.shape[1] - 1)
     loss, grads = policy_loss_grads(policy, states, targets, lam)
@@ -231,8 +230,7 @@ def run(scenario: Scenario, compressor: ChannelCompressor, cfg: AgentConfig,
         # the search scores its start, the decision, first
         online_latency = result.improvements[0][1]
 
-        buffer.append(Transition(raw=channel.gains.ravel(),
-                                 best_action=result.decision.assign))
+        buffer.append(channel.gains.ravel(), result.decision.assign)
 
         loss = delta_loss = None
         if t % cfg.phi == 0:

@@ -71,32 +71,34 @@ class Evaluator:
     its weighted upload time w*D/r_j to MEC j.  Under the optimal split MEC j
     computes for load_j^2 / f_j, load_j the sum of its sqrt(w_i*F_i), so one
     kernel behind ``latency_of`` and ``latencies`` gathers from ``cost`` and
-    bincounts the loads.  What the scenario fixes, the local column, w*D and
-    the kernel's index arrays, comes from ``Scenario.scoring``.
+    bincounts the loads.  What the scenario fixes, the local column, w*D
+    and the kernel's index arrays, comes from ``Scenario.arrays`` and
+    ``Scenario.batch_rows``.
     """
 
     def __init__(self, scenario: Scenario, channel: ChannelState):
-        arr, radio = scenario.arrays, scenario.radio
+        self.arrays = arr = scenario.arrays
+        radio = scenario.radio
         self.n, self.m = scenario.n_ues, scenario.n_mecs
         self.s, self.f_mec = arr.sqrt_wf, arr.f_mec
-        self.scoring = setup = scenario.scoring
+        self._batch_rows = scenario.batch_rows
         rates = data_rate(radio.bandwidth_hz, arr.p_max[:, None],
                           channel.gains, radio.noise_w)
         self.cost = np.empty((self.n, self.m + 1))
-        self.cost[:, 0] = setup.local_cost
-        np.divide(setup.weighted_bits, rates, out=self.cost[:, 1:])
+        self.cost[:, 0] = arr.local_cost
+        np.divide(arr.weighted_bits, rates, out=self.cost[:, 1:])
 
     def _score(self, assigns: np.ndarray) -> np.ndarray:
         # row sums run pairwise over C-ordered rows, whatever the batch size;
         # add.reduce is what ndarray.sum calls, without its Python wrapper
         assigns = np.ascontiguousarray(assigns)
-        b, setup = assigns.shape[0], self.scoring
-        bin_offsets, weights = setup.rows(b)
-        total = np.add.reduce(self.cost.take(assigns + setup.cost_offsets),
-                              axis=1)
+        b, width = assigns.shape[0], self.m + 1
+        bin_offsets, weights = self._batch_rows(b)
+        total = np.add.reduce(
+            self.cost.take(assigns + self.arrays.cost_offsets), axis=1)
         loads = np.bincount((assigns + bin_offsets).ravel(), weights=weights,
-                            minlength=b * setup.width)
-        loads = loads.reshape(b, setup.width)[:, 1:]
+                            minlength=b * width)
+        loads = loads.reshape(b, width)[:, 1:]
         return total + np.add.reduce(loads * loads / self.f_mec, axis=1)
 
     def latency_of(self, assign: np.ndarray) -> float:

@@ -190,7 +190,7 @@ def search(initial: OffloadDecision, scenario: Scenario, channel: ChannelState,
     ev = evaluator if evaluator is not None else Evaluator(scenario, channel)
     n, m, budget = ev.n, ev.m, state.budget
     keep = keep_table(channel.gains)
-    kept = keep.take(initial.assign + ev.scoring.cost_offsets).sum()
+    kept = keep.take(initial.assign + ev.arrays.cost_offsets).sum()
     density = (n - kept) * m / (m + 1)
     # the four blocks of the module docstring, the Boltzmann uniforms as a
     # list, since both scorers read them one at a time
@@ -287,7 +287,7 @@ def _batch_search(ev: Evaluator, keep: np.ndarray, cfg: AnnealConfig,
     m = ev.m
     keep_u, redraws, picks, boltzmann = blocks
     budget = len(boltzmann)
-    offsets = ev.scoring.cost_offsets  # flat row starts of keep, as of cost
+    offsets = ev.arrays.cost_offsets  # flat row starts of keep, as of cost
     f_best = improvements[-1][1]
     done = start
     while done < budget:

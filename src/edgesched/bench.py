@@ -40,17 +40,17 @@ def greedy_baseline(scenario: Scenario, channel: ChannelState) -> OffloadDecisio
     equals) is moved to local execution.  MECs do not interact, so each
     round moves one UE off every MEC that still has a slow member.  Channel
     gains only enter through the upload time at max power; weights cancel
-    out of the per-UE comparison.  The first round's channel-free part,
-    ``Scenario.greedy_start``, is built once per scenario, so a draw on
-    which no UE is slow costs the rates to the nearest servers and a copy
-    of their placement.
+    out of the per-UE comparison.  The first round's channel-free part is
+    in ``Scenario.arrays``, built once per scenario, so a draw on which no
+    UE is slow costs the rates to the nearest servers and a copy of their
+    placement.
     """
-    start, arr, radio = scenario.greedy_start, scenario.arrays, scenario.radio
+    arr, radio = scenario.arrays, scenario.radio
     upload = arr.data_bits / data_rate(
-        radio.bandwidth_hz, arr.p_max, channel.gains.take(start.gain_index),
+        radio.bandwidth_hz, arr.p_max, channel.gains.take(arr.gain_index),
         radio.noise_w)
-    slow = upload + start.server > start.local
-    assign = start.nearest.copy()
+    slow = upload + arr.server_time > arr.local_time
+    assign = arr.nearest.copy()
     while slow.any():
         for j in np.unique(assign[slow]):
             members = np.flatnonzero(assign == j)
@@ -58,7 +58,7 @@ def greedy_baseline(scenario: Scenario, channel: ChannelState) -> OffloadDecisio
         # a local UE's entry is computed but masked; count[0] > 0 then
         count = np.bincount(assign, minlength=scenario.n_mecs + 1)
         remote = upload + arr.cycles / (arr.f_mec[assign - 1] / count[assign])
-        slow = (assign > 0) & (remote > start.local)
+        slow = (assign > 0) & (remote > arr.local_time)
     return OffloadDecision(assign=assign, n_mecs=scenario.n_mecs)
 
 
@@ -273,20 +273,20 @@ def pso_oracle(ev: Evaluator,
     return res.decision, res.latency
 
 
-# Codes ``exhaustive_best`` scores per ``latencies`` call.  The scenario's
-# scoring set-up keeps index arrays for the largest batch it has scored, as
-# long as the scenario lives: 88 KiB at 1024 rows of 10x2, 352 KiB at 4096.
+# Codes ``exhaustive_best`` scores per ``latencies`` call.  The scenario
+# keeps the ``batch_rows`` of the largest batch it has scored, as long as it
+# lives: 88 KiB at 1024 rows of 10x2, 352 KiB at 4096.
 _BLOCK = 1024
 
 
-def exhaustive_best(scenario: Scenario, channel: ChannelState,
-                    evaluator: Evaluator | None = None) -> tuple[np.ndarray, float]:
+def exhaustive_best(scenario: Scenario,
+                    channel: ChannelState) -> tuple[np.ndarray, float]:
     """Enumerate all (M+1)^N placements; intended for toy sizes only.
 
     Placements are scored in blocks of codes, UE 0 the leading base-(M+1)
     digit, so memory stays flat; the first minimum in code order wins.
     """
-    ev = evaluator if evaluator is not None else Evaluator(scenario, channel)
+    ev = Evaluator(scenario, channel)
     n, m = ev.n, ev.m
     total = (m + 1) ** n
     if total > 2_000_000:

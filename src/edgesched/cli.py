@@ -160,14 +160,15 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand.  A bad input (a ``ValueError``) is reported as
-    one line on stderr, ``edgesched: error: <message>``, with exit code 2,
-    as argparse reports a bad command line."""
+    """Run one subcommand.  A bad input (a ``ValueError``) or a file that
+    cannot be read or written (an ``OSError``) is reported as one line on
+    stderr, ``edgesched: error: <message>``, with exit code 2, as argparse
+    reports a bad command line."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{parser.prog}: error: {' '.join(str(exc).split())}",
               file=sys.stderr)
         return 2

@@ -4,10 +4,9 @@ A scenario fixes N user equipments (UEs), each holding one computation task,
 and M edge servers (MECs) in a square service area.  The channel between a UE
 and a MEC follows inverse-square path loss with optional small-scale fading,
 so channel states vary per epoch while the scenario itself stays immutable.
-``Scenario.arrays`` holds the latency model's inputs, ``Scenario.scoring``
-what scoring placements needs beyond them and ``Scenario.greedy_start`` the
-channel-free part of the greedy baseline's first round, each built once per
-scenario; ``allocator.Evaluator`` scores placements with the first two.
+``Scenario.arrays`` is the one per-scenario table, built once: the latency
+model's inputs, the channel-free parts of the scoring kernel that
+``allocator.Evaluator`` runs, and of the greedy baseline's first round.
 Spec numbers are ``positive_finite`` floats, positions two finite floats,
 ``rng_seed`` an int.
 """
@@ -161,71 +160,37 @@ def local_capacity(ue: UeSpec) -> float:
 
 
 class ModelArrays(NamedTuple):
-    """A scenario's latency-model inputs as read-only arrays."""
+    """One scenario's table as read-only arrays: the latency model's
+    inputs, then the channel-free parts of ``allocator.Evaluator``'s cost
+    table and of ``bench.greedy_baseline``'s first round."""
 
-    weight: np.ndarray       # (N,) scheduling weights
-    cycles: np.ndarray       # (N,) task CPU cycles
-    data_bits: np.ndarray    # (N,) task input sizes
-    p_max: np.ndarray        # (N,) transmit power caps
-    local_cap: np.ndarray    # (N,) local_capacity of each UE
-    local_power: np.ndarray  # (N,) kappa * local_cap**v
-    sqrt_wf: np.ndarray      # (N,) sqrt(weight * cycles)
-    f_mec: np.ndarray        # (M,) MEC frequency budgets
-    distances: np.ndarray    # (N, M) UE-to-MEC distances
-    clamped_r2: np.ndarray   # (N, M) distances**2, clamped at min_distance_m
-
-
-class ScoringSetup:
-    """What scoring placements needs from one scenario, whatever the channel.
-
-    The cost table's channel-free parts: each UE's weighted local latency
-    w*F/f_local (column 0) and its weighted input size w*D, which column j
-    divides by the rate to MEC j.  Then the scoring kernel's index arrays:
-    a placement's cost entries sit at flat offsets ``cost_offsets + a`` of
-    the (N, M+1) table, and its MEC loads are a ``bincount`` over bins
-    ``a + bin_offsets[row]`` weighted by the tiled sqrt(w*F).  ``rows``
-    slices the per-row arrays for a batch, and grows them, at least twofold,
-    when a larger batch arrives.
-    """
-
-    def __init__(self, arrays: ModelArrays, n_mecs: int):
-        self.width = n_mecs + 1
-        self.local_cost = arrays.weight * arrays.cycles / arrays.local_cap
-        self.weighted_bits = (arrays.weight * arrays.data_bits)[:, None]
-        self.cost_offsets = np.arange(arrays.weight.size) * self.width
-        self._sqrt_wf = arrays.sqrt_wf
-        self._bin_offsets = np.empty((0, 1), dtype=np.int64)
-        self._weights = np.empty(0)
-
-    def rows(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Bin offsets, shape (b, 1), and load weights, shape (b * N,)."""
-        if b > len(self._bin_offsets):
-            size = max(b, 2 * len(self._bin_offsets))
-            self._bin_offsets = np.arange(size)[:, None] * self.width
-            self._weights = np.tile(self._sqrt_wf, size)
-        return self._bin_offsets[:b], self._weights[:b * self._sqrt_wf.size]
-
-
-class GreedyStart(NamedTuple):
-    """The greedy baseline's first round, less the channel, as read-only arrays.
-
-    Every UE starts on its nearest MEC (the first on ties), with that MEC's
-    budget split equally among the UEs that start there.
-    """
-
-    nearest: np.ndarray     # (N,) int64 nearest MEC of each UE, in 1..M
-    gain_index: np.ndarray  # (N,) flat index of that MEC's gain in (N, M)
-    local: np.ndarray       # (N,) cycles / local_cap, the local run time
-    server: np.ndarray      # (N,) cycles / (f_mec / count), the server time
+    weight: np.ndarray         # (N,) scheduling weights
+    cycles: np.ndarray         # (N,) task CPU cycles
+    data_bits: np.ndarray      # (N,) task input sizes
+    p_max: np.ndarray          # (N,) transmit power caps
+    local_cap: np.ndarray      # (N,) local_capacity of each UE
+    local_power: np.ndarray    # (N,) kappa * local_cap**v
+    sqrt_wf: np.ndarray        # (N,) sqrt(weight * cycles)
+    f_mec: np.ndarray          # (M,) MEC frequency budgets
+    distances: np.ndarray      # (N, M) UE-to-MEC distances
+    clamped_r2: np.ndarray     # (N, M) distances**2, clamped at min_distance_m
+    local_cost: np.ndarray     # (N,) weight * cycles / local_cap
+    weighted_bits: np.ndarray  # (N, 1) weight * data_bits
+    cost_offsets: np.ndarray   # (N,) int64 row starts i * (M+1) in the table
+    nearest: np.ndarray        # (N,) int64 nearest MEC, first on ties, 1..M
+    gain_index: np.ndarray     # (N,) flat index of that MEC's gain in (N, M)
+    local_time: np.ndarray     # (N,) cycles / local_cap, the local run time
+    server_time: np.ndarray    # (N,) the run time there, its budget split
+                               # equally among the UEs nearest to it
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Immutable deployment: UEs, MECs, radio parameters and the service area.
 
-    Three per-scenario caches are built on first use and kept: ``arrays``,
-    ``scoring`` and ``greedy_start``.  A copy made with ``replace`` starts
-    without them.
+    ``arrays`` is built on first use and kept, and so are the rows
+    ``batch_rows`` grows.  A copy made with ``replace`` starts without
+    either.
     """
 
     ues: tuple[UeSpec, ...]
@@ -256,50 +221,58 @@ class Scenario:
 
     @cached_property
     def arrays(self) -> ModelArrays:
-        """The model's inputs, built on first use and kept for this scenario.
+        """The per-scenario table, built on first use and kept.
 
         Capacity and power take Python's ``pow`` per UE, not numpy's ``**``.
         """
-        ues = self.ues
-        cap = [local_capacity(u) for u in ues]
+        ues, n, m = self.ues, self.n_ues, self.n_mecs
+        cap_list = [local_capacity(u) for u in ues]
+        cap = np.array(cap_list)
         w = np.array([u.weight for u in ues])
         cycles = np.array([u.task.cycles for u in ues])
+        data_bits = np.array([u.task.data_bits for u in ues])
+        f_mec = np.array([mec.f_max for mec in self.mecs])
         diff = (np.array([u.position for u in ues], dtype=float)[:, None, :]
-                - np.array([m.position for m in self.mecs], dtype=float)[None])
+                - np.array([mec.position for mec in self.mecs],
+                           dtype=float)[None])
         dist = np.sqrt((diff ** 2).sum(axis=2))
         # the clamp guards the inverse-square singularity of a UE on a MEC
         r = np.maximum(dist, self.radio.min_distance_m)
+        nearest = dist.argmin(axis=1) + 1
+        count = np.bincount(nearest, minlength=m + 1)
         arrays = ModelArrays(
-            weight=w, cycles=cycles,
-            data_bits=np.array([u.task.data_bits for u in ues]),
-            p_max=np.array([u.p_max for u in ues]), local_cap=np.array(cap),
-            local_power=np.array([u.kappa * c ** u.v for u, c in zip(ues, cap)]),
-            sqrt_wf=np.sqrt(w * cycles),
-            f_mec=np.array([m.f_max for m in self.mecs]),
-            distances=dist, clamped_r2=r * r)
+            weight=w, cycles=cycles, data_bits=data_bits,
+            p_max=np.array([u.p_max for u in ues]), local_cap=cap,
+            local_power=np.array([u.kappa * c ** u.v
+                                  for u, c in zip(ues, cap_list)]),
+            sqrt_wf=np.sqrt(w * cycles), f_mec=f_mec, distances=dist,
+            clamped_r2=r * r, local_cost=w * cycles / cap,
+            weighted_bits=(w * data_bits)[:, None],
+            cost_offsets=np.arange(n) * (m + 1), nearest=nearest,
+            gain_index=np.arange(n) * m + nearest - 1,
+            local_time=cycles / cap,
+            server_time=cycles / (f_mec[nearest - 1] / count[nearest]))
         for a in arrays:
             a.flags.writeable = False
         return arrays
 
-    @cached_property
-    def scoring(self) -> ScoringSetup:
-        """Scoring set-up, built on first use and kept for this scenario."""
-        return ScoringSetup(self.arrays, self.n_mecs)
+    def batch_rows(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """The scoring kernel's per-row arrays for a batch of ``b``
+        placements: bin offsets ``k * (M+1)``, shape (b, 1), and the load
+        weights, sqrt(w*F) tiled b times, shape (b * N,).
 
-    @cached_property
-    def greedy_start(self) -> GreedyStart:
-        """Greedy's channel-free first round, built on first use and kept."""
-        arr = self.arrays
-        nearest = arr.distances.argmin(axis=1) + 1
-        count = np.bincount(nearest, minlength=self.n_mecs + 1)
-        start = GreedyStart(
-            nearest=nearest,
-            gain_index=np.arange(self.n_ues) * self.n_mecs + nearest - 1,
-            local=arr.cycles / arr.local_cap,
-            server=arr.cycles / (arr.f_mec[nearest - 1] / count[nearest]))
-        for a in start:
-            a.flags.writeable = False
-        return start
+        Kept in the instance, as ``cached_property`` keeps ``arrays``, and
+        grown at least twofold when a larger batch arrives; a smaller batch
+        slices them.  Rebuilt per call, they made scoring a 32-row window at
+        10x2 1.5x slower (19.3 against 12.5-13.2 us, one Xeon core).
+        """
+        rows = self.__dict__.get("_batch_rows")
+        if rows is None or b > len(rows[0]):
+            size = b if rows is None else max(b, 2 * len(rows[0]))
+            rows = (np.arange(size)[:, None] * (self.n_mecs + 1),
+                    np.tile(self.arrays.sqrt_wf, size))
+            self.__dict__["_batch_rows"] = rows
+        return rows[0][:b], rows[1][:b * len(self.ues)]
 
 
 @dataclass(frozen=True, slots=True)

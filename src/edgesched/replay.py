@@ -45,18 +45,6 @@ class ReplayConfig:
         non_negative_finite("tau", self.tau)
 
 
-@dataclass(frozen=True)
-class Transition:
-    """Scheduling experience: channel observation and its search label.
-
-    ``ReplayBuffer.append`` takes one; ``ReplayBuffer.sample`` returns a
-    batch as one, its fields stacked along a leading axis.
-    """
-
-    raw: np.ndarray            # flat, unnormalised gain vector
-    best_action: np.ndarray    # placement vector found by the search
-
-
 class ReplayBuffer:
     """Bounded transition store; see the module docstring for the policy.
 
@@ -79,16 +67,16 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def append(self, transition: Transition) -> None:
-        """Copy a transition in, evicting the oldest one when full.
+    def append(self, raw: np.ndarray, label: np.ndarray) -> None:
+        """Copy in one transition, a flat raw gain vector and the search's
+        placement label, evicting the oldest one when full.
 
         The new sample enters at the maximum current priority so it is seen
         at least as eagerly as anything already stored.
         """
         cap, size = self.capacity, self._size
         if self._raw is None:
-            raw = np.asarray(transition.raw)
-            label = np.asarray(transition.best_action)
+            raw, label = np.asarray(raw), np.asarray(label)
             self._raw = np.empty((cap, *raw.shape), raw.dtype)
             self._labels = np.empty((cap, *label.shape), label.dtype)
         priority = self._priorities[:size].max() if size else 1.0
@@ -98,8 +86,8 @@ class ReplayBuffer:
             self.evictions += 1
             size -= 1
         slot = (self._head + size) % cap
-        self._raw[slot] = transition.raw
-        self._labels[slot] = transition.best_action
+        self._raw[slot] = raw
+        self._labels[slot] = label
         self._priorities[size] = priority
         self._size = size + 1
 
@@ -111,20 +99,19 @@ class ReplayBuffer:
         weights = self._priorities[:self._size] ** self.cfg.tau
         return weights / weights.sum()
 
-    def sample(self, batch: int,
-               rng: np.random.Generator) -> tuple[Transition, np.ndarray]:
+    def sample(self, batch: int, rng: np.random.Generator
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw ``batch`` transitions with replacement by priority.
 
-        Returns them as one ``Transition`` of (batch, ...) arrays, with
-        their store indices.
+        Returns their raw gains and their labels, each stacked along a
+        leading axis of ``batch`` rows, and their store indices.
         """
         if not self._size:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.choice(self._size, size=batch, replace=True,
                          p=self.sample_probs())
         rows = self._rows(idx)
-        return Transition(raw=self._raw[rows],
-                          best_action=self._labels[rows]), idx
+        return self._raw[rows], self._labels[rows], idx
 
     def update_stats(self, indices: np.ndarray, delta_loss: float) -> None:
         """Refresh priorities of just-trained samples from the loss change."""

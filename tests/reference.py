@@ -26,8 +26,9 @@ same search on lists of Python floats, and the tests require the same
 placements and latencies from both.
 
 ``latencies_per_call`` is ``Evaluator``'s scoring kernel with its index
-arrays built on every call, as it was before ``Scenario.scoring`` kept them;
-the tests require the same bits from both.
+arrays built on every call, where the package keeps them per scenario in
+``Scenario.arrays`` and ``Scenario.batch_rows``; the tests require the
+same bits from both.
 
 ``stored`` reads a ``ReplayBuffer``'s ring arrays back in store order,
 oldest first, as the list of transitions the ring replaced held them.

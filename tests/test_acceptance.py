@@ -188,19 +188,19 @@ def test_05_annealer_finds_toy_optima():
 def test_06_priority_sampling_law():
     t0 = time.perf_counter()
     buf = ReplayBuffer(ReplayConfig(tau=1.0))
-    buf.append(make_transition(0))
-    buf.append(make_transition(1))
+    buf.append(*make_transition(0))
+    buf.append(*make_transition(1))
     buf._priorities[0] = 1.0
     buf._priorities[1] = 3.0
-    _, idx = buf.sample(100_000, np.random.default_rng(0))
+    _, _, idx = buf.sample(100_000, np.random.default_rng(0))
     freq = np.bincount(idx, minlength=2) / idx.size
     sharp_ok = (abs(freq[0] - 0.25) <= 0.01 and abs(freq[1] - 0.75) <= 0.01)
 
     flat = ReplayBuffer(ReplayConfig(tau=0.0))
     for e in range(5):
-        flat.append(make_transition(e))
+        flat.append(*make_transition(e))
         flat._priorities[e] = float(1 + 100 * e)
-    _, idx = flat.sample(100_000, np.random.default_rng(1))
+    _, _, idx = flat.sample(100_000, np.random.default_rng(1))
     _, p_value = sps.chisquare(np.bincount(idx, minlength=5))
     elapsed = time.perf_counter() - t0
     ok = sharp_ok and p_value > 0.01 and elapsed < 30.0

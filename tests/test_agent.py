@@ -14,7 +14,7 @@ from edgesched.annealing import AnnealConfig
 from edgesched.autoencoder import AutoencoderConfig, ChannelCompressor
 from edgesched.mec import random_scenario, sample_channel_state
 from edgesched.neural import Adam, LayerSpec, Network, mlp_specs
-from edgesched.replay import ReplayBuffer, ReplayConfig, Transition
+from edgesched.replay import ReplayBuffer, ReplayConfig
 
 from reference import stored
 from test_neural import assert_grads_close, fd_gradients
@@ -193,7 +193,7 @@ def fill_buffer(buf, rng, n=2, m=1, count=6):
     for _ in range(count):
         raw = rng.uniform(0.0, 1.0, size=n * m)
         action = rng.integers(0, m + 1, size=n)
-        buf.append(Transition(raw=raw, best_action=action))
+        buf.append(raw, action)
 
 
 class TestTrainStep:
@@ -250,22 +250,21 @@ class TestTrainStep:
         buf = sized(4)
         kept = []   # the transitions a FIFO list would hold
         for _ in range(7):
-            t = Transition(raw=rng.uniform(0.0, 1.0, size=2),
-                           best_action=rng.integers(0, 2, size=2))
-            buf.append(t)
+            t = rng.uniform(0.0, 1.0, size=2), rng.integers(0, 2, size=2)
+            buf.append(*t)
             kept = (kept + [t])[-4:]
         net = Network(mlp_specs([2, 8, 4]), rng=rng)
         twin = copy.deepcopy(net)
         adam = Adam(net)
         enc = RawEncoder()
         for step in range(3):
-            _, idx = buf.sample(5, np.random.default_rng(step))
+            _, _, idx = buf.sample(5, np.random.default_rng(step))
             loss, _ = train_step(net, adam, buf, 5, 0.0,
                                  np.random.default_rng(step), enc)
             assert len(enc.calls) == step + 1
             # the batch the old list of transitions stacked
-            raws = np.stack([kept[i].raw for i in idx])
-            actions = np.stack([kept[i].best_action for i in idx])
+            raws = np.stack([kept[i][0] for i in idx])
+            actions = np.stack([kept[i][1] for i in idx])
             np.testing.assert_array_equal(enc.calls[-1], raws)
             if step == 0:
                 targets = np.stack([one_hot_target(a, 1) for a in actions])
@@ -281,8 +280,8 @@ class TestTrainStep:
         comp.sync()
         buf = ReplayBuffer(ReplayConfig())
         for e in range(1, 7):
-            buf.append(Transition(raw=sample_channel_state(scen, 10 + e).gains.ravel(),
-                                  best_action=rng.integers(0, m + 1, size=n)))
+            buf.append(sample_channel_state(scen, 10 + e).gains.ravel(),
+                       rng.integers(0, m + 1, size=n))
         raws = stored(buf)[0]
         before = comp.encode_raw(raws)
         # wider bounds and a refreshed net, published by the sync
@@ -293,11 +292,11 @@ class TestTrainStep:
         assert not np.allclose(comp.encode_raw(raws), before)
         net = Network(mlp_specs([4, 8, n * (m + 1)]), rng=rng)
         twin = copy.deepcopy(net)
-        picked, _ = buf.sample(4, np.random.default_rng(3))
+        sampled, labels, _ = buf.sample(4, np.random.default_rng(3))
         loss, _ = train_step(net, Adam(net), buf, 4, 0.02,
                              np.random.default_rng(3), comp)
-        states = comp.encode_raw(picked.raw)
-        targets = one_hot_target(picked.best_action, m)
+        states = comp.encode_raw(sampled)
+        targets = one_hot_target(labels, m)
         assert loss == policy_loss(twin, states, targets, 0.02)
 
     def test_nonfinite_loss_aborts(self):

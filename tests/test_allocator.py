@@ -273,7 +273,7 @@ class TestScoringSetup:
         sizes = []
         for b in self.SIZES:
             self.check_sizes(ev, rng, b)
-            sizes.append(len(scen.scoring._bin_offsets))
+            sizes.append(len(vars(scen)["_batch_rows"][0]))
         # grown at least twofold when outgrown, sliced for smaller batches
         assert sizes == [1, 7, 32, 64, 200, 200, 200]
 
@@ -283,19 +283,23 @@ class TestScoringSetup:
         c = reweighted(a, np.random.default_rng(3))
         evs = [Evaluator(s, sample_channel_state(s, e))
                for e in (1, 2) for s in (a, b, c)]
-        assert len({id(s.scoring) for s in (a, b, c)}) == 3
         rng = np.random.default_rng(2)
         for b_size in self.SIZES:
             for ev in evs:
                 self.check_sizes(ev, rng, b_size)
+        for field in ("arrays", "_batch_rows"):
+            assert len({id(vars(s)[field]) for s in (a, b, c)}) == 3
 
     def test_built_once_per_scenario(self):
         scen = random_scenario(5, 2, rng_seed=3)
-        setup = scen.scoring
-        Evaluator(scen, sample_channel_state(scen, 1)).latencies(
-            np.zeros((40, 5), dtype=int))
-        assert scen.scoring is setup
-        assert setup.cost_offsets.tolist() == [0, 3, 6, 9, 12]
+        arr = scen.arrays
+        ev = Evaluator(scen, sample_channel_state(scen, 1))
+        ev.latencies(np.zeros((40, 5), dtype=int))
+        rows = vars(scen)["_batch_rows"]
+        ev.latencies(np.zeros((7, 5), dtype=int))
+        assert scen.arrays is arr
+        assert vars(scen)["_batch_rows"] is rows
+        assert arr.cost_offsets.tolist() == [0, 3, 6, 9, 12]
 
 
 class TestScenarioArrays:

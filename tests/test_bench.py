@@ -25,6 +25,10 @@ from edgesched.neural import Network, mlp_specs
 from reference import exact_oracle_numpy, greedy_baseline_loop, window_rewards
 
 
+# the fields of Scenario.arrays that only greedy's first round reads
+GREEDY_START = ("nearest", "gain_index", "local_time", "server_time")
+
+
 def toy(n=4, m=2, seed=0, **kw):
     kw.setdefault("weights", (0.5, 2.0))
     scen = random_scenario(n, m, rng_seed=seed, **kw)
@@ -85,18 +89,18 @@ class TestGreedy:
             moved += int((ref == 0).sum())
             # a round moves a UE local for good, so only a draw that
             # returns on the first round keeps the nearest placement
-            first_round += np.array_equal(ref, scen.greedy_start.nearest)
+            first_round += np.array_equal(ref, scen.arrays.nearest)
         assert moved == moves
         assert first_round == (60 if moves == 0 else 0)
 
     def test_start_is_kept_read_only(self):
         scen, _ = toy(n=12, m=3, seed=2)
-        start = scen.greedy_start
+        arr = scen.arrays
         gains = np.arange(12 * 3, dtype=float).reshape(12, 3)
-        np.testing.assert_array_equal(gains.take(start.gain_index),
-                                      gains[np.arange(12), start.nearest - 1])
-        assert scen.greedy_start is start
-        assert not any(a.flags.writeable for a in start)
+        np.testing.assert_array_equal(gains.take(arr.gain_index),
+                                      gains[np.arange(12), arr.nearest - 1])
+        assert scen.arrays is arr
+        assert not any(getattr(arr, f).flags.writeable for f in GREEDY_START)
 
     def test_mutating_a_placement_leaves_the_next_unchanged(self):
         for f_mec in (1e12, 5e8):   # returns on the first round, or later
@@ -109,13 +113,15 @@ class TestGreedy:
 
     def test_reweighted_copy_builds_its_own_start(self):
         scen, ch = toy(n=8)
-        start = scen.greedy_start
+        arr = scen.arrays
         copy = reweighted(scen, np.random.default_rng(1))
-        assert "greedy_start" not in vars(copy)
-        assert copy.greedy_start is not start
+        assert "arrays" not in vars(copy)
+        assert copy.arrays is not arr
         # weights enter neither the start nor the placement
-        for a, b in zip(copy.greedy_start, start):
-            np.testing.assert_array_equal(a, b)
+        for f in GREEDY_START:
+            assert getattr(copy.arrays, f) is not getattr(arr, f)
+            np.testing.assert_array_equal(getattr(copy.arrays, f),
+                                          getattr(arr, f))
         np.testing.assert_array_equal(greedy_baseline(copy, ch).assign,
                                       greedy_baseline(scen, ch).assign)
 
@@ -140,7 +146,7 @@ class TestOracles:
         # at most 4^8 placements; weak and strong servers both
         scen, ch = toy(n=n, m=m, seed=seed, f_mec_max=f_mec)
         ev = Evaluator(scen, ch)
-        _, f_opt = exhaustive_best(scen, ch, ev)
+        _, f_opt = exhaustive_best(scen, ch)
         start = np.random.default_rng(seed).integers(0, m + 1, size=n)
         res = exact_oracle(ev, start)
         assert res.exact

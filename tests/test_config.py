@@ -306,8 +306,9 @@ class TestExperimentConfig:
         # the configurations tools/artifact_hashes.py trains
         cfgs = {p.stem: load_config(p)
                 for p in sorted(TOOL_CONFIGS.glob("*.yaml"))}
-        assert sorted(cfgs) == ["default", "hidden_64", "identity_6x1",
-                                "scalar_3mec", "seed7_shift", "wide_30x5"]
+        assert sorted(cfgs) == ["default", "headroom", "hidden_64",
+                                "identity_6x1", "scalar_3mec", "seed7_shift",
+                                "wide_30x5"]
         assert cfgs["default"] == ExperimentConfig()
         assert cfgs["hidden_64"].drl.hidden == [64]
 

@@ -320,14 +320,29 @@ class TestCli:
         p.write_text('{"format": "mystery"}')
         assert cli_main(["inspect-checkpoint", str(p)]) == 1
 
-    def test_inspect_reports_bad_file_in_one_line(self, tmp_path, capsys):
-        p = tmp_path / "bad.json"
-        p.write_text("[1]")
-        assert cli_main(["inspect-checkpoint", str(p)]) == 2
+    @pytest.mark.parametrize("case", [
+        "malformed", "missing-config", "missing-checkpoint", "directory",
+        "missing-directory"])
+    def test_reports_bad_file_in_one_line(self, tmp_path, capsys, case):
+        bad, nope = tmp_path / "bad.json", tmp_path / "nope.json"
+        bad.write_text("[1]")
+        missing = f"[Errno 2] No such file or directory: '{nope}'"
+        argv, message = {
+            "malformed": (["inspect-checkpoint", bad],
+                          f"{bad}: holds a JSON list, not an object"),
+            "missing-config": (["train", "--config", nope], missing),
+            "missing-checkpoint": (["inspect-checkpoint", nope], missing),
+            "directory": (["inspect-checkpoint", tmp_path],
+                          f"[Errno 21] Is a directory: '{tmp_path}'"),
+            # the write goes through a temporary file beside the target
+            "missing-directory": (
+                ["gen-scenario", "--quiet", nope / "scen.yaml"],
+                f"[Errno 2] No such file or directory: "
+                f"'{nope}/.scen.yaml.{os.getpid()}.tmp'")}[case]
+        assert cli_main([str(a) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"edgesched: error: {p}: holds a JSON list, "
-                                "not an object\n")
+        assert captured.err == f"edgesched: error: {message}\n"
 
 
 def inspect_checkpoint(path):
