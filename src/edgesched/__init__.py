@@ -23,7 +23,7 @@ from .agent import (AgentConfig, EpochLog, RunResult, SeedBundle, decide,
 from .allocator import (Allocation, Evaluator, allocate_frequencies,
                         evaluate, max_power_assignment)
 from .annealing import (AnnealConfig, BudgetState, SearchResult, adapt_budget,
-                        mutate, search)
+                        search)
 from .autoencoder import (AutoencoderConfig, ChannelCompressor, EncodedState,
                           Rasterizer, default_dims)
 from .bench import (BenchReport, OracleResult, StrategyStats, exact_oracle,
@@ -53,7 +53,7 @@ __all__ = [
     "build_scenario", "data_rate", "decide", "default_dims", "dump_scenario",
     "dynamic_experiment", "evaluate", "exact_oracle", "exhaustive_best",
     "greedy_baseline", "load_checkpoint", "load_config", "load_scenario",
-    "local_capacity", "max_power_assignment", "mlp_specs", "mutate", "nrr",
+    "local_capacity", "max_power_assignment", "mlp_specs", "nrr",
     "policy_loss_grads", "random_baseline", "random_scenario", "reweighted",
     "run", "run_benchmark", "sample_channel_state", "save_checkpoint",
     "search", "train_experiment", "train_step",

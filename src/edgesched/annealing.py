@@ -4,12 +4,14 @@ The search perturbs one candidate per iteration with a channel-guided
 mutation: genes whose current placement enjoys a relatively strong channel
 are likely to be kept, everything else is redrawn uniformly.  Acceptance is
 the classic Boltzmann rule on the weighted-latency objective with geometric
-cooling.  The iteration budget is adapted between invocations from the
-policy-loss improvement: while the learner still improves quickly the search
-works harder, once learning flattens the budget decays to a single step.
+cooling.  Between invocations ``adapt_budget`` moves the iteration budget by
+one, up when a training event lowered the policy loss by at least
+``EPSILON`` and down otherwise, within [1, ``T_SA_MAX``].  In training that
+loss change compares two different replay batches, so it is mostly
+sampling noise and the budget wanders rather than settles.
 
-``mutate`` is a single step that draws as it goes.  ``search`` owns its
-stream: for B iterations over N genes and M MECs it draws, in order,
+Only ``search`` draws from the generator.  For B iterations over N genes
+and M MECs it draws, in order,
 ``rng.random((B, N))`` (keep tests against ``keep_table``),
 ``rng.integers(0, M+1, (B, N))`` (values of redrawn genes),
 ``rng.integers(0, N*M, B)`` (the forced change when no gene changed, decoded
@@ -19,8 +21,10 @@ candidate is accepted iff its score rise D has D <= 0 or exp(-D/T) > u.
 Two scorers share the work.  The loop scores each candidate by delta over
 its changed genes, as a running sum of ``Evaluator.cost`` entries plus
 sum_j load_j^2 / f_j over running MEC loads, and confirms only a candidate
-that beats the best with ``latency_of``.  Window scoring builds the next
-``BATCH_WINDOW`` candidates from the current placement in numpy and scores
+that beats the best with ``latency_of``; it applies the mutation gene by
+gene, since a numpy call per candidate costs more than the candidate.
+Window scoring builds the next ``BATCH_WINDOW`` candidates from the current
+placement in one ``mutate`` call, the mutation's numpy form, and scores
 them exactly in one ``Evaluator.latencies`` call; the Boltzmann tests walk
 them up to the first acceptance, and the window is rebuilt from the new
 placement.  The loop pays for every candidate, a window for every
@@ -120,29 +124,22 @@ def keep_table(gains: np.ndarray) -> np.ndarray:
     return keep
 
 
-def mutation_probs(assign: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Per-gene keep probability of ``assign``: rows of ``keep_table``."""
-    return keep_table(gains)[np.arange(assign.shape[0]), assign]
+def mutate(a: np.ndarray, keep_a: np.ndarray, keep_u: np.ndarray,
+           redraws: np.ndarray, picks: np.ndarray, m: int) -> np.ndarray:
+    """The candidates that rows of ``search``'s blocks make from placement
+    ``a``, as a (rows, N) array.
 
-
-def mutate(assign: np.ndarray, gains: np.ndarray,
-           rng: np.random.Generator) -> np.ndarray:
-    """One channel-guided neighbour, guaranteed to differ from the input.
-
-    Redrawn genes are uniform over the full {0..M} range (they may land on
-    their old value); if the whole vector survives unchanged, one uniformly
-    chosen gene is forced to a different value.
+    ``keep_a[i]`` is gene i's keep probability on ``a``.  Gene i of row r
+    takes ``redraws[r, i]`` where ``keep_u[r, i]`` exceeds it; a row that
+    still equals ``a`` takes the forced change instead: ``divmod(picks[r],
+    m)`` names the gene and which of its m other values it moves to.
     """
-    n, m = gains.shape
-    cand = assign.copy()
-    redraw = rng.random(n) > mutation_probs(assign, gains)
-    if redraw.any():
-        cand[redraw] = rng.integers(0, m + 1, size=int(redraw.sum()))
-    if np.array_equal(cand, assign):
-        k = int(rng.integers(n))
-        shift = int(rng.integers(m))  # uniform over the other M values
-        cand[k] = shift if shift < assign[k] else shift + 1
-    return cand
+    cands = np.where(keep_u > keep_a, redraws, a)
+    same = (cands == a).all(axis=1).nonzero()[0]
+    if same.size:  # the forced change, where no gene changed
+        k, shift = np.divmod(picks[same], m)
+        cands[same, k] = shift + (shift >= a[k])
+    return cands
 
 
 # The budget grows while a training event lowers the policy loss by at least
@@ -292,12 +289,8 @@ def _batch_search(ev: Evaluator, keep: np.ndarray, cfg: AnnealConfig,
     done = start
     while done < budget:
         end = min(done + BATCH_WINDOW, budget)
-        cands = np.where(keep_u[done:end] > keep.take(a + offsets),
-                         redraws[done:end], a)
-        same = (cands == a).all(axis=1).nonzero()[0]
-        if same.size:  # the forced change, where no gene changed
-            k, shift = np.divmod(picks[done + same], m)
-            cands[same, k] = shift + (shift >= a[k])
+        cands = mutate(a, keep.take(a + offsets), keep_u[done:end],
+                       redraws[done:end], picks[done:end], m)
         for j, f_cand in enumerate(ev.latencies(cands).tolist()):
             done += 1
             if f_cand < f_best:

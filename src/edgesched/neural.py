@@ -318,13 +318,17 @@ def write_atomic(path: str | Path, text: str) -> None:
 
     The text goes to a temporary file beside the target first, so a writer
     killed mid-write leaves the previous file (or none), never a truncated
-    one.
+    one.  An error names ``path``, not the temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != str(tmp):
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
         tmp.unlink(missing_ok=True)
 

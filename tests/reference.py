@@ -30,6 +30,11 @@ arrays built on every call, where the package keeps them per scenario in
 ``Scenario.arrays`` and ``Scenario.batch_rows``; the tests require the
 same bits from both.
 
+``mutation_probs`` is the annealing search's keep probability, gene by
+gene: the step-by-step chain in ``test_annealing.py`` builds its candidates
+with it, and the tests require ``annealing.keep_table`` to hold the same
+bits.
+
 ``stored`` reads a ``ReplayBuffer``'s ring arrays back in store order,
 oldest first, as the list of transitions the ring replaced held them.
 
@@ -322,6 +327,14 @@ def stored(buf) -> tuple[np.ndarray, np.ndarray]:
     """Raw channels and labels of ``buf``, oldest first."""
     rows = buf._rows(np.arange(len(buf)))
     return buf._raw[rows], buf._labels[rows]
+
+
+def mutation_probs(assign: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Keep probability of each gene of ``assign``: 1/(M+1) on the local
+    placement, else the serving MEC's share of the gene's channel gains."""
+    m = gains.shape[1]
+    return np.array([gains[i, a - 1] / gains[i].sum() if a else 1.0 / (m + 1)
+                     for i, a in enumerate(assign.tolist())])
 
 
 def latencies_per_call(ev: Evaluator, assigns: np.ndarray) -> np.ndarray:

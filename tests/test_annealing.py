@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgesched import agent, annealing, replay
 from edgesched.allocator import Evaluator
 from edgesched.annealing import (EPSILON, T_SA_MAX, AnnealConfig,
                                  BudgetState, SearchResult, adapt_budget,
-                                 keep_table, mutate, mutation_probs, search)
+                                 keep_table, mutate, search)
 from edgesched.bench import BENCH_EPOCH_BASE, asa_only, exhaustive_best
 from edgesched.config import ExperimentConfig
 from edgesched.experiment import train_experiment
@@ -19,6 +19,7 @@ from edgesched.mec import (ChannelState, OffloadDecision, random_scenario,
                            sample_channel_state)
 from edgesched.replay import ReplayConfig
 
+from reference import mutation_probs
 from test_agent import identity_compressor
 
 
@@ -33,10 +34,23 @@ def draw_blocks(rng, n, m, budget):
             rng.integers(0, n * m, budget), rng.random(budget))
 
 
+def reference_mutation(current, gains, u, vals, pick):
+    """The candidate one row of the blocks makes from ``current``, gene by
+    gene: redrawn where ``u`` beats ``mutation_probs``, else the forced
+    change."""
+    cand = current.copy()
+    redraw = u > mutation_probs(current, gains)
+    cand[redraw] = vals[redraw]
+    if np.array_equal(cand, current):
+        k, shift = divmod(int(pick), gains.shape[1])
+        cand[k] = shift if shift < current[k] else shift + 1
+    return cand
+
+
 def reference_search(initial, scenario, channel, cfg, state, rng,
                      evaluator=None):
     """The annealing chain on ``search``'s four blocks, step by step: every
-    candidate is built with ``mutation_probs`` and scored with
+    candidate is built by ``reference_mutation`` and scored with
     ``latency_of``, and every acceptance uses the exact difference.
 
     Returns the result and, beside it, the best objective after every
@@ -51,12 +65,8 @@ def reference_search(initial, scenario, channel, cfg, state, rng,
     temperature = cfg.t0
     trace, improvements = [f_best], [(0, f_best)]
     for t in range(state.budget):
-        cand = current.copy()
-        redraw = keep_u[t] > mutation_probs(current, channel.gains)
-        cand[redraw] = redraws[t][redraw]
-        if np.array_equal(cand, current):
-            k, shift = divmod(int(picks[t]), m)
-            cand[k] = shift if shift < current[k] else shift + 1
+        cand = reference_mutation(current, channel.gains, keep_u[t],
+                                  redraws[t], picks[t])
         f_cand = ev.latency_of(cand)
         if f_cand < f_best:
             best, f_best = cand.copy(), f_cand
@@ -123,6 +133,15 @@ def assert_same_result(got, ref, ref_trace):
     assert got.improvements == ref.improvements
 
 
+def mutate_rows(assign, gains, rng, rows):
+    """``rows`` candidates from ``assign``: the kernel on block rows drawn as
+    ``search`` draws them."""
+    n, m = gains.shape
+    keep_u, redraws, picks, _ = draw_blocks(rng, n, m, rows)
+    keep_a = keep_table(gains)[np.arange(n), assign]
+    return mutate(assign, keep_a, keep_u, redraws, picks, m)
+
+
 class TestMutation:
     def test_keep_probability_values(self):
         gains = np.array([[3.0, 1.0], [1.0, 1.0]])
@@ -140,8 +159,7 @@ class TestMutation:
         rng = np.random.default_rng(0)
         gains = np.full((5, 2), 1.0)
         assign = np.array([0, 1, 2, 1, 0])
-        for _ in range(300):
-            cand = mutate(assign, gains, rng)
+        for cand in mutate_rows(assign, gains, rng, 300):
             assert not np.array_equal(cand, assign)
             assert np.all((cand >= 0) & (cand <= 2))
 
@@ -150,12 +168,9 @@ class TestMutation:
         # so the forced-change path must produce a different value
         gains = np.array([[1e9, 1.0]])
         rng = np.random.default_rng(1)
-        seen = set()
-        for _ in range(200):
-            cand = mutate(np.array([1]), gains, rng)
-            seen.add(int(cand[0]))
-            assert cand[0] != 1
-        assert seen == {0, 2}
+        cands = mutate_rows(np.array([1]), gains, rng, 200)
+        assert (cands[:, 0] != 1).all()
+        assert set(cands[:, 0].tolist()) == {0, 2}
 
     def test_sticky_gene_kept_more_often(self):
         # the forced-change fallback also hits sticky genes, so the kept
@@ -164,15 +179,35 @@ class TestMutation:
         rng = np.random.default_rng(2)
         gains = np.array([[99.0, 1.0], [1.0, 99.0]])
         assign = np.array([1, 1])  # gene 0 sticky, gene 1 badly placed
-        kept0 = kept1 = 0
         trials = 4000
-        for _ in range(trials):
-            cand = mutate(assign, gains, rng)
-            kept0 += cand[0] == 1
-            kept1 += cand[1] == 1
+        cands = mutate_rows(assign, gains, rng, trials)
+        kept0, kept1 = (cands == 1).sum(axis=0)
         assert kept0 / trials > 0.75
         assert kept1 / trials < 0.3
         assert kept0 > 2 * kept1
+
+    @given(n=st.integers(1, 12), m=st.integers(1, 5),
+           rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, m=3, rows=20, seed=0)
+    @example(n=6, m=1, rows=20, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_is_the_reference_rule(self, n, m, rows, seed):
+        """Row for row, the kernel builds ``reference_mutation``'s
+        candidate, also on rows where no gene is redrawn."""
+        rng = np.random.default_rng(seed)
+        gains = rng.lognormal(sigma=3.0, size=(n, m))
+        assign = rng.integers(0, m + 1, n)
+        keep_u, redraws, picks, _ = draw_blocks(rng, n, m, rows)
+        keep_u[rng.random(rows) < 0.3] = 0.0  # rows that keep every gene
+        start = assign.copy()
+        cands = mutate(assign, keep_table(gains)[np.arange(n), assign],
+                       keep_u, redraws, picks, m)
+        np.testing.assert_array_equal(assign, start)
+        assert cands.shape == (rows, n) and cands.dtype == assign.dtype
+        for r in range(rows):
+            np.testing.assert_array_equal(
+                cands[r], reference_mutation(assign, gains, keep_u[r],
+                                             redraws[r], picks[r]))
 
 
 class TestBudget:
@@ -438,6 +473,22 @@ class TestScorers:
             assert starts[-1] > 0 and len(starts) == seed + 1
             assert res.decision.assign.flags.owndata
             assert not np.shares_memory(res.decision.assign, initial.assign)
+
+    def test_one_mutate_call_per_window(self, monkeypatch):
+        """A dense search builds each window it scores in one
+        ``annealing.mutate`` call, made through the module attribute."""
+        built, scored = [], []
+        kernel, latencies = annealing.mutate, Evaluator.latencies
+        monkeypatch.setattr(annealing, "mutate",
+                            lambda *a: built.append(kernel(*a)) or built[-1])
+        monkeypatch.setattr(Evaluator, "latencies",
+                            lambda ev, c: scored.append(c) or latencies(ev, c))
+        for seed in range(5):
+            scen, ch, ev, initial = instance(30, 5, seed, clones=False)
+            search(initial, scen, ch, AnnealConfig(), BudgetState(200),
+                   np.random.default_rng(seed), evaluator=ev)
+        assert len(built) == len(scored) > 5
+        assert all(b is c for b, c in zip(built, scored))
 
     @staticmethod
     def count_calls(monkeypatch):

@@ -334,11 +334,10 @@ class TestCli:
             "missing-checkpoint": (["inspect-checkpoint", nope], missing),
             "directory": (["inspect-checkpoint", tmp_path],
                           f"[Errno 21] Is a directory: '{tmp_path}'"),
-            # the write goes through a temporary file beside the target
             "missing-directory": (
                 ["gen-scenario", "--quiet", nope / "scen.yaml"],
                 f"[Errno 2] No such file or directory: "
-                f"'{nope}/.scen.yaml.{os.getpid()}.tmp'")}[case]
+                f"'{nope}/scen.yaml'")}[case]
         assert cli_main([str(a) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
