@@ -41,14 +41,24 @@ def greedy_baseline(scenario: Scenario, channel: ChannelState) -> OffloadDecisio
     round moves one UE off every MEC that still has a slow member.  Channel
     gains only enter through the upload time at max power; weights cancel
     out of the per-UE comparison.  The first round's channel-free part is
-    in ``Scenario.arrays``, built once per scenario, so a draw on which no
-    UE is slow costs the rates to the nearest servers and a copy of their
-    placement.
+    in ``Scenario.arrays``, built once per scenario, and so is each UE's
+    gain floor: the gain to its nearest MEC at or above which it cannot test
+    slow in that round, with a slack of 1e-9 of its local time that beats
+    the test's rounding (``mec._gain_floor``).  A draw whose every near
+    gain clears its floor therefore has no slow UE, and returns a copy of
+    the nearest placement after one ``take`` and one compare; any other
+    draw computes the rates to the nearest servers and runs the rounds, so
+    the floor only skips work whose answer it has proven.
     """
-    arr, radio = scenario.arrays, scenario.radio
-    upload = arr.data_bits / data_rate(
-        radio.bandwidth_hz, arr.p_max, channel.gains.take(arr.gain_index),
-        radio.noise_w)
+    arr = scenario.arrays
+    gains = channel.gains.take(arr.gain_index)
+    # count_nonzero reads a bool array faster than ``all`` reduces it
+    if not np.count_nonzero(gains < arr.gain_floor):
+        return OffloadDecision(assign=arr.nearest.copy(),
+                               n_mecs=scenario.n_mecs)
+    radio = scenario.radio
+    upload = arr.data_bits / data_rate(radio.bandwidth_hz, arr.p_max, gains,
+                                       radio.noise_w)
     slow = upload + arr.server_time > arr.local_time
     assign = arr.nearest.copy()
     while slow.any():

@@ -159,6 +159,32 @@ def local_capacity(ue: UeSpec) -> float:
     return cap
 
 
+def _gain_floor(radio: RadioParams, data_bits: np.ndarray, p_max: np.ndarray,
+                local_time: np.ndarray, server_time: np.ndarray) -> np.ndarray:
+    """Per UE, a gain h to its nearest MEC at or above which greedy's first
+    round, ``upload + server_time > local_time`` with ``upload = D / (B *
+    log2(1 + p_max * h / noise))``, is false however it rounds.
+
+    Solving ``upload = room`` for h gives ``noise / p_max * (2**(D / (B *
+    room)) - 1)``, taken through ``expm1`` so that a small exponent keeps its
+    digits.  ``room`` is ``local_time - server_time`` less a slack of
+    ``1e-9 * local_time``.  The slack beats the test's rounding, which moves
+    the upload time by a few ulps (this floor's own operations, then the
+    rate's product, quotient, ``log2`` and division), ``room`` and the sum
+    by one ulp of ``local_time`` each: a few 2**-52 of ``local_time`` in all.
+    The floor's SNR ``p_max * h / noise`` is held at 2**-16 or more:
+    ``1 + snr`` rounds off a share of about 2**-53 / snr of the rate, at
+    most 2**-37 there, while near 1e-8 it would pass the slack.  +inf where
+    there is no room, and where the floor overflows.
+    """
+    room = local_time - server_time - 1e-9 * local_time
+    with np.errstate(divide="ignore", over="ignore"):
+        snr = np.expm1(np.log(2.0) * data_bits / (radio.bandwidth_hz * room))
+    floor = radio.noise_w / p_max * np.maximum(snr, 2.0 ** -16)
+    floor[room <= 0] = np.inf
+    return floor
+
+
 class ModelArrays(NamedTuple):
     """One scenario's table as read-only arrays: the latency model's
     inputs, then the channel-free parts of ``allocator.Evaluator``'s cost
@@ -182,6 +208,13 @@ class ModelArrays(NamedTuple):
     local_time: np.ndarray     # (N,) cycles / local_cap, the local run time
     server_time: np.ndarray    # (N,) the run time there, its budget split
                                # equally among the UEs nearest to it
+    gain_floor: np.ndarray     # (N,) the gain to that MEC at or above which
+                               # the UE never tests slow in greedy's first
+                               # round: its exact threshold, raised by a
+                               # slack of 1e-9 * local_time that beats the
+                               # test's rounding (``_gain_floor``); +inf
+                               # where the server time is not below the
+                               # local time
 
 
 @dataclass(frozen=True)
@@ -240,9 +273,12 @@ class Scenario:
         r = np.maximum(dist, self.radio.min_distance_m)
         nearest = dist.argmin(axis=1) + 1
         count = np.bincount(nearest, minlength=m + 1)
+        p_max = np.array([u.p_max for u in ues])
+        local_time = cycles / cap
+        server_time = cycles / (f_mec[nearest - 1] / count[nearest])
         arrays = ModelArrays(
             weight=w, cycles=cycles, data_bits=data_bits,
-            p_max=np.array([u.p_max for u in ues]), local_cap=cap,
+            p_max=p_max, local_cap=cap,
             local_power=np.array([u.kappa * c ** u.v
                                   for u, c in zip(ues, cap_list)]),
             sqrt_wf=np.sqrt(w * cycles), f_mec=f_mec, distances=dist,
@@ -250,8 +286,9 @@ class Scenario:
             weighted_bits=(w * data_bits)[:, None],
             cost_offsets=np.arange(n) * (m + 1), nearest=nearest,
             gain_index=np.arange(n) * m + nearest - 1,
-            local_time=cycles / cap,
-            server_time=cycles / (f_mec[nearest - 1] / count[nearest]))
+            local_time=local_time, server_time=server_time,
+            gain_floor=_gain_floor(self.radio, data_bits, p_max, local_time,
+                                   server_time))
         for a in arrays:
             a.flags.writeable = False
         return arrays

@@ -17,22 +17,50 @@ from edgesched.bench import (BENCH_EPOCH_BASE, NODE_LIMIT, BenchReport,
                              write_bench_csv)
 from edgesched.config import ExperimentConfig, build_scenario
 from edgesched.experiment import write_table_csv
-from edgesched.mec import (MecSpec, OffloadDecision, RadioParams, Scenario,
-                           Task, UeSpec, local_capacity, random_scenario,
-                           reweighted, sample_channel_state)
+from edgesched.mec import (ChannelState, MecSpec, OffloadDecision,
+                           RadioParams, Scenario, Task, UeSpec,
+                           local_capacity, random_scenario, reweighted,
+                           sample_channel_state)
 from edgesched.neural import Network, mlp_specs
 
 from reference import exact_oracle_numpy, greedy_baseline_loop, window_rewards
 
 
 # the fields of Scenario.arrays that only greedy's first round reads
-GREEDY_START = ("nearest", "gain_index", "local_time", "server_time")
+GREEDY_START = ("nearest", "gain_index", "local_time", "server_time",
+                "gain_floor")
 
 
 def toy(n=4, m=2, seed=0, **kw):
     kw.setdefault("weights", (0.5, 2.0))
     scen = random_scenario(n, m, rng_seed=seed, **kw)
     return scen, sample_channel_state(scen, 1)
+
+
+def exact_threshold(scen):
+    """Each UE's gain to its nearest MEC at which the first-round test is
+    an exact tie, without the floor's slack; not positive where the server
+    time exceeds the local time."""
+    arr, radio = scen.arrays, scen.radio
+    room = arr.local_time - arr.server_time
+    with np.errstate(divide="ignore", over="ignore"):
+        return radio.noise_w / arr.p_max * np.expm1(
+            np.log(2.0) * arr.data_bits / (radio.bandwidth_hz * room))
+
+
+@pytest.fixture
+def rate_calls(monkeypatch):
+    """The calls greedy makes to ``data_rate``, one per draw that goes past
+    the gain floor's screen: a draw the screen decides makes none."""
+    calls = []
+    rate = bench.data_rate
+
+    def counted(*args):
+        calls.append(1)
+        return rate(*args)
+
+    monkeypatch.setattr(bench, "data_rate", counted)
+    return calls
 
 
 class TestGreedy:
@@ -69,13 +97,15 @@ class TestGreedy:
     # (N, M, MEC budget, task cycles, UEs moved local over the draws): the
     # default desk scenario moves none, the weaker budgets several per MEC
     # and draw, and equal cycles make every move a tie.  A draw that moves
-    # none returns on the first round, from the scenario's cached start;
-    # the others go on into the rounds, so both branches are covered.
+    # none returns on the first round, here always decided by the gain
+    # floor without a rate computed; the others go on into the rounds, so
+    # both branches are covered.
     @pytest.mark.parametrize("n, m, f_mec, cycles, moves", [
         (10, 2, 4e9, None, 0), (10, 2, 1e9, None, 240),
         (30, 5, 1e9, None, 902), (50, 3, 6e8, None, 2640),
         (12, 1, 3e8, None, 662), (12, 2, 1e9, 1e9, 360)])
-    def test_matches_per_mec_loop(self, n, m, f_mec, cycles, moves):
+    def test_matches_per_mec_loop(self, n, m, f_mec, cycles, moves,
+                                  rate_calls):
         cfg = ExperimentConfig().scenario
         cfg = replace(cfg, n_ues=n, n_mecs=m, f_mec_max=f_mec,
                       cycles=cycles or cfg.cycles)
@@ -92,6 +122,66 @@ class TestGreedy:
             first_round += np.array_equal(ref, scen.arrays.nearest)
         assert moved == moves
         assert first_round == (60 if moves == 0 else 0)
+        assert 60 - len(rate_calls) == first_round
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 12), m=st.integers(1, 4),
+           seed=st.integers(0, 10_000),
+           f_mec=st.sampled_from([3e8, 1e9, 4e9, 5e10]),
+           cycles=st.sampled_from([(2e8, 4e9), (1e9, 1e9), (1e8, 1e10)]),
+           data_bits=st.sampled_from([8e5, 1e3, 1.0]), data=st.data())
+    def test_gain_floor_is_exact_at_its_edge(self, n, m, seed, f_mec, cycles,
+                                             data_bits, data):
+        # near gains a few ulps either side of each UE's floor and of its
+        # exact threshold, where the rounded first-round test may go either
+        # way; a 1-bit task puts the threshold's SNR far below 2**-16
+        scen = random_scenario(n, m, rng_seed=seed, f_mec_max=f_mec,
+                               cycles=cycles, f_local_max=2.5e8,
+                               data_bits=data_bits,
+                               radio=RadioParams(noise_w=3e-9))
+        arr, exact = scen.arrays, exact_threshold(scen)
+        gains = sample_channel_state(scen, 1).gains.copy()
+        near = gains.take(arr.gain_index)
+        for i in range(n):
+            edges = [g for g in (arr.gain_floor[i], exact[i])
+                     if 0 < g < np.inf]
+            base = data.draw(st.sampled_from([near[i], *edges]))
+            near[i] = base * (1 + data.draw(st.integers(-4, 4)) * 2.0 ** -52)
+        gains.flat[arr.gain_index] = near
+        ch = ChannelState(gains=gains)
+        np.testing.assert_array_equal(greedy_baseline(scen, ch).assign,
+                                      greedy_baseline_loop(scen, ch))
+
+    def test_gain_floor_holds_where_one_plus_snr_rounds(self):
+        # a 1-bit task with seconds of local work passes its first-round test
+        # at an SNR near 1e-8, where ``1 + snr`` keeps about eight digits of
+        # the rate; the floor's SNR is held at 2**-16 there, so near gains
+        # just past the exact threshold go to the rounds
+        scen, _ = toy(n=12, m=2, seed=5, data_bits=1.0, cycles=(1e9, 1e10),
+                      f_local_max=2.5e8)
+        arr, exact = scen.arrays, exact_threshold(scen)
+        np.testing.assert_array_equal(
+            arr.gain_floor, scen.radio.noise_w / arr.p_max * 2.0 ** -16)
+        gains = sample_channel_state(scen, 1).gains.copy()
+        for step in range(1, 101):
+            gains.flat[arr.gain_index] = exact * (1 + step * 1e-9)
+            ch = ChannelState(gains=gains)
+            np.testing.assert_array_equal(greedy_baseline(scen, ch).assign,
+                                          greedy_baseline_loop(scen, ch))
+
+    # an equal split is slower than local where count * local_cap >= f_mec:
+    # nine UEs share one server here, three the other, and at 2.25e9 the
+    # nine's server time equals their local time exactly
+    @pytest.mark.parametrize("f_mec", [1e9, 2e9, 2.25e9])
+    def test_gain_floor_is_inf_where_the_server_is_not_faster(self, f_mec):
+        scen, _ = toy(n=12, m=2, seed=3, f_mec_max=f_mec,
+                      cycles=(2e8, 4e9), f_local_max=2.5e8)
+        arr = scen.arrays
+        slower = arr.server_time >= arr.local_time
+        assert slower.sum() == 9
+        assert np.isinf(arr.gain_floor[slower]).all()
+        assert np.isfinite(arr.gain_floor[~slower]).all()
+        assert (arr.gain_floor > 0).all()
 
     def test_start_is_kept_read_only(self):
         scen, _ = toy(n=12, m=3, seed=2)
@@ -102,10 +192,13 @@ class TestGreedy:
         assert scen.arrays is arr
         assert not any(getattr(arr, f).flags.writeable for f in GREEDY_START)
 
-    def test_mutating_a_placement_leaves_the_next_unchanged(self):
-        for f_mec in (1e12, 5e8):   # returns on the first round, or later
+    def test_mutating_a_placement_leaves_the_next_unchanged(self, rate_calls):
+        # decided by the gain floor, or by the rounds
+        for f_mec, rates in ((1e12, 0), (5e8, 1)):
             scen, ch = toy(n=8, f_mec_max=f_mec, f_local_max=1e9)
+            rate_calls.clear()
             first = greedy_baseline(scen, ch).assign
+            assert len(rate_calls) == rates
             expect = first.copy()
             first[:] = 0 if first.all() else 1
             np.testing.assert_array_equal(greedy_baseline(scen, ch).assign,

@@ -240,8 +240,9 @@ def test_search_hashes_prints_one_line_per_set(monkeypatch, capsys):
 
 def test_oracle_hashes_prints_one_line_per_set(monkeypatch, capsys):
     """``tools/oracle_hashes.py``, which a change promising identical oracle
-    results is checked with, prints a digest, the proven share, node counts
-    and a time per draw set; here on each set's first draw only."""
+    results is checked with, prints a digest, the proven share, node counts,
+    greedy's digest and screened share and a time per draw set; here on
+    each set's first draw only."""
     spec = importlib.util.spec_from_file_location(
         "oracle_hashes", ROOT / "tools" / "oracle_hashes.py")
     tool = importlib.util.module_from_spec(spec)
@@ -260,6 +261,10 @@ def test_oracle_hashes_prints_one_line_per_set(monkeypatch, capsys):
     assert all(line[2] == "exact" and re.fullmatch(r"[01]/1", line[3])
                and line[-1] == "ms/call" for line in lines)
     assert lines[0][3] == "1/1"  # every desk draw is proven
+    assert all(line[9] == "greedy" and re.fullmatch(r"[0-9a-f]{64}", line[10])
+               and line[11] == "screened"
+               and line[12] in ("0.00", "1.00") for line in lines)
+    assert lines[0][12] == "1.00"  # the first desk draw clears every floor
 
 
 def test_readme_library_use_runs(capsys):

@@ -17,9 +17,15 @@ The sets, each a pure function of its seeds:
 
 One line per set: the sha256 of every returned placement and latency, the
 number of calls that proved the optimum, the median and maximum nodes
-bounded, and the mean wall time per oracle call in ms (the start is not
-timed).  A change that promises identical oracle results runs this on
-both checkouts and compares everything but the times.
+bounded; the sha256 of ``bench.greedy_baseline``'s placement on every
+draw of the set, whatever the set's start, and the share of those calls
+that the gain floor's screen decided, that is, that never computed a rate
+(``-`` where a checkout has no gain floor); and the mean wall time per
+oracle call in ms (the start is not timed).  The oracle often proves the
+same optimum from a different start, so the greedy digest is what shows a
+changed greedy placement.  A change that promises identical oracle or
+greedy results runs this on both checkouts and compares everything but
+the times.
 """
 
 from __future__ import annotations
@@ -83,25 +89,42 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
 
+    from edgesched import bench
     from edgesched.allocator import Evaluator
-    from edgesched.bench import exact_oracle
 
-    for name, scen, chans, start in draw_sets():
-        digest = hashlib.sha256()
-        nodes, exact, spent = [], 0, 0.0
-        for k, ch in enumerate(chans):
-            ev = Evaluator(scen, ch)
-            incumbent = start(k, scen, ev, ch)
-            tic = time.perf_counter()
-            res = exact_oracle(ev, incumbent)
-            spent += time.perf_counter() - tic
-            digest.update(res.decision.assign.astype(np.int64).tobytes())
-            digest.update(struct.pack("<d", res.latency))
-            nodes.append(res.nodes)
-            exact += res.exact
-        print(f"{name:<5} {digest.hexdigest()} exact {exact}/{len(chans)} "
-              f"nodes median {float(np.median(nodes)):g} max {max(nodes)} "
-              f"{spent / len(chans) * 1e3:.2f} ms/call", flush=True)
+    rate, rate_calls = bench.data_rate, [0]
+
+    def counted(*args):
+        rate_calls[0] += 1
+        return rate(*args)
+
+    bench.data_rate = counted
+    try:
+        for name, scen, chans, start in draw_sets():
+            digest, greedy = hashlib.sha256(), hashlib.sha256()
+            nodes, exact, spent, screened = [], 0, 0.0, 0
+            for k, ch in enumerate(chans):
+                ev = Evaluator(scen, ch)
+                incumbent = start(k, scen, ev, ch)
+                tic = time.perf_counter()
+                res = bench.exact_oracle(ev, incumbent)
+                spent += time.perf_counter() - tic
+                digest.update(res.decision.assign.astype(np.int64).tobytes())
+                digest.update(struct.pack("<d", res.latency))
+                nodes.append(res.nodes)
+                exact += res.exact
+                before = rate_calls[0]
+                placed = bench.greedy_baseline(scen, ch).assign
+                greedy.update(placed.astype(np.int64).tobytes())
+                screened += rate_calls[0] == before
+            share = (f"{screened / len(chans):.2f}"
+                     if hasattr(scen.arrays, "gain_floor") else "-")
+            print(f"{name:<5} {digest.hexdigest()} exact {exact}/{len(chans)} "
+                  f"nodes median {float(np.median(nodes)):g} max {max(nodes)} "
+                  f"greedy {greedy.hexdigest()} screened {share} "
+                  f"{spent / len(chans) * 1e3:.2f} ms/call", flush=True)
+    finally:
+        bench.data_rate = rate
     return 0
 
 

@@ -25,6 +25,12 @@ of iterations scored in windows (``-`` where a checkout has no such
 scorer or hand-over); and the mean wall time per search call in us (the
 evaluator build is not timed).  A change that promises identical search
 results runs this on both checkouts and compares the digests.
+
+The us column follows the host as much as the code: one checkout, one BLAS
+thread, read 796 us per ``desk`` call in one run and 1275-1286 us in two
+runs 40 minutes later on 2 shared vCPUs.  A speed comparison through it
+needs alternated runs of both checkouts in one sitting; a figure copied
+from an earlier run says little.
 """
 
 from __future__ import annotations
