@@ -198,6 +198,8 @@ class ModelArrays(NamedTuple):
     local_power: np.ndarray    # (N,) kappa * local_cap**v
     sqrt_wf: np.ndarray        # (N,) sqrt(weight * cycles)
     f_mec: np.ndarray          # (M,) MEC frequency budgets
+    f_option: np.ndarray       # (M+1,) 0, then f_mec: the budget a
+                               # placement entry 0..M indexes
     distances: np.ndarray      # (N, M) UE-to-MEC distances
     clamped_r2: np.ndarray     # (N, M) distances**2, clamped at min_distance_m
     local_cost: np.ndarray     # (N,) weight * cycles / local_cap
@@ -281,7 +283,8 @@ class Scenario:
             p_max=p_max, local_cap=cap,
             local_power=np.array([u.kappa * c ** u.v
                                   for u, c in zip(ues, cap_list)]),
-            sqrt_wf=np.sqrt(w * cycles), f_mec=f_mec, distances=dist,
+            sqrt_wf=np.sqrt(w * cycles), f_mec=f_mec,
+            f_option=np.concatenate(([0.0], f_mec)), distances=dist,
             clamped_r2=r * r, local_cost=w * cycles / cap,
             weighted_bits=(w * data_bits)[:, None],
             cost_offsets=np.arange(n) * (m + 1), nearest=nearest,
@@ -343,8 +346,10 @@ class OffloadDecision:
         if a is not self.assign and not np.array_equal(a, self.assign):
             raise ValueError("assignments must be integers")
         # viewed as unsigned, a negative entry is above every M; Python ints
-        # compare faster than numpy scalars
-        if a.size and int(a.view(np.uint64).max()) > self.n_mecs:
+        # compare faster than numpy scalars, and the entry at argmax is the
+        # maximum without ``max``'s reduction machinery
+        u = a.view(np.uint64)
+        if a.size and int(u[u.argmax()]) > self.n_mecs:
             raise ValueError("assignments must lie in {0..M}")
         object.__setattr__(self, "assign", a)
 

@@ -14,6 +14,16 @@ save is byte-identical; ``read_json`` checks their format,
 which must fit the layers and be finite, and ``write_json`` the one writer,
 for networks and autoencoders alike.  Every artifact, CSV traces included,
 is replaced in one rename by ``write_atomic``.
+
+The forward pass is a few numpy calls per layer, so at the online
+scheduler's sizes per-call overhead sets its time, not arithmetic.  Each
+layer's product is ``a.dot(w.T)``: the same BLAS call as ``a @ w.T``
+without the ``matmul`` ufunc's dispatch, so the same bits; ``backward``
+takes its products the same way.  The sigmoid's numerator is
+``exp(min(z, 0))`` where it was ``where(z >= 0, 1, exp(-|z|))``: for
+z >= 0 it is exp(0) = 1 exactly, and below exp gets the argument it got
+before, so the bits are the same on every finite value and on +-inf; only
+a NaN's sign bit can differ.
 """
 
 from __future__ import annotations
@@ -58,10 +68,13 @@ def mlp_specs(dims: Sequence[int], hidden: str = "sigmoid",
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, so exp never overflows;
-    # copysign gives -|z| in one call, and e is reused for 1 + e
+    # copysign gives -|z| in one call, and e is reused for 1 + e; the
+    # numerator exp(min(z, 0)) is exp(0) = 1 exactly for z >= 0 and e's
+    # own exp(z) below
     e = np.copysign(z, -1.0)
     np.exp(e, out=e)
-    out = np.where(z >= 0, 1.0, e)
+    out = np.minimum(z, 0.0)
+    np.exp(out, out=out)
     e += 1.0
     out /= e
     return out
@@ -142,7 +155,7 @@ class Network:
         is its output (see ``_apply``).
         """
         for spec, w, b in zip(self.specs, self.weights, self.biases):
-            z = a @ w.T
+            z = a.dot(w.T)
             z += b
             out = _apply(spec.activation, z)
             yield a, z, out
@@ -177,9 +190,9 @@ class Network:
             a_in, z, a_out = cache[idx]
             dz = _derivative(spec.activation, z, a_out)
             dz *= delta
-            grads[idx] = (dz.T @ a_in, dz.sum(axis=0))
+            grads[idx] = (dz.T.dot(a_in), dz.sum(axis=0))
             if idx > 0:
-                delta = dz @ self.weights[idx]
+                delta = dz.dot(self.weights[idx])
         return grads
 
     def l2_norm_sq(self) -> float:

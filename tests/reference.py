@@ -42,6 +42,11 @@ oldest first, as the list of transitions the ring replaced held them.
 random on the same channel draws; acceptance criterion 08 reads it, and no
 run does.
 
+``sigmoid_reference`` and ``forward_reference`` are the forward pass as it
+was written before its cheaper calls: the sigmoid's numerator picked by
+``np.where`` and each layer's product taken by ``@``.  The tests require
+the same bits from ``_sigmoid``, ``forward`` and ``forward_cached``.
+
 ``backward_reference``, ``add_l2_reference``, ``adam_step_reference`` and
 ``reconstruction_loss_grads_reference`` are a training step as whole-array
 expressions, each temporary a new array: the code that ``neural`` and
@@ -371,6 +376,29 @@ def window_rewards(logs: list[EpochLog], scenario: Scenario,
             vals.append(1.0 / ev.latency_of(dec.assign))
         rewards[name] = float(np.mean(vals))
     return rewards
+
+
+def sigmoid_reference(z: np.ndarray) -> np.ndarray:
+    """``neural._sigmoid`` with its numerator 1 for z >= 0, else
+    exp(-|z|), picked by ``np.where``."""
+    e = np.copysign(z, -1.0)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
+def forward_reference(net, x: np.ndarray) -> np.ndarray:
+    """``net.forward`` of a (B, in_dim) batch with each layer's product
+    taken by ``@`` and its sigmoid by ``sigmoid_reference``."""
+    a = x
+    for spec, w, b in zip(net.specs, net.weights, net.biases):
+        z = a @ w.T
+        z += b
+        a = (sigmoid_reference(z) if spec.activation == "sigmoid"
+             else np.maximum(z, 0.0))
+    return a
 
 
 def backward_reference(net, cache, grad_out: np.ndarray) -> list:

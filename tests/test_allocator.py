@@ -6,8 +6,9 @@ import pytest
 from edgesched.allocator import (Evaluator, allocate_frequencies,
                                  evaluate, max_power_assignment)
 from edgesched.config import ScenarioConfig, build_scenario
-from edgesched.mec import (OffloadDecision, Task, UeSpec, local_capacity,
-                           random_scenario, reweighted, sample_channel_state)
+from edgesched.mec import (MecSpec, OffloadDecision, Task, UeSpec,
+                           local_capacity, random_scenario, reweighted,
+                           sample_channel_state)
 
 from reference import (allocate_frequencies_loop, allocate_frequencies_oracle,
                        latencies_per_call, weighted_latency)
@@ -96,12 +97,22 @@ class TestClosedForm:
                                    allocate_frequencies(dec, scaled))
 
 
+def distinct_budgets(scen, rng):
+    """``scen`` with a different frequency budget on every MEC, so that a
+    budget gathered for the wrong server shows."""
+    budgets = rng.permutation(np.arange(1, scen.n_mecs + 1)) * 1e10
+    return dataclasses.replace(scen, mecs=tuple(
+        MecSpec(position=m.position, f_max=float(f))
+        for m, f in zip(scen.mecs, budgets)))
+
+
 class TestMatchesPerMecLoop:
     """The one-``bincount`` split against the per-MEC loop it replaced.
 
     The two sum a MEC's loads in a different order once it serves 8 or more
     UEs (numpy's pairwise sum against bincount's sequential one), so they
-    agree to 1e-15 relative there and bit for bit below.
+    agree to 1e-15 relative there and bit for bit below.  Every server has
+    its own budget.
     """
 
     # (N, M, placement): an empty MEC, all local, all remote, 12 UEs on one
@@ -115,8 +126,9 @@ class TestMatchesPerMecLoop:
     @pytest.mark.parametrize("name", CASES)
     def test_named_case(self, name):
         n, m, assign = self.CASES[name]
-        scen = random_scenario(n, m, rng_seed=4, weights=(0.3, 3.0),
-                               cycles=(1e8, 4e9))
+        scen = distinct_budgets(
+            random_scenario(n, m, rng_seed=4, weights=(0.3, 3.0),
+                            cycles=(1e8, 4e9)), np.random.default_rng(n))
         dec = OffloadDecision(assign=np.array(assign), n_mecs=m)
         freqs = allocate_frequencies(dec, scen)
         ref = allocate_frequencies_loop(dec, scen)
@@ -133,6 +145,7 @@ class TestMatchesPerMecLoop:
         rng = np.random.default_rng(21)
         for _ in range(200):
             scen, dec = fuzz_case(rng, n_max=40, m_max=5)
+            scen = distinct_budgets(scen, rng)
             np.testing.assert_allclose(allocate_frequencies(dec, scen),
                                        allocate_frequencies_loop(dec, scen),
                                        rtol=1e-15, atol=0)
@@ -324,15 +337,22 @@ class TestScenarioArrays:
 
     @pytest.mark.parametrize("copy", [
         lambda s: reweighted(s, np.random.default_rng(1)),
-        lambda s: dataclasses.replace(s, ues=s.ues[::-1])],
-        ids=["reweighted", "replace"])
+        lambda s: dataclasses.replace(s, ues=s.ues[::-1]),
+        lambda s: dataclasses.replace(s, mecs=s.mecs[::-1])],
+        ids=["reweighted", "replace", "replace-mecs"])
     def test_copies_get_their_own_arrays(self, copy):
-        scen = random_scenario(6, 2, rng_seed=3, weights=(0.5, 2.0))
+        scen = distinct_budgets(
+            random_scenario(6, 2, rng_seed=3, weights=(0.5, 2.0)),
+            np.random.default_rng(0))
         before = scen.arrays
         other = copy(scen)
         assert other.arrays is not before and scen.arrays is before
         assert other.arrays.weight.tolist() == [u.weight for u in other.ues]
         assert before.weight.tolist() == [u.weight for u in scen.ues]
+        for s, arr in ((scen, before), (other, other.arrays)):
+            assert arr.f_option.tolist() == [0.0, *(m.f_max for m in s.mecs)]
+            assert not arr.f_option.flags.writeable
+        assert other.arrays.f_option is not before.f_option
         ch = sample_channel_state(other, 2)
         rng = np.random.default_rng(5)
         for _ in range(20):

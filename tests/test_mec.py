@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from edgesched import mec
 from edgesched.mec import (BENCH_EPOCH_BASE, EPOCH_RANGE_WIDTH,
@@ -145,6 +147,22 @@ class TestConstruction:
         dec = OffloadDecision(assign=np.array(assign, dtype=int), n_mecs=2)
         assert dec.assign.dtype == np.int64
         np.testing.assert_array_equal(dec.assign, assign)
+
+    @given(st.lists(st.one_of(st.integers(-3, 7),
+                              st.integers(-2**63, 2**63 - 1)), max_size=12),
+           st.integers(1, 5))
+    @example([], 1)
+    @example([2**63 - 1], 5)
+    @example([0, -1, 5], 5)
+    def test_decision_accepts_exactly_zero_to_m(self, assign, m):
+        # the uint64 argmax gather against the rule in plain Python
+        vec = np.array(assign, dtype=np.int64)
+        if all(0 <= v <= m for v in assign):
+            dec = OffloadDecision(assign=vec, n_mecs=m)
+            assert dec.assign is vec
+        else:
+            with pytest.raises(ValueError, match=re.escape("in {0..M}")):
+                OffloadDecision(assign=vec, n_mecs=m)
 
 
 class TestGeometry:

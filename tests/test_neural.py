@@ -5,12 +5,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edgesched.neural import (ACTIVATIONS, Adam, LayerSpec, Network,
+from edgesched.agent import AgentConfig
+from edgesched.autoencoder import default_dims
+from edgesched.neural import (ACTIVATIONS, Adam, LayerSpec, Network, _sigmoid,
                               checkpoint_dict, load_checkpoint, mlp_specs,
                               save_checkpoint, write_json)
 
-from reference import add_l2_reference, adam_step_reference, backward_reference
+from reference import (add_l2_reference, adam_step_reference,
+                       backward_reference, forward_reference,
+                       sigmoid_reference)
 
 
 def fd_gradients(net, x, loss_fn, h=1e-6):
@@ -189,6 +195,55 @@ class TestBackward:
                 acc = [(aw + gw, ab + gb)
                        for (aw, ab), (gw, gb) in zip(acc, g)]
         assert_grads_close(full, acc, atol=1e-12)
+
+
+def layouts(n, m, out_dim=None):
+    """The autoencoder (encoder and mirrored decoder) and the default
+    policy of an N x M scenario, as layer sizes."""
+    enc = default_dims(n, m, out_dim)
+    return [enc + enc[-2::-1],
+            [enc[-1], *AgentConfig().hidden, n * (m + 1)]]
+
+
+# +-0, the smallest subnormal and normal, where exp(-|z|) underflows to a
+# subnormal and to 0, and +-inf
+SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 -2.2250738585072014e-308, 36.8, -36.8, 708.5, -708.5, 745.2,
+                 -745.2, 800.0, -800.0, np.inf, -np.inf]
+
+
+class TestKernels:
+    """The forward pass against the forms its cheaper calls replaced
+    (``tests/reference.py``), bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(-800.0, 800.0)),
+                    max_size=40))
+    def test_sigmoid_matches_reference(self, values):
+        z = np.array(values + SIGMOID_EDGES)
+        kept = z.copy()
+        got, want = _sigmoid(z), sigmoid_reference(z)
+        assert_same_bits(z, kept)
+        # a NaN's sign bit may differ between the two forms
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert_same_bits(got[~nan], want[~nan])
+
+    @pytest.mark.parametrize("dims", [*layouts(10, 2), *layouts(30, 5, 75)],
+                             ids=["ae-10x2", "policy-10x2", "ae-30x5",
+                                  "policy-30x5"])
+    @pytest.mark.parametrize("hidden", ACTIVATIONS)
+    @pytest.mark.parametrize("output", ACTIVATIONS)
+    def test_forward_matches_reference(self, dims, hidden, output):
+        rng = np.random.default_rng(len(dims) + dims[-1])
+        net = Network(mlp_specs(dims, hidden=hidden, output=output), rng=rng)
+        for b in (1, 2, 7, 32, 64):
+            x = rng.random((b, dims[0]))
+            want = forward_reference(net, x)
+            assert_same_bits(net.forward(x), want)
+            assert_same_bits(net.forward_cached(x)[0], want)
+            if b == 1:
+                assert_same_bits(net.forward(x[0]), want[0])
 
 
 class TestInPlace:

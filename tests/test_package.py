@@ -194,7 +194,7 @@ def test_benchmark_calls_live_names():
 def test_artifact_hashes_prints_one_digest_per_artifact(monkeypatch, capsys):
     """``tools/artifact_hashes.py``, which every byte-identical refactor is
     checked with, prints one sha256 line per artifact of a config, then one
-    for its pretraining loss trace."""
+    for its pretraining loss trace and one for its online schedules."""
     spec = importlib.util.spec_from_file_location(
         "artifact_hashes", ROOT / "tools" / "artifact_hashes.py")
     tool = importlib.util.module_from_spec(spec)
@@ -204,10 +204,13 @@ def test_artifact_hashes_prints_one_digest_per_artifact(monkeypatch, capsys):
     assert tool.main([str(config)]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [line[:2] for line in lines] == [
-        [config.stem, name] for name in (*tool.ARTIFACTS, tool.TRACE)]
+        [config.stem, name]
+        for name in (*tool.ARTIFACTS, tool.TRACE, tool.SCHEDULE)]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line[2]) for line in lines)
-    # the identity compressor trains nothing: its trace is empty
-    assert lines[-1][2] == hashlib.sha256(b"").hexdigest()
+    # the identity compressor trains nothing: its trace is empty; the
+    # schedules are not
+    empty = hashlib.sha256(b"").hexdigest()
+    assert lines[-2][2] == empty and lines[-1][2] != empty
 
 
 

@@ -8,9 +8,13 @@ Each config runs the same pipeline as ``edgesched train --config FILE``
 into a temporary directory, one at a time in this process, then the
 benchmark with the oracle on the reloaded set, as ``edgesched bench
 --oracle --out DIR`` would.  One line per artifact: config name, file name,
-sha256.  A last line per config, ``pretrain_trace``, is the sha256 of the
-autoencoder's pretraining losses as float64 bytes: no artifact holds them,
-so a change to the loss value alone would pass every other line.  A
+sha256.  Two more lines per config hash what no artifact holds, so a change
+to it alone would pass every other line: ``pretrain_trace``, the
+autoencoder's pretraining losses as float64 bytes, and ``schedule``, the
+placement (int64), frequencies and powers (float64) that the reloaded
+policy makes on each bench draw, in draw order, through the online path
+``encode_channel`` -> ``decide`` -> ``allocate_frequencies`` ->
+``max_power_assignment``; ``bench.csv`` shows them only as means.  A
 refactor that promises byte-identical outputs runs this on both checkouts
 and compares the lines.  Wall-clock values are left out: ``timings.csv``,
 and the two decision-time columns of ``bench.csv``.
@@ -34,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ARTIFACTS = ("epochs.csv", "policy.json", "sae.json", "scenario_resolved.yaml",
              "bench.csv")
-TRACE = "pretrain_trace"
+TRACE, SCHEDULE = "pretrain_trace", "schedule"
 
 
 def untimed(data: bytes) -> bytes:
@@ -53,12 +57,29 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
+    from edgesched.agent import decide
+    from edgesched.allocator import allocate_frequencies, max_power_assignment
     from edgesched.config import load_config, override
-    from edgesched.experiment import bench_experiment, train_experiment
+    from edgesched.experiment import (bench_experiment, load_artifacts,
+                                      train_experiment)
+    from edgesched.mec import BENCH_EPOCH_BASE, sample_channel_state
 
     def show(config: str, name: str, data: bytes) -> None:
         print(f"{config:<14} {name:<24} {hashlib.sha256(data).hexdigest()}",
               flush=True)
+
+    def schedules(cfg, out: str) -> bytes:
+        art = load_artifacts(cfg, Path(out))
+        scen = art.scenario
+        parts = []
+        for k in range(cfg.bench.n_channels):
+            ch = sample_channel_state(scen, BENCH_EPOCH_BASE + k,
+                                      art.seeds.channel)
+            dec = decide(art.policy, art.compressor.encode_channel(ch).vector,
+                         scen.n_ues, scen.n_mecs)
+            parts += [dec.assign, allocate_frequencies(dec, scen),
+                      max_power_assignment(scen, dec)]
+        return b"".join(p.tobytes() for p in parts)
 
     for path in args.configs:
         with tempfile.TemporaryDirectory() as out:
@@ -71,6 +92,7 @@ def main(argv=None) -> int:
                 show(path.stem, name,
                      untimed(data) if name == "bench.csv" else data)
             show(path.stem, TRACE, np.array(trace, dtype=float).tobytes())
+            show(path.stem, SCHEDULE, schedules(cfg, out))
     return 0
 
 
