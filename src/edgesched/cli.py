@@ -43,12 +43,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="learned task offloading for multi-server edge computing")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, desc in [("gen-scenario", "sample a scenario and write YAML"),
-                       ("train-sae", "pretrain the channel autoencoder"),
-                       ("train", "run the full training pipeline"),
-                       ("bench", "benchmark a trained policy"),
-                       ("dynamic", "sweep the MEC count")]:
+    for name, desc, handler in [
+            ("gen-scenario", "sample a scenario and write YAML",
+             cmd_gen_scenario),
+            ("train-sae", "pretrain the channel autoencoder", cmd_train_sae),
+            ("train", "run the full training pipeline", cmd_train),
+            ("bench", "benchmark a trained policy", cmd_bench),
+            ("dynamic", "sweep the MEC count", cmd_dynamic)]:
         p = sub.add_parser(name, help=desc)
+        p.set_defaults(handler=handler)
         _add_common(p)
         if name == "gen-scenario":
             p.add_argument("path", help="output YAML file")
@@ -57,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="include the exact oracle and NRR columns")
 
     p = sub.add_parser("inspect-checkpoint", help="summarise a checkpoint")
+    p.set_defaults(handler=cmd_inspect)
     p.add_argument("path", help="checkpoint JSON file")
     p.add_argument("--quiet", action="store_true")
     return parser
@@ -127,7 +131,9 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    fmt = read_json(args.path).get("format", "?")
+    fmt = read_json(args.path).get("format")
+    if fmt not in (SAE_FORMAT, CHECKPOINT_FORMAT):
+        raise ValueError(f"{args.path}: unrecognised format {fmt!r}")
     print(f"format: {fmt}")
     if fmt == SAE_FORMAT:
         comp, meta = ChannelCompressor.load(args.path)
@@ -135,28 +141,15 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         if comp.net is not None:
             print(f"network dims: {comp.net.dims}")
         print(f"raster bounds: [{comp.raster.lo}, {comp.raster.hi}]")
-    elif fmt == CHECKPOINT_FORMAT:
+    else:
         net, meta = load_checkpoint(args.path)
         print(f"dims: {net.dims}")
         print(f"activations: {[s.activation for s in net.specs]}")
         print(f"parameters: {net.n_params()}")
-    else:
-        print("unrecognised format")
-        return 1
     for key in ("seed", "epoch"):
         if key in meta:
             print(f"{key}: {meta[key]}")
     return 0
-
-
-_HANDLERS = {
-    "gen-scenario": cmd_gen_scenario,
-    "train-sae": cmd_train_sae,
-    "train": cmd_train,
-    "bench": cmd_bench,
-    "dynamic": cmd_dynamic,
-    "inspect-checkpoint": cmd_inspect,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -167,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"{parser.prog}: error: {' '.join(str(exc).split())}",
               file=sys.stderr)

@@ -117,14 +117,19 @@ def _write_train_outputs(art: TrainArtifacts, cfg: ExperimentConfig,
 
 
 def load_artifacts(cfg: ExperimentConfig, out: Path) -> TrainArtifacts | None:
-    """Reload a trained artifact set if all files exist, else None."""
+    """Reload a trained artifact set if all files exist, else None.  A set
+    trained with another seed than ``cfg.seed`` raises ``ValueError``: its
+    bench would take another seed's draws."""
     needed = [out / "scenario_resolved.yaml", out / "sae.json",
               out / "policy.json"]
     if not all(p.exists() for p in needed):
         return None
+    policy, meta = load_checkpoint(out / "policy.json")
+    if meta.get("seed") not in (None, cfg.seed):
+        raise ValueError(f"{out}: trained with seed {meta['seed']}, "
+                         f"but the config's seed is {cfg.seed}")
     scenario = load_scenario(out / "scenario_resolved.yaml")
     comp, _ = ChannelCompressor.load(out / "sae.json")
-    policy, _ = load_checkpoint(out / "policy.json")
     return TrainArtifacts(scenario=scenario, compressor=comp, policy=policy,
                           seeds=SeedBundle.from_master(cfg.seed))
 

@@ -315,21 +315,43 @@ class TestCli:
         assert "drl: phi must be at least 1, got 0" in proc.stderr
         assert not (run / "bench.csv").exists()
 
-    def test_inspect_rejects_unknown(self, tmp_path, capsys):
-        p = tmp_path / "foo.json"
-        p.write_text('{"format": "mystery"}')
-        assert cli_main(["inspect-checkpoint", str(p)]) == 1
+    def test_bench_rejects_a_set_trained_with_another_seed(self, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "scenario: {n_ues: 3, n_mecs: 2}\n"
+            "sae: {t_sae: 20, pretrain_samples: 30}\n"
+            "drl: {t_drl: 8, phi: 4}\n"
+            "asa: {t_sa_init: 3}\n"
+            "bench: {n_channels: 3, asa_budget: 20}\n")
+        run = tmp_path / "run"
+        common = ["--config", str(cfg), "--out", str(run), "--quiet"]
+        assert cli_main(["train", "--seed", "3", *common]) == 0
+        capsys.readouterr()
+        # the config's seed is 1: its draws would bench the seed-3 policy
+        assert cli_main(["bench", *common]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"edgesched: error: {run}: trained with "
+                                "seed 3, but the config's seed is 1\n")
+        assert not (run / "bench.csv").exists()
+        assert cli_main(["bench", "--seed", "3", *common]) == 0
+        assert (run / "bench.csv").exists()
 
     @pytest.mark.parametrize("case", [
-        "malformed", "missing-config", "missing-checkpoint", "directory",
-        "missing-directory"])
+        "malformed", "unknown-format", "missing-config",
+        "missing-checkpoint", "directory", "missing-directory"])
     def test_reports_bad_file_in_one_line(self, tmp_path, capsys, case):
         bad, nope = tmp_path / "bad.json", tmp_path / "nope.json"
         bad.write_text("[1]")
+        mystery = tmp_path / "mystery.json"
+        mystery.write_text('{"format": "mystery"}')
         missing = f"[Errno 2] No such file or directory: '{nope}'"
         argv, message = {
             "malformed": (["inspect-checkpoint", bad],
                           f"{bad}: holds a JSON list, not an object"),
+            "unknown-format": (["inspect-checkpoint", mystery],
+                               f"{mystery}: unrecognised format 'mystery'"),
             "missing-config": (["train", "--config", nope], missing),
             "missing-checkpoint": (["inspect-checkpoint", nope], missing),
             "directory": (["inspect-checkpoint", tmp_path],

@@ -14,6 +14,7 @@ import edgesched
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+TOOLS = ROOT / "tools"
 PROBE = ("import os, edgesched; "
          "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
 
@@ -39,14 +40,13 @@ class TestBlasThreads:
         assert threads_after_import(OPENBLAS_NUM_THREADS="3") == ["3", "1"]
 
     @pytest.mark.parametrize("tool", ["artifact_hashes", "oracle_hashes",
-                                      "search_hashes"])
+                                      "search_hashes", "harness"])
     def test_hash_tools_cap_threads_before_numpy(self, tool):
-        """A hash tool imports numpy before ``edgesched``, so it caps the
-        threads itself, as soon as it is loaded."""
-        probe = ("import importlib.util, os, sys; "
-                 f"spec = importlib.util.spec_from_file_location('tool', "
-                 f"{str(ROOT / 'tools' / f'{tool}.py')!r}); "
-                 "spec.loader.exec_module(importlib.util.module_from_spec(spec)); "
+        """A hash tool imports numpy before ``edgesched``, so ``harness``,
+        which every tool imports, caps the threads as soon as it is
+        loaded, and loads no numpy itself."""
+        probe = (f"import os, sys; sys.path.insert(0, {str(TOOLS)!r}); "
+                 f"import {tool}; "
                  "print(os.environ['OPENBLAS_NUM_THREADS'], "
                  "os.environ['OMP_NUM_THREADS'], 'numpy' in sys.modules)")
         assert run_probe(probe) == ["1", "1", "False"]
@@ -191,16 +191,23 @@ def test_benchmark_calls_live_names():
     assert missing == []
 
 
+def load_tool(name, monkeypatch):
+    """``tools/<name>.py`` loaded by path, with ``tools/`` first on a copy of
+    ``sys.path``, where the tool finds ``harness`` and its ``main`` puts
+    ``--src``."""
+    monkeypatch.setattr(sys, "path", [str(TOOLS), *sys.path])
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_artifact_hashes_prints_one_digest_per_artifact(monkeypatch, capsys):
     """``tools/artifact_hashes.py``, which every byte-identical refactor is
     checked with, prints one sha256 line per artifact of a config, then one
     for its pretraining loss trace and one for its online schedules."""
-    spec = importlib.util.spec_from_file_location(
-        "artifact_hashes", ROOT / "tools" / "artifact_hashes.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends --src
-    config = ROOT / "tools" / "configs" / "identity_6x1.yaml"
+    tool = load_tool("artifact_hashes", monkeypatch)
+    config = TOOLS / "configs" / "identity_6x1.yaml"
     assert tool.main([str(config)]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [line[:2] for line in lines] == [
@@ -219,11 +226,7 @@ def test_search_hashes_prints_one_line_per_set(monkeypatch, capsys):
     results is checked with, prints a digest, the shares of calls that
     started on the loop and that handed over to windows, the share of
     iterations scored in windows and a time per draw set."""
-    spec = importlib.util.spec_from_file_location(
-        "search_hashes", ROOT / "tools" / "search_hashes.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends --src
+    tool = load_tool("search_hashes", monkeypatch)
     assert tool.main([]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [line[0] for line in lines] == ["desk", "desk-g", "10x5", "20x3",
@@ -246,11 +249,7 @@ def test_oracle_hashes_prints_one_line_per_set(monkeypatch, capsys):
     results is checked with, prints a digest, the proven share, node counts,
     greedy's digest and screened share and a time per draw set; here on
     each set's first draw only."""
-    spec = importlib.util.spec_from_file_location(
-        "oracle_hashes", ROOT / "tools" / "oracle_hashes.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends --src
+    tool = load_tool("oracle_hashes", monkeypatch)
     full = tool.draw_sets
     monkeypatch.setattr(tool, "draw_sets", lambda: (
         (name, scen, chans[:1], start)

@@ -13,29 +13,22 @@ to it alone would pass every other line: ``pretrain_trace``, the
 autoencoder's pretraining losses as float64 bytes, and ``schedule``, the
 placement (int64), frequencies and powers (float64) that the reloaded
 policy makes on each bench draw, in draw order, through the online path
-``encode_channel`` -> ``decide`` -> ``allocate_frequencies`` ->
-``max_power_assignment``; ``bench.csv`` shows them only as means.  A
-refactor that promises byte-identical outputs runs this on both checkouts
-and compares the lines.  Wall-clock values are left out: ``timings.csv``,
-and the two decision-time columns of ``bench.csv``.
+``encode_channel`` -> ``decide`` -> ``evaluate``; ``bench.csv`` shows them
+only as means.  A refactor that promises byte-identical outputs runs this
+on both checkouts and compares the lines.  Wall-clock values are left out:
+``timings.csv``, and the two decision-time columns of ``bench.csv``.
 """
 
 from __future__ import annotations
 
-import os
-
-# one BLAS thread, as ``import edgesched`` would set had numpy not come first
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-
-import argparse
 import hashlib
 import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from harness import ROOT, bench_draws, parse_args
+
 ARTIFACTS = ("epochs.csv", "policy.json", "sae.json", "scenario_resolved.yaml",
              "bench.csv")
 TRACE, SCHEDULE = "pretrain_trace", "schedule"
@@ -49,20 +42,15 @@ def untimed(data: bytes) -> bytes:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("configs", nargs="*", type=Path, default=sorted(
-        (ROOT / "tools" / "configs").glob("*.yaml")))
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="directory holding the edgesched package")
-    args = ap.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    args = parse_args(__doc__, argv, configs=dict(
+        nargs="*", type=Path,
+        default=sorted((ROOT / "tools" / "configs").glob("*.yaml"))))
     import numpy as np
     from edgesched.agent import decide
-    from edgesched.allocator import allocate_frequencies, max_power_assignment
+    from edgesched.allocator import evaluate
     from edgesched.config import load_config, override
     from edgesched.experiment import (bench_experiment, load_artifacts,
                                       train_experiment)
-    from edgesched.mec import BENCH_EPOCH_BASE, sample_channel_state
 
     def show(config: str, name: str, data: bytes) -> None:
         print(f"{config:<14} {name:<24} {hashlib.sha256(data).hexdigest()}",
@@ -72,13 +60,11 @@ def main(argv=None) -> int:
         art = load_artifacts(cfg, Path(out))
         scen = art.scenario
         parts = []
-        for k in range(cfg.bench.n_channels):
-            ch = sample_channel_state(scen, BENCH_EPOCH_BASE + k,
-                                      art.seeds.channel)
+        for ch in bench_draws(scen, cfg.bench.n_channels, art.seeds.channel):
             dec = decide(art.policy, art.compressor.encode_channel(ch).vector,
                          scen.n_ues, scen.n_mecs)
-            parts += [dec.assign, allocate_frequencies(dec, scen),
-                      max_power_assignment(scen, dec)]
+            alloc = evaluate(dec, scen, ch)
+            parts += [dec.assign, alloc.freqs, alloc.powers]
         return b"".join(p.tobytes() for p in parts)
 
     for path in args.configs:

@@ -30,21 +30,12 @@ the times.
 
 from __future__ import annotations
 
-import os
-
-# one BLAS thread, as ``import edgesched`` would set had numpy not come first
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-
-import argparse
 import hashlib
 import struct
 import sys
 import time
-from dataclasses import replace
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from harness import bench_draws, default_scenario, parse_args
 
 
 def draw_sets():
@@ -52,13 +43,8 @@ def draw_sets():
     import numpy as np
 
     from edgesched.annealing import AnnealConfig
-    from edgesched.bench import BENCH_EPOCH_BASE, asa_only, greedy_baseline
-    from edgesched.config import ExperimentConfig, build_scenario
-    from edgesched.mec import random_scenario, sample_channel_state
-
-    def channels(scen, count):
-        return [sample_channel_state(scen, BENCH_EPOCH_BASE + k, 1)
-                for k in range(count)]
+    from edgesched.bench import asa_only, greedy_baseline
+    from edgesched.mec import random_scenario
 
     def asa_start(k, scen, ev, ch):
         return asa_only(scen, ch, AnnealConfig(), 200,
@@ -67,26 +53,20 @@ def draw_sets():
     def greedy_start(k, scen, ev, ch):
         return greedy_baseline(scen, ch).assign
 
-    desk_cfg = ExperimentConfig().scenario
-    desk = build_scenario(desk_cfg, fallback_seed=1)
-    yield "desk", desk, channels(desk, 200), asa_start
+    desk = default_scenario()
+    yield "desk", desk, bench_draws(desk, 200), asa_start
     for m in range(1, 6):
-        scen = build_scenario(replace(desk_cfg, n_mecs=m), fallback_seed=1)
-        yield f"10x{m}", scen, channels(scen, 30), greedy_start
+        scen = default_scenario(n_mecs=m)
+        yield f"10x{m}", scen, bench_draws(scen, 30), greedy_start
     for n, m in ((30, 5), (20, 3)):
         scen = random_scenario(n, m, rng_seed=1)
-        yield f"{n}x{m}", scen, channels(scen, 5), greedy_start
-    wide = build_scenario(replace(desk_cfg, n_ues=30, n_mecs=5),
-                          fallback_seed=1)
-    yield "wide", wide, channels(wide, 5), greedy_start
+        yield f"{n}x{m}", scen, bench_draws(scen, 5), greedy_start
+    wide = default_scenario(n_ues=30, n_mecs=5)
+    yield "wide", wide, bench_draws(wide, 5), greedy_start
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="directory holding the edgesched package")
-    args = ap.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    parse_args(__doc__, argv)
     import numpy as np
 
     from edgesched import bench

@@ -35,34 +35,19 @@ from an earlier run says little.
 
 from __future__ import annotations
 
-import os
-
-# one BLAS thread, as ``import edgesched`` would set had numpy not come first
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-
-import argparse
 import hashlib
 import struct
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from harness import bench_draws, default_scenario, parse_args
 
 
 def draw_sets():
     """(name, scenario, channels, run) per set; run maps (k, scen, ch, ev, rng)."""
-    from dataclasses import replace
-
     from edgesched.annealing import AnnealConfig, BudgetState, search
-    from edgesched.bench import BENCH_EPOCH_BASE, asa_only, greedy_baseline
-    from edgesched.config import ExperimentConfig, build_scenario
-    from edgesched.mec import random_scenario, sample_channel_state
-
-    def channels(scen, count):
-        return [sample_channel_state(scen, BENCH_EPOCH_BASE + k, 1)
-                for k in range(count)]
+    from edgesched.bench import asa_only, greedy_baseline
+    from edgesched.mec import random_scenario
 
     def asa_200(scen, ch, ev, rng):
         return asa_only(scen, ch, AnnealConfig(), 200, rng, evaluator=ev)
@@ -73,24 +58,18 @@ def draw_sets():
                           BudgetState(budget), rng, evaluator=ev)
         return run
 
-    section = ExperimentConfig().scenario
-    desk = build_scenario(section, fallback_seed=1)
-    yield "desk", desk, channels(desk, 200), asa_200
-    yield "desk-g", desk, channels(desk, 200), from_greedy(50)
+    desk = default_scenario()
+    yield "desk", desk, bench_draws(desk, 200), asa_200
+    yield "desk-g", desk, bench_draws(desk, 200), from_greedy(50)
     for n, m in ((10, 5), (20, 3), (30, 5), (50, 5)):
         scen = random_scenario(n, m, rng_seed=1)
-        yield f"{n}x{m}", scen, channels(scen, 50), asa_200
-    wide = build_scenario(replace(section, n_ues=30, n_mecs=5),
-                          fallback_seed=1)
-    yield "wide", wide, channels(wide, 50), from_greedy(55)
+        yield f"{n}x{m}", scen, bench_draws(scen, 50), asa_200
+    wide = default_scenario(n_ues=30, n_mecs=5)
+    yield "wide", wide, bench_draws(wide, 50), from_greedy(55)
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="directory holding the edgesched package")
-    args = ap.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    parse_args(__doc__, argv)
     import numpy as np
 
     from edgesched import annealing
