@@ -26,7 +26,7 @@ from .autoencoder import ChannelCompressor
 from .mec import (OffloadDecision, Scenario, integer_at_least,
                   non_negative_finite, positive_finite, reweighted,
                   sample_channel_state)
-from .neural import Adam, Gradients, Network, mlp_specs, write_csv
+from .neural import Adam, Network, mlp_specs, write_csv
 from .replay import ReplayBuffer, ReplayConfig
 
 _CLAMP = 1e-12
@@ -151,8 +151,9 @@ def one_hot_target(decision: np.ndarray, n_mecs: int) -> np.ndarray:
 
 
 def policy_loss_grads(net: Network, states: np.ndarray, targets: np.ndarray,
-                      lam: float) -> tuple[float, Gradients]:
-    """Batch sigmoid cross-entropy with L2 regularisation, plus gradients.
+                      lam: float) -> tuple[float, np.ndarray]:
+    """Batch sigmoid cross-entropy with L2 regularisation, plus its
+    gradient laid out as ``net.theta``.
 
     Outputs are clamped to [1e-12, 1 - 1e-12] before the logs; a clamped
     entry contributes zero gradient, matching the subgradient of the clamp.
@@ -180,10 +181,10 @@ def train_step(policy: Network, adam: Adam, buffer: ReplayBuffer, batch: int,
     states = encoder.encode_raw(raw)
     # the policy head holds M+1 scores per UE
     targets = one_hot_target(actions, policy.out_dim // actions.shape[1] - 1)
-    loss, grads = policy_loss_grads(policy, states, targets, lam)
+    loss, grad = policy_loss_grads(policy, states, targets, lam)
     if not np.isfinite(loss):
         raise RuntimeError("policy loss diverged to a non-finite value")
-    adam.step(grads)
+    adam.step(grad)
     delta_loss = 0.0 if prev_loss is None else prev_loss - loss
     buffer.update_stats(idx, delta_loss)
     return loss, delta_loss

@@ -32,13 +32,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .mec import (ChannelState, integer_at_least, non_negative_finite,
                   positive_finite)
-from .neural import (Adam, Gradients, Network, checkpoint_dict, mlp_specs,
+from .neural import (Adam, Network, checkpoint_dict, mlp_specs,
                      network_from_dict, read_json, write_json)
 
 SAE_FORMAT = "edgesched-sae-v1"
@@ -171,20 +171,32 @@ def _row_shapes(batch: np.ndarray, n_rows: int,
     also returns the maxima, one per UE row.
 
     An all-zero row, the UE whose every gain is the smallest observed,
-    takes the all-ones shape: every entry equals its maximum.
+    takes the all-ones shape: every entry equals its maximum.  The maxima
+    are a running ``np.maximum`` over the M columns, one call per column
+    where ``max`` makes a short reduction per row; a maximum does not
+    round, so they are ``max``'s, but for the sign of a row of zeros of
+    both signs, which takes the all-ones shape either way.
     """
     rows = batch.reshape(-1, n_cols)
-    maxima = rows.max(axis=1, keepdims=True)
-    if np.any(maxima < 0):
+    maxima = rows[:, :1].copy()
+    for j in range(1, n_cols):
+        np.maximum(maxima, rows[:, j:j + 1], out=maxima)
+    least = maxima.min(initial=np.inf)
+    if least < 0:
         raise ValueError("row maximum must not be negative")
-    shapes = np.divide(rows, maxima, out=np.ones_like(rows), where=maxima > 0)
+    if least > 0:
+        shapes = rows / maxima
+    else:
+        shapes = np.divide(rows, maxima, out=np.ones_like(rows),
+                           where=maxima > 0)
     return shapes.reshape(-1, n_rows, n_cols), maxima
 
 
 def reconstruction_loss_grads(net: Network, batch: np.ndarray, n_rows: int,
                               n_cols: int, gamma1: float,
-                              gamma2: float) -> tuple[float, Gradients]:
-    """Loss and analytic parameter gradients for one batch.
+                              gamma2: float) -> tuple[float, np.ndarray]:
+    """Loss and its analytic gradient, laid out as ``net.theta``, for one
+    batch.
 
     The relative term treats each sample's row maximum as part of the
     computation graph, so its gradient has an extra component at the argmax
@@ -292,21 +304,23 @@ class ChannelCompressor:
             self.sync()
         return self.net is not None
 
-    def pretrain(self, gain_mats: Iterable[np.ndarray],
+    def pretrain(self, gains: np.ndarray | Sequence[np.ndarray],
                  rng: np.random.Generator) -> list[float]:
-        """Memorise a dataset and run the configured number of training steps.
+        """Memorise a dataset, a stack of (N, M) gain matrices, and run the
+        configured number of training steps.
 
         Bounds are settled over the whole dataset before any sample is
         rasterized, so the memory is not polluted by early, badly scaled
         vectors.
         """
-        self._memorise(list(gain_mats))
+        self._memorise(np.asarray(gains, dtype=float))
         trace = self._train(rng, self.cfg.t_sae)
         self.sync()
         return trace
 
-    def _memorise(self, gain_mats: list[np.ndarray]) -> None:
-        """Widen the bounds to a dataset and append it to the memory.
+    def _memorise(self, gains: np.ndarray) -> None:
+        """Widen the bounds to a stack of gain matrices and append it to
+        the memory.
 
         One batch: one ``log10`` over every sample, then one ``scale``, with
         the bits of observing and then scaling sample by sample.  Only the
@@ -314,12 +328,11 @@ class ChannelCompressor:
         data.  The batch arrays are freed on return, before training stacks
         the memory.
         """
-        if not gain_mats:
+        if not len(gains):
             return
-        # the stacked gains live only until their log10 is taken
-        logs = self.raster.observe(np.asarray(gain_mats, dtype=float))
+        logs = self.raster.observe(gains)
         if self.net is not None:
-            rows = logs.reshape(len(gain_mats), -1)[-self.memory.maxlen:]
+            rows = logs.reshape(len(gains), -1)[-self.memory.maxlen:]
             self.memory.extend(row.copy() for row in self.raster.scale(rows))
 
     def refresh(self, rng: np.random.Generator,
@@ -342,23 +355,25 @@ class ChannelCompressor:
         trace = []
         for _ in range(iters):
             idx = rng.integers(0, len(data), size=take)
-            loss, grads = reconstruction_loss_grads(
+            loss, grad = reconstruction_loss_grads(
                 self.net, data[idx], self.n_ues, self.n_mecs, self.cfg.gamma1,
                 self.cfg.gamma2)
             if not np.isfinite(loss):
                 raise RuntimeError(_DIVERGED)
-            self.adam.step(grads)
+            self.adam.step(grad)
             trace.append(loss)
         return trace
 
-    def accuracy(self, gain_mats: Sequence[np.ndarray]) -> float:
-        """1 minus the mean relative entry error on held-out data, in [0, 1].
+    def accuracy(self, gains: np.ndarray | Sequence[np.ndarray]) -> float:
+        """1 minus the mean relative entry error on held-out data, a stack
+        of (N, M) gain matrices, in [0, 1].
 
         Scored with the training-side net; the identity compressor scores 1.
         """
         if self.net is None:
             return 1.0
-        x = np.stack([self.raster.transform(g) for g in gain_mats])
+        gains = np.asarray(gains, dtype=float)
+        x = self.raster.transform(gains).reshape(len(gains), -1)
         rel = np.abs(x - self.net.forward(x)) / np.maximum(np.abs(x), 1e-9)
         return float(np.clip(1.0 - rel.mean(), 0.0, 1.0))
 

@@ -26,7 +26,7 @@ from .bench import (BenchReport, PsoConfig, exact_oracle, nrr, run_benchmark,
 from .config import (ExperimentConfig, build_scenario, dump_scenario,
                      load_scenario)
 from .mec import (HELDOUT_EPOCH_BASE, PRETRAIN_EPOCH_BASE, Scenario,
-                  sample_channel_state)
+                  sample_channel_gains, sample_channel_state)
 from .neural import Network, load_checkpoint, save_checkpoint, write_csv
 
 logger = logging.getLogger(__name__)
@@ -66,19 +66,16 @@ def pretrain_compressor(cfg: ExperimentConfig, scenario: Scenario,
     sae_rng = np.random.default_rng(seeds.sae)
     comp = ChannelCompressor(cfg.sae, scenario.n_ues, scenario.n_mecs,
                              rng=sae_rng)
-    mats = [sample_channel_state(scenario, PRETRAIN_EPOCH_BASE + i,
-                                 seeds.channel).gains
-            for i in range(cfg.sae.pretrain_samples)]
-    trace = comp.pretrain(mats, sae_rng)
+    gains = sample_channel_gains(scenario, PRETRAIN_EPOCH_BASE,
+                                 cfg.sae.pretrain_samples, seeds.channel)
+    trace = comp.pretrain(gains, sae_rng)
     return comp, sae_rng, trace
 
 
 def heldout_accuracy(compressor: ChannelCompressor, scenario: Scenario,
                      seeds: SeedBundle, n_samples: int = 200) -> float:
-    mats = [sample_channel_state(scenario, HELDOUT_EPOCH_BASE + i,
-                                 seeds.channel).gains
-            for i in range(n_samples)]
-    return compressor.accuracy(mats)
+    return compressor.accuracy(sample_channel_gains(
+        scenario, HELDOUT_EPOCH_BASE, n_samples, seeds.channel))
 
 
 def train_experiment(cfg: ExperimentConfig,

@@ -315,6 +315,14 @@ class Scenario:
         return rows[0][:b], rows[1][:b * len(self.ues)]
 
 
+def _positive_finite_gains(g: np.ndarray) -> np.ndarray:
+    """``g`` if every gain is positive and finite, else ValueError."""
+    # a NaN fails the min test, +inf the max test; an empty array passes
+    if g.size and not (g.min() > 0 and np.isfinite(g.max())):
+        raise ValueError("channel gains must be positive and finite")
+    return g
+
+
 @dataclass(frozen=True, slots=True)
 class ChannelState:
     """Channel power gains for one epoch, shape (N, M)."""
@@ -325,10 +333,7 @@ class ChannelState:
         g = np.asarray(self.gains, dtype=float)
         if g.ndim != 2:
             raise ValueError("gains must be an N x M matrix")
-        # a NaN fails the min test, +inf the max test; an N x 0 matrix passes
-        if g.size and not (g.min() > 0 and np.isfinite(g.max())):
-            raise ValueError("channel gains must be positive and finite")
-        object.__setattr__(self, "gains", g)
+        object.__setattr__(self, "gains", _positive_finite_gains(g))
 
 
 @dataclass(frozen=True, slots=True)
@@ -366,6 +371,15 @@ def _epoch_rng(seed: int, epoch: int, namespace: int = _CHANNEL_NS) -> np.random
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _gains(radio: RadioParams, fading: np.ndarray,
+           r2: np.ndarray) -> np.ndarray:
+    """beta0 * l / R**2 from small-scale gains ``fading`` of any number of
+    (N, M) draws, in place; returns ``fading``."""
+    fading *= radio.beta0
+    fading /= r2
+    return fading
+
+
 def sample_channel_state(scenario: Scenario, epoch: int,
                          seed: int | None = None) -> ChannelState:
     """Sample the (N, M) gain matrix for one epoch.
@@ -385,8 +399,28 @@ def sample_channel_state(scenario: Scenario, epoch: int,
     if radio.fading == "deterministic":
         fading = np.ones(r2.shape)
     else:
-        fading = rng.exponential(scale=1.0, size=r2.shape)
-    return ChannelState(gains=radio.beta0 * fading / r2)
+        fading = rng.standard_exponential(size=r2.shape)
+    return ChannelState(gains=_gains(radio, fading, r2))
+
+
+def sample_channel_gains(scenario: Scenario, first_epoch: int, count: int,
+                         seed: int | None = None) -> np.ndarray:
+    """The gains of ``count`` epochs from ``first_epoch`` on, as one
+    (count, N, M) array: row k holds ``sample_channel_state(scenario,
+    first_epoch + k, seed).gains``, bit for bit.
+
+    Each row is filled from its epoch's own generator, and the stack is
+    checked once, by the check ``ChannelState`` makes on one draw.
+    """
+    entropy = scenario.rng_seed if seed is None else seed
+    radio, r2 = scenario.radio, scenario.arrays.clamped_r2
+    if radio.fading == "deterministic":
+        fading = np.ones((count, *r2.shape))
+    else:
+        fading = np.empty((count, *r2.shape))
+        for k, row in enumerate(fading):
+            _epoch_rng(entropy, first_epoch + k).standard_exponential(out=row)
+    return _positive_finite_gains(_gains(radio, fading, r2))
 
 
 def data_rate(bandwidth_hz: float, power_w: float | np.ndarray,

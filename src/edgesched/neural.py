@@ -2,24 +2,29 @@
 
 Everything the package trains (the channel autoencoder and the scheduling
 policy) runs through this module: float64 numpy parameters, explicit forward
-caches, analytic gradients and Adam steps.  A training step allocates
-little: ``backward`` forms each layer's derivative in the array that becomes
-its ``dz``, ``add_l2`` adds the penalty into the gradients ``backward``
-returned, and ``Adam`` updates its moments and the parameters in place
-through two work buffers that every parameter shares within a step.  Each
-keeps the operations of the whole-array expressions, in their order, so the
-bits are the same.  Checkpoints are canonical JSON so that save -> load ->
-save is byte-identical; ``read_json`` checks their format,
-``network_from_dict`` is the one reader of their layer list and weights,
-which must fit the layers and be finite, and ``write_json`` the one writer,
-for networks and autoencoders alike.  Every artifact, CSV traces included,
-is replaced in one rename by ``write_atomic``.
+caches, analytic gradients and Adam steps.  A network's parameters are one
+vector, ``theta``, that its per-layer weights and biases view, and a
+gradient is one vector of the same layout, so the penalty and the optimiser
+work on whole vectors, not per parameter.  A training step allocates
+little: ``backward`` forms each layer's derivative in the array that
+becomes its ``dz`` and writes each layer's gradient into its place in one
+fresh vector, ``add_l2`` adds the penalty into that vector, and ``Adam``
+updates its moments and the parameters in place, a block at a time,
+through two work buffers.  Each keeps the operations of the per-layer
+whole-array expressions, in their order, so the bits are the same.
+Checkpoints are canonical JSON so that save -> load -> save is
+byte-identical; ``read_json`` checks their format, ``network_from_dict`` is
+the one reader of their layer list and weights, which must fit the layers
+and be finite, and ``write_json`` the one writer, for networks and
+autoencoders alike.  Every artifact, CSV traces included, is replaced in
+one rename by ``write_atomic``.
 
 The forward pass is a few numpy calls per layer, so at the online
 scheduler's sizes per-call overhead sets its time, not arithmetic.  Each
 layer's product is ``a.dot(w.T)``: the same BLAS call as ``a @ w.T``
 without the ``matmul`` ufunc's dispatch, so the same bits; ``backward``
-takes its products the same way.  The sigmoid's numerator is
+takes its products by ``np.dot`` too, each weight gradient written
+straight into its place with ``out=``.  The sigmoid's numerator is
 ``exp(min(z, 0))`` where it was ``where(z >= 0, 1, exp(-|z|))``: for
 z >= 0 it is exp(0) = 1 exactly, and below exp gets the argument it got
 before, so the bits are the same on every finite value and on +-inf; only
@@ -101,11 +106,15 @@ def _derivative(act: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (z > 0.0).astype(z.dtype)
 
 
-Gradients = list[tuple[np.ndarray, np.ndarray]]
-
-
 class Network:
-    """Dense MLP with weights of shape (out, in) per layer."""
+    """Dense MLP with weights of shape (out, in) per layer.
+
+    The parameters are one float64 vector ``theta``, laid out layer by
+    layer as W0 (row-major), b0, W1, b1, ...; ``weights[i]`` and
+    ``biases[i]`` are views into it, and a gradient is a vector of the same
+    layout (``split`` views it per layer).  A copy, by ``copy.deepcopy`` or
+    pickle, rebuilds its views into its own vector.
+    """
 
     def __init__(self, specs: Iterable[LayerSpec],
                  rng: np.random.Generator | None = None,
@@ -116,24 +125,54 @@ class Network:
             if prev.out_dim != nxt.in_dim:
                 raise ValueError("adjacent layer dimensions do not chain")
         if weights is not None or biases is not None:
-            self.weights = [np.array(w, dtype=float) for w in weights]
-            self.biases = [np.array(b, dtype=float) for b in biases]
+            weights = [np.asarray(w, dtype=float) for w in weights]
+            biases = [np.asarray(b, dtype=float) for b in biases]
             want = [((s.out_dim, s.in_dim), (s.out_dim,)) for s in self.specs]
-            got = [(w.shape, b.shape) for w, b in zip(self.weights,
-                                                        self.biases)]
-            if len(self.weights) != len(self.biases) or got != want:
+            got = [(w.shape, b.shape) for w, b in zip(weights, biases)]
+            if len(weights) != len(biases) or got != want:
                 raise ValueError(f"weight and bias shapes {got} do not fit "
                                  f"the layers {want}")
+        elif rng is None:
+            raise ValueError("need an rng to initialise parameters")
+        self.theta = np.empty(sum(s.out_dim * (s.in_dim + 1)
+                                  for s in self.specs))
+        self._bind()
+        if weights is not None:
+            for view, p in zip((*self.weights, *self.biases),
+                               (*weights, *biases)):
+                view[...] = p
         else:
-            if rng is None:
-                raise ValueError("need an rng to initialise parameters")
-            self.weights, self.biases = [], []
-            for spec in self.specs:
+            for spec, w, b in zip(self.specs, self.weights, self.biases):
                 # Glorot/Xavier uniform keeps early activations in range
                 limit = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-                self.weights.append(rng.uniform(-limit, limit,
-                                                size=(spec.out_dim, spec.in_dim)))
-                self.biases.append(np.zeros(spec.out_dim))
+                w[...] = rng.uniform(-limit, limit,
+                                     size=(spec.out_dim, spec.in_dim))
+                b[...] = 0.0
+
+    def _bind(self) -> None:
+        """Make ``weights`` and ``biases`` views into ``theta``."""
+        layers = self.split(self.theta)
+        self.weights = [w for w, _ in layers]
+        self.biases = [b for _, b in layers]
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        del state["weights"], state["biases"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._bind()
+
+    def split(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per layer, (W, b) views into a vector laid out as ``theta``."""
+        layers, at = [], 0
+        for s in self.specs:
+            mid = at + s.out_dim * s.in_dim
+            layers.append((flat[at:mid].reshape(s.out_dim, s.in_dim),
+                           flat[mid:mid + s.out_dim]))
+            at = mid + s.out_dim
+        return layers
 
     @property
     def in_dim(self) -> int:
@@ -176,101 +215,107 @@ class Network:
         cache = list(self._layers(np.atleast_2d(np.asarray(x, dtype=float))))
         return cache[-1][2], cache
 
-    def backward(self, cache, grad_out: np.ndarray) -> Gradients:
+    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
         """Backpropagate dLoss/dOutput through the cached forward pass.
 
-        Returns one (dW, db) pair per layer.  The caller owns any batch
-        averaging: gradients here are plain sums over the batch rows of
-        whatever upstream gradient is passed in.
+        Returns the gradient as a new vector laid out as ``theta``, each
+        layer's dW and db written into its place.  The caller owns any
+        batch averaging: gradients here are plain sums over the batch rows
+        of whatever upstream gradient is passed in.
         """
-        grads: Gradients = [None] * len(self.specs)  # type: ignore[list-item]
+        grad = np.empty(self.theta.size)
+        layers = self.split(grad)
         delta = np.atleast_2d(np.asarray(grad_out, dtype=float))
         for idx in range(len(self.specs) - 1, -1, -1):
-            spec = self.specs[idx]
             a_in, z, a_out = cache[idx]
-            dz = _derivative(spec.activation, z, a_out)
+            dz = _derivative(self.specs[idx].activation, z, a_out)
             dz *= delta
-            grads[idx] = (dz.T.dot(a_in), dz.sum(axis=0))
+            dw, db = layers[idx]
+            np.dot(dz.T, a_in, out=dw)
+            np.add.reduce(dz, axis=0, out=db)
             if idx > 0:
                 delta = dz.dot(self.weights[idx])
-        return grads
+        return grad
 
     def l2_norm_sq(self) -> float:
-        """Squared L2 norm over all weights and biases."""
-        return sum(float((w * w).sum() + (b * b).sum())
-                   for w, b in zip(self.weights, self.biases))
+        """Squared L2 norm over all weights and biases: ``theta`` squared
+        once, each parameter's squares summed on their own, as the
+        per-parameter sums did."""
+        sq = self.theta * self.theta
+        return sum(float(w.sum() + b.sum()) for w, b in self.split(sq))
 
     def add_l2(self, lam: float, loss: float,
-               grads: Gradients) -> tuple[float, Gradients]:
-        """``loss`` plus 0.5*lam*|theta|^2, ``grads`` plus lam*theta.
+               grad: np.ndarray) -> tuple[float, np.ndarray]:
+        """``loss`` plus 0.5*lam*|theta|^2, ``grad`` plus lam*theta.
 
         The one place either learner regularises its parameters.  lam*theta
-        is added into the arrays of ``grads``, the fresh ones ``backward``
-        returned, and ``grads`` is returned; ``lam=0`` leaves both unchanged.
+        is added into ``grad``, the fresh vector ``backward`` returned, and
+        ``grad`` is returned; ``lam=0`` leaves both unchanged.
         """
         if lam == 0.0:
-            return loss, grads
-        for (dw, db), w, b in zip(grads, self.weights, self.biases):
-            dw += lam * w
-            db += lam * b
-        return loss + 0.5 * lam * self.l2_norm_sq(), grads
+            return loss, grad
+        grad += lam * self.theta
+        return loss + 0.5 * lam * self.l2_norm_sq(), grad
 
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.theta.size
 
 
 # Adam's moment decay rates and denominator guard, the usual defaults
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+# Entries of ``theta`` one pass of an Adam step updates at a time
+ADAM_BLOCK = 8192
 
 
 class Adam:
     """Adam optimiser bound to one network; ``lr`` is its one setting.
 
-    A step updates the moments and the parameters in place.  Its
-    temporaries live in two work buffers the size of the largest parameter,
-    viewed per parameter, so they cost two parameter arrays, not two per
-    parameter.  They are made at each step and freed with it, so between
-    steps an optimiser holds only its moments and leaves the heap as
-    whole-array updates do; buffers kept for its life made desk-bench's
-    peak RSS differ by 4 MB from run to run.
+    Its moments are two vectors laid out as the network's ``theta``, and a
+    step updates them and ``theta`` in place, ``ADAM_BLOCK`` entries at a
+    time: 14 numpy calls per block however many layers the network has,
+    and a large network's block stays in cache through all of them.  The
+    temporaries live in two work buffers of one block.  They are made at
+    each step and freed with it, so between steps an optimiser holds only
+    its moments and leaves the heap as whole-array updates do; buffers kept
+    for its life made desk-bench's peak RSS differ by 4 MB from run to run.
     """
 
     def __init__(self, net: Network, lr: float = 1e-3):
         self.net = net
         self.lr = lr
         self.t = 0
-        self.m = [(np.zeros_like(w), np.zeros_like(b))
-                  for w, b in zip(net.weights, net.biases)]
-        self.v = [(np.zeros_like(w), np.zeros_like(b))
-                  for w, b in zip(net.weights, net.biases)]
-        self._work_size = max(p.size for p in (*net.weights, *net.biases))
+        self.m = np.zeros_like(net.theta)
+        self.v = np.zeros_like(net.theta)
 
-    def step(self, grads: Gradients) -> None:
-        """One update; the bits of ``p -= lr * (m / b1c) / (sqrt(v / b2c)
-        + eps)`` with m += (1 - b1) * g and v += (1 - b2) * g * g."""
+    def step(self, grad: np.ndarray) -> None:
+        """One update from a gradient laid out as ``theta``; the bits of
+        ``p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)`` with
+        m += (1 - b1) * g and v += (1 - b2) * g * g."""
         self.t += 1
         b1c = 1.0 - _BETA1 ** self.t
         b2c = 1.0 - _BETA2 ** self.t
-        params = zip(self.net.weights, self.net.biases)
-        work_a, work_c = np.empty(self._work_size), np.empty(self._work_size)
-        for layer in zip(params, grads, self.m, self.v):
-            for p, g, m, v in zip(*layer):  # weights, then biases
-                a = work_a[:p.size].reshape(p.shape)
-                c = work_c[:p.size].reshape(p.shape)
-                np.multiply(g, 1.0 - _BETA1, out=a)
-                m *= _BETA1
-                m += a
-                np.multiply(g, 1.0 - _BETA2, out=a)
-                a *= g
-                v *= _BETA2
-                v += a
-                np.divide(m, b1c, out=a)
-                a *= self.lr
-                np.divide(v, b2c, out=c)
-                np.sqrt(c, out=c)
-                c += _EPS
-                a /= c
-                p -= a
+        theta = self.net.theta
+        size = theta.size
+        work_a = np.empty(min(size, ADAM_BLOCK))
+        work_c = np.empty(work_a.size)
+        for lo in range(0, size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, size)
+            p, g, m, v = theta[lo:hi], grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            a, c = work_a[:hi - lo], work_c[:hi - lo]
+            np.multiply(g, 1.0 - _BETA1, out=a)
+            m *= _BETA1
+            m += a
+            np.multiply(g, 1.0 - _BETA2, out=a)
+            a *= g
+            v *= _BETA2
+            v += a
+            np.divide(m, b1c, out=a)
+            a *= self.lr
+            np.divide(v, b2c, out=c)
+            np.sqrt(c, out=c)
+            c += _EPS
+            a /= c
+            p -= a
 
 
 def checkpoint_dict(net: Network, seed: int | None, epoch: int) -> dict:
@@ -305,7 +350,7 @@ def network_from_dict(doc: dict, path: str | Path) -> Network:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases)):
+    if not np.isfinite(net.theta).all():
         raise ValueError(f"{path}: non-finite parameters")
     return net
 

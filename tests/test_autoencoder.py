@@ -10,13 +10,15 @@ from edgesched.autoencoder import (SYNC_PERIOD, AutoencoderConfig,
                                    ChannelCompressor, Rasterizer, default_dims,
                                    reconstruction_loss_grads)
 from edgesched.mec import (ChannelState, random_scenario,
-                           sample_channel_state)
+                           sample_channel_gains, sample_channel_state)
 from edgesched.neural import Adam, Network, mlp_specs
 
-from reference import (adam_step_reference, pretrain_per_sample,
-                       reconstruction_loss_grads_reference)
+from reference import (_row_shapes_reference, adam_step_reference,
+                       pretrain_per_sample, reconstruction_loss_grads_reference)
 from test_neural import (assert_grads_close, assert_same_bits,
-                         assert_same_grads, assert_same_params, fd_gradients)
+                         assert_same_grads, assert_same_params, deep_copy,
+                         fd_gradients, per_layer_adam, pickle_copy,
+                         views_own_vector)
 
 
 def reconstruction_loss(net, batch, n_rows, n_cols, gamma1, gamma2):
@@ -237,6 +239,31 @@ class TestLoss:
         assert got[0] == want[0] and np.isfinite(got[0])
         assert_same_grads(got[1], want[1])
 
+    @pytest.mark.parametrize("cols", [1, 2, 5, 17])
+    def test_row_shapes_match_reference_on_zero_rows(self, cols):
+        """Shapes equal ``max``'s bit for bit on rows with -0.0 entries and
+        all-zero rows; the maxima equal ``max``'s, and but for a zero's
+        sign, their bits too."""
+        from edgesched.autoencoder import _row_shapes
+        rng = np.random.default_rng(cols)
+        batch = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], size=(40, 3 * cols),
+                           p=[0.3, 0.3, 0.1, 0.1, 0.2])
+        batch[0, :cols] = 0.0
+        batch[1, :cols] = -0.0
+        batch[2, cols:2 * cols] = rng.choice([0.0, -0.0], size=cols)
+        shapes, maxima = _row_shapes(batch, 3, cols)
+        rows = batch.reshape(40, 3, cols)
+        assert_same_bits(shapes, _row_shapes_reference(rows))
+        want = rows.max(axis=2).reshape(-1, 1)
+        np.testing.assert_array_equal(maxima, want)
+        assert_same_bits(maxima[want != 0], want[want != 0])
+        assert (shapes.reshape(-1, cols)[want[:, 0] == 0] == 1.0).all()
+        # the quotient takes the plain division when no maximum is 0
+        positive = batch + 0.125
+        shapes, _ = _row_shapes(positive, 3, cols)
+        assert_same_bits(shapes, _row_shapes_reference(
+            positive.reshape(40, 3, cols)))
+
     def test_negative_input_row_maximum_raises(self):
         batch = np.full((1, 6), 0.5)
         batch[0, 3:] = -0.1
@@ -253,7 +280,7 @@ class TestLoss:
         d = rows * cols
         net = self.tiny_net(seed=d, dims=(d, 4, d))
         twin = Network(net.specs, weights=net.weights, biases=net.biases)
-        opt, ref = Adam(net, lr=1e-2), Adam(twin, lr=1e-2)
+        opt, ref = Adam(net, lr=1e-2), per_layer_adam(twin, 1e-2)
         rng = np.random.default_rng(d + cols)
         for _ in range(5):
             batch = rng.uniform(0.0, 1.0, size=(7, d))
@@ -310,9 +337,7 @@ class TestLoss:
                                                    gamma2)
             without = reconstruction_loss_grads(net, batch, 3, 1, 0.0, gamma2)
             assert with_shape[0] == without[0]
-            for (aw, ab), (bw, bb) in zip(with_shape[1], without[1]):
-                np.testing.assert_array_equal(aw, bw)
-                np.testing.assert_array_equal(ab, bb)
+            np.testing.assert_array_equal(with_shape[1], without[1])
 
     def test_batch_width_checked(self):
         net = self.tiny_net()
@@ -381,7 +406,7 @@ class TestPretrain:
             for comp in comps:
                 for e in (101, 102):
                     comp.observe_and_admit(sample_channel_state(scen, e))
-        got = comps[0].pretrain(mats, np.random.default_rng(2))
+        got = comps[0].pretrain(np.stack(mats), np.random.default_rng(2))
         want = pretrain_per_sample(comps[1], mats, np.random.default_rng(2))
         batched, single = comps
         assert len(got) == 12
@@ -395,6 +420,17 @@ class TestPretrain:
             assert_same_bits(entry, twin)
             assert entry.base is None and entry.flags.owndata
         assert_same_params(batched.net, single.net)
+
+    def test_accuracy_of_a_stack_is_the_per_sample_score(self):
+        scen = random_scenario(4, 2, rng_seed=2)
+        comp = self.twins(4096)[0]
+        comp.pretrain(sample_channel_gains(scen, 1, 30),
+                      np.random.default_rng(2))
+        gains = sample_channel_gains(scen, 500, 25)
+        x = np.stack([comp.raster.transform(g) for g in gains])
+        rel = np.abs(x - comp.net.forward(x)) / np.maximum(np.abs(x), 1e-9)
+        assert comp.accuracy(gains) == float(np.clip(1.0 - rel.mean(), 0, 1))
+        assert comp.accuracy(list(gains)) == comp.accuracy(gains)
 
     def test_identity_compressor_settles_the_same_bounds(self):
         scen = random_scenario(4, 2, rng_seed=2)
@@ -419,6 +455,33 @@ class TestPretrain:
         assert got == want and len(got) == (12 if prior else 0)
         assert comps[0].primed == prior
         assert_same_params(*(comp.net for comp in comps))
+
+
+class TestCopies:
+    """A copied compressor, by deepcopy or pickle, trains as the original
+    does, on networks that view their own parameter vectors."""
+
+    @pytest.mark.parametrize("clone", [deep_copy, pickle_copy])
+    def test_copy_refreshes_alike(self, clone):
+        scen = random_scenario(4, 2, rng_seed=2)
+        comp = ChannelCompressor(AutoencoderConfig(out_dim=4, t_sae=5), 4, 2,
+                                 rng=np.random.default_rng(1))
+        comp.pretrain(sample_channel_gains(scen, 1, 20),
+                      np.random.default_rng(2))
+        twin = clone(comp)
+        assert twin.adam.net is twin.net
+        for net in (twin.net, twin._encoder):
+            assert views_own_vector(net)
+        assert not np.shares_memory(twin.net.theta, comp.net.theta)
+        for epoch in (SYNC_PERIOD, 2 * SYNC_PERIOD):
+            for c in (comp, twin):
+                c.after_epoch(epoch, np.random.default_rng(epoch))
+            assert_same_params(comp.net, twin.net)
+            assert_same_params(comp._encoder, twin._encoder)
+        assert views_own_vector(twin.net)
+        ch = sample_channel_state(scen, 50)
+        assert_same_bits(twin.encode_channel(ch).vector,
+                         comp.encode_channel(ch).vector)
 
 
 class TestCompressor:

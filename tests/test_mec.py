@@ -11,7 +11,8 @@ from edgesched.mec import (BENCH_EPOCH_BASE, EPOCH_RANGE_WIDTH,
                            ChannelState, MecSpec, OffloadDecision, RadioParams,
                            Scenario, Task, UeSpec, data_rate,
                            default_mec_positions, non_negative_finite,
-                           random_scenario, reweighted, sample_channel_state)
+                           random_scenario, reweighted, sample_channel_gains,
+                           sample_channel_state)
 
 from reference import weighted_latency
 
@@ -247,6 +248,37 @@ class TestChannel:
         backward = [sample_channel_state(scen, e).gains for e in (3, 2, 1)]
         for f, b in zip(forward, backward[::-1]):
             np.testing.assert_array_equal(f, b)
+
+    @pytest.mark.parametrize("fading", ["exponential", "deterministic"])
+    @pytest.mark.parametrize("n, m", [(4, 2), (30, 5)])
+    def test_stacked_draws_are_the_single_draws(self, fading, n, m):
+        """Each row of a stacked draw is its epoch's single draw, and both
+        are ``beta0 * exponential(scale=1.0) / R**2``, bit for bit."""
+        radio = RadioParams(fading=fading)
+        scen = make_scenario(n, m, seed=3, radio=radio)
+        r2 = scen.arrays.clamped_r2
+        stack = sample_channel_gains(scen, PRETRAIN_EPOCH_BASE, 50, seed=7)
+        assert stack.shape == (50, n, m)
+        for k, gains in enumerate(stack):
+            epoch = PRETRAIN_EPOCH_BASE + k
+            single = sample_channel_state(scen, epoch, seed=7).gains
+            if fading == "deterministic":
+                l = np.ones(r2.shape)
+            else:
+                l = mec._epoch_rng(7, epoch).exponential(scale=1.0,
+                                                         size=r2.shape)
+            want = radio.beta0 * l / r2
+            assert gains.tobytes() == single.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(sample_channel_gains(scen, 9, 3)[1],
+                                      sample_channel_state(scen, 10).gains)
+        assert sample_channel_gains(scen, 1, 0).shape == (0, n, m)
+
+    def test_stacked_draws_are_checked(self):
+        scen = make_scenario(radio=RadioParams(beta0=5e-324))  # underflows
+        for draw in (lambda: sample_channel_state(scen, 1, seed=2),
+                     lambda: sample_channel_gains(scen, 1, 5, seed=2)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                draw()
 
     def test_deterministic_fading_matches_pathloss(self):
         radio = RadioParams(fading="deterministic")

@@ -1,7 +1,9 @@
 import copy
 import json
 import os
+import pickle
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from hypothesis import strategies as st
 
 from edgesched.agent import AgentConfig
 from edgesched.autoencoder import default_dims
-from edgesched.neural import (ACTIVATIONS, Adam, LayerSpec, Network, _sigmoid,
-                              checkpoint_dict, load_checkpoint, mlp_specs,
-                              save_checkpoint, write_json)
+from edgesched.neural import (ACTIVATIONS, ADAM_BLOCK, Adam, LayerSpec,
+                              Network, _sigmoid, checkpoint_dict,
+                              load_checkpoint, mlp_specs, save_checkpoint,
+                              write_json)
 
 from reference import (add_l2_reference, adam_step_reference,
                        backward_reference, forward_reference,
@@ -20,35 +23,21 @@ from reference import (add_l2_reference, adam_step_reference,
 
 
 def fd_gradients(net, x, loss_fn, h=1e-6):
-    """Central finite differences of loss_fn(net.forward(x)) in every parameter."""
-    grads = []
-    for w, b in zip(net.weights, net.biases):
-        dw = np.zeros_like(w)
-        for idx in np.ndindex(w.shape):
-            orig = w[idx]
-            w[idx] = orig + h
-            up = loss_fn(net.forward(x))
-            w[idx] = orig - h
-            down = loss_fn(net.forward(x))
-            w[idx] = orig
-            dw[idx] = (up - down) / (2 * h)
-        db = np.zeros_like(b)
-        for idx in np.ndindex(b.shape):
-            orig = b[idx]
-            b[idx] = orig + h
-            up = loss_fn(net.forward(x))
-            b[idx] = orig - h
-            down = loss_fn(net.forward(x))
-            b[idx] = orig
-            db[idx] = (up - down) / (2 * h)
-        grads.append((dw, db))
-    return grads
+    """Central finite differences of loss_fn(net.forward(x)) in every
+    parameter, laid out as ``net.theta``."""
+    grad = np.zeros_like(net.theta)
+    for k, orig in enumerate(net.theta.tolist()):
+        net.theta[k] = orig + h
+        up = loss_fn(net.forward(x))
+        net.theta[k] = orig - h
+        down = loss_fn(net.forward(x))
+        net.theta[k] = orig
+        grad[k] = (up - down) / (2 * h)
+    return grad
 
 
 def assert_grads_close(analytic, numeric, atol=1e-6):
-    for (aw, ab), (nw, nb) in zip(analytic, numeric):
-        np.testing.assert_allclose(aw, nw, atol=atol)
-        np.testing.assert_allclose(ab, nb, atol=atol)
+    np.testing.assert_allclose(analytic, numeric, atol=atol)
 
 
 def assert_same_bits(got, want):
@@ -59,24 +48,36 @@ def assert_same_bits(got, want):
 
 
 def assert_same_params(a, b):
+    assert_same_bits(a.theta, b.theta)
     for got, want in zip((*a.weights, *a.biases), (*b.weights, *b.biases)):
         assert_same_bits(got, want)
 
 
+def flat(layers):
+    """Per-layer (W, b) pairs as one vector laid out as ``Network.theta``."""
+    return np.concatenate([p.ravel() for pair in layers for p in pair])
+
+
 def assert_same_grads(got, want):
-    for (gw, gb), (ww, wb) in zip(got, want):
-        assert_same_bits(gw, ww)
-        assert_same_bits(gb, wb)
+    """A flat gradient (or moment) against the per-layer pairs of
+    ``tests/reference.py``, bit for bit."""
+    assert_same_bits(got, flat(want))
+
+
+def per_layer_adam(net, lr):
+    """The state ``adam_step_reference`` updates: per-layer moments."""
+    zeros = [(np.zeros_like(w), np.zeros_like(b))
+             for w, b in zip(net.weights, net.biases)]
+    return SimpleNamespace(net=net, lr=lr, t=0, m=zeros,
+                           v=copy.deepcopy(zeros))
 
 
 def random_grads(net, rng, scale=1.0):
-    """Gradients of every scale, a few entries exactly 0."""
-    def draw(shape):
-        g = rng.normal(size=shape) * scale * 10.0 ** rng.integers(-6, 3, shape)
-        g[rng.random(shape) < 0.1] = 0.0
-        return g
-    return [(draw(w.shape), draw(b.shape))
-            for w, b in zip(net.weights, net.biases)]
+    """A gradient of every scale, a few entries exactly 0."""
+    shape = net.theta.shape
+    g = rng.normal(size=shape) * scale * 10.0 ** rng.integers(-6, 3, shape)
+    g[rng.random(shape) < 0.1] = 0.0
+    return g
 
 
 class TestSpecs:
@@ -185,15 +186,10 @@ class TestBackward:
         x = rng.normal(size=(4, 2))
         out, cache = net.forward_cached(x)
         full = net.backward(cache, np.ones_like(out))
-        acc = None
+        acc = np.zeros_like(full)
         for i in range(4):
             o, cache_i = net.forward_cached(x[i:i + 1])
-            g = net.backward(cache_i, np.ones_like(o))
-            if acc is None:
-                acc = g
-            else:
-                acc = [(aw + gw, ab + gb)
-                       for (aw, ab), (gw, gb) in zip(acc, g)]
+            acc += net.backward(cache_i, np.ones_like(o))
         assert_grads_close(full, acc, atol=1e-12)
 
 
@@ -247,61 +243,122 @@ class TestKernels:
 
 
 class TestInPlace:
-    """The in-place training step against the whole-array expressions it
-    replaced (``tests/reference.py``), bit for bit."""
+    """The flat, in-place training step against the per-layer whole-array
+    expressions it replaced (``tests/reference.py``), bit for bit."""
 
     DIMS = ([6, 4, 3, 4, 6], [7, 9, 5], [3, 1])
+    # 18 190 parameters: two whole Adam blocks and a partial one, whose
+    # edges fall inside the first weight matrix and the second
+    LARGE = [100, 90, 100]
 
     @pytest.mark.parametrize("dims", DIMS)
     @pytest.mark.parametrize("hidden", ACTIVATIONS)
     def test_backward_matches_reference(self, dims, hidden):
         rng = np.random.default_rng(len(dims))
         net = Network(mlp_specs(dims, hidden=hidden), rng=rng)
-        x = rng.normal(size=(5, dims[0]))
-        out, cache = net.forward_cached(x)
-        grad_out = rng.normal(size=out.shape)
-        want = backward_reference(net, cache, grad_out)
-        kept = grad_out.copy()
-        assert_same_grads(net.backward(cache, grad_out), want)
-        assert_same_bits(grad_out, kept)  # the caller's array is not touched
+        for rows in (5, 1):
+            x = rng.normal(size=(rows, dims[0]))
+            out, cache = net.forward_cached(x)
+            grad_out = rng.normal(size=out.shape)
+            want = backward_reference(net, cache, grad_out)
+            kept = grad_out.copy()
+            assert_same_grads(net.backward(cache, grad_out), want)
+            assert_same_bits(grad_out, kept)  # the caller's array is kept
 
     @pytest.mark.parametrize("lam", [0.0, 0.08, 3.0])
     def test_add_l2_matches_reference_and_adds_in_place(self, lam):
         rng = np.random.default_rng(1)
         net = Network(mlp_specs([6, 4, 6]), rng=rng)
-        grads = random_grads(net, rng)
+        grad = random_grads(net, rng)
         want = add_l2_reference(net, lam, 0.25,
-                                [(w.copy(), b.copy()) for w, b in grads])
-        loss, got = net.add_l2(lam, 0.25, grads)
+                                [(w.copy(), b.copy())
+                                 for w, b in net.split(grad)])
+        loss, got = net.add_l2(lam, 0.25, grad)
         assert loss == want[0]
         assert_same_grads(got, want[1])
-        assert got is grads and got[0][0] is grads[0][0]
+        assert got is grad
 
-    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("dims", [*DIMS, LARGE])
+    def test_l2_norm_sums_each_parameter_on_its_own(self, dims):
+        net = Network(mlp_specs(dims), rng=np.random.default_rng(2))
+        net.theta += 0.01  # biases too
+        want = sum(float((w * w).sum() + (b * b).sum())
+                   for w, b in zip(net.weights, net.biases))
+        assert net.l2_norm_sq() == want
+
+    @pytest.mark.parametrize("dims", [*DIMS, LARGE])
     @pytest.mark.parametrize("lr", [1e-3, 0.3])
     def test_adam_matches_reference_over_steps(self, dims, lr):
         rng = np.random.default_rng(sum(dims))
         net = Network(mlp_specs(dims, hidden="relu"), rng=rng)
         twin = Network(net.specs, weights=net.weights, biases=net.biases)
-        opt, ref = Adam(net, lr=lr), Adam(twin, lr=lr)
+        opt, ref = Adam(net, lr=lr), per_layer_adam(twin, lr)
         for _ in range(6):
-            grads = random_grads(net, rng)
-            opt.step(grads)
-            adam_step_reference(ref, grads)
+            grad = random_grads(net, rng)
+            opt.step(grad)
+            adam_step_reference(ref, net.split(grad))
             assert_same_params(net, twin)
             for moment in ("m", "v"):
                 assert_same_grads(getattr(opt, moment), getattr(ref, moment))
 
+    def test_large_net_spans_blocks(self):
+        net = Network(mlp_specs(self.LARGE), rng=np.random.default_rng(0))
+        assert 2 * ADAM_BLOCK < net.n_params() < 3 * ADAM_BLOCK
+
     def test_adam_holds_only_its_moments_between_steps(self):
         # the work buffers live within a step; between steps the optimiser,
-        # and a copy of it, keeps its settings, its moments and that size
+        # and a copy of it, keeps its settings and its moments
         net = Network(mlp_specs([6, 4, 3, 4, 6]), rng=np.random.default_rng(0))
         opt = Adam(net)
         opt.step(random_grads(net, np.random.default_rng(1)))
         for held in (opt, copy.deepcopy(opt)):
-            assert held._work_size == 24
-            assert set(vars(held)) == {"net", "lr", "t", "m", "v",
-                                       "_work_size"}
+            assert set(vars(held)) == {"net", "lr", "t", "m", "v"}
+            assert held.m.shape == held.v.shape == (net.n_params(),)
+
+
+def views_own_vector(net):
+    """Whether every weight and bias is a view into ``net.theta``."""
+    return all(p.base is net.theta
+               for p in (*net.weights, *net.biases))
+
+
+def deep_copy(obj):
+    return copy.deepcopy(obj)
+
+
+def pickle_copy(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+class TestCopies:
+    """A copy of a network, by deepcopy or pickle, trains as the original
+    does, on a parameter vector of its own."""
+
+    @pytest.mark.parametrize("clone", [deep_copy, pickle_copy])
+    def test_network_and_adam_copies_train_alike(self, clone):
+        rng = np.random.default_rng(4)
+        net = Network(mlp_specs([5, 7, 3], hidden="relu"), rng=rng)
+        opt = Adam(net, lr=0.05)
+        opt.step(random_grads(net, rng))
+        net_copy, opt_copy = clone((net, opt))
+        assert opt_copy.net is net_copy and views_own_vector(net_copy)
+        assert not np.shares_memory(net_copy.theta, net.theta)
+        for _ in range(4):
+            grad = random_grads(net, rng)
+            opt.step(grad)
+            opt_copy.step(grad.copy())
+            assert_same_params(net, net_copy)
+        assert views_own_vector(net_copy)
+        # a write through a view of the copy reaches only the copy
+        net_copy.weights[1][0, 0] = 9.0
+        assert net_copy.theta[42] == 9.0 and net.theta[42] != 9.0
+
+    @pytest.mark.parametrize("clone", [deep_copy, pickle_copy])
+    def test_network_copy_alone_views_its_own_vector(self, clone):
+        net = Network(mlp_specs([3, 4, 2]), rng=np.random.default_rng(5))
+        twin = clone(net)
+        assert views_own_vector(twin) and views_own_vector(net)
+        assert_same_params(net, twin)
 
 
 class TestOptimizers:
@@ -311,7 +368,7 @@ class TestOptimizers:
         net = Network([LayerSpec(1, 1, "relu")],
                       weights=[np.array([[0.0]])], biases=[np.array([0.0])])
         opt = Adam(net, lr=0.1)
-        opt.step([(np.array([[3.0]]), np.array([-2.0]))])
+        opt.step(np.array([3.0, -2.0]))
         assert net.weights[0][0, 0] == pytest.approx(-0.1, rel=1e-6)
         assert net.biases[0][0] == pytest.approx(0.1, rel=1e-6)
 
@@ -331,8 +388,8 @@ class TestOptimizers:
             vhat = v / (1 - 0.999 ** t)
             w -= 0.5 * mhat / (np.sqrt(vhat) + 1e-8)
 
-        opt.step([(np.array([[g1]]), np.array([0.0]))])
-        opt.step([(np.array([[g2]]), np.array([0.0]))])
+        opt.step(np.array([g1, 0.0]))
+        opt.step(np.array([g2, 0.0]))
         assert net.weights[0][0, 0] == pytest.approx(w, rel=1e-12)
 
     def test_adam_converges_on_quadratic(self):
@@ -341,7 +398,7 @@ class TestOptimizers:
         opt = Adam(net, lr=0.05)
         for _ in range(2000):
             w = net.weights[0][0, 0]
-            opt.step([(np.array([[2.0 * (w - 1.0)]]), np.array([0.0]))])
+            opt.step(np.array([2.0 * (w - 1.0), 0.0]))
         assert net.weights[0][0, 0] == pytest.approx(1.0, abs=1e-4)
 
 

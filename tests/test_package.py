@@ -40,7 +40,7 @@ class TestBlasThreads:
         assert threads_after_import(OPENBLAS_NUM_THREADS="3") == ["3", "1"]
 
     @pytest.mark.parametrize("tool", ["artifact_hashes", "oracle_hashes",
-                                      "search_hashes", "harness"])
+                                      "search_hashes", "harness", "compare"])
     def test_hash_tools_cap_threads_before_numpy(self, tool):
         """A hash tool imports numpy before ``edgesched``, so ``harness``,
         which every tool imports, caps the threads as soon as it is
