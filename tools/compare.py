@@ -6,10 +6,10 @@
 The parent tree is exported from git with ``git archive REV | tar -x``
 into a temporary directory; the change tree is the checkout itself, its
 files as they are on disk (``--repo`` names another checkout).  Pair k of
-a workload runs each tree's ``perfbench/run.py`` once with ``--seed k+1``
-and ``--trace 0``, the parent first in even pairs and the change first in
-odd ones, one run at a time, so that a slow stretch of the host falls on
-both sides alike.
+a workload runs each tree's ``perfbench/run.py`` once with ``--seed k+1``,
+``--trace 0`` and ``BENCHMARK.json``'s ``run_seconds``, the parent first
+in even pairs and the change first in odd ones, one run at a time, so
+that a slow stretch of the host falls on both sides alike.
 
 The record goes to ``BENCH_<tag>.json`` in the change tree.  Per workload
 it holds every pair (seed, order, each side's metrics, ``loop_ops``,
@@ -118,15 +118,13 @@ def main(argv=None) -> int:
                     help="workload names (default: all of BENCHMARK.json)")
     ap.add_argument("--pairs", type=int, default=10,
                     help="alternated pairs per workload")
-    ap.add_argument("--seconds", type=int,
-                    help="perfbench --seconds (default: BENCHMARK.json's)")
     ap.add_argument("--repo", type=Path, default=ROOT,
                     help="the change tree, a git checkout")
     args = ap.parse_args(argv)
     change = args.repo.resolve()
     bench = json.loads((change / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     record = {
         "tag": args.tag,
         "parent": {"rev": args.parent},
