@@ -181,14 +181,9 @@ def _row_shapes(batch: np.ndarray, n_rows: int,
     maxima = rows[:, :1].copy()
     for j in range(1, n_cols):
         np.maximum(maxima, rows[:, j:j + 1], out=maxima)
-    least = maxima.min(initial=np.inf)
-    if least < 0:
+    if maxima.min(initial=np.inf) < 0:
         raise ValueError("row maximum must not be negative")
-    if least > 0:
-        shapes = rows / maxima
-    else:
-        shapes = np.divide(rows, maxima, out=np.ones_like(rows),
-                           where=maxima > 0)
+    shapes = np.divide(rows, maxima, out=np.ones_like(rows), where=maxima > 0)
     return shapes.reshape(-1, n_rows, n_cols), maxima
 
 
@@ -297,9 +292,7 @@ class ChannelCompressor:
     def observe_and_admit(self, channel: ChannelState) -> bool:
         """Widen the bounds and append the sample to the memory; False if no
         net.  An unprimed compressor then syncs, so encoding can start."""
-        logs = self.raster.observe(channel.gains)
-        if self.net is not None:
-            self.memory.append(self.raster.scale(logs))
+        self._memorise(channel.gains[None])
         if not self.primed:
             self.sync()
         return self.net is not None

@@ -346,9 +346,6 @@ class BenchReport:
     stats: list[StrategyStats]
     n_channels: int
 
-    def by_name(self, name: str) -> StrategyStats:
-        return {s.name: s for s in self.stats}[name]
-
 
 def _aggregate(name: str, latencies: list[float], times: list[float],
                optima: list[float] | None) -> StrategyStats:

@@ -190,7 +190,6 @@ class ModelArrays(NamedTuple):
     inputs, then the channel-free parts of ``allocator.Evaluator``'s cost
     table and of ``bench.greedy_baseline``'s first round."""
 
-    weight: np.ndarray         # (N,) scheduling weights
     cycles: np.ndarray         # (N,) task CPU cycles
     data_bits: np.ndarray      # (N,) task input sizes
     p_max: np.ndarray          # (N,) transmit power caps
@@ -279,7 +278,7 @@ class Scenario:
         local_time = cycles / cap
         server_time = cycles / (f_mec[nearest - 1] / count[nearest])
         arrays = ModelArrays(
-            weight=w, cycles=cycles, data_bits=data_bits,
+            cycles=cycles, data_bits=data_bits,
             p_max=p_max, local_cap=cap,
             local_power=np.array([u.kappa * c ** u.v
                                   for u, c in zip(ues, cap_list)]),
@@ -371,46 +370,28 @@ def _epoch_rng(seed: int, epoch: int, namespace: int = _CHANNEL_NS) -> np.random
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _gains(radio: RadioParams, fading: np.ndarray,
-           r2: np.ndarray) -> np.ndarray:
-    """beta0 * l / R**2 from small-scale gains ``fading`` of any number of
-    (N, M) draws, in place; returns ``fading``."""
-    fading *= radio.beta0
-    fading /= r2
-    return fading
-
-
 def sample_channel_state(scenario: Scenario, epoch: int,
                          seed: int | None = None) -> ChannelState:
-    """Sample the (N, M) gain matrix for one epoch.
-
-    Each gain is beta0 * l / R**2: R the UE-to-MEC distance, clamped below
-    at ``min_distance_m`` (R**2 is kept per scenario, as
-    ``Scenario.arrays.clamped_r2``), and l the small-scale power gain,
-    unit-mean exponential (Rayleigh amplitude) or 1 under "deterministic"
-    fading.  The draw is a pure function of (scenario, epoch, seed): the
-    generator is derived from the seed and the epoch index, never from call
-    order, so any epoch's channel can be regenerated independently.
-    ``seed`` defaults to the scenario's own ``rng_seed``.
-    """
-    entropy = scenario.rng_seed if seed is None else seed
-    rng = _epoch_rng(entropy, epoch)
-    radio, r2 = scenario.radio, scenario.arrays.clamped_r2
-    if radio.fading == "deterministic":
-        fading = np.ones(r2.shape)
-    else:
-        fading = rng.standard_exponential(size=r2.shape)
-    return ChannelState(gains=_gains(radio, fading, r2))
+    """Sample the (N, M) gain matrix for one epoch: row 0 of
+    ``sample_channel_gains``."""
+    return ChannelState(gains=sample_channel_gains(scenario, epoch, 1, seed)[0])
 
 
 def sample_channel_gains(scenario: Scenario, first_epoch: int, count: int,
                          seed: int | None = None) -> np.ndarray:
     """The gains of ``count`` epochs from ``first_epoch`` on, as one
-    (count, N, M) array: row k holds ``sample_channel_state(scenario,
-    first_epoch + k, seed).gains``, bit for bit.
+    (count, N, M) array.
 
-    Each row is filled from its epoch's own generator, and the stack is
-    checked once, by the check ``ChannelState`` makes on one draw.
+    Each gain is beta0 * l / R**2: R the UE-to-MEC distance, clamped below
+    at ``min_distance_m`` (R**2 is kept per scenario, as
+    ``Scenario.arrays.clamped_r2``), and l the small-scale power gain,
+    unit-mean exponential (Rayleigh amplitude) or 1 under "deterministic"
+    fading.  Row k is a pure function of (scenario, first_epoch + k, seed):
+    it is filled from its epoch's own generator, derived from the seed and
+    the epoch index, never from call order, so any epoch's channel can be
+    regenerated independently.  ``seed`` defaults to the scenario's own
+    ``rng_seed``.  The stack is checked once, by the check ``ChannelState``
+    makes on one draw.
     """
     entropy = scenario.rng_seed if seed is None else seed
     radio, r2 = scenario.radio, scenario.arrays.clamped_r2
@@ -420,7 +401,9 @@ def sample_channel_gains(scenario: Scenario, first_epoch: int, count: int,
         fading = np.empty((count, *r2.shape))
         for k, row in enumerate(fading):
             _epoch_rng(entropy, first_epoch + k).standard_exponential(out=row)
-    return _positive_finite_gains(_gains(radio, fading, r2))
+    fading *= radio.beta0
+    fading /= r2
+    return _positive_finite_gains(fading)
 
 
 def data_rate(bandwidth_hz: float, power_w: float | np.ndarray,

@@ -64,9 +64,6 @@ class ReplayBuffer:
         self._priorities = np.empty(self.capacity)
         self.evictions = 0
 
-    def __len__(self) -> int:
-        return self._size
-
     def append(self, raw: np.ndarray, label: np.ndarray) -> None:
         """Copy in one transition, a flat raw gain vector and the search's
         placement label, evicting the oldest one when full.

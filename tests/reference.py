@@ -330,7 +330,7 @@ def exact_oracle_numpy(ev: Evaluator, incumbent: np.ndarray) -> bench.OracleResu
 
 def stored(buf) -> tuple[np.ndarray, np.ndarray]:
     """Raw channels and labels of ``buf``, oldest first."""
-    rows = buf._rows(np.arange(len(buf)))
+    rows = buf._rows(np.arange(buf.stats()["size"]))
     return buf._raw[rows], buf._labels[rows]
 
 

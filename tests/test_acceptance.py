@@ -238,8 +238,9 @@ def test_09_policy_decision_speedup(desk_run):
                            cfg.asa, n_channels=50, asa_budget=200,
                            rng=np.random.default_rng(art.seeds.bench),
                            channel_seed=art.seeds.channel)
-    t_policy = report.by_name("policy").decision_time_s
-    t_asa = report.by_name("asa").decision_time_s
+    by_name = {s.name: s for s in report.stats}
+    t_policy = by_name["policy"].decision_time_s
+    t_asa = by_name["asa"].decision_time_s
     ratio = t_asa / t_policy
     ok = ratio >= 5.0
     _report(9, "policy decides at least 5x faster than search-only", ok,

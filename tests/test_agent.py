@@ -239,7 +239,7 @@ class TestTrainStep:
         net = Network(mlp_specs([2, 8, 4]), rng=rng)
         _, delta = train_step(net, Adam(net), buf, 8, 0.0, rng, RawEncoder(),
                               prev_loss=5.0)
-        touched = [p for p in buf._priorities[:len(buf)] if p != 1.0]
+        touched = [p for p in buf._priorities[:buf.stats()["size"]] if p != 1.0]
         assert touched
         assert touched[0] == pytest.approx(abs(delta) + 1e-3)
 

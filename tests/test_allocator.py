@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -324,7 +325,7 @@ class TestScenarioArrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
         with pytest.raises(AttributeError):
-            arr.weight = np.ones(5)
+            arr.sqrt_wf = np.ones(5)
 
     def test_capacity_and_power_taken_per_ue(self):
         # the power model binds here: (p_max/kappa)**(1/v) < f_local_max
@@ -347,8 +348,9 @@ class TestScenarioArrays:
         before = scen.arrays
         other = copy(scen)
         assert other.arrays is not before and scen.arrays is before
-        assert other.arrays.weight.tolist() == [u.weight for u in other.ues]
-        assert before.weight.tolist() == [u.weight for u in scen.ues]
+        for s, arr in ((scen, before), (other, other.arrays)):
+            assert arr.sqrt_wf.tolist() == [
+                math.sqrt(u.weight * u.task.cycles) for u in s.ues]
         for s, arr in ((scen, before), (other, other.arrays)):
             assert arr.f_option.tolist() == [0.0, *(m.f_max for m in s.mecs)]
             assert not arr.f_option.flags.writeable

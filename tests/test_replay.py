@@ -38,7 +38,7 @@ class TestAppendEvict:
         buf = sized(5)
         for e in range(12):
             buf.append(*make_transition(e))
-        assert len(buf) == 5
+        assert buf.stats()["size"] == 5
         assert buf.evictions == 7
 
     def test_new_sample_takes_max_priority(self):

@@ -2,10 +2,21 @@
 
     python3 tools/compare.py --parent HEAD~1 --tag learner_step
     python3 tools/compare.py --parent main --workloads desk-train --pairs 10 --tag T
+    python3 tools/compare.py --parent main --pairs 0 --tag T   # bytes only
 
 The parent tree is exported from git with ``git archive REV | tar -x``
 into a temporary directory; the change tree is the checkout itself, its
-files as they are on disk (``--repo`` names another checkout).  Pair k of
+files as they are on disk (``--repo`` names another checkout).
+
+First the bytes: each tree runs ``tools/artifact_hashes.py``,
+``tools/search_hashes.py`` and ``tools/oracle_hashes.py`` on its own
+``src``, and the lines are compared with their trailing ``N us/call`` or
+``N.NN ms/call`` field masked.  ``bytes`` in the record holds, per tool,
+each side's line count, whether every line matched and the first
+differing pairs (or the error that stopped a side), and ``match`` over all
+three.
+
+Then the speed, unless ``--pairs`` is 0.  Pair k of
 a workload runs each tree's ``perfbench/run.py`` once with ``--seed k+1``,
 ``--trace 0`` and ``BENCHMARK.json``'s ``run_seconds``, the parent first
 in even pairs and the change first in odd ones, one run at a time, so
@@ -21,7 +32,8 @@ gain larger than the parent's interquartile range, and the headroom to the
 metric's bound (the bound less the relative worsening of the median;
 negative is outside the bound).  ``nrr_match`` says whether every
 ``*_nrr`` metric was equal on both sides for every seed, ``runs_failed``
-counts runs that exited with an error, and ``ops_failed`` the operations
+counts runs that exited with an error, timed out, printed no JSON result
+line or wrote no fresh record, and ``ops_failed`` the operations
 perfbench's checks failed, per side.  The commits, whether the change tree
 had uncommitted edits to tracked files, and the host come first.
 """
@@ -30,35 +42,92 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 from harness import ROOT, export_tree, host_record
 
 SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 600
+HASH_TOOLS = ("artifact_hashes", "search_hashes", "oracle_hashes")
+TIME_FIELD = re.compile(r" \d+(?:\.\d+)? [um]s/call$")
+# differing line pairs kept per tool
+MAX_DIFFS = 5
+
+
+def run(tree: Path, *args: str) -> subprocess.CompletedProcess | dict:
+    """Run the script and arguments ``args`` in ``tree`` with this Python;
+    the finished process if it exited 0, else ``{"error": ...}``."""
+    try:
+        proc = subprocess.run([sys.executable, *args], cwd=tree,
+                              capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"error": f"timed out after {RUN_TIMEOUT_S} s"}
+    if proc.returncode != 0:
+        return {"error": f"exit {proc.returncode}: "
+                         f"{proc.stderr.strip()[-500:]}"}
+    return proc
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its result line, and the
     ``loop_ops`` of the record it wrote, or the error that stopped it."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
-    if proc.returncode != 0:
-        return {"error": f"exit {proc.returncode}: "
-                         f"{proc.stderr.strip()[-500:]}"}
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
     record = tree / "perfbench" / "out" / f"{workload}-s{seed}-t0.json"
-    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+    started = time.time()
+    proc = run(tree, "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0")
+    if isinstance(proc, dict):
+        return proc
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        # a record older than the run is another run's
+        if record.stat().st_mtime < started:
+            return {"error": f"no fresh record {record.name}"}
+        return {
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "loop_ops": json.loads(record.read_text()).get("loop_ops"),
             "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"]}
+    except (LookupError, TypeError, AttributeError, ValueError,
+            OSError) as err:
+        return {"error": f"{type(err).__name__}: {err}"}
+
+
+def tool_lines(tree: Path, tool: str) -> dict:
+    """The output lines of ``tools/<tool>.py`` in ``tree``, on the tree's
+    own ``src``, with the time field masked; or the error that stopped it."""
+    proc = run(tree, f"tools/{tool}.py")
+    if isinstance(proc, dict):
+        return proc
+    return {"lines": [TIME_FIELD.sub("", line)
+                      for line in proc.stdout.splitlines()]}
+
+
+def byte_check(trees: dict) -> dict:
+    """Each hash tool's lines on both trees, compared."""
+    tools = {}
+    for tool in HASH_TOOLS:
+        out = {s: tool_lines(trees[s], tool) for s in SIDES}
+        errors = {s: o["error"] for s, o in out.items() if "error" in o}
+        if errors:
+            tools[tool] = {"match": False, "errors": errors}
+        else:
+            parent, change = out["parent"]["lines"], out["change"]["lines"]
+            differ = [[a, b] for a, b in zip_longest(parent, change)
+                      if a != b]
+            tools[tool] = {"lines": {"parent": len(parent),
+                                     "change": len(change)},
+                           "match": not differ, "differ": differ[:MAX_DIFFS]}
+        print(f"bytes {tool}: {'match' if tools[tool]['match'] else 'DIFFER'}"
+              f" {errors or ''}", file=sys.stderr, flush=True)
+    return {"match": all(t["match"] for t in tools.values()), "tools": tools}
 
 
 def spread(values: list[float]) -> dict:
@@ -117,13 +186,15 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+",
                     help="workload names (default: all of BENCHMARK.json)")
     ap.add_argument("--pairs", type=int, default=10,
-                    help="alternated pairs per workload")
+                    help="alternated pairs per workload; 0 checks the "
+                         "bytes alone")
     ap.add_argument("--repo", type=Path, default=ROOT,
                     help="the change tree, a git checkout")
     args = ap.parse_args(argv)
     change = args.repo.resolve()
     bench = json.loads((change / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    workloads = (args.workloads or [w["name"] for w in bench["workloads"]]
+                 if args.pairs else [])
     seconds = bench["run_seconds"]
     record = {
         "tag": args.tag,
@@ -133,12 +204,14 @@ def main(argv=None) -> int:
                                            "--untracked-files=no"))},
         "host": host_record(),
         "seconds": seconds,
+        "bytes": None,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="compare-parent-") as tmp:
         parent = Path(tmp)
         record["parent"]["commit"] = export_tree(args.parent, parent, change)
         trees = {"parent": parent, "change": change}
+        record["bytes"] = byte_check(trees)
         for workload in workloads:
             pairs = []
             for k in range(args.pairs):
