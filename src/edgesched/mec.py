@@ -374,7 +374,9 @@ def sample_channel_state(scenario: Scenario, epoch: int,
                          seed: int | None = None) -> ChannelState:
     """Sample the (N, M) gain matrix for one epoch: row 0 of
     ``sample_channel_gains``."""
-    return ChannelState(gains=sample_channel_gains(scenario, epoch, 1, seed)[0])
+    # a copy, so that a kept draw holds one array, not a view and its base
+    return ChannelState(
+        gains=sample_channel_gains(scenario, epoch, 1, seed)[0].copy())
 
 
 def sample_channel_gains(scenario: Scenario, first_epoch: int, count: int,

@@ -35,6 +35,13 @@ gene: the step-by-step chain in ``test_annealing.py`` builds its candidates
 with it, and the tests require ``annealing.keep_table`` to hold the same
 bits.
 
+``channel_gains_reference`` is one epoch's channel draw as it was written
+per epoch, before ``mec.sample_channel_gains`` became the one draw kernel:
+the epoch's own generator, ``standard_exponential`` of shape (N, M) (ones
+under deterministic fading), times beta0, over the clamped R**2.  The tests
+require the same bits from ``sample_channel_state`` and from every row of
+a stacked draw.
+
 ``stored`` reads a ``ReplayBuffer``'s ring arrays back in store order,
 oldest first, as the list of transitions the ring replaced held them.
 
@@ -63,7 +70,7 @@ import warnings
 import numpy as np
 from scipy.optimize import minimize
 
-from edgesched import bench
+from edgesched import bench, mec
 from edgesched.agent import EpochLog
 from edgesched.allocator import Evaluator
 from edgesched.bench import greedy_baseline, random_baseline
@@ -326,6 +333,19 @@ def exact_oracle_numpy(ev: Evaluator, incumbent: np.ndarray) -> bench.OracleResu
     expand(0, np.zeros(m), 0.0, start)
     return bench.OracleResult(decision=OffloadDecision(assign=best, n_mecs=m),
                               latency=best_f, nodes=nodes, exact=not stopped)
+
+
+def channel_gains_reference(scenario: Scenario, epoch: int,
+                            seed: int | None = None) -> np.ndarray:
+    """The (N, M) gains of one epoch, drawn on their own."""
+    entropy = scenario.rng_seed if seed is None else seed
+    r2 = scenario.arrays.clamped_r2
+    if scenario.radio.fading == "deterministic":
+        fading = np.ones(r2.shape)
+    else:
+        fading = mec._epoch_rng(entropy, epoch).standard_exponential(
+            size=r2.shape)
+    return fading * scenario.radio.beta0 / r2
 
 
 def stored(buf) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from edgesched.mec import (BENCH_EPOCH_BASE, EPOCH_RANGE_WIDTH,
                            random_scenario, reweighted, sample_channel_gains,
                            sample_channel_state)
 
-from reference import weighted_latency
+from reference import channel_gains_reference, weighted_latency
 
 
 def make_scenario(n=4, m=2, seed=0, **kw):
@@ -272,6 +272,23 @@ class TestChannel:
         np.testing.assert_array_equal(sample_channel_gains(scen, 9, 3)[1],
                                       sample_channel_state(scen, 10).gains)
         assert sample_channel_gains(scen, 1, 0).shape == (0, n, m)
+
+    @pytest.mark.parametrize("seed", [None, 11])
+    @pytest.mark.parametrize("fading", ["exponential", "deterministic"])
+    @pytest.mark.parametrize("n, m", [(10, 2), (30, 5), (6, 1)])
+    def test_draws_match_the_per_epoch_reference(self, n, m, fading, seed):
+        """``sample_channel_state`` and every row of a stacked draw hold the
+        per-epoch draw's bits, at the start of every epoch range."""
+        scen = make_scenario(n, m, seed=3, radio=RadioParams(fading=fading))
+        for base in (1, BENCH_EPOCH_BASE, PRETRAIN_EPOCH_BASE,
+                     HELDOUT_EPOCH_BASE):
+            stack = sample_channel_gains(scen, base, 4, seed)
+            for k, row in enumerate(stack):
+                want = channel_gains_reference(scen, base + k, seed).tobytes()
+                single = sample_channel_state(scen, base + k, seed).gains
+                assert row.tobytes() == single.tobytes() == want
+                # a kept draw holds no view of a one-row stack
+                assert single.flags.owndata
 
     def test_stacked_draws_are_checked(self):
         scen = make_scenario(radio=RadioParams(beta0=5e-324))  # underflows
